@@ -68,13 +68,4 @@ pub trait DcRecovery {
     /// Recover and also return the coefficient image with estimated DC
     /// levels filled in (for coefficient-domain analysis).
     fn recover_coefficients(&self, dropped: &CoeffImage) -> CoeffImage;
-
-    /// Concrete-type escape hatch for callers that can exploit more than
-    /// the object-safe surface (the runtime's cross-request cohort path
-    /// downcasts its diffusion engine to fuse K recoveries into shared
-    /// U-Net forwards). Statistical baselines have no batched fast path,
-    /// so the default is `None`.
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        None
-    }
 }

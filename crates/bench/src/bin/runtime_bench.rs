@@ -66,7 +66,8 @@ struct CohortRun {
 }
 
 /// Recover one staged manifest with the diffusion estimator on one worker at
-/// the given cohort width. A single worker isolates what the ablation is
+/// the given cohort width (`batch_max`; width 1 runs one-lane cohorts). A
+/// single worker isolates what the ablation is
 /// after — U-Net forward amortisation from cross-request batching — from
 /// worker parallelism. The leader's small ingest stall lets the rest of the
 /// burst queue so the worker assembles full micro-batches; per-lane content
@@ -80,8 +81,7 @@ fn run_cohort(scratch: &std::path::Path, canvas: usize, steps: usize, width: usi
     let runtime = Runtime::start(RuntimeConfig {
         workers: 1,
         queue_cap: IMAGES,
-        batch_max: 8,
-        diffusion_batch_width: width,
+        batch_max: width,
         telemetry: tel.clone(),
         ..RuntimeConfig::default()
     });
@@ -246,7 +246,7 @@ fn main() {
     println!("  speedup 4 vs 1 workers: {speedup:.2}x");
 
     // Cross-request DDIM cohort ablation: one worker, diffusion estimator,
-    // canvas × steps × width grid. Width 1 is the sequential path; wider
+    // canvas × steps × width grid. Width 1 runs one-lane cohorts; wider
     // cells fuse concurrent lanes into shared U-Net forwards. The tile
     // regime isolates sampler amortisation; the full-scene regime shows the
     // decode-bound floor.
@@ -372,7 +372,7 @@ fn main() {
     assert!(speedup >= 2.0, "4-worker serving should be at least 2x 1-worker (got {speedup:.2}x)");
     assert!(
         cohort_speedup_tile_s64 >= 2.5,
-        "width-8 cohorts should serve at least 2.5x the sequential rate on the 16x16 tile \
+        "width-8 cohorts should serve at least 2.5x the width-1 rate on the 16x16 tile \
          manifest at 64 DDIM steps (got {cohort_speedup_tile_s64:.2}x)"
     );
 }

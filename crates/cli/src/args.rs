@@ -23,7 +23,6 @@ const VALUE_FLAGS: &[&str] = &[
     "--queue-cap",
     "--retries",
     "--batch",
-    "--batch-width",
     "--trace",
     "--metrics",
     "--log-level",

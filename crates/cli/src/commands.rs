@@ -45,13 +45,12 @@ pub const USAGE: &str = "usage:
                                      [--size WxH] [--seed N]
   dcdiff batch   <manifest>          [--workers N (default: all cores)]
                                      [--queue-cap M] [--retries R]
-                                     [--batch K] [--batch-width W]
+                                     [--batch K]
                                      [--fail-fast] [--no-fallback]
                                      [--trace t.jsonl] [--metrics m.json]
                                      [--log-level error|warn|info|debug]
   dcdiff report  <trace.jsonl> [more.jsonl ...]
   dcdiff serve   [--addr HOST:PORT]   [--workers N] [--queue-cap M] [--batch K]
-                                     [--batch-width W]
                                      [--method tip2006|smartcom|icip|mld|diffusion]
                                      [--threshold T] [--sweeps N] [--no-fallback]
                                      [--max-conns C] [--client-inflight F]
@@ -371,7 +370,6 @@ fn batch(parsed: &Parsed) -> Result<(), String> {
         queue_cap: parsed.int("--queue-cap", 64)?.max(1) as usize,
         default_retries: parsed.int("--retries", 0)? as u32,
         batch_max: parsed.int("--batch", 8)?.max(1) as usize,
-        diffusion_batch_width: parsed.int("--batch-width", 8)?.max(1) as usize,
         telemetry: tel.clone(),
         recovery: if parsed.has("--no-fallback") {
             RecoveryPolicy::no_fallback()
@@ -383,8 +381,8 @@ fn batch(parsed: &Parsed) -> Result<(), String> {
     let fail_fast = parsed.has("--fail-fast");
     let total = specs.len();
     println!(
-        "batch: {total} jobs, {} workers, queue cap {}, micro-batch {}, cohort width {}",
-        config.workers, config.queue_cap, config.batch_max, config.diffusion_batch_width
+        "batch: {total} jobs, {} workers, queue cap {}, micro-batch (cohort width) {}",
+        config.workers, config.queue_cap, config.batch_max
     );
 
     let runtime = Runtime::start(config);
@@ -475,7 +473,6 @@ fn serve(parsed: &Parsed) -> Result<(), String> {
         workers: parsed.int("--workers", default_workers as u64)?.max(1) as usize,
         queue_cap: parsed.int("--queue-cap", 64)?.max(1) as usize,
         batch_max: parsed.int("--batch", 8)?.max(1) as usize,
-        diffusion_batch_width: parsed.int("--batch-width", 8)?.max(1) as usize,
         telemetry: tel.clone(),
         recovery: if parsed.has("--no-fallback") {
             RecoveryPolicy::no_fallback()

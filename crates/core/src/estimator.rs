@@ -1,6 +1,6 @@
 //! The end-to-end DCDiff estimator.
 
-use dcdiff_diffusion::{BatchLane, BatchedDdimSampler, DdimSampler, Fmpp, NoiseSchedule};
+use dcdiff_diffusion::{BatchLane, BatchedDdimSampler, Fmpp, NoiseSchedule};
 use dcdiff_image::Image;
 use dcdiff_jpeg::{ChromaSampling, CoeffImage, DcDropMode};
 use dcdiff_tensor::optim::Adam;
@@ -135,8 +135,8 @@ impl<'a> BatchRecoverJob<'a> {
 ///
 /// Seeding from job identity rather than a shared counter is what makes
 /// recovery results reproducible across cohort compositions: the same
-/// stream recovers to the same image whether it runs alone, in a width-8
-/// cohort, or sequentially.
+/// stream recovers to the same image whether it runs alone or in a width-8
+/// cohort.
 pub fn content_seed(dropped: &CoeffImage) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     let mut mix = |v: u64| {
@@ -464,26 +464,29 @@ impl DcDiff {
         self.recover_with(dropped, &RecoverOptions::from_config(&self.config))
     }
 
-    /// Recover with explicit [`RecoverOptions`] (the Table III ablations).
+    /// Recover with explicit [`RecoverOptions`] (the Table III ablations):
+    /// a one-lane cohort sampled under `options.seed`.
     ///
     /// # Panics
     ///
     /// Panics if `options.ddim_steps` is zero or exceeds the training
-    /// schedule.
+    /// schedule, and propagates any panic of the model stack
+    /// ([`DcDiff::try_recover_with`] catches it instead).
     pub fn recover_with(&self, dropped: &CoeffImage, options: &RecoverOptions) -> Image {
-        match self.recover_deadline(dropped, options, None) {
-            Ok(image) => image,
-            Err(err) => unreachable!("recovery without a deadline cannot fail: {err}"),
+        let lane = BatchRecoverJob { dropped, seed: options.seed, deadline: None, trace: None };
+        match self.recover_lanes(&[lane], options).pop() {
+            Some(Ok(image)) => image,
+            other => unreachable!("recovery without a deadline cannot fail: {other:?}"),
         }
     }
 
-    /// Fallible recovery with an optional wall-clock deadline.
+    /// Fallible recovery with an optional wall-clock deadline: a one-lane
+    /// [`DcDiff::try_recover_batch`] sampled under `options.seed`.
     ///
-    /// This is the entry point the degradation ladder
-    /// ([`crate::FallbackEstimator`]) uses: the deadline is checked
-    /// cooperatively before every DDIM step and at each phase boundary,
-    /// and any panic escaping the model stack is caught and reported as
-    /// [`EstimateError::Panicked`] instead of unwinding into the worker.
+    /// The deadline is checked cooperatively before every DDIM step and at
+    /// each phase boundary, and any panic escaping the model stack is
+    /// caught and reported as [`EstimateError::Panicked`] instead of
+    /// unwinding into the caller.
     ///
     /// # Errors
     ///
@@ -496,131 +499,27 @@ impl DcDiff {
         options: &RecoverOptions,
         deadline: Option<Instant>,
     ) -> Result<Image, EstimateError> {
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.recover_deadline(dropped, options, deadline)
-        }))
-        .unwrap_or_else(|payload| Err(EstimateError::panicked(payload)))
-    }
-
-    fn recover_deadline(
-        &self,
-        dropped: &CoeffImage,
-        options: &RecoverOptions,
-        deadline: Option<Instant>,
-    ) -> Result<Image, EstimateError> {
-        let check = |phase: &'static str| match deadline {
-            Some(d) if Instant::now() >= d => Err(EstimateError::DeadlineExceeded { phase }),
-            _ => Ok(()),
-        };
-        check("start")?;
-        // Inference-only pass: suppress the autograd tape so conv/GEMM work
-        // buffers recycle through the kernel scratch pool instead of being
-        // saved for a backward that never runs.
-        no_grad(|| {
-        // Phase spans go to the process-wide telemetry handle (see
-        // `dcdiff_telemetry::install`); without an installed trace they are
-        // inert branches.
-        let tel = dcdiff_telemetry::global();
-        let x_tilde_img = dropped.to_image();
-        // pad to a 16-aligned canvas for the networks
-        let (w, h) = x_tilde_img.dims();
-        let pw = w.div_ceil(16) * 16;
-        let ph = h.div_ceil(16) * 16;
-        let padded = if (pw, ph) == (w, h) {
-            x_tilde_img.clone()
-        } else {
-            Image::from_planes(
-                x_tilde_img
-                    .planes()
-                    .iter()
-                    .map(|p| p.crop_clamped(0, 0, pw, ph))
-                    .collect(),
-                x_tilde_img.color_space(),
-            )
-            .expect("padded planes share dimensions")
-        };
-        let x_tilde = image_to_tensor(&padded);
-
-        // FreeU scales
-        let fmpp_span = tel.span(names::SPAN_RECOVER_FMPP);
-        let (s, b) = if options.use_fmpp {
-            self.fmpp.predict(&x_tilde)
-        } else {
-            (Tensor::full(vec![1], 1.0), Tensor::full(vec![1], 1.0))
-        };
-        let s = s.detach();
-        let b = b.detach();
-        drop(fmpp_span);
-
-        // DDIM sampling of the DC latent
-        let sample_span = tel.span(names::SPAN_RECOVER_SAMPLE);
-        let cond = Stage2::condition_from(&x_tilde).detach();
-        let control = self.stage2.control_features(&cond);
-        let control: Vec<Tensor> = control.iter().map(Tensor::detach).collect();
-        let sampler = DdimSampler::new(self.stage2.schedule().clone(), options.ddim_steps);
-        let mut rng = seeded_rng(options.seed);
-        let latent_shape = [
-            1,
-            self.config.latent_channels,
-            ph / 8,
-            pw / 8,
-        ];
-        let z = sampler.try_sample(&latent_shape, &mut rng, |z_t, t| {
-            check("ddim")?;
-            Ok(self
-                .stage2
-                .predict_noise(z_t, &[t], &control, Some((&s, &b))))
-        })?;
-        drop(sample_span);
-
-        // decode and crop
-        check("decode")?;
-        let decode_span = tel.span(names::SPAN_RECOVER_DECODE);
-        let x_hat = self
-            .stage1
-            .decode(&z.scale(self.latent_scale), &x_tilde)
-            .detach();
-        let generated = tensor_to_image(&x_hat).crop_to(w, h);
-        drop(decode_span);
-
-        if !options.use_projection {
-            return Ok(generated);
-        }
-        check("projection")?;
-        let projection_span = tel.span(names::SPAN_RECOVER_PROJECTION);
-        let projected = project_dc(dropped, &generated);
-        drop(projection_span);
-        if !options.use_mld {
-            return Ok(projected.to_image());
-        }
-        check("mld_refine")?;
-        let _mld_span = tel.span(names::SPAN_RECOVER_MLD_REFINE);
-        let refined = refine_dc_offsets(
-            dropped,
-            &projected,
-            options.mask_threshold,
-            self.config.prior_weight,
-            self.config.refine_sweeps,
-        );
-        Ok(refined.to_image())
-        })
+        let lane = BatchRecoverJob { dropped, seed: options.seed, deadline, trace: None };
+        let mut results = self.try_recover_batch(&[lane], options);
+        results.pop().unwrap_or_else(|| unreachable!("one lane in, one result out"))
     }
 
     /// Recover a whole cohort of DC-dropped streams with **shared U-Net
     /// forwards**: lanes with the same padded canvas advance through the
     /// DDIM chain in lock-step via [`BatchedDdimSampler`], one forward per
     /// step for the group, and the FMPP / control / stage-1 decode passes
-    /// are batched the same way.
+    /// are batched the same way. This is the only recovery pipeline; the
+    /// single-image entry points are one-lane cohorts.
     ///
     /// Per-lane identity is preserved: each lane samples from its own RNG
     /// seeded with [`BatchRecoverJob::seed`] (use [`content_seed`] to derive
-    /// it from the stream itself), so a lane's output is bit-identical to a
-    /// sequential [`DcDiff::try_recover_with`] call with the same seed,
-    /// regardless of which other lanes share the cohort. Deadlines stay
-    /// per-lane and cooperative: an expired lane is evicted from the cohort
-    /// (its slot resolves to [`EstimateError::DeadlineExceeded`]) while the
-    /// remaining lanes keep stepping. A panic anywhere in the model stack
-    /// resolves every lane to [`EstimateError::Panicked`].
+    /// it from the stream itself), so a lane's output is bit-identical at
+    /// any cohort width, regardless of which other lanes share the cohort.
+    /// Deadlines stay per-lane and cooperative: an expired lane is evicted
+    /// from the cohort (its slot resolves to
+    /// [`EstimateError::DeadlineExceeded`]) while the remaining lanes keep
+    /// stepping. A panic anywhere in the model stack resolves every lane to
+    /// [`EstimateError::Panicked`].
     ///
     /// `options.seed` is ignored in this entry point; seeding is per-lane.
     pub fn try_recover_batch(
@@ -629,7 +528,7 @@ impl DcDiff {
         options: &RecoverOptions,
     ) -> Vec<Result<Image, EstimateError>> {
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.recover_batch_deadline(jobs, options)
+            self.recover_lanes(jobs, options)
         }))
         .unwrap_or_else(|payload| {
             let err = EstimateError::panicked(payload);
@@ -637,7 +536,7 @@ impl DcDiff {
         })
     }
 
-    fn recover_batch_deadline(
+    fn recover_lanes(
         &self,
         jobs: &[BatchRecoverJob<'_>],
         options: &RecoverOptions,
@@ -673,10 +572,13 @@ impl DcDiff {
         options: &RecoverOptions,
         out: &mut [Option<Result<Image, EstimateError>>],
     ) {
-        // Inference-only pass; see `recover_deadline` for why the tape is
-        // suppressed. At cohort widths the saved im2col buffers would be
-        // K× larger still, so recycling them matters even more here.
+        // Inference-only pass: suppress the autograd tape so conv/GEMM work
+        // buffers recycle through the kernel scratch pool instead of being
+        // saved (K× larger at cohort width K) for a backward that never runs.
         no_grad(|| {
+        // Phase spans go to the process-wide telemetry handle (see
+        // `dcdiff_telemetry::install`); without an installed trace they are
+        // inert branches.
         let tel = dcdiff_telemetry::global();
         let check = |i: usize, phase: &'static str| match jobs[i].deadline {
             Some(d) if Instant::now() >= d => Err(EstimateError::DeadlineExceeded { phase }),
@@ -687,7 +589,6 @@ impl DcDiff {
             let _attributed = jobs[i].trace.map(dcdiff_telemetry::install_trace);
             tel.record_span(name, start, end);
         };
-
         // Ingest: decode each lane's x̃ and pad it to the group canvas.
         let mut live: Vec<usize> = Vec::new();
         let mut x_tildes: Vec<Tensor> = Vec::new();
@@ -760,7 +661,9 @@ impl DcDiff {
             })
             .collect();
         let latent_shape = [1, self.config.latent_channels, ph / 8, pw / 8];
-        let mut selected: Option<(Vec<usize>, Vec<Tensor>, Tensor, Tensor)> = None;
+        // Until a lane is evicted every row is active: no copy needed.
+        let mut selected: Option<(Vec<usize>, Vec<Tensor>, Tensor, Tensor)> =
+            Some(((0..k).collect(), control_all.clone(), s_all.clone(), b_all.clone()));
         let sampled = sampler.try_sample_cohort::<EstimateError>(
             &latent_shape,
             &mut lanes,
@@ -821,6 +724,7 @@ impl DcDiff {
         for (j, &row) in survivors.iter().enumerate() {
             let i = live[row];
             lane_span(i, names::SPAN_RECOVER_DECODE, decode_start, decode_end);
+            let _attributed = jobs[i].trace.map(dcdiff_telemetry::install_trace);
             let lane_hat = Tensor::from_vec(
                 row_shape.clone(),
                 x_hat_data[j * per..(j + 1) * per].to_vec(),
@@ -834,8 +738,8 @@ impl DcDiff {
         })
     }
 
-    /// The per-lane post-sampling pipeline, identical to the tail of
-    /// [`DcDiff::recover_deadline`].
+    /// The per-lane post-sampling pipeline: DC projection, then
+    /// masked-Laplacian refinement, each behind the lane's deadline check.
     fn finish_lane(
         &self,
         dropped: &CoeffImage,
@@ -899,6 +803,7 @@ impl DcDiff {
 mod tests {
     use super::*;
     use dcdiff_data::{DatasetProfile, SceneGenerator, SceneKind};
+    use dcdiff_diffusion::DdimSampler;
     use dcdiff_metrics::psnr;
 
     fn tiny_config() -> DcDiffConfig {
@@ -1001,9 +906,42 @@ mod tests {
         assert_ne!(content_seed(&a), content_seed(&c), "different content");
     }
 
-    // Satellite: per-sample RNG streams seeded from job identity make a
-    // sample's output identical at cohort widths 1, 2 and 8 — and equal to
-    // the sequential path with the same seed.
+    /// One recovery composed from the model's own parts with the sequential
+    /// [`DdimSampler`]: no cohort, deadline or span code, so it is a
+    /// reference independent of the pipeline under test. `dropped` must be
+    /// 16-aligned (no padding).
+    fn composed_reference(system: &DcDiff, dropped: &CoeffImage, opts: &RecoverOptions) -> Image {
+        no_grad(|| {
+            let x_img = dropped.to_image();
+            let (w, h) = x_img.dims();
+            assert!(w % 16 == 0 && h % 16 == 0, "reference skips padding");
+            let x = image_to_tensor(&x_img);
+            let (s, b) = system.fmpp.predict(&x);
+            let (s, b) = (s.detach(), b.detach());
+            let cond = Stage2::condition_from(&x).detach();
+            let control: Vec<Tensor> =
+                system.stage2.control_features(&cond).iter().map(Tensor::detach).collect();
+            let sampler = DdimSampler::new(system.stage2.schedule().clone(), opts.ddim_steps);
+            let shape = [1, system.config.latent_channels, h / 8, w / 8];
+            let mut rng = seeded_rng(opts.seed);
+            let z = sampler
+                .try_sample::<std::convert::Infallible>(&shape, &mut rng, |z_t, t| {
+                    Ok(system.stage2.predict_noise(z_t, &[t], &control, Some((&s, &b))))
+                })
+                .unwrap_or_else(|never| match never {});
+            let x_hat = system.stage1.decode(&z.scale(system.latent_scale), &x).detach();
+            let generated = tensor_to_image(&x_hat).crop_to(w, h);
+            let projected = project_dc(dropped, &generated);
+            let c = &system.config;
+            let threshold = opts.mask_threshold;
+            refine_dc_offsets(dropped, &projected, threshold, c.prior_weight, c.refine_sweeps)
+                .to_image()
+        })
+    }
+
+    // Per-sample RNG streams seeded from job identity make a sample's
+    // output identical at cohort widths 1, 2 and 8, and equal to a recovery
+    // composed independently from the model's parts.
     #[test]
     fn batched_recovery_is_bit_identical_across_cohort_widths() {
         let system = DcDiff::new(tiny_config(), 0);
@@ -1011,34 +949,46 @@ mod tests {
         opts.ddim_steps = 3;
         let probe = dropped_scene(11, 32);
         let others: Vec<CoeffImage> = (0..7).map(|s| dropped_scene(100 + s, 32)).collect();
-
-        let run_at_width = |width: usize| -> Image {
-            let mut jobs = vec![BatchRecoverJob::new(&probe)];
-            for other in others.iter().take(width - 1) {
-                jobs.push(BatchRecoverJob::new(other));
-            }
-            let mut results = system.try_recover_batch(&jobs, &opts);
-            results.swap_remove(0).expect("no deadline, no panic")
-        };
-
-        let w1 = run_at_width(1);
-        let w2 = run_at_width(2);
-        let w8 = run_at_width(8);
-        assert_eq!(w1.mean_abs_diff(&w2), 0.0, "width 1 vs 2 must be bit-identical");
-        assert_eq!(w1.mean_abs_diff(&w8), 0.0, "width 1 vs 8 must be bit-identical");
-
-        let seq_opts = RecoverOptions {
-            seed: content_seed(&probe),
-            ..opts
-        };
-        let sequential = system
-            .try_recover_with(&probe, &seq_opts, None)
-            .expect("no deadline, no panic");
-        assert_eq!(
-            w1.mean_abs_diff(&sequential),
-            0.0,
-            "cohort lane must match the sequential sampler bit-exactly"
+        let reference = composed_reference(
+            &system,
+            &probe,
+            &RecoverOptions { seed: content_seed(&probe), ..opts },
         );
+
+        for width in [1, 2, 8] {
+            let mut jobs = vec![BatchRecoverJob::new(&probe)];
+            jobs.extend(others.iter().take(width - 1).map(BatchRecoverJob::new));
+            let mut results = system.try_recover_batch(&jobs, &opts);
+            let lane = results.swap_remove(0).expect("no deadline, no panic");
+            assert_eq!(lane, reference, "width {width} diverged from the composed reference");
+        }
+    }
+
+    #[test]
+    fn deadline_error_reports_the_phase() {
+        let system = DcDiff::new(tiny_config(), 0);
+        let mut options = RecoverOptions::from_config(system.config());
+        options.ddim_steps = 3;
+        let err = system
+            .try_recover_with(&dropped_scene(12, 48), &options, Some(Instant::now()))
+            .unwrap_err();
+        assert!(matches!(err, EstimateError::DeadlineExceeded { .. }));
+        assert!(err.to_string().contains("deadline"));
+    }
+
+    #[test]
+    fn generous_deadline_recovers_normally() {
+        let system = DcDiff::new(tiny_config(), 0);
+        let mut options = RecoverOptions::from_config(system.config());
+        options.ddim_steps = 3;
+        let image = system
+            .try_recover_with(
+                &dropped_scene(12, 48),
+                &options,
+                Some(Instant::now() + std::time::Duration::from_secs(600)),
+            )
+            .expect("10 minutes is plenty for a tiny model");
+        assert_eq!(image.dims(), (48, 48));
     }
 
     #[test]

@@ -1,28 +1,15 @@
-//! Graceful degradation for DC recovery: diffusion → statistical
-//! baseline → flat DC, guarded by a circuit breaker.
+//! Failure vocabulary for DC recovery: why a diffusion attempt produced no
+//! image ([`EstimateError`]), and the [`CircuitBreaker`] a serving receiver
+//! puts in front of the diffusion tier.
 //!
 //! The diffusion estimator is the quality tier, but it is also the slow
-//! and failure-prone one: it can blow a latency deadline, and a model
-//! bug can panic. A serving receiver must still return *a* picture, so
-//! the [`FallbackEstimator`] walks a ladder:
-//!
-//! 1. **Diffusion** — [`DcDiff::try_recover_with`] under an optional
-//!    per-job deadline, panics caught;
-//! 2. **Baseline** — any [`DcRecovery`] method from `dcdiff-baselines`
-//!    (TIP-2006 by default: training-free, milliseconds, no failure
-//!    modes of its own);
-//! 3. **Flat DC** — decode with the dropped DC left at zero (mid-gray
-//!    blocks), which cannot fail by construction.
-//!
-//! A [`CircuitBreaker`] sits in front of tier 1: after `threshold`
-//! consecutive diffusion failures it opens and jobs go straight to the
-//! baseline (no deadline burned on an estimator that is currently
-//! broken), probing diffusion again after a cooldown. Every decision is
-//! observable through the process-wide telemetry handle: counters
-//! `estimator.primary_ok` / `estimator.primary_fail` /
-//! `estimator.fallback_baseline` / `estimator.fallback_flat` /
-//! `estimator.breaker_short_circuit`, and the gauge `breaker.state`
-//! (0 = closed, 1 = half-open, 2 = open).
+//! and failure-prone one: it can blow a latency deadline, and a model bug
+//! can panic. The degradation ladder that turns such a failure into a
+//! statistical-baseline or flat-DC picture lives in the serving runtime
+//! (`dcdiff_runtime::recover_guarded`); this module supplies its parts.
+//! After `threshold` consecutive failures the breaker opens and jobs skip
+//! the primary tier (no deadline burned on an estimator that is currently
+//! broken), probing it again after a cooldown.
 //!
 //! # Example
 //!
@@ -42,16 +29,8 @@
 //! assert_eq!(breaker.state(), BreakerState::Closed);
 //! ```
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::time::{Duration, Instant};
-
-use dcdiff_baselines::{DcRecovery, Tip2006};
-use dcdiff_image::Image;
-use dcdiff_telemetry::names;
-use dcdiff_jpeg::CoeffImage;
-
-use crate::estimator::{DcDiff, RecoverOptions};
 
 /// Why a diffusion recovery attempt did not produce an image.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -68,7 +47,7 @@ pub enum EstimateError {
 
 impl EstimateError {
     /// Build [`EstimateError::Panicked`] from a caught panic payload.
-    pub(crate) fn panicked(payload: Box<dyn std::any::Any + Send>) -> Self {
+    pub fn panicked(payload: Box<dyn std::any::Any + Send>) -> Self {
         let msg = payload
             .downcast_ref::<&str>()
             .map(|s| s.to_string())
@@ -215,235 +194,9 @@ impl CircuitBreaker {
     }
 }
 
-/// Which ladder tier produced the returned image.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RecoveryTier {
-    /// The diffusion estimator succeeded (full quality).
-    Diffusion,
-    /// The statistical baseline filled in (degraded quality).
-    Baseline,
-    /// Flat DC — dropped coefficients left at zero (worst quality, but
-    /// structurally valid and AC detail intact).
-    FlatDc,
-}
-
-impl std::fmt::Display for RecoveryTier {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            RecoveryTier::Diffusion => "diffusion",
-            RecoveryTier::Baseline => "baseline",
-            RecoveryTier::FlatDc => "flat-dc",
-        })
-    }
-}
-
-/// Result of one walk down the ladder: the image that will be served,
-/// the tier that produced it, and (when degraded) why the primary tier
-/// did not.
-#[derive(Debug)]
-pub struct LadderOutcome {
-    /// The recovered image — always present; that is the point.
-    pub image: Image,
-    /// Tier that produced `image`.
-    pub tier: RecoveryTier,
-    /// The primary-tier failure when `tier` is not
-    /// [`RecoveryTier::Diffusion`]; `None` when the breaker was open and
-    /// the primary was never attempted.
-    pub primary_error: Option<EstimateError>,
-}
-
-/// The degradation ladder: diffusion under a deadline, then a
-/// statistical baseline, then flat DC — fronted by a [`CircuitBreaker`].
-///
-/// Shared across runtime workers behind an `Arc`; recovery takes `&self`
-/// and all breaker state is atomic.
-pub struct FallbackEstimator {
-    primary: DcDiff,
-    options: RecoverOptions,
-    baseline: Box<dyn DcRecovery + Send + Sync>,
-    breaker: CircuitBreaker,
-    deadline: Option<Duration>,
-}
-
-impl std::fmt::Debug for FallbackEstimator {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FallbackEstimator")
-            .field("baseline", &self.baseline.name())
-            .field("breaker", &self.breaker)
-            .field("deadline", &self.deadline)
-            .finish_non_exhaustive()
-    }
-}
-
-impl FallbackEstimator {
-    /// Ladder over `primary` with the default baseline (TIP-2006), a
-    /// breaker tripping after 3 consecutive failures with a 30-second
-    /// cooldown, and no deadline.
-    pub fn new(primary: DcDiff, options: RecoverOptions) -> Self {
-        Self {
-            primary,
-            options,
-            baseline: Box::new(Tip2006::new()),
-            breaker: CircuitBreaker::new(3, Duration::from_secs(30)),
-            deadline: None,
-        }
-    }
-
-    /// Builder-style replacement of the statistical baseline tier.
-    pub fn with_baseline(mut self, baseline: Box<dyn DcRecovery + Send + Sync>) -> Self {
-        self.baseline = baseline;
-        self
-    }
-
-    /// Builder-style breaker replacement (threshold / cooldown tuning).
-    pub fn with_breaker(mut self, breaker: CircuitBreaker) -> Self {
-        self.breaker = breaker;
-        self
-    }
-
-    /// Builder-style per-job diffusion deadline (`None` = unbounded).
-    pub fn with_deadline(mut self, deadline: Option<Duration>) -> Self {
-        self.deadline = deadline;
-        self
-    }
-
-    /// The breaker (for observability; state transitions happen inside
-    /// [`FallbackEstimator::recover`]).
-    pub fn breaker(&self) -> &CircuitBreaker {
-        &self.breaker
-    }
-
-    /// Walk the ladder. Always returns an image — tier 3 cannot fail.
-    pub fn recover(&self, dropped: &CoeffImage) -> LadderOutcome {
-        let tel = dcdiff_telemetry::global();
-        let mut primary_error = None;
-        if self.breaker.allow() {
-            let deadline = self.deadline.map(|d| Instant::now() + d);
-            match self.primary.try_recover_with(dropped, &self.options, deadline) {
-                Ok(image) => {
-                    self.breaker.record_success();
-                    tel.counter(names::CTR_ESTIMATOR_PRIMARY_OK).inc();
-                    tel.gauge(names::GAUGE_BREAKER_STATE)
-                        .set(self.breaker.state().as_gauge());
-                    return LadderOutcome {
-                        image,
-                        tier: RecoveryTier::Diffusion,
-                        primary_error: None,
-                    };
-                }
-                Err(err) => {
-                    self.breaker.record_failure();
-                    tel.counter(names::CTR_ESTIMATOR_PRIMARY_FAIL).inc();
-                    tel.warn(format!(
-                        "diffusion recovery failed ({err}); falling back to {}",
-                        self.baseline.name()
-                    ));
-                    primary_error = Some(err);
-                }
-            }
-        } else {
-            tel.counter(names::CTR_ESTIMATOR_BREAKER_SHORT_CIRCUIT).inc();
-        }
-        tel.gauge(names::GAUGE_BREAKER_STATE)
-            .set(self.breaker.state().as_gauge());
-
-        // Tier 2: the statistical baseline. It has no failure modes of
-        // its own, but a panic here must not kill the ladder either.
-        match catch_unwind(AssertUnwindSafe(|| self.baseline.recover(dropped))) {
-            Ok(image) => {
-                tel.counter(names::CTR_ESTIMATOR_FALLBACK_BASELINE).inc();
-                LadderOutcome {
-                    image,
-                    tier: RecoveryTier::Baseline,
-                    primary_error,
-                }
-            }
-            Err(_) => {
-                // Tier 3: decode with DC left at zero — flat mid-gray
-                // blocks, AC detail intact. Cannot fail.
-                tel.counter(names::CTR_ESTIMATOR_FALLBACK_FLAT).inc();
-                LadderOutcome {
-                    image: dropped.to_image(),
-                    tier: RecoveryTier::FlatDc,
-                    primary_error,
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::estimator::DcDiffConfig;
-    use dcdiff_jpeg::{ChromaSampling, DcDropMode};
-
-    fn dropped_coeffs() -> CoeffImage {
-        let img = Image::filled(48, 48, dcdiff_image::ColorSpace::Rgb, 140.0);
-        CoeffImage::from_image(&img, 50, ChromaSampling::Cs444).drop_dc(DcDropMode::KeepCorners)
-    }
-
-    fn tiny_system() -> DcDiff {
-        DcDiff::new(
-            DcDiffConfig {
-                stage1_base: 8,
-                latent_channels: 4,
-                unet_base: 8,
-                diffusion_steps: 50,
-                ddim_steps: 3,
-                ..DcDiffConfig::default()
-            },
-            0,
-        )
-    }
-
-    fn tiny_ladder() -> FallbackEstimator {
-        let system = tiny_system();
-        let mut options = RecoverOptions::from_config(system.config());
-        options.ddim_steps = 3;
-        FallbackEstimator::new(system, options)
-    }
-
-    #[test]
-    fn healthy_primary_serves_the_diffusion_tier() {
-        let ladder = tiny_ladder();
-        let out = ladder.recover(&dropped_coeffs());
-        assert_eq!(out.tier, RecoveryTier::Diffusion);
-        assert_eq!(out.image.dims(), (48, 48));
-        assert!(out.primary_error.is_none());
-        assert_eq!(ladder.breaker().state(), BreakerState::Closed);
-    }
-
-    #[test]
-    fn zero_deadline_falls_back_to_baseline() {
-        let tel = dcdiff_telemetry::Telemetry::builder().build();
-        dcdiff_telemetry::install(tel.clone());
-        let ladder = tiny_ladder().with_deadline(Some(Duration::ZERO));
-        let before = tel.counter("estimator.fallback_baseline").get();
-        let out = ladder.recover(&dropped_coeffs());
-        assert_eq!(out.tier, RecoveryTier::Baseline);
-        assert_eq!(out.image.dims(), (48, 48));
-        assert!(matches!(
-            out.primary_error,
-            Some(EstimateError::DeadlineExceeded { .. })
-        ));
-        assert_eq!(tel.counter("estimator.fallback_baseline").get(), before + 1);
-    }
-
-    #[test]
-    fn breaker_trips_after_threshold_and_short_circuits() {
-        let ladder = tiny_ladder()
-            .with_deadline(Some(Duration::ZERO))
-            .with_breaker(CircuitBreaker::new(2, Duration::from_secs(3600)));
-        ladder.recover(&dropped_coeffs());
-        assert_eq!(ladder.breaker().state(), BreakerState::Closed);
-        ladder.recover(&dropped_coeffs());
-        assert_eq!(ladder.breaker().state(), BreakerState::Open);
-        // Third job: primary skipped entirely (no error recorded).
-        let out = ladder.recover(&dropped_coeffs());
-        assert_eq!(out.tier, RecoveryTier::Baseline);
-        assert!(out.primary_error.is_none());
-    }
 
     #[test]
     fn breaker_resets_after_cooldown_and_success() {
@@ -470,32 +223,5 @@ mod tests {
         breaker.record_failure(); // a single probe failure re-opens
         assert_eq!(breaker.state(), BreakerState::Open);
         assert!(!breaker.allow(), "cooldown restarted");
-    }
-
-    #[test]
-    fn deadline_error_reports_the_phase() {
-        let system = tiny_system();
-        let mut options = RecoverOptions::from_config(system.config());
-        options.ddim_steps = 3;
-        let err = system
-            .try_recover_with(&dropped_coeffs(), &options, Some(Instant::now()))
-            .unwrap_err();
-        assert!(matches!(err, EstimateError::DeadlineExceeded { .. }));
-        assert!(err.to_string().contains("deadline"));
-    }
-
-    #[test]
-    fn generous_deadline_recovers_normally() {
-        let system = tiny_system();
-        let mut options = RecoverOptions::from_config(system.config());
-        options.ddim_steps = 3;
-        let image = system
-            .try_recover_with(
-                &dropped_coeffs(),
-                &options,
-                Some(Instant::now() + Duration::from_secs(600)),
-            )
-            .expect("10 minutes is plenty for a tiny model");
-        assert_eq!(image.dims(), (48, 48));
     }
 }

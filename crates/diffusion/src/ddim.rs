@@ -92,8 +92,7 @@ impl DdimSampler {
     /// The noise predictor may return `Err` (deadline blown, resource
     /// exhausted, shutdown requested); sampling stops at that step and
     /// the error propagates immediately instead of burning the remaining
-    /// DDIM steps. The estimator's degradation ladder uses this to bound
-    /// diffusion latency per job.
+    /// DDIM steps.
     ///
     /// # Errors
     ///

@@ -21,7 +21,7 @@ use dcdiff_metrics::{psnr, ssim};
 use dcdiff_telemetry::names;
 use dcdiff_telemetry::Telemetry;
 
-use crate::job::{CodingOpts, Job, JobError, JobOutput, RecoverMethod};
+use crate::job::{CodingOpts, Job, JobError, JobFailure, JobOutput, RecoverMethod};
 
 /// Read a PPM or PGM image based on the file extension (CLI-compatible).
 fn read_image(path: &str) -> Result<Image, JobError> {
@@ -82,9 +82,9 @@ fn code(coeffs: &CoeffImage, opts: &CodingOpts) -> Result<Vec<u8>, JobError> {
 /// One policy is shared by every worker of a [`crate::Runtime`] (the
 /// breaker is behind an `Arc`), so consecutive failures across workers
 /// accumulate into one per-runtime trip decision. The default enables the
-/// ladder — a panicking engine falls back to the TIP-2006 baseline, and a
-/// panicking baseline falls back to flat DC — mirroring the estimator-side
-/// ladder in `dcdiff_core::FallbackEstimator`. `dcdiff batch --no-fallback`
+/// ladder of [`recover_guarded`] — a failing engine falls back to the
+/// TIP-2006 baseline, and a panicking baseline falls back to flat DC.
+/// `dcdiff batch --no-fallback`
 /// selects [`RecoveryPolicy::no_fallback`] instead, surfacing the primary
 /// failure as a permanent [`JobError`].
 #[derive(Debug, Clone)]
@@ -116,14 +116,11 @@ impl RecoveryPolicy {
 
 /// The paper's estimator behind [`RecoverMethod::Diffusion`]: latent DDIM
 /// sampling conditioned on FMPP features, masked-Laplacian refinement, and
-/// DC projection, wrapped in the same [`DcRecovery`] object shape as the
-/// statistical baselines so batching, caching, and the degradation ladder
-/// treat it uniformly. Weights come from a fixed construction seed and each
+/// DC projection. Weights come from a fixed construction seed and each
 /// recovery samples under a seed derived from the stream's own content
 /// ([`content_seed`]), so results are reproducible run to run *and*
-/// bit-identical whether a request is served alone or fused into a
-/// cross-request cohort. Per-DDIM-step spans flow through the process-wide
-/// telemetry handle and therefore carry the submitting request's trace
+/// bit-identical whatever cohort a request shares. Per-DDIM-step spans flow
+/// through the process-wide telemetry handle and carry each lane's trace
 /// context.
 struct DiffusionEngine {
     model: DcDiff,
@@ -134,32 +131,44 @@ impl DiffusionEngine {
     fn new(ddim_steps: usize) -> Self {
         let config = DcDiffConfig::default();
         let mut options = RecoverOptions::from_config(&config);
-        // `DcDiff::recover_with` panics outside 1..=diffusion_steps; clamp so
-        // a misconfigured job runs at a legal step count instead of unwinding
+        // The DDIM sampler panics outside 1..=diffusion_steps; clamp so a
+        // misconfigured job runs at a legal step count instead of unwinding
         // into the fallback ladder.
         options.ddim_steps = ddim_steps.clamp(1, config.diffusion_steps);
         DiffusionEngine { model: DcDiff::new(config, 0xdcd1ff), options }
     }
 }
 
-impl DcRecovery for DiffusionEngine {
-    fn name(&self) -> &'static str {
-        "diffusion"
-    }
+/// A constructed recovery method.
+enum Engine {
+    /// A statistical baseline (or an injected test double).
+    Object(Box<dyn DcRecovery>),
+    /// The diffusion estimator, whose fused path serves a whole cohort.
+    Diffusion(Box<DiffusionEngine>),
+    /// Masked-Laplacian refinement: a pure function of its parameters.
+    Mld {
+        /// Eq. 3 high-frequency mask threshold.
+        threshold: f32,
+        /// Number of refinement sweeps.
+        sweeps: usize,
+    },
+}
 
+impl Engine {
+    /// Recover one image.
     fn recover(&self, dropped: &CoeffImage) -> Image {
-        // Content-derived seed: the same input pixels regardless of whether
-        // this request runs here or as one lane of a fused cohort.
-        let options = RecoverOptions { seed: content_seed(dropped), ..self.options };
-        self.model.recover_with(dropped, &options)
-    }
-
-    fn recover_coefficients(&self, dropped: &CoeffImage) -> CoeffImage {
-        dcdiff_core::project_dc(dropped, &self.recover(dropped))
-    }
-
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
+        match self {
+            Engine::Object(engine) => engine.recover(dropped),
+            Engine::Diffusion(engine) => {
+                let options = RecoverOptions { seed: content_seed(dropped), ..engine.options };
+                engine.model.recover_with(dropped, &options)
+            }
+            // Neutral prior — identical constants to the CLI
+            // `recover --method mld` path.
+            Engine::Mld { threshold, sweeps } => {
+                refine_dc_offsets(dropped, dropped, *threshold, 5e-4, (*sweeps).max(1)).to_image()
+            }
+        }
     }
 }
 
@@ -171,7 +180,7 @@ impl DcRecovery for DiffusionEngine {
 /// signature while the degradation ladder stays configurable per runtime.
 #[derive(Default)]
 pub struct EngineCache {
-    engines: Vec<(RecoverMethod, Box<dyn DcRecovery>)>,
+    engines: Vec<(RecoverMethod, Engine)>,
     policy: RecoveryPolicy,
     /// Batch jobs served by an already-constructed engine.
     pub hits: u64,
@@ -199,32 +208,32 @@ impl EngineCache {
     #[cfg(test)]
     fn inject(&mut self, method: RecoverMethod, engine: Box<dyn DcRecovery>) {
         self.engines.retain(|(m, _)| !m.same_config(&method));
-        self.engines.push((method, engine));
+        self.engines.push((method, Engine::Object(engine)));
     }
 
-    /// The engine for `method`, constructing it on first use. `None` for
-    /// [`RecoverMethod::Mld`], which is a pure function rather than an
-    /// object.
-    pub fn engine(&mut self, method: &RecoverMethod) -> Option<&dyn DcRecovery> {
-        if matches!(method, RecoverMethod::Mld { .. }) {
-            return None;
-        }
-        if let Some(i) = self.engines.iter().position(|(m, _)| m.same_config(method)) {
-            self.hits += 1;
-            return Some(self.engines[i].1.as_ref());
-        }
-        let engine: Box<dyn DcRecovery> = match method {
-            RecoverMethod::Tip2006 => Box::new(Tip2006::new()),
-            RecoverMethod::SmartCom => Box::new(SmartCom2019::new()),
-            RecoverMethod::Icip => Box::new(Icip2022::new()),
-            RecoverMethod::Diffusion { ddim_steps } => {
-                Box::new(DiffusionEngine::new(*ddim_steps))
+    /// The engine for `method`, constructing it on first use.
+    fn engine(&mut self, method: &RecoverMethod) -> &Engine {
+        let i = match self.engines.iter().position(|(m, _)| m.same_config(method)) {
+            Some(i) => {
+                self.hits += 1;
+                i
             }
-            RecoverMethod::Mld { .. } => return None, // early-returned above
+            None => {
+                let engine = match *method {
+                    RecoverMethod::Tip2006 => Engine::Object(Box::new(Tip2006::new())),
+                    RecoverMethod::SmartCom => Engine::Object(Box::new(SmartCom2019::new())),
+                    RecoverMethod::Icip => Engine::Object(Box::new(Icip2022::new())),
+                    RecoverMethod::Diffusion { ddim_steps } => {
+                        Engine::Diffusion(Box::new(DiffusionEngine::new(ddim_steps)))
+                    }
+                    RecoverMethod::Mld { threshold, sweeps } => Engine::Mld { threshold, sweeps },
+                };
+                self.misses += 1;
+                self.engines.push((*method, engine));
+                self.engines.len() - 1
+            }
         };
-        self.misses += 1;
-        self.engines.push((*method, engine));
-        self.engines.last().map(|(_, e)| e.as_ref())
+        &self.engines[i].1
     }
 }
 
@@ -288,11 +297,20 @@ pub fn execute(
         }
         Job::Recover { input, output, method } => {
             let dropped = decode_recover_input(input, tel)?;
+            let lane = CohortLane { dropped: &dropped, deadline: None, trace: None };
             let estimate = tel.span(names::SPAN_RECOVER_ESTIMATE);
-            let image = recover_guarded(&dropped, method, engines, tel)?;
+            let outcome = recover_guarded(&[lane], method, engines, tel).pop();
             drop(estimate);
-            write_recover_output(output, &image, tel)?;
-            Ok(JobOutput::Recovered { output: output.clone() })
+            match outcome {
+                Some(Ok(image)) => {
+                    write_recover_output(output, &image, tel)?;
+                    Ok(JobOutput::Recovered { output: output.clone() })
+                }
+                Some(Err(JobFailure::Error(err))) => Err(err),
+                // Without a deadline no lane is evicted, and one lane in
+                // gives one outcome out.
+                _ => Err(JobError::permanent(format!("{input}: recovery produced no image"))),
+            }
         }
         Job::Metrics { reference, test } => {
             let read = tel.span(names::SPAN_METRICS_READ);
@@ -317,16 +335,14 @@ pub fn execute(
     }
 }
 
-/// Read and entropy-decode one Recover input, emitting the same
-/// `recover.read` / `recover.entropy_decode` spans as the sequential
-/// [`execute`] path. Shared with the cohort scheduler so per-lane pre-flight
-/// cannot drift from the one-job-at-a-time behaviour.
+/// Read and entropy-decode one Recover input under the `recover.read` /
+/// `recover.entropy_decode` spans.
 ///
 /// # Errors
 ///
 /// Classified [`JobError`]: truncated streams and interrupted I/O are
 /// transient, everything else permanent.
-pub fn decode_recover_input(input: &str, tel: &Telemetry) -> Result<CoeffImage, JobError> {
+pub(crate) fn decode_recover_input(input: &str, tel: &Telemetry) -> Result<CoeffImage, JobError> {
     let read = tel.span(names::SPAN_RECOVER_READ);
     let bytes = read_bytes(input)?;
     drop(read);
@@ -338,297 +354,150 @@ pub fn decode_recover_input(input: &str, tel: &Telemetry) -> Result<CoeffImage, 
     })
 }
 
-/// Write one recovered image under the sequential path's `recover.write`
-/// span (shared with the cohort scheduler, like [`decode_recover_input`]).
+/// Write one recovered image under the `recover.write` span.
 ///
 /// # Errors
 ///
 /// Classified [`JobError`] from the underlying image write.
-pub fn write_recover_output(output: &str, image: &Image, tel: &Telemetry) -> Result<(), JobError> {
+pub(crate) fn write_recover_output(
+    output: &str,
+    image: &Image,
+    tel: &Telemetry,
+) -> Result<(), JobError> {
     let _write = tel.span(names::SPAN_RECOVER_WRITE);
     write_image(output, image)
 }
 
-/// Recover `dropped` with `method`, reusing a cached engine when one exists.
-///
-/// This is the exact computation `dcdiff recover` performs, factored out so
-/// the batch path and the sequential CLI path cannot drift apart.
-pub fn recover_with(
-    dropped: &CoeffImage,
-    method: &RecoverMethod,
-    engines: &mut EngineCache,
-) -> Image {
-    match method {
-        RecoverMethod::Mld { threshold, sweeps } => {
-            // Masked-Laplacian refinement with a neutral prior — identical
-            // constants to the CLI `recover --method mld` path.
-            refine_dc_offsets(dropped, dropped, *threshold, 5e-4, (*sweeps).max(1)).to_image()
-        }
-        _ => engines
-            .engine(method)
-            // analysis: allow(no-panic) — engine() is None only for MLD, which the arm above matches; backstopped by the job-level catch_unwind
-            .expect("non-MLD methods are object-backed")
-            .recover(dropped),
-    }
-}
-
-/// Extract a human-readable message from a caught panic payload.
-fn panic_msg(payload: Box<dyn std::any::Any + Send>) -> String {
-    payload
-        .downcast_ref::<&str>()
-        .map(|s| s.to_string())
-        .or_else(|| payload.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "recovery engine panicked".to_string())
-}
-
-/// [`recover_with`] behind the cache's [`RecoveryPolicy`] ladder.
-///
-/// The primary method runs inside `catch_unwind`, fronted by the policy's
-/// per-runtime circuit breaker. On failure (and with fallback enabled) the
-/// job degrades to the TIP-2006 baseline, then to flat DC — always producing
-/// an image, with the tier recorded in telemetry counters
-/// (`estimator.primary_ok` / `estimator.primary_fail` /
-/// `estimator.fallback_baseline` / `estimator.fallback_flat` /
-/// `estimator.breaker_short_circuit`) and the `breaker.state` gauge.
-///
-/// # Errors
-///
-/// With fallback disabled ([`RecoveryPolicy::no_fallback`]), a primary
-/// failure returns a permanent [`JobError`] instead of degrading.
-pub fn recover_guarded(
-    dropped: &CoeffImage,
-    method: &RecoverMethod,
-    engines: &mut EngineCache,
-    tel: &Telemetry,
-) -> Result<Image, JobError> {
-    let policy = engines.policy.clone();
-    if !policy.fallback {
-        return catch_unwind(AssertUnwindSafe(|| recover_with(dropped, method, engines))).map_err(
-            |payload| {
-                JobError::permanent(format!(
-                    "recovery ({}) failed with --no-fallback: {}",
-                    method.name(),
-                    panic_msg(payload)
-                ))
-            },
-        );
-    }
-    if policy.breaker.allow() {
-        match catch_unwind(AssertUnwindSafe(|| recover_with(dropped, method, engines))) {
-            Ok(image) => {
-                policy.breaker.record_success();
-                tel.counter(names::CTR_ESTIMATOR_PRIMARY_OK).inc();
-                tel.gauge(names::GAUGE_BREAKER_STATE).set(policy.breaker.state().as_gauge());
-                return Ok(image);
-            }
-            Err(payload) => {
-                policy.breaker.record_failure();
-                tel.counter(names::CTR_ESTIMATOR_PRIMARY_FAIL).inc();
-                tel.warn(format!(
-                    "recovery ({}) failed ({}); degrading to baseline",
-                    method.name(),
-                    panic_msg(payload)
-                ));
-            }
-        }
-    } else {
-        tel.counter(names::CTR_ESTIMATOR_BREAKER_SHORT_CIRCUIT).inc();
-    }
-    tel.gauge(names::GAUGE_BREAKER_STATE).set(policy.breaker.state().as_gauge());
-    // Baseline tier: TIP-2006 is training-free and has no failure modes of
-    // its own, but a panic here must not kill the ladder either.
-    let baseline = catch_unwind(AssertUnwindSafe(|| {
-        engines
-            .engine(&RecoverMethod::Tip2006)
-            // analysis: allow(no-panic) — engine() is None only for MLD; this unwind is caught by the enclosing catch_unwind and falls through to the flat tier
-            .expect("tip2006 is object-backed")
-            .recover(dropped)
-    }));
-    match baseline {
-        Ok(image) => {
-            tel.counter(names::CTR_ESTIMATOR_FALLBACK_BASELINE).inc();
-            Ok(image)
-        }
-        Err(_) => {
-            // Flat-DC tier: decode with the dropped DC left at zero. Cannot
-            // fail; the picture is degraded but structurally valid.
-            tel.counter(names::CTR_ESTIMATOR_FALLBACK_FLAT).inc();
-            Ok(dropped.to_image())
-        }
-    }
-}
-
-/// One lane of a fused Recover cohort: the already-decoded input plus its
-/// serving metadata.
+/// One lane of a [`recover_guarded`] call: the already-decoded input plus
+/// its serving metadata.
 pub struct CohortLane<'a> {
     /// DC-dropped coefficients (read and entropy-decoded by the caller).
     pub dropped: &'a CoeffImage,
     /// Absolute deadline; expiry mid-flight evicts this lane only.
     pub deadline: Option<Instant>,
     /// Submitting request's trace context, re-installed for this lane's
-    /// per-phase spans.
+    /// spans and log lines.
     pub trace: Option<dcdiff_telemetry::TraceCtx>,
 }
 
-/// Per-lane non-image outcome of [`recover_cohort_guarded`].
-#[derive(Debug)]
-pub enum CohortFailure {
-    /// The lane's deadline expired mid-flight; it was evicted from the
-    /// cohort at the named phase without aborting its batch-mates.
-    Deadline(&'static str),
-    /// With fallback disabled, a primary failure surfaces as a job error.
-    Error(JobError),
-}
-
-/// Run the fused batched primary: one `DcDiff::try_recover_batch` call
-/// covering every lane, with per-lane content seeds so each result is
-/// bit-identical to a width-1 recovery of the same stream.
-fn run_cohort_primary(
+/// The selected method's own estimate per lane, before any degradation:
+/// one fused `DcDiff::try_recover_batch` for diffusion (per-lane content
+/// seeds keep each result bit-identical at any width), one panic-guarded
+/// call per lane for the baselines and the pure MLD function.
+fn primary(
     lanes: &[CohortLane<'_>],
     method: &RecoverMethod,
     engines: &mut EngineCache,
-    tel: &Telemetry,
 ) -> Vec<Result<Image, EstimateError>> {
-    let jobs: Vec<BatchRecoverJob<'_>> = lanes
-        .iter()
-        .map(|lane| BatchRecoverJob {
-            dropped: lane.dropped,
-            seed: content_seed(lane.dropped),
-            deadline: lane.deadline,
-            trace: lane.trace,
-        })
-        .collect();
-    let start = Instant::now();
-    let results = {
-        let engine = engines
-            .engine(method)
-            // analysis: allow(no-panic) — recover_cohort_guarded probes the downcast before dispatching here
-            .expect("cohort method is object-backed");
-        let diffusion = engine
-            .as_any()
-            .and_then(|any| any.downcast_ref::<DiffusionEngine>())
-            // analysis: allow(no-panic) — same probe guarantees a diffusion-backed engine
-            .expect("cohort engine is diffusion-backed");
-        diffusion.model.try_recover_batch(&jobs, &diffusion.options)
-    };
-    let end = Instant::now();
-    // The estimate phase is physically shared by the cohort; emit one
-    // complete `recover.estimate` span per lane under its own trace so every
-    // request's causal chain still shows the phase.
-    for lane in lanes {
-        let _trace = lane.trace.map(dcdiff_telemetry::install_trace);
-        tel.record_span(names::SPAN_RECOVER_ESTIMATE, start, end);
+    match engines.engine(method) {
+        Engine::Diffusion(engine) => {
+            let jobs: Vec<BatchRecoverJob<'_>> = lanes
+                .iter()
+                .map(|lane| BatchRecoverJob {
+                    dropped: lane.dropped,
+                    seed: content_seed(lane.dropped),
+                    deadline: lane.deadline,
+                    trace: lane.trace,
+                })
+                .collect();
+            engine.model.try_recover_batch(&jobs, &engine.options)
+        }
+        engine => lanes
+            .iter()
+            .map(|lane| {
+                let _trace = lane.trace.map(dcdiff_telemetry::install_trace);
+                catch_unwind(AssertUnwindSafe(|| engine.recover(lane.dropped)))
+                    .map_err(EstimateError::panicked)
+            })
+            .collect(),
     }
-    results
 }
 
-/// The cohort counterpart of [`recover_guarded`]: K same-config Diffusion
-/// lanes share one batched estimate (one U-Net forward per DDIM step for
-/// the whole cohort), then each lane is taken through the sequential
-/// degradation ladder individually — per-lane breaker accounting, TIP-2006
-/// baseline, flat DC — so a single broken lane degrades alone.
+/// The degradation ladder, for every method and any number of lanes.
 ///
-/// Deadline-evicted lanes report [`CohortFailure::Deadline`] rather than
-/// degrading: a blown deadline is the lane's budget running out, not an
-/// engine fault, so it neither trips the breaker nor buys a slower tier the
-/// caller has no time left for.
+/// The primary tier (the selected method itself) runs fronted by the
+/// policy's per-runtime circuit breaker. A lane the primary does not
+/// resolve degrades alone — TIP-2006 baseline, then flat DC — so the
+/// ladder always produces an image, with the tier recorded in telemetry
+/// counters
+/// (`estimator.primary_ok` / `estimator.primary_fail` /
+/// `estimator.fallback_baseline` / `estimator.fallback_flat` /
+/// `estimator.breaker_short_circuit`) and the `breaker.state` gauge.
 ///
-/// Returns `None` when `method`'s engine has no fused path (it is not
-/// diffusion-backed); the caller then falls back to per-job
-/// [`recover_guarded`].
-pub fn recover_cohort_guarded(
+/// A deadline-evicted lane resolves to [`JobFailure::DeadlineExceeded`]
+/// rather than degrading: a blown deadline is the lane's budget running
+/// out, not an engine fault, so it neither trips the breaker nor buys a
+/// slower tier the caller has no time left for. With fallback disabled
+/// ([`RecoveryPolicy::no_fallback`]), a primary failure resolves to a
+/// permanent [`JobFailure::Error`] instead of degrading.
+pub fn recover_guarded(
     lanes: &[CohortLane<'_>],
     method: &RecoverMethod,
     engines: &mut EngineCache,
     tel: &Telemetry,
-) -> Option<Vec<Result<Image, CohortFailure>>> {
-    // Capability probe: only a diffusion-backed engine can fuse lanes.
-    engines
-        .engine(method)?
-        .as_any()?
-        .downcast_ref::<DiffusionEngine>()?;
+) -> Vec<Result<Image, JobFailure>> {
     let policy = engines.policy.clone();
-
-    if !policy.fallback {
-        let primary = run_cohort_primary(lanes, method, engines, tel);
-        return Some(
-            primary
-                .into_iter()
-                .map(|result| match result {
-                    Ok(image) => Ok(image),
-                    Err(EstimateError::DeadlineExceeded { phase }) => {
-                        Err(CohortFailure::Deadline(phase))
-                    }
-                    Err(err) => Err(CohortFailure::Error(JobError::permanent(format!(
+    // `None` marks a lane the open breaker kept off the primary tier.
+    let attempts: Vec<Option<Result<Image, EstimateError>>> =
+        if !policy.fallback || policy.breaker.allow() {
+            primary(lanes, method, engines).into_iter().map(Some).collect()
+        } else {
+            lanes.iter().map(|_| None).collect()
+        };
+    let outcomes = lanes
+        .iter()
+        .zip(attempts)
+        .map(|(lane, attempt)| {
+            let _trace = lane.trace.map(dcdiff_telemetry::install_trace);
+            match attempt {
+                Some(Err(EstimateError::DeadlineExceeded { .. })) => {
+                    return Err(JobFailure::DeadlineExceeded)
+                }
+                Some(Ok(image)) if !policy.fallback => return Ok(image),
+                Some(Err(err)) if !policy.fallback => {
+                    return Err(JobFailure::Error(JobError::permanent(format!(
                         "recovery ({}) failed with --no-fallback: {err}",
                         method.name()
-                    )))),
-                })
-                .collect(),
-        );
-    }
-
-    let mut out: Vec<Option<Result<Image, CohortFailure>>> =
-        lanes.iter().map(|_| None).collect();
-    if policy.breaker.allow() {
-        let primary = run_cohort_primary(lanes, method, engines, tel);
-        for (slot, result) in out.iter_mut().zip(primary) {
-            match result {
-                Ok(image) => {
+                    ))))
+                }
+                Some(Ok(image)) => {
                     policy.breaker.record_success();
                     tel.counter(names::CTR_ESTIMATOR_PRIMARY_OK).inc();
-                    *slot = Some(Ok(image));
+                    return Ok(image);
                 }
-                Err(EstimateError::DeadlineExceeded { phase }) => {
-                    *slot = Some(Err(CohortFailure::Deadline(phase)));
-                }
-                Err(err) => {
+                Some(Err(err)) => {
                     policy.breaker.record_failure();
                     tel.counter(names::CTR_ESTIMATOR_PRIMARY_FAIL).inc();
                     tel.warn(format!(
-                        "cohort lane recovery ({}) failed ({err}); degrading to baseline",
+                        "recovery ({}) failed ({err}); degrading to baseline",
                         method.name()
                     ));
                 }
+                None => tel.counter(names::CTR_ESTIMATOR_BREAKER_SHORT_CIRCUIT).inc(),
             }
-        }
-    } else {
-        for _ in lanes {
-            tel.counter(names::CTR_ESTIMATOR_BREAKER_SHORT_CIRCUIT).inc();
-        }
+            // Baseline tier: TIP-2006 is training-free and has no failure
+            // modes of its own, but a panic here must not kill the ladder
+            // either. Flat-DC tier: decode with the dropped DC left at zero;
+            // the picture is degraded but structurally valid.
+            let baseline = catch_unwind(AssertUnwindSafe(|| {
+                engines.engine(&RecoverMethod::Tip2006).recover(lane.dropped)
+            }));
+            Ok(match baseline {
+                Ok(image) => {
+                    tel.counter(names::CTR_ESTIMATOR_FALLBACK_BASELINE).inc();
+                    image
+                }
+                Err(_) => {
+                    tel.counter(names::CTR_ESTIMATOR_FALLBACK_FLAT).inc();
+                    lane.dropped.to_image()
+                }
+            })
+        })
+        .collect();
+    if policy.fallback {
+        tel.gauge(names::GAUGE_BREAKER_STATE).set(policy.breaker.state().as_gauge());
     }
-    tel.gauge(names::GAUGE_BREAKER_STATE).set(policy.breaker.state().as_gauge());
-    // Lanes the primary did not resolve walk the sequential ladder's lower
-    // tiers one by one, under their own trace context.
-    for (lane, slot) in lanes.iter().zip(out.iter_mut()) {
-        if slot.is_some() {
-            continue;
-        }
-        let _trace = lane.trace.map(dcdiff_telemetry::install_trace);
-        let baseline = catch_unwind(AssertUnwindSafe(|| {
-            engines
-                .engine(&RecoverMethod::Tip2006)
-                // analysis: allow(no-panic) — engine() is None only for MLD; this unwind is caught by the enclosing catch_unwind and falls through to the flat tier
-                .expect("tip2006 is object-backed")
-                .recover(lane.dropped)
-        }));
-        *slot = Some(Ok(match baseline {
-            Ok(image) => {
-                tel.counter(names::CTR_ESTIMATOR_FALLBACK_BASELINE).inc();
-                image
-            }
-            Err(_) => {
-                tel.counter(names::CTR_ESTIMATOR_FALLBACK_FLAT).inc();
-                lane.dropped.to_image()
-            }
-        }));
-    }
-    Some(
-        out.into_iter()
-            // analysis: allow(no-panic) — every lane is resolved by the primary match or the ladder loop above
-            .map(|slot| slot.expect("every cohort lane resolves"))
-            .collect(),
-    )
+    outcomes
 }
 
 #[cfg(test)]
@@ -638,39 +507,31 @@ mod tests {
     #[test]
     fn engine_cache_reuses_per_config() {
         let mut cache = EngineCache::new();
-        assert!(cache.engine(&RecoverMethod::Tip2006).is_some());
-        assert!(cache.engine(&RecoverMethod::Tip2006).is_some());
-        assert!(cache.engine(&RecoverMethod::Icip).is_some());
-        assert_eq!(cache.misses, 2);
+        let mld = RecoverMethod::Mld { threshold: 10.0, sweeps: 5 };
+        for method in [RecoverMethod::Tip2006, RecoverMethod::Tip2006, RecoverMethod::Icip, mld] {
+            cache.engine(&method);
+        }
+        assert_eq!(cache.misses, 3);
         assert_eq!(cache.hits, 1);
-        assert!(cache
-            .engine(&RecoverMethod::Mld { threshold: 10.0, sweeps: 5 })
-            .is_none());
+        assert!(matches!(cache.engine(&mld), Engine::Mld { sweeps: 5, .. }));
     }
 
     #[test]
-    fn diffusion_engine_recovers_and_projects() {
+    fn diffusion_engine_recovers_one_image() {
         let mut cache = EngineCache::new();
         let method = RecoverMethod::Diffusion { ddim_steps: 2 };
         let dropped = dropped_coeffs();
-        let engine = cache.engine(&method).expect("diffusion is object-backed");
-        assert_eq!(engine.name(), "diffusion");
-        let image = recover_with(&dropped, &method, &mut cache);
+        let image = cache.engine(&method).recover(&dropped);
         assert_eq!(image.dims(), (32, 32));
         // The cache keys on ddim_steps: same count hits, different misses.
-        cache.engine(&method).unwrap();
-        assert_eq!(cache.misses, 1);
-        assert!(cache.hits >= 1);
-        let projected = cache
-            .engine(&method)
-            .unwrap()
-            .recover_coefficients(&dropped);
-        assert_eq!(projected.to_image().dims(), (32, 32));
+        cache.engine(&method);
+        cache.engine(&RecoverMethod::Diffusion { ddim_steps: 3 });
+        assert_eq!((cache.misses, cache.hits), (2, 1));
     }
 
     #[test]
     fn diffusion_engine_clamps_illegal_step_counts() {
-        // Zero steps would panic inside DcDiff::recover_with; the engine
+        // Zero steps would panic inside the DDIM sampler; the engine
         // clamps to a legal count instead.
         let engine = DiffusionEngine::new(0);
         assert_eq!(engine.options.ddim_steps, 1);
@@ -706,6 +567,17 @@ mod tests {
         JpegEncoder::new(50).to_coefficients(&image).drop_dc(DcDropMode::KeepCorners)
     }
 
+    /// One lane through the ladder, no deadline.
+    fn guarded(
+        dropped: &CoeffImage,
+        method: RecoverMethod,
+        cache: &mut EngineCache,
+        tel: &Telemetry,
+    ) -> Result<Image, JobFailure> {
+        let lane = CohortLane { dropped, deadline: None, trace: None };
+        recover_guarded(&[lane], &method, cache, tel).pop().expect("one lane in, one outcome out")
+    }
+
     fn silence_panics<T>(f: impl FnOnce() -> T) -> T {
         // The injected engines panic by design; keep test output readable.
         let prev = std::panic::take_hook();
@@ -723,8 +595,7 @@ mod tests {
             let mut cache = EngineCache::new();
             cache.inject(RecoverMethod::Icip, Box::new(PanickingRecovery(calls.clone())));
             let dropped = dropped_coeffs();
-            let image =
-                recover_guarded(&dropped, &RecoverMethod::Icip, &mut cache, &tel).unwrap();
+            let image = guarded(&dropped, RecoverMethod::Icip, &mut cache, &tel).unwrap();
             assert_eq!(image.dims(), (32, 32));
             assert_eq!(calls.load(std::sync::atomic::Ordering::SeqCst), 1);
             assert_eq!(tel.counter("estimator.primary_fail").get(), 1);
@@ -742,8 +613,7 @@ mod tests {
             // Both the selected method AND the baseline tier are broken.
             cache.inject(RecoverMethod::Tip2006, Box::new(PanickingRecovery(calls.clone())));
             let dropped = dropped_coeffs();
-            let image =
-                recover_guarded(&dropped, &RecoverMethod::Tip2006, &mut cache, &tel).unwrap();
+            let image = guarded(&dropped, RecoverMethod::Tip2006, &mut cache, &tel).unwrap();
             assert_eq!(image.dims(), (32, 32));
             assert_eq!(tel.counter("estimator.fallback_flat").get(), 1);
         });
@@ -762,7 +632,7 @@ mod tests {
             cache.inject(RecoverMethod::Icip, Box::new(PanickingRecovery(calls.clone())));
             let dropped = dropped_coeffs();
             for _ in 0..4 {
-                recover_guarded(&dropped, &RecoverMethod::Icip, &mut cache, &tel).unwrap();
+                guarded(&dropped, RecoverMethod::Icip, &mut cache, &tel).unwrap();
             }
             // Two failures trip the breaker; the last two jobs never touch
             // the primary engine and go straight to the baseline tier.
@@ -781,8 +651,10 @@ mod tests {
             let mut cache = EngineCache::with_policy(RecoveryPolicy::no_fallback());
             cache.inject(RecoverMethod::Icip, Box::new(PanickingRecovery(calls)));
             let dropped = dropped_coeffs();
-            let err =
-                recover_guarded(&dropped, &RecoverMethod::Icip, &mut cache, &tel).unwrap_err();
+            let outcome = guarded(&dropped, RecoverMethod::Icip, &mut cache, &tel);
+            let Err(JobFailure::Error(err)) = outcome else {
+                panic!("a failed primary must surface as a job error");
+            };
             assert_eq!(err.class, crate::job::ErrorClass::Permanent);
             assert!(err.message.contains("--no-fallback"), "{}", err.message);
             assert!(err.message.contains("injected engine failure"), "{}", err.message);
@@ -794,7 +666,7 @@ mod tests {
         let tel = Telemetry::new();
         let mut cache = EngineCache::new();
         let dropped = dropped_coeffs();
-        let image = recover_guarded(&dropped, &RecoverMethod::Tip2006, &mut cache, &tel).unwrap();
+        let image = guarded(&dropped, RecoverMethod::Tip2006, &mut cache, &tel).unwrap();
         assert_eq!(image.dims(), (32, 32));
         assert_eq!(tel.counter("estimator.primary_ok").get(), 1);
         assert_eq!(tel.counter("estimator.fallback_baseline").get(), 0);
@@ -802,7 +674,7 @@ mod tests {
     }
 
     #[test]
-    fn cohort_lanes_match_the_sequential_engine_bit_exactly() {
+    fn cohort_lanes_match_width_one_calls_bit_exactly() {
         let tel = Telemetry::new();
         let mut cache = EngineCache::new();
         let method = RecoverMethod::Diffusion { ddim_steps: 2 };
@@ -813,17 +685,15 @@ mod tests {
             .snapshot()
             .count;
         let inputs = [dropped_coeffs_filled(80.0), dropped_coeffs_filled(160.0)];
-        // Sequential reference: each stream recovered alone.
         let solo: Vec<Image> = inputs
             .iter()
-            .map(|dropped| recover_with(dropped, &method, &mut cache))
+            .map(|dropped| guarded(dropped, method, &mut cache, &Telemetry::new()).unwrap())
             .collect();
         let lanes: Vec<CohortLane<'_>> = inputs
             .iter()
             .map(|dropped| CohortLane { dropped, deadline: None, trace: None })
             .collect();
-        let fused = recover_cohort_guarded(&lanes, &method, &mut cache, &tel)
-            .expect("diffusion engines have a fused path");
+        let fused = recover_guarded(&lanes, &method, &mut cache, &tel);
         for (lane, reference) in fused.into_iter().zip(&solo) {
             let image = lane.expect("healthy lane recovers");
             assert_eq!(&image, reference, "cohort lane diverged from width-1 output");
@@ -836,30 +706,13 @@ mod tests {
     }
 
     #[test]
-    fn cohort_path_is_none_for_non_diffusion_methods() {
-        let tel = Telemetry::new();
-        let mut cache = EngineCache::new();
-        let dropped = dropped_coeffs();
-        let lanes = [CohortLane { dropped: &dropped, deadline: None, trace: None }];
-        assert!(recover_cohort_guarded(&lanes, &RecoverMethod::Tip2006, &mut cache, &tel)
-            .is_none());
-        assert!(recover_cohort_guarded(
-            &lanes,
-            &RecoverMethod::Mld { threshold: 10.0, sweeps: 5 },
-            &mut cache,
-            &tel
-        )
-        .is_none());
-    }
-
-    #[test]
     fn expired_cohort_lane_is_evicted_without_aborting_batch_mates() {
         let tel = Telemetry::new();
         let mut cache = EngineCache::new();
         let method = RecoverMethod::Diffusion { ddim_steps: 2 };
         let survivor_input = dropped_coeffs_filled(120.0);
         let doomed_input = dropped_coeffs_filled(60.0);
-        let reference = recover_with(&survivor_input, &method, &mut cache);
+        let reference = guarded(&survivor_input, method, &mut cache, &Telemetry::new()).unwrap();
         let lanes = [
             CohortLane { dropped: &survivor_input, deadline: None, trace: None },
             CohortLane {
@@ -869,14 +722,10 @@ mod tests {
                 trace: None,
             },
         ];
-        let mut fused = recover_cohort_guarded(&lanes, &method, &mut cache, &tel)
-            .expect("diffusion engines have a fused path");
+        let mut fused = recover_guarded(&lanes, &method, &mut cache, &tel);
         let doomed = fused.pop().unwrap();
         let survivor = fused.pop().unwrap();
-        assert!(
-            matches!(doomed, Err(CohortFailure::Deadline(_))),
-            "expired lane must report eviction, got {doomed:?}"
-        );
+        assert_eq!(doomed, Err(JobFailure::DeadlineExceeded), "expired lane must report eviction");
         assert_eq!(survivor.expect("survivor recovers"), reference);
         // Eviction is the lane's budget, not an engine fault: no breaker
         // failure, no fallback tier.

@@ -12,8 +12,9 @@
 //! * [`BoundedQueue`] — the bounded MPMC backpressure point (blocking or
 //!   fail-fast submission, drain vs. abort close);
 //! * [`Runtime`] — a fixed worker pool with micro-batching of Recover jobs
-//!   sharing a config (one engine per batch instead of one per image),
-//!   deadline enforcement, and bounded retry with exponential backoff;
+//!   sharing a config (one engine per batch instead of one per image; one
+//!   fused DDIM cohort per diffusion batch), deadline enforcement, and
+//!   bounded retry with exponential backoff;
 //! * [`RuntimeStats`] — an atomic counter block whose [`RuntimeStats::snapshot`]
 //!   the CLI prints after `dcdiff batch`;
 //! * [`manifest`] — the one-job-per-line manifest format shared by
@@ -54,10 +55,7 @@ pub mod queue;
 pub mod runtime;
 pub mod stats;
 
-pub use exec::{
-    decode_recover_input, execute, recover_cohort_guarded, recover_guarded, recover_with,
-    write_recover_output, CohortFailure, CohortLane, EngineCache, RecoveryPolicy,
-};
+pub use exec::{execute, recover_guarded, CohortLane, EngineCache, RecoveryPolicy};
 pub use job::{
     CodingOpts, ErrorClass, Job, JobError, JobFailure, JobId, JobOutput, JobResult, JobSpec,
     RecoverMethod, Stage,

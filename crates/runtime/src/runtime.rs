@@ -10,9 +10,15 @@ use std::time::{Duration, Instant};
 use dcdiff_telemetry::{Counter, Gauge, Histogram, Telemetry};
 use dcdiff_telemetry::names;
 
-use crate::exec::{execute, EngineCache, RecoveryPolicy};
+use dcdiff_jpeg::CoeffImage;
+
+use crate::exec::{
+    decode_recover_input, execute, recover_guarded, write_recover_output, CohortLane, EngineCache,
+    RecoveryPolicy,
+};
 use crate::job::{
-    ErrorClass, Job, JobFailure, JobId, JobOutput, JobResult, JobSpec, RecoverMethod, Stage,
+    ErrorClass, Job, JobError, JobFailure, JobId, JobOutput, JobResult, JobSpec, RecoverMethod,
+    Stage,
 };
 use crate::queue::{BoundedQueue, PushError};
 use crate::stats::{RuntimeStats, StatsSnapshot};
@@ -31,19 +37,15 @@ pub struct RuntimeConfig {
     pub default_retries: u32,
     /// First retry backoff; attempt `n` waits `backoff_base * 2^(n-1)`.
     pub backoff_base: Duration,
-    /// Largest micro-batch a worker may gather (1 disables batching).
+    /// Largest micro-batch a worker may gather (`dcdiff batch`/`serve`
+    /// `--batch`; 1 disables batching). Queued Recover jobs sharing the
+    /// leader's method config join its batch. A diffusion batch is one
+    /// cross-request DDIM cohort: its lanes are stacked along the batch
+    /// dimension, so one U-Net forward per DDIM step serves them all, and
+    /// per-lane content seeding keeps each result bit-identical to a
+    /// width-1 run. A partial batch runs immediately rather than waiting
+    /// for more traffic.
     pub batch_max: usize,
-    /// Widest cross-request DDIM cohort a worker may fuse into shared U-Net
-    /// forwards (`dcdiff batch`/`serve` `--batch-width`). Concurrent
-    /// Diffusion Recover jobs sharing a step count are stacked along the
-    /// batch dimension, so one forward per DDIM step serves the whole
-    /// cohort; per-lane content seeding keeps each result bit-identical to
-    /// a width-1 run. Cohorts are carved from the already-assembled
-    /// micro-batch, so a partial cohort flushes immediately rather than
-    /// waiting for more traffic; `1` disables fusion (sequential per-job
-    /// execution, the pre-cohort behaviour). Effective width is also capped
-    /// by `batch_max`.
-    pub diffusion_batch_width: usize,
     /// Observability handle: span tracing (when enabled), latency
     /// histograms, the `runtime.queue_depth` gauge and the rate-limited
     /// logger. The default is a metrics-only handle, so leaving this alone
@@ -66,7 +68,6 @@ impl Default for RuntimeConfig {
             default_retries: 0,
             backoff_base: Duration::from_millis(10),
             batch_max: 8,
-            diffusion_batch_width: 8,
             telemetry: Telemetry::new(),
             recovery: RecoveryPolicy::default(),
         }
@@ -509,30 +510,15 @@ fn worker_loop(
                 .fetch_add(batch.len() as u64, Ordering::Relaxed);
         }
         let exec_span = tel.span(names::SPAN_BATCH_EXEC);
-        // Diffusion micro-batches are fused into DDIM cohorts: one U-Net
-        // forward per step serves every lane. Everything else (and width-1
-        // configs) runs the sequential per-job path.
-        let cohort_width = config.diffusion_batch_width.max(1);
-        let fuse = cohort_width > 1
-            && batch.len() > 1
-            && matches!(
-                batch[0].job.recover_method(),
-                Some(RecoverMethod::Diffusion { .. })
-            );
-        if fuse {
-            while !batch.is_empty() {
-                let take = batch.len().min(cohort_width);
-                let cohort: Vec<Queued> = batch.drain(..take).collect();
-                run_cohort(cohort, stats, results, config, rt, &mut engines);
-            }
+        // A diffusion micro-batch runs as one fused DDIM cohort: one U-Net
+        // forward per step serves every lane. Every other job is a one-lane
+        // cohort, so each is written and delivered before its batch-mate
+        // starts.
+        if matches!(batch[0].job.recover_method(), Some(RecoverMethod::Diffusion { .. })) {
+            run_lanes(batch, stats, results, config, rt, &mut engines);
         } else {
-            for mut entry in batch {
-                let notify = entry.notify.take();
-                // Re-install the submitter's trace for the execution spans
-                // (job.*, recover.*, per-DDIM-step) emitted on this thread.
-                let _trace = entry.trace.map(dcdiff_telemetry::install_trace);
-                let result = run_one(entry, stats, config, rt, &mut engines);
-                finish(result, notify, stats, results);
+            for entry in batch {
+                run_lanes(vec![entry], stats, results, config, rt, &mut engines);
             }
         }
         drop(exec_span);
@@ -563,34 +549,31 @@ fn finish(
     }
 }
 
-/// Per-lane bookkeeping of an in-flight DDIM cohort.
-struct CohortLaneState {
-    /// The queue entry; taken when the lane is delegated to [`run_one`].
-    entry: Option<Queued>,
-    notify: Option<ResultHandle>,
-    /// Set once the lane reaches a terminal disposition.
-    result: Option<JobResult>,
-    /// Decoded input awaiting the fused estimate.
-    dropped: Option<dcdiff_jpeg::CoeffImage>,
-    /// Start of this lane's execution (post-deadline-gate), for the job
-    /// span and the `exec` accounting.
-    exec_start: Instant,
+/// A Recover lane that survived pre-flight and awaits the ladder.
+struct Lane {
+    entry: Queued,
+    output: String,
+    method: RecoverMethod,
+    dropped: CoeffImage,
+    /// Start of the final read attempt, where the lane's `exec` clock
+    /// starts.
+    start: Instant,
+    attempts: u32,
 }
 
-/// Execute a micro-batch slice of same-config Diffusion Recover jobs as one
-/// fused cohort: per-lane pre-flight (deadline gate, ingest stall, read and
-/// entropy-decode), one shared batched estimate stacking every live lane's
-/// latents per DDIM step, then per-lane write and accounting.
+/// The job lifecycle, over a cohort of K ≥ 1 queue entries (K > 1 only for
+/// a diffusion micro-batch, whose lanes are same-config Recover jobs):
 ///
-/// Results are bit-identical to running each entry through [`run_one`] back
-/// to back — per-sample content seeding makes the output independent of
-/// cohort composition — with one extension: a lane whose deadline expires
-/// mid-flight is evicted (fails with [`JobFailure::DeadlineExceeded`])
-/// without aborting its batch-mates. Lanes that fail *before* the fused
-/// estimate are handed back to [`run_one`] (with their already-served
-/// ingest stall cleared) so retry/backoff semantics stay identical to the
-/// sequential path.
-fn run_cohort(
+/// 1. deadline gate;
+/// 2. ingest stall, outside the `exec` clock;
+/// 3. read and entropy decode under [`with_retries`] — or, for a
+///    non-Recover job, its whole [`execute`];
+/// 4. one [`recover_guarded`] ladder call over every surviving lane;
+/// 5. per-lane write and accounting.
+///
+/// Steps 1–3 run per lane in arrival order. A lane whose deadline expires
+/// during the estimate is evicted without aborting its batch-mates.
+fn run_lanes(
     cohort: Vec<Queued>,
     stats: &RuntimeStats,
     results: &Mutex<Vec<JobResult>>,
@@ -599,171 +582,160 @@ fn run_cohort(
     engines: &mut EngineCache,
 ) {
     let tel = &config.telemetry;
-    let method = cohort[0].job.recover_method().copied();
-    let mut lanes: Vec<CohortLaneState> = cohort
-        .into_iter()
-        .map(|mut entry| CohortLaneState {
-            notify: entry.notify.take(),
-            entry: Some(entry),
-            result: None,
-            dropped: None,
-            exec_start: Instant::now(),
-        })
-        .collect();
-
-    // Pre-flight, per lane in arrival order (matching the sequential path).
-    for lane in &mut lanes {
-        let Some(entry) = lane.entry.as_mut() else { continue };
+    let mut lanes: Vec<Lane> = Vec::with_capacity(cohort.len());
+    for entry in cohort {
+        // Re-install the submitter's trace for the spans and log lines this
+        // lane emits on the worker thread.
         let _trace = entry.trace.map(dcdiff_telemetry::install_trace);
-        if let Some(deadline) = entry.deadline {
-            if Instant::now() > deadline {
-                stats.bump(&stats.deadline_missed);
-                tel.warn(format!("job {} missed its deadline before starting", entry.id));
-                lane.result = Some(JobResult {
-                    id: entry.id,
-                    job: entry.job.clone(),
-                    outcome: Err(JobFailure::DeadlineExceeded),
-                    wall: entry.submitted.elapsed(),
-                    exec: Duration::ZERO,
-                    attempts: 0,
-                });
-                continue;
-            }
+        if entry.deadline.is_some_and(|d| Instant::now() > d) {
+            stats.bump(&stats.deadline_missed);
+            tel.warn(format!("job {} missed its deadline before starting", entry.id));
+            let result = JobResult {
+                id: entry.id,
+                job: entry.job,
+                outcome: Err(JobFailure::DeadlineExceeded),
+                wall: entry.submitted.elapsed(),
+                exec: Duration::ZERO,
+                attempts: 0,
+            };
+            finish(result, entry.notify, stats, results);
+            continue;
         }
-        lane.exec_start = Instant::now();
-        if let Some(stall) = entry.ingest.take() {
-            // Consumed here so a lane later delegated to run_one does not
-            // serve its uplink stall twice.
+        if let Some(stall) = entry.ingest {
+            // Simulated sender-uplink wait (see `JobSpec::ingest`). It counts
+            // against the wall clock but not `exec`; like execution itself it
+            // is not preempted by the deadline once started.
             let _ingest = tel.span(names::SPAN_JOB_INGEST);
             std::thread::sleep(stall);
         }
-        let input = match &entry.job {
-            Job::Recover { input, .. } => input.clone(),
-            // Defensive: only Recover jobs are routed here; anything else
-            // still gets a terminal result via the sequential path.
-            _ => {
-                let entry = lane
-                    .entry
-                    .take()
-                    // analysis: allow(no-panic) — the lane's entry was just matched as present
-                    .expect("undelegated lane owns its entry");
-                lane.result = Some(run_one(entry, stats, config, rt, engines));
-                continue;
+        if let Job::Recover { input, output, method } = &entry.job {
+            let (output, method) = (output.clone(), *method);
+            let (decoded, attempts, start) =
+                with_retries(&entry, config, stats, rt, || decode_recover_input(input, tel));
+            match decoded {
+                Ok(dropped) => lanes.push(Lane { entry, output, method, dropped, start, attempts }),
+                Err(err) => {
+                    let outcome = Err(JobFailure::Error(err));
+                    complete(entry, outcome, (start, attempts), stats, results, tel, rt);
+                }
             }
-        };
-        match crate::exec::decode_recover_input(&input, tel) {
-            Ok(coeffs) => lane.dropped = Some(coeffs),
-            Err(_) => {
-                // Pre-estimate failure: the sequential path owns retry,
-                // backoff and error classification. Re-reading the input is
-                // the cost of not duplicating that logic here.
-                let entry = lane
-                    .entry
-                    .take()
-                    // analysis: allow(no-panic) — the lane's entry is present; it is only taken on this delegation path
-                    .expect("undelegated lane owns its entry");
-                lane.result = Some(run_one(entry, stats, config, rt, engines));
-            }
+        } else {
+            let (outcome, attempts, start) =
+                with_retries(&entry, config, stats, rt, || execute(&entry.job, engines, tel));
+            let outcome = outcome.map_err(JobFailure::Error);
+            complete(entry, outcome, (start, attempts), stats, results, tel, rt);
         }
     }
 
-    // Fused estimate over every lane that survived pre-flight.
-    let live: Vec<usize> = lanes
+    let Some(method) = lanes.first().map(|lane| lane.method) else {
+        return;
+    };
+    let cohort_lanes: Vec<CohortLane<'_>> = lanes
         .iter()
-        .enumerate()
-        .filter(|(_, lane)| lane.dropped.is_some())
-        .map(|(i, _)| i)
+        .map(|lane| CohortLane {
+            dropped: &lane.dropped,
+            deadline: lane.entry.deadline,
+            trace: lane.entry.trace,
+        })
         .collect();
-    if !live.is_empty() {
-        let fused = method.and_then(|method| {
-            let cohort_lanes: Vec<crate::exec::CohortLane<'_>> = live
-                .iter()
-                .map(|&i| crate::exec::CohortLane {
-                    dropped: lanes[i]
-                        .dropped
-                        .as_ref()
-                        // analysis: allow(no-panic) — `live` indexes exactly the lanes whose dropped is Some
-                        .expect("live lane has decoded input"),
-                    deadline: lanes[i].entry.as_ref().and_then(|e| e.deadline),
-                    trace: lanes[i].entry.as_ref().and_then(|e| e.trace),
-                })
-                .collect();
-            crate::exec::recover_cohort_guarded(&cohort_lanes, &method, engines, tel)
-        });
-        match fused {
-            Some(outcomes) => {
-                for (&i, outcome) in live.iter().zip(outcomes) {
-                    let lane = &mut lanes[i];
-                    let entry = lane
-                        .entry
-                        .take()
-                        // analysis: allow(no-panic) — live lanes were never delegated, so they still own their entry
-                        .expect("live lane owns its entry");
-                    let _trace = entry.trace.map(dcdiff_telemetry::install_trace);
-                    let disposition = match outcome {
-                        Ok(image) => match &entry.job {
-                            Job::Recover { output, .. } => {
-                                crate::exec::write_recover_output(output, &image, tel)
-                                    .map(|()| JobOutput::Recovered { output: output.clone() })
-                                    .map_err(JobFailure::Error)
-                            }
-                            // Defensive: unreachable, Recover-only routing.
-                            _ => Err(JobFailure::Rejected),
-                        },
-                        Err(crate::exec::CohortFailure::Deadline(phase)) => {
-                            stats.bump(&stats.deadline_missed);
-                            tel.warn(format!(
-                                "job {} evicted from cohort: deadline exceeded during {phase}",
-                                entry.id
-                            ));
-                            Err(JobFailure::DeadlineExceeded)
-                        }
-                        Err(crate::exec::CohortFailure::Error(err)) => {
-                            tel.error(format!(
-                                "job {} failed after 1 attempt(s): {}",
-                                entry.id, err.message
-                            ));
-                            Err(JobFailure::Error(err))
-                        }
-                    };
-                    let exec = lane.exec_start.elapsed();
-                    stats.record_stage(entry.job.stage(), exec);
-                    rt.stage[entry.job.stage().index()].record_duration(exec);
-                    rt.job_wall.record_duration(entry.submitted.elapsed());
-                    tel.record_span(
-                        stage_span_name(entry.job.stage()),
-                        lane.exec_start,
-                        Instant::now(),
-                    );
-                    lane.result = Some(JobResult {
-                        id: entry.id,
-                        job: entry.job,
-                        outcome: disposition,
-                        wall: entry.submitted.elapsed(),
-                        exec,
-                        attempts: 1,
-                    });
-                }
-            }
-            None => {
-                // No fused path for this engine (e.g. a test double replaced
-                // it): fall back to the sequential per-job path.
-                for &i in &live {
-                    let lane = &mut lanes[i];
-                    if let Some(entry) = lane.entry.take() {
-                        let _trace = entry.trace.map(dcdiff_telemetry::install_trace);
-                        lane.result = Some(run_one(entry, stats, config, rt, engines));
-                    }
-                }
-            }
-        }
-    }
+    let estimate_start = Instant::now();
+    let outcomes = recover_guarded(&cohort_lanes, &method, engines, tel);
+    let estimate_end = Instant::now();
+    drop(cohort_lanes);
 
-    for lane in lanes {
-        if let Some(result) = lane.result {
-            finish(result, lane.notify, stats, results);
+    for (lane, outcome) in lanes.into_iter().zip(outcomes) {
+        let _trace = lane.entry.trace.map(dcdiff_telemetry::install_trace);
+        // The estimate is physically shared by the cohort; every lane's
+        // causal chain still shows the phase.
+        tel.record_span(names::SPAN_RECOVER_ESTIMATE, estimate_start, estimate_end);
+        let outcome = match outcome {
+            Ok(image) => write_recover_output(&lane.output, &image, tel)
+                .map(|()| JobOutput::Recovered { output: lane.output })
+                .map_err(JobFailure::Error),
+            Err(JobFailure::DeadlineExceeded) => {
+                stats.bump(&stats.deadline_missed);
+                tel.warn(format!(
+                    "job {} evicted: deadline exceeded during recovery",
+                    lane.entry.id
+                ));
+                Err(JobFailure::DeadlineExceeded)
+            }
+            Err(failure) => Err(failure),
+        };
+        complete(lane.entry, outcome, (lane.start, lane.attempts), stats, results, tel, rt);
+    }
+}
+
+/// Run `attempt` under the entry's transient-failure retry budget with
+/// exponential backoff. Returns the final outcome, the attempt count and
+/// the start of the final attempt.
+fn with_retries<T>(
+    entry: &Queued,
+    config: &RuntimeConfig,
+    stats: &RuntimeStats,
+    rt: &RtMetrics,
+    mut attempt: impl FnMut() -> Result<T, JobError>,
+) -> (Result<T, JobError>, u32, Instant) {
+    let tel = &config.telemetry;
+    let mut attempts = 0u32;
+    loop {
+        attempts += 1;
+        let start = Instant::now();
+        match attempt() {
+            Err(err)
+                if err.class == ErrorClass::Transient
+                    && attempts <= entry.max_retries
+                    && entry.deadline.is_none_or(|d| Instant::now() <= d) =>
+            {
+                stats.bump(&stats.retried);
+                rt.retries.inc();
+                tel.warn(format!(
+                    "job {} attempt {attempts} failed transiently ({}), retrying",
+                    entry.id, err.message
+                ));
+                // Exponential backoff: base * 2^(attempt-1), capped at 2^10
+                // to keep the worst sleep bounded.
+                let exp = (attempts - 1).min(10);
+                let _backoff = tel.span(names::SPAN_JOB_BACKOFF);
+                std::thread::sleep(config.backoff_base * 2u32.pow(exp));
+            }
+            outcome => return (outcome, attempts, start),
         }
     }
+}
+
+/// Account for and deliver a job that ran: `exec` is measured from the
+/// start of its final attempt, after any ingest stall.
+fn complete(
+    entry: Queued,
+    outcome: Result<JobOutput, JobFailure>,
+    (start, attempts): (Instant, u32),
+    stats: &RuntimeStats,
+    results: &Mutex<Vec<JobResult>>,
+    tel: &Telemetry,
+    rt: &RtMetrics,
+) {
+    let exec = start.elapsed();
+    let stage = entry.job.stage();
+    stats.record_stage(stage, exec);
+    rt.stage[stage.index()].record_duration(exec);
+    rt.job_wall.record_duration(entry.submitted.elapsed());
+    tel.record_span(stage_span_name(stage), start, Instant::now());
+    if let Err(JobFailure::Error(err)) = &outcome {
+        tel.error(format!(
+            "job {} failed after {attempts} attempt(s): {}",
+            entry.id, err.message
+        ));
+    }
+    let result = JobResult {
+        id: entry.id,
+        job: entry.job,
+        outcome,
+        wall: entry.submitted.elapsed(),
+        exec,
+        attempts,
+    };
+    finish(result, entry.notify, stats, results);
 }
 
 /// Trace span name for a job of the given stage.
@@ -773,91 +745,6 @@ fn stage_span_name(stage: Stage) -> &'static str {
         Stage::Transcode => names::SPAN_JOB_TRANSCODE,
         Stage::Recover => names::SPAN_JOB_RECOVER,
         Stage::Metrics => names::SPAN_JOB_METRICS,
-    }
-}
-
-/// Execute one queue entry: deadline check, bounded retries, timing.
-fn run_one(
-    entry: Queued,
-    stats: &RuntimeStats,
-    config: &RuntimeConfig,
-    rt: &RtMetrics,
-    engines: &mut EngineCache,
-) -> JobResult {
-    let tel = &config.telemetry;
-    let Queued { id, job, submitted, deadline, max_retries, ingest, trace: _, notify: _ } = entry;
-    if let Some(deadline) = deadline {
-        if Instant::now() > deadline {
-            stats.bump(&stats.deadline_missed);
-            tel.warn(format!("job {id} missed its deadline before starting"));
-            return JobResult {
-                id,
-                job,
-                outcome: Err(JobFailure::DeadlineExceeded),
-                wall: submitted.elapsed(),
-                exec: Duration::ZERO,
-                attempts: 0,
-            };
-        }
-    }
-    let _job_span = tel.span(stage_span_name(job.stage()));
-    if let Some(stall) = ingest {
-        // Simulated sender-uplink wait (see `JobSpec::ingest`). It counts
-        // against the wall clock but not `exec`; like execution itself it is
-        // not preempted by the deadline once started.
-        let _ingest = tel.span(names::SPAN_JOB_INGEST);
-        std::thread::sleep(stall);
-    }
-    let mut attempts = 0u32;
-    loop {
-        attempts += 1;
-        let start = Instant::now();
-        let outcome = execute(&job, engines, tel);
-        let exec = start.elapsed();
-        stats.record_stage(job.stage(), exec);
-        rt.stage[job.stage().index()].record_duration(exec);
-        match outcome {
-            Ok(output) => {
-                rt.job_wall.record_duration(submitted.elapsed());
-                return JobResult {
-                    id,
-                    job,
-                    outcome: Ok(output),
-                    wall: submitted.elapsed(),
-                    exec,
-                    attempts,
-                };
-            }
-            Err(err) => {
-                let budget_left = attempts <= max_retries;
-                let retryable = err.class == ErrorClass::Transient && budget_left;
-                let expired = deadline.is_some_and(|d| Instant::now() > d);
-                if retryable && !expired {
-                    stats.bump(&stats.retried);
-                    rt.retries.inc();
-                    tel.warn(format!(
-                        "job {id} attempt {attempts} failed transiently ({}), retrying",
-                        err.message
-                    ));
-                    // Exponential backoff: base * 2^(attempt-1), capped at
-                    // 2^10 to keep the worst sleep bounded.
-                    let exp = (attempts - 1).min(10);
-                    let _backoff = tel.span(names::SPAN_JOB_BACKOFF);
-                    std::thread::sleep(config.backoff_base * 2u32.pow(exp));
-                    continue;
-                }
-                tel.error(format!("job {id} failed after {attempts} attempt(s): {}", err.message));
-                rt.job_wall.record_duration(submitted.elapsed());
-                return JobResult {
-                    id,
-                    job,
-                    outcome: Err(JobFailure::Error(err)),
-                    wall: submitted.elapsed(),
-                    exec,
-                    attempts,
-                };
-            }
-        }
     }
 }
 

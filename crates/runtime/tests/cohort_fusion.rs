@@ -1,13 +1,14 @@
 //! End-to-end properties of the cross-request DDIM cohort scheduler.
 //!
 //! * **Determinism** — a runtime fusing diffusion Recover jobs into shared
-//!   U-Net forwards (`diffusion_batch_width` 2 or 8) writes byte-identical
-//!   outputs to a width-1 (sequential) runtime: per-lane content seeding
-//!   makes every result independent of cohort composition.
+//!   U-Net forwards (`batch_max` 2 or 8) writes byte-identical outputs to a
+//!   width-1 runtime: per-lane content seeding makes every result
+//!   independent of cohort composition.
 //! * **Observability** — fused execution records `diffusion.batch.width`
 //!   observations wider than one lane.
 //! * **Eviction** — a lane whose deadline is already blown fails with
 //!   `DeadlineExceeded` while its batch-mates complete normally.
+//! * **Accounting** — a lane's `exec` starts after its ingest stall.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -70,8 +71,7 @@ fn run_at_width(dir: &std::path::Path, n: usize, width: usize, prefix: &str) -> 
     let runtime = Runtime::start(RuntimeConfig {
         workers: 1,
         queue_cap: 16,
-        batch_max: 8,
-        diffusion_batch_width: width,
+        batch_max: width,
         telemetry: tel.clone(),
         ..RuntimeConfig::default()
     });
@@ -106,11 +106,11 @@ fn fused_cohorts_write_bit_identical_outputs_across_widths() {
     run_at_width(&dir, n, 2, "w2_");
 
     for i in 0..n {
-        let sequential = std::fs::read(path(&dir, &format!("w1_{i}.ppm"))).expect("w1 output");
+        let width1 = std::fs::read(path(&dir, &format!("w1_{i}.ppm"))).expect("w1 output");
         let fused8 = std::fs::read(path(&dir, &format!("w8_{i}.ppm"))).expect("w8 output");
         let fused2 = std::fs::read(path(&dir, &format!("w2_{i}.ppm"))).expect("w2 output");
-        assert_eq!(sequential, fused8, "image {i}: width 8 diverged from width 1");
-        assert_eq!(sequential, fused2, "image {i}: width 2 diverged from width 1");
+        assert_eq!(width1, fused8, "image {i}: width 8 diverged from width 1");
+        assert_eq!(width1, fused2, "image {i}: width 2 diverged from width 1");
     }
 
     // The width-8 runtime assembled a real micro-batch...
@@ -142,7 +142,6 @@ fn expired_lane_is_evicted_while_batch_mates_complete() {
         workers: 1,
         queue_cap: 16,
         batch_max: 8,
-        diffusion_batch_width: 8,
         ..RuntimeConfig::default()
     });
     let leader = JobSpec::new(recover_job(&dir, 0, "run_"))
@@ -171,5 +170,46 @@ fn expired_lane_is_evicted_while_batch_mates_complete() {
         let expected = std::fs::read(path(&dir, &format!("ref_{i}.ppm"))).expect("reference");
         assert_eq!(survivor, expected, "survivor {i} must match its solo recovery");
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn stalled_leader_of_a_fused_batch_does_not_count_its_ingest_as_exec() {
+    let n = 3;
+    let stall = Duration::from_millis(150);
+    let dir = scratch_dir("ingest");
+    stage_inputs(&dir, n);
+    let runtime = Runtime::start(RuntimeConfig {
+        workers: 1,
+        queue_cap: 16,
+        batch_max: 8,
+        ..RuntimeConfig::default()
+    });
+    // A short non-Recover blocker holds the worker while the burst queues,
+    // so the stalled leader is popped with its followers already waiting
+    // and its queue wait stays well under its own stall.
+    let blocker = Job::Metrics {
+        reference: path(&dir, "none-a.ppm"),
+        test: path(&dir, "none-b.ppm"),
+    };
+    runtime
+        .submit_blocking(JobSpec::new(blocker).with_ingest(Duration::from_millis(30)))
+        .expect("submit blocker");
+    let leader = JobSpec::new(recover_job(&dir, 0, "lead_")).with_ingest(stall);
+    let leader_id = runtime.submit_blocking(leader).expect("submit leader");
+    for i in 1..n {
+        runtime.submit_blocking(recover_job(&dir, i, "lead_")).expect("submit follower");
+    }
+    let report = runtime.shutdown(ShutdownMode::Drain);
+
+    assert_eq!(report.stats.batched_jobs, n as u64, "the leader fused its followers");
+    let leader = report.result(leader_id).expect("leader result");
+    assert!(leader.is_ok());
+    assert!(
+        leader.exec + stall <= leader.wall,
+        "exec {:?} must exclude the {stall:?} ingest stall (wall {:?})",
+        leader.exec,
+        leader.wall
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -370,7 +370,7 @@ fn concurrent_diffusion_requests_fuse_into_one_cohort_with_linked_traces() {
     dcdiff_telemetry::install(tel.clone());
     let mut cfg = test_config("cohort");
     cfg.method = RecoverMethod::Diffusion { ddim_steps: 2 };
-    cfg.runtime.diffusion_batch_width = 8;
+    cfg.runtime.batch_max = 8;
     let server = Server::bind_with(cfg, tel.clone()).expect("bind loopback server");
     let addr = server.local_addr().to_string();
 

@@ -27,7 +27,7 @@ pub const SPAN_BATCH_EXEC: &str = "batch.exec";
 /// Submission-to-pop latency of one job (recorded via `record_span`).
 pub const SPAN_QUEUE_WAIT: &str = "queue.wait";
 
-/// One encode job, ingest to result.
+/// One encode job's execution (after any ingest stall) to result.
 pub const SPAN_JOB_ENCODE: &str = "job.encode";
 /// One transcode job.
 pub const SPAN_JOB_TRANSCODE: &str = "job.transcode";
@@ -35,7 +35,7 @@ pub const SPAN_JOB_TRANSCODE: &str = "job.transcode";
 pub const SPAN_JOB_RECOVER: &str = "job.recover";
 /// One metrics job.
 pub const SPAN_JOB_METRICS: &str = "job.metrics";
-/// Simulated sender-uplink ingest stall inside a job.
+/// Simulated sender-uplink ingest stall before a job's execution.
 pub const SPAN_JOB_INGEST: &str = "job.ingest";
 /// Retry backoff sleep inside a job.
 pub const SPAN_JOB_BACKOFF: &str = "job.backoff";
