@@ -6,10 +6,15 @@
 //! is FNV-1a over the site's whitespace-normalised text — so entries
 //! survive unrelated edits that shift line numbers, but any change to the
 //! unsafe code itself invalidates its entry and forces a re-review. The
-//! recorded line window is informational only.
+//! recorded line window is informational only. A row counts as reviewed
+//! only once its generated [`PLACEHOLDER`] justification is replaced.
 
 use crate::diag::Diagnostic;
 use crate::parse::UnsafeSite;
+
+/// Prefix of the justification [`generate`] writes for a site no one has
+/// reviewed yet.
+pub const PLACEHOLDER: &str = "TODO: justify";
 
 /// One committed ledger row.
 #[derive(Debug, Clone)]
@@ -82,7 +87,7 @@ pub fn generate(sites: &[(String, UnsafeSite)], existing: &[Entry]) -> String {
             .iter()
             .find(|e| e.file == *file && e.hash == site.hash)
             .map_or_else(
-                || format!("TODO: justify — `{}`", site.excerpt.replace('|', "\\|")),
+                || format!("{PLACEHOLDER} — `{}`", site.excerpt.replace('|', "\\|")),
                 |e| e.note.clone(),
             );
         out.push_str(&format!(
@@ -100,8 +105,9 @@ pub fn generate(sites: &[(String, UnsafeSite)], existing: &[Entry]) -> String {
 
 /// Reconcile the workspace's unsafe sites against the committed ledger.
 /// Produces `unsafe-ledger` diagnostics for sites missing from the ledger
-/// (new or edited unsafe code) and for stale ledger rows whose site no
-/// longer exists.
+/// (new or edited unsafe code), for stale ledger rows whose site no
+/// longer exists, and for live rows whose justification is still the
+/// generated [`PLACEHOLDER`].
 pub fn reconcile(
     sites: &[(String, UnsafeSite)],
     entries: &[Entry],
@@ -130,6 +136,22 @@ pub fn reconcile(
     }
     for e in entries {
         let live = sites.iter().any(|(f, s)| f == &e.file && s.hash == e.hash);
+        if live && e.note.starts_with(PLACEHOLDER) {
+            out.push(Diagnostic {
+                rule: "unsafe-ledger",
+                file: "UNSAFE_LEDGER.md".to_string(),
+                line: e.row_line,
+                message: format!(
+                    "unreviewed ledger row: the unsafe {} in `{}` (hash {:016x}) still has the \
+                     generated placeholder justification",
+                    e.kind, e.file, e.hash
+                ),
+                snippet: format!("| `{}` | {} | {} | … | {} |", e.file, e.lines, e.kind, e.note),
+                hint: "replace the TODO justification with the reviewed soundness argument"
+                    .to_string(),
+                chain: Vec::new(),
+            });
+        }
         if !live {
             out.push(Diagnostic {
                 rule: "unsafe-ledger",
@@ -180,11 +202,20 @@ mod tests {
         assert!(!regenerated.contains("TODO"));
     }
 
+    /// A ledger for `sites` whose rows have all been reviewed.
+    fn reviewed(sites: &[(String, UnsafeSite)]) -> Vec<Entry> {
+        let mut entries = parse(&generate(sites, &[]));
+        for e in &mut entries {
+            e.note = "p is valid for reads per the caller contract".to_string();
+        }
+        entries
+    }
+
     #[test]
     fn reconcile_is_quiet_when_ledger_matches() {
         let s = site("fn f(p: *const u8) -> u8 { unsafe { *p } }");
         let sites = vec![("crates/x/src/a.rs".to_string(), s)];
-        let entries = parse(&generate(&sites, &[]));
+        let entries = reviewed(&sites);
         let mut diags = Vec::new();
         reconcile(&sites, &entries, &mut diags);
         assert!(diags.is_empty(), "{diags:?}");
@@ -205,9 +236,23 @@ mod tests {
     }
 
     #[test]
+    fn placeholder_justification_is_a_finding() {
+        let s = site("fn f(p: *const u8) -> u8 { unsafe { *p } }");
+        let sites = vec![("crates/x/src/a.rs".to_string(), s)];
+        let entries = parse(&generate(&sites, &[]));
+        let mut diags = Vec::new();
+        reconcile(&sites, &entries, &mut diags);
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert_eq!(diags[0].rule, "unsafe-ledger");
+        assert_eq!(diags[0].file, "UNSAFE_LEDGER.md");
+        assert_eq!(diags[0].line, entries[0].row_line);
+        assert!(diags[0].message.contains("placeholder"), "{}", diags[0].message);
+    }
+
+    #[test]
     fn line_drift_does_not_invalidate_entries() {
         let s1 = site("fn f(p: *const u8) -> u8 { unsafe { *p } }");
-        let entries = parse(&generate(&[("crates/x/src/a.rs".to_string(), s1)], &[]));
+        let entries = reviewed(&[("crates/x/src/a.rs".to_string(), s1)]);
         // Same code, different position/formatting in the file.
         let drifted = site("\n\n\nfn f(p: *const u8) -> u8 {\n    unsafe {\n        *p\n    }\n}");
         let mut diags = Vec::new();

@@ -1,8 +1,7 @@
 //! Benchmark of the `dcdiff-tensor` kernel layer: naive vs blocked vs
-//! threaded GEMM, plus the rewritten batched conv2d, on the shapes the
-//! DCDiff recover path actually executes (stage-1 encoder/decoder convs at
-//! image resolution, U-Net convs and attention products at latent
-//! resolution).
+//! threaded GEMM, plus the implicit-GEMM conv2d, on the shapes the DCDiff
+//! recover path actually executes (stage-1 encoder/decoder convs at image
+//! resolution, U-Net convs and attention products at latent resolution).
 //!
 //! Usage: `cargo run --release -p dcdiff-bench --bin kernel_bench`
 //!
@@ -23,10 +22,7 @@ use dcdiff_jpeg::dct::idct;
 use dcdiff_jpeg::huffman::HuffmanTable;
 use dcdiff_jpeg::simd::{self, Tier};
 use dcdiff_jpeg::{JpegDecoder, JpegEncoder, BLOCK_AREA};
-use dcdiff_tensor::kernels::{
-    gemm_naive, hgemm_info, hgemm_with_threads, set_threads, sgemm_with_threads, KernelConfig,
-    Trans,
-};
+use dcdiff_tensor::kernels::{gemm_naive, set_threads, sgemm_with_threads, KernelConfig, Trans};
 use dcdiff_tensor::Tensor;
 
 /// One GEMM shape from the recover path: `C[m,n] += A[m,k] * B[k,n]`.
@@ -37,8 +33,8 @@ struct GemmShape {
     n: usize,
 }
 
-/// Recover-path GEMM shapes. Convolutions run as rows-layout im2col
-/// products `[N*ho*wo, C*kh*kw] x [C*kh*kw, O]`; attention as
+/// Recover-path GEMM shapes. Convolutions run as implicit GEMMs of logical
+/// shape `[N*ho*wo, C*kh*kw] x [C*kh*kw, O]`; attention as
 /// `[hw, c] x [c, hw]` per sample.
 const GEMM_SHAPES: &[GemmShape] = &[
     // stage-1 AC encoder 3x3 conv, 32 channels at 64x64 (the largest
@@ -128,46 +124,60 @@ fn bench_gemm(shape: &GemmShape, threads: &[usize], budget: Duration) -> GemmRes
     }
 }
 
+/// One convolution `Tensor::conv2d` runs in the benchmarked networks
+/// (`DcDiffConfig::default()`): input `[n, c, h, w]`, `o` output channels,
+/// a 3x3 kernel with padding 1 at `stride`.
+struct ConvShape {
+    name: &'static str,
+    n: usize,
+    c: usize,
+    h: usize,
+    w: usize,
+    o: usize,
+    stride: usize,
+}
+
+/// The stage-1 decoder and encoder convs a 64x64 recovery runs at image
+/// resolution, the U-Net conv on its 8x8 latent, and the U-Net convs on the
+/// 2x2 / 1x1 latents of 16x16 tiles, alone and fused eight lanes wide.
+const CONV_SHAPES: &[ConvShape] = &[
+    ConvShape { name: "stage1_d_res0_conv1_64x64", n: 1, c: 24, h: 64, w: 64, o: 12, stride: 1 },
+    ConvShape { name: "stage1_ac1_s2_64x64", n: 1, c: 12, h: 64, w: 64, o: 12, stride: 2 },
+    ConvShape { name: "unet_conv_8x8", n: 1, c: 16, h: 8, w: 8, o: 16, stride: 1 },
+    ConvShape { name: "unet_conv_2x2", n: 1, c: 16, h: 2, w: 2, o: 16, stride: 1 },
+    ConvShape { name: "unet_up_conv_2x2_w8", n: 8, c: 48, h: 2, w: 2, o: 16, stride: 1 },
+    ConvShape { name: "unet_up_conv_1x1_w8", n: 8, c: 64, h: 1, w: 1, o: 32, stride: 1 },
+];
+
 struct ConvResult {
     name: &'static str,
     desc: String,
-    single_ms: f64,
-    threaded_ms: f64,
     flops: usize,
+    single: Duration,
+    threaded: Duration,
 }
 
-/// Time the rewritten `Tensor::conv2d` forward at 1 thread and at the full
-/// budget (the tensor op picks up the globally configured thread count).
-#[allow(clippy::too_many_arguments)]
-fn bench_conv(
-    name: &'static str,
-    nb: usize,
-    cin: usize,
-    h: usize,
-    w: usize,
-    co: usize,
-    ks: usize,
-    pad: usize,
-    max_threads: usize,
-    budget: Duration,
-) -> ConvResult {
-    let x = Tensor::from_vec(vec![nb, cin, h, w], pattern(nb * cin * h * w, 0.3));
-    let wt = Tensor::from_vec(vec![co, cin, ks, ks], pattern(co * cin * ks * ks, 0.7));
+/// Time the `Tensor::conv2d` forward at 1 thread and at the full budget
+/// (the tensor op picks up the globally configured thread count).
+fn bench_conv(shape: &ConvShape, max_threads: usize, budget: Duration) -> ConvResult {
+    let ConvShape { name, n, c, h, w, o, stride } = *shape;
+    let x = Tensor::from_vec(vec![n, c, h, w], pattern(n * c * h * w, 0.3));
+    let wt = Tensor::from_vec(vec![o, c, 3, 3], pattern(o * c * 9, 0.7));
     set_threads(1);
     let single = best_time(budget, 3, || {
-        let _ = x.conv2d(&wt, 1, pad);
+        black_box(x.conv2d(&wt, stride, 1));
     });
     set_threads(max_threads);
     let threaded = best_time(budget, 3, || {
-        let _ = x.conv2d(&wt, 1, pad);
+        black_box(x.conv2d(&wt, stride, 1));
     });
-    let flops = 2 * nb * co * cin * ks * ks * h * w; // stride 1, same padding
+    let (ho, wo) = ((h - 1) / stride + 1, (w - 1) / stride + 1);
     ConvResult {
         name,
-        desc: format!("{nb}x{cin}x{h}x{w} -> {co} ch, {ks}x{ks} pad {pad}"),
-        single_ms: single.as_secs_f64() * 1e3,
-        threaded_ms: threaded.as_secs_f64() * 1e3,
-        flops,
+        desc: format!("{n}x{c}x{h}x{w} -> {o} ch, 3x3 stride {stride} pad 1"),
+        flops: 2 * n * ho * wo * c * 9 * o,
+        single,
+        threaded,
     }
 }
 
@@ -286,43 +296,6 @@ fn bench_decode(budget: Duration) -> Vec<DecodeResult> {
     results
 }
 
-/// Quantised-inference GEMM: f16-storage/f32-accumulate `hgemm` against
-/// the f32 `sgemm` on the same operands, both at one thread.
-struct QuantResult {
-    name: &'static str,
-    m: usize,
-    k: usize,
-    n: usize,
-    f32_gflops: f64,
-    f16_gflops: f64,
-    f16_speedup: f64,
-}
-
-fn bench_quantised(shape: &GemmShape, budget: Duration) -> QuantResult {
-    let GemmShape { name, m, k, n } = *shape;
-    let a = pattern(m * k, 1.0);
-    let b = pattern(k * n, 2.0);
-    let mut c = vec![0.0f32; m * n];
-    let flops = 2 * m * k * n;
-    let f32_t = best_time(budget, 3, || {
-        c.iter_mut().for_each(|v| *v = 0.0);
-        sgemm_with_threads(1, Trans::N, Trans::N, m, k, n, &a, &b, &mut c);
-    });
-    let f16_t = best_time(budget, 3, || {
-        c.iter_mut().for_each(|v| *v = 0.0);
-        hgemm_with_threads(1, Trans::N, Trans::N, m, k, n, &a, &b, &mut c);
-    });
-    QuantResult {
-        name,
-        m,
-        k,
-        n,
-        f32_gflops: gflops(flops, f32_t),
-        f16_gflops: gflops(flops, f16_t),
-        f16_speedup: f32_t.as_secs_f64() / f16_t.as_secs_f64(),
-    }
-}
-
 fn main() {
     let config = KernelConfig::current();
     let cores = config.cpu_cores;
@@ -362,37 +335,20 @@ fn main() {
         results.push(r);
     }
 
-    let convs = vec![
-        bench_conv("stage1_enc_conv", 1, 32, 64, 64, 32, 3, 1, max_threads, budget),
-        bench_conv("unet_l0_conv_batch4", 4, 16, 12, 12, 16, 3, 1, max_threads, budget),
-    ];
+    let convs: Vec<ConvResult> =
+        CONV_SHAPES.iter().map(|s| bench_conv(s, max_threads, budget)).collect();
     for c in &convs {
         println!(
-            "  conv {:<24} 1-thread {:7.2} ms  {}-thread {:7.2} ms  ({:.2} GFLOP/s single)",
+            "  conv {:<28} 1-thread {:8.3} ms {:6.2} GFLOP/s  {}-thread {:8.3} ms {:6.2} GFLOP/s",
             c.name,
-            c.single_ms,
+            c.single.as_secs_f64() * 1e3,
+            gflops(c.flops, c.single),
             max_threads,
-            c.threaded_ms,
-            c.flops as f64 / (c.single_ms / 1e3) / 1e9,
+            c.threaded.as_secs_f64() * 1e3,
+            gflops(c.flops, c.threaded),
         );
     }
     set_threads(max_threads);
-
-    // Quantised inference: the three shapes that dominate recover-path
-    // forwards (stage-1 im2col, U-Net im2col, square reference point).
-    let quant_shapes = ["stage1_conv3x3_c32_64x64", "unet_l0_conv3x3_c16_12x12", "square_256"];
-    let quantised: Vec<QuantResult> = GEMM_SHAPES
-        .iter()
-        .filter(|s| quant_shapes.contains(&s.name))
-        .map(|s| bench_quantised(s, budget))
-        .collect();
-    let (f16_isa, _, _) = hgemm_info();
-    for q in &quantised {
-        println!(
-            "  f16  {:<28} f32 {:6.2}  f16 {:6.2} GFLOP/s  (f16/f32 {:.2}x, {f16_isa})",
-            q.name, q.f32_gflops, q.f16_gflops, q.f16_speedup
-        );
-    }
 
     let decode = bench_decode(budget);
     let decode_tier = simd::active();
@@ -433,11 +389,11 @@ fn main() {
         json,
         "  \"note\": \"GFLOP/s from best-of repeated runs; naive = seed scalar ikj GEMM with \
          zero-skip branch, blocked = packed register-tiled kernel at 1 thread, threaded = same \
-         kernel sharded across the DCDIFF_THREADS pool. Shapes are the rows-layout im2col and \
-         attention products the recover path issues. quantised_gemm rows time the f16-storage/\
-         f32-accumulate hgemm against f32 sgemm at one thread; decode rows time the forced-scalar \
-         reference pipeline against the runtime-dispatched tier as MB/s over input bytes \
-         (see PERFORMANCE.md).\","
+         kernel sharded across the DCDIFF_THREADS pool. GEMM shapes are the logical conv and \
+         attention products the recover path issues; conv2d rows time the implicit-GEMM \
+         Tensor::conv2d forward on convs the benchmarked networks run; decode rows time the \
+         forced-scalar reference pipeline against the runtime-dispatched tier as MB/s over \
+         input bytes (see PERFORMANCE.md).\","
     );
     json.push_str("  \"gemm\": [\n");
     for (i, r) in results.iter().enumerate() {
@@ -468,31 +424,16 @@ fn main() {
         let _ = writeln!(
             json,
             "    {{\"name\": \"{}\", \"shape\": \"{}\", \"flops\": {}, \
-             \"single_thread_ms\": {:.3}, \"threaded_ms\": {:.3}}}{}",
+             \"single_thread_ms\": {:.4}, \"single_thread_gflops\": {:.3}, \
+             \"threaded_ms\": {:.4}, \"threaded_gflops\": {:.3}}}{}",
             c.name,
             c.desc,
             c.flops,
-            c.single_ms,
-            c.threaded_ms,
+            c.single.as_secs_f64() * 1e3,
+            gflops(c.flops, c.single),
+            c.threaded.as_secs_f64() * 1e3,
+            gflops(c.flops, c.threaded),
             if i + 1 < convs.len() { "," } else { "" },
-        );
-    }
-    json.push_str("  ],\n");
-    let _ = writeln!(json, "  \"f16_isa\": \"{f16_isa}\",");
-    json.push_str("  \"quantised_gemm\": [\n");
-    for (i, q) in quantised.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"name\": \"{}\", \"m\": {}, \"k\": {}, \"n\": {}, \
-             \"f32_gflops\": {:.3}, \"f16_gflops\": {:.3}, \"f16_speedup\": {:.3}}}{}",
-            q.name,
-            q.m,
-            q.k,
-            q.n,
-            q.f32_gflops,
-            q.f16_gflops,
-            q.f16_speedup,
-            if i + 1 < quantised.len() { "," } else { "" },
         );
     }
     json.push_str("  ],\n");

@@ -51,45 +51,6 @@ pub fn set_threads(threads: usize) {
     THREADS.store(threads.max(1), Ordering::Relaxed);
 }
 
-/// 0 = uninitialised (read `DCDIFF_QUANTISED` on first query), 1 = off,
-/// 2 = on.
-static QUANTISED: AtomicUsize = AtomicUsize::new(0);
-
-fn detect_quantised() -> bool {
-    match std::env::var("DCDIFF_QUANTISED") {
-        Ok(raw) => matches!(raw.trim(), "1" | "true" | "f16"),
-        Err(_) => false,
-    }
-}
-
-/// Whether forward-pass GEMMs should use the f16-storage path
-/// ([`super::hgemm`]) when autograd is off. Defaults to the
-/// `DCDIFF_QUANTISED` environment variable (`1`/`true`/`f16` enable it);
-/// [`set_quantised_inference`] overrides per process.
-///
-/// This knob never affects gradient computation: the dispatch in
-/// [`super::gemm_infer`] additionally requires the autograd tape to be
-/// disabled, so training always runs full f32.
-pub fn quantised_inference() -> bool {
-    match QUANTISED.load(Ordering::Relaxed) {
-        1 => false,
-        2 => true,
-        _ => {
-            let on = detect_quantised();
-            // Racing initialisers read the same env; last write wins.
-            QUANTISED.store(if on { 2 } else { 1 }, Ordering::Relaxed);
-            on
-        }
-    }
-}
-
-/// Force quantised inference on or off (overrides `DCDIFF_QUANTISED`).
-/// Affects the whole process; benches and the accuracy gate flip this
-/// around paired runs.
-pub fn set_quantised_inference(on: bool) {
-    QUANTISED.store(if on { 2 } else { 1 }, Ordering::Relaxed);
-}
-
 /// Snapshot of the kernel configuration, recorded into bench JSON so perf
 /// numbers stay attributable across machines.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -112,17 +73,12 @@ pub struct KernelConfig {
     pub nc: usize,
     /// FLOP threshold below which GEMMs stay single-threaded.
     pub par_flop_threshold: usize,
-    /// Whether forward GEMMs run the f16-storage path under no-grad.
-    pub quantised: bool,
-    /// f16 microkernel selected for this CPU (e.g. `avx2_f16c_6x16`).
-    pub f16_isa: &'static str,
 }
 
 impl KernelConfig {
     /// The configuration currently in effect.
     pub fn current() -> Self {
         let (isa, mr, nr) = super::gemm::microkernel_info();
-        let (f16_isa, _, _) = super::f16::hgemm_info();
         KernelConfig {
             threads: configured_threads(),
             cpu_cores: std::thread::available_parallelism()
@@ -134,8 +90,6 @@ impl KernelConfig {
             mc: MC,
             nc: NC,
             par_flop_threshold: PAR_FLOP_THRESHOLD,
-            quantised: quantised_inference(),
-            f16_isa,
         }
     }
 
@@ -143,8 +97,7 @@ impl KernelConfig {
     pub fn to_json(&self) -> String {
         format!(
             "{{\"threads\": {}, \"cpu_cores\": {}, \"isa\": \"{}\", \"mr\": {}, \"nr\": {}, \
-             \"kc\": {}, \"mc\": {}, \"nc\": {}, \"par_flop_threshold\": {}, \
-             \"quantised\": {}, \"f16_isa\": \"{}\"}}",
+             \"kc\": {}, \"mc\": {}, \"nc\": {}, \"par_flop_threshold\": {}}}",
             self.threads,
             self.cpu_cores,
             self.isa,
@@ -153,9 +106,7 @@ impl KernelConfig {
             self.kc,
             self.mc,
             self.nc,
-            self.par_flop_threshold,
-            self.quantised,
-            self.f16_isa
+            self.par_flop_threshold
         )
     }
 }
@@ -182,8 +133,6 @@ mod tests {
             "mc",
             "nc",
             "par_flop_threshold",
-            "quantised",
-            "f16_isa",
         ] {
             assert!(json.contains(key), "missing {key} in {json}");
         }

@@ -12,9 +12,17 @@
 //! the CPU reports `avx512f` (one zmm B load plus fourteen
 //! embedded-broadcast FMAs per depth step), else an AVX2+FMA 6x16 kernel
 //! (two 8-lane FMAs per row per depth step), otherwise a portable 4x8
-//! kernel that LLVM auto-vectorises for the baseline target. Transposed operands are handled by the packing
-//! routines reading through `(row, col)` strides, so backward passes
-//! (`dA = dC·Bᵀ`, `dB = Aᵀ·dC`) never materialise a transposed copy.
+//! kernel that LLVM auto-vectorises for the baseline target. Transposed
+//! operands are handled by the packing routines reading through
+//! `(row, col)` strides, so backward passes (`dA = dC·Bᵀ`, `dB = Aᵀ·dC`)
+//! never materialise a transposed copy.
+//!
+//! The same blocked loop runs the convolution forward as an implicit GEMM
+//! (`conv2d_nchw`): its A strips are packed straight from the NCHW input,
+//! tap by tap, and each accumulator tile is added straight into the NCHW
+//! output. The microkernel sees exactly the packed values an explicit
+//! im2col matrix would give it, in the same depth order, so the result is
+//! bit-identical to im2col followed by [`sgemm`] and an NCHW scatter.
 //!
 //! Large products are sharded across [`super::pool`]: disjoint row (or
 //! column) stripes of C go to different threads, each running the full
@@ -37,18 +45,17 @@ pub enum Trans {
 }
 
 /// Row-major view of `op(X)` as `rows x cols` over stored data: element
-/// `(r, c)` lives at `r*rs + c*cs`. Shared with the f16-storage GEMM in
-/// [`super::f16`].
+/// `(r, c)` lives at `r*rs + c*cs`.
 #[derive(Clone, Copy)]
-pub(crate) struct View {
-    pub(crate) rs: usize,
-    pub(crate) cs: usize,
+struct View {
+    rs: usize,
+    cs: usize,
 }
 
 impl View {
     /// View of `op(X)` with logical shape `rows x cols`; when `trans` is
     /// `T` the storage holds `cols x rows` row-major.
-    pub(crate) fn new(trans: Trans, rows: usize, cols: usize) -> View {
+    fn new(trans: Trans, rows: usize, cols: usize) -> View {
         match trans {
             Trans::N => View { rs: cols, cs: 1 },
             Trans::T => View { rs: 1, cs: rows },
@@ -56,13 +63,15 @@ impl View {
     }
 
     #[inline]
-    pub(crate) fn at(&self, r: usize, c: usize) -> usize {
+    fn at(&self, r: usize, c: usize) -> usize {
         r * self.rs + c * self.cs
     }
 }
 
+/// Upper bound on `MR` across microkernels.
+const MR_MAX: usize = 14;
 /// Upper bound on `MR * NR` across microkernels (accumulator staging).
-const ACC_MAX: usize = 14 * 16;
+const ACC_MAX: usize = MR_MAX * 16;
 
 /// One register microkernel: computes `acc[mr][nr] = Astrip · Bstrip` over
 /// a packed depth panel of `kc` (A strip interleaved `kc x mr`, B strip
@@ -217,9 +226,46 @@ pub fn gemm_naive(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f
     }
 }
 
-/// Pack the `mc x kc` block of `op(A)` starting at `(i0, p0)` into
-/// `mr`-row strips: strip `ir` holds `panel[(ir*kc + p)*mr + r]`,
-/// zero-padded past `mc`.
+/// Geometry of a 2-D convolution over an NCHW input, read as the implicit
+/// GEMM `out[N*ho*wo, O] = cols[N*ho*wo, C*kh*kw] · Wᵀ`. GEMM row `i` is
+/// output position `i % (ho*wo)` of sample `i / (ho*wo)`; depth index `q`
+/// walks `(ci, ky, kx)` in the weight's storage order, so the `[O, C, kh,
+/// kw]` weight is the `Trans::T` B operand exactly as stored.
+#[derive(Clone, Copy)]
+pub(crate) struct ConvGeom {
+    pub(crate) c: usize,
+    pub(crate) h: usize,
+    pub(crate) w: usize,
+    pub(crate) kh: usize,
+    pub(crate) kw: usize,
+    pub(crate) stride: usize,
+    pub(crate) pad: usize,
+    pub(crate) ho: usize,
+    pub(crate) wo: usize,
+}
+
+/// The A operand of a blocked product.
+#[derive(Clone, Copy)]
+enum Lhs<'a> {
+    /// A stored matrix, read through a stride view.
+    Matrix(&'a [f32], View),
+    /// The im2col matrix of an NCHW input, read from the input itself.
+    Im2col(&'a [f32], ConvGeom),
+}
+
+impl Lhs<'_> {
+    /// Pack the `mc x kc` block starting at `(i0, p0)` into `mr`-row
+    /// strips: strip `ir` holds `panel[(ir*kc + p)*mr + r]`, zero-padded
+    /// past `mc`.
+    fn pack(&self, panel: &mut [f32], mr: usize, i0: usize, mc: usize, p0: usize, kc: usize) {
+        match *self {
+            Lhs::Matrix(a, view) => pack_a(panel, mr, a, view, i0, mc, p0, kc),
+            Lhs::Im2col(x, geom) => pack_a_im2col(panel, mr, x, &geom, i0, mc, p0, kc),
+        }
+    }
+}
+
+/// [`Lhs::pack`] for a stored matrix.
 #[allow(clippy::too_many_arguments)]
 fn pack_a(
     panel: &mut [f32],
@@ -247,6 +293,128 @@ fn pack_a(
     }
 }
 
+/// [`Lhs::pack`] for the im2col matrix of the NCHW input `x`, read from
+/// `x` itself. A strip's rows split into runs of consecutive positions on
+/// one output row. Per kernel tap `(ky, kx)`, each run reads a span of one
+/// input row at the conv stride and falls in the zero padding outside it;
+/// that span is worked out once and reused for every input channel `ci`
+/// (depth index `ci*kh*kw + ky*kw + kx`), so the per-channel work is one
+/// copy per run, contiguous at stride 1.
+#[allow(clippy::too_many_arguments)]
+fn pack_a_im2col(
+    panel: &mut [f32],
+    mr: usize,
+    x: &[f32],
+    g: &ConvGeom,
+    i0: usize,
+    mc: usize,
+    p0: usize,
+    kc: usize,
+) {
+    /// Strip rows `r0..r0 + len`: consecutive positions on one output
+    /// row of the sample at offset `sample` in `x`, the first of which
+    /// has its top-left tap at input `(iy, ix)` (negative inside the
+    /// padding). At the current tap, row `r0 + t` reads
+    /// `x[src + ci*h*w + (t - lo)*stride]` for `t` in `lo..hi` and is
+    /// zero elsewhere.
+    #[derive(Clone, Copy, Default)]
+    struct Run {
+        r0: usize,
+        len: usize,
+        sample: usize,
+        iy: isize,
+        ix: isize,
+        lo: usize,
+        hi: usize,
+        src: usize,
+    }
+    /// The count of taps `t >= 0` with `t*s < n` (0 when `n <= 0`).
+    fn taps_below(n: isize, s: usize) -> usize {
+        (n.max(0) as usize).div_ceil(s)
+    }
+    let plane = g.ho * g.wo;
+    let (hw, khw, s) = (g.h * g.w, g.kh * g.kw, g.stride);
+    let strips = mc.div_ceil(mr);
+    debug_assert!(mr <= MR_MAX && panel.len() >= strips * kc * mr);
+    let mut runs = [Run::default(); MR_MAX];
+    for ir in 0..strips {
+        let row0 = ir * mr;
+        let full = (mc - row0).min(mr);
+        let mut nruns = 0;
+        let mut r0 = 0;
+        while r0 < full {
+            let i = i0 + row0 + r0;
+            let (oy, ox) = (i % plane / g.wo, i % g.wo);
+            let len = (full - r0).min(g.wo - ox);
+            runs[nruns] = Run {
+                r0,
+                len,
+                sample: i / plane * g.c * hw,
+                iy: (oy * s) as isize - g.pad as isize,
+                ix: (ox * s) as isize - g.pad as isize,
+                ..Run::default()
+            };
+            nruns += 1;
+            r0 += len;
+        }
+        let runs = &mut runs[..nruns];
+        let strip = &mut panel[ir * kc * mr..(ir * kc + kc) * mr];
+        for tap in 0..khw {
+            let (ky, kx) = ((tap / g.kw) as isize, (tap % g.kw) as isize);
+            for run in runs.iter_mut() {
+                let (iy, ix) = (run.iy + ky, run.ix + kx);
+                (run.lo, run.hi) = (0, 0);
+                if iy >= 0 && iy < g.h as isize {
+                    // Taps t in lo..hi land inside the row: 0 <= ix + t*s < w.
+                    run.lo = taps_below(-ix, s).min(run.len);
+                    run.hi = taps_below(g.w as isize - ix, s).clamp(run.lo, run.len);
+                }
+                let first = run.sample as isize + iy * g.w as isize + ix + (run.lo * s) as isize;
+                run.src = if run.lo < run.hi { first as usize } else { 0 };
+            }
+            let padding_only = runs.iter().all(|run| run.lo == run.hi);
+            // Channels whose depth index ci*khw + tap lies in p0..p0 + kc.
+            let ci_lo = (p0 + khw - 1 - tap) / khw;
+            let ci_hi = (p0 + kc + khw - 1 - tap) / khw;
+            for ci in ci_lo..ci_hi {
+                let p = ci * khw + tap - p0;
+                let dst = &mut strip[p * mr..p * mr + mr];
+                if padding_only {
+                    dst.fill(0.0);
+                    continue;
+                }
+                for run in runs.iter() {
+                    let seg = &mut dst[run.r0..run.r0 + run.len];
+                    let src = &x[run.src + ci * hw..];
+                    if run.len < 8 {
+                        // Short runs (small latents): per-element writes
+                        // beat the fill and copy calls.
+                        for (t, d) in seg.iter_mut().enumerate() {
+                            *d = if (run.lo..run.hi).contains(&t) {
+                                src[(t - run.lo) * s]
+                            } else {
+                                0.0
+                            };
+                        }
+                        continue;
+                    }
+                    seg[..run.lo].fill(0.0);
+                    let taps = &mut seg[run.lo..run.hi];
+                    if s == 1 {
+                        taps.copy_from_slice(&src[..taps.len()]);
+                    } else {
+                        for (d, &v) in taps.iter_mut().zip(src.iter().step_by(s)) {
+                            *d = v;
+                        }
+                    }
+                    seg[run.hi..].fill(0.0);
+                }
+                dst[full..].fill(0.0);
+            }
+        }
+    }
+}
+
 /// Pack the `kc x nc` block of `op(B)` starting at `(p0, j0)` into
 /// `nr`-column strips: strip `jr` holds `panel[(jr*kc + p)*nr + j]`,
 /// zero-padded past `nc`.
@@ -267,6 +435,22 @@ fn pack_b(
         let col0 = jr * nr;
         let full = (nc - col0).min(nr);
         let strip = &mut panel[jr * kc * nr..(jr * kc + kc) * nr];
+        if view.rs == 1 {
+            // Columns are contiguous in storage (a transposed operand such
+            // as a conv weight): copy each one down its strip lane.
+            for j in 0..nr {
+                let lane = strip[j..].iter_mut().step_by(nr);
+                if j < full {
+                    let base = view.at(p0, j0 + col0 + j);
+                    for (d, &v) in lane.zip(&b[base..base + kc]) {
+                        *d = v;
+                    }
+                } else {
+                    lane.for_each(|d| *d = 0.0);
+                }
+            }
+            continue;
+        }
         for p in 0..kc {
             let dst = &mut strip[p * nr..p * nr + nr];
             let base = view.at(p0 + p, j0 + col0);
@@ -277,19 +461,104 @@ fn pack_b(
     }
 }
 
+/// Where C lives: the memory layout the accumulator tiles are added into.
+#[derive(Clone, Copy)]
+enum Dst {
+    /// Row-major with leading dimension `ldc`.
+    RowMajor { ldc: usize },
+    /// NCHW `[N, channels, plane]`: GEMM row `i` is position `i % plane` of
+    /// sample `i / plane`, GEMM column `j` is channel `j`.
+    Nchw { plane: usize, channels: usize },
+}
+
+impl Dst {
+    /// Whether a C slice of `len` floats holds every element of the
+    /// `m x n` product in this layout.
+    fn fits(self, m: usize, n: usize, len: usize) -> bool {
+        match self {
+            Dst::RowMajor { ldc } => n <= ldc && m * ldc <= len,
+            Dst::Nchw { plane, channels } => {
+                n <= channels && m.is_multiple_of(plane) && m / plane * channels * plane <= len
+            }
+        }
+    }
+
+    /// Add the `rows x cols` accumulator tile `acc` (row stride `nr`) into
+    /// C at GEMM position `(i0, j0)`.
+    ///
+    /// # Safety
+    ///
+    /// `c` must be valid for reads and writes of every element of C that
+    /// rows `i0..i0 + rows` and columns `j0..j0 + cols` map to in this
+    /// layout, and no other thread may access those elements meanwhile.
+    #[allow(clippy::too_many_arguments)]
+    // SAFETY: unsafe fn — callers uphold the `# Safety` contract above;
+    // `gemm_stripe` passes only tiles inside its own stripe of C.
+    unsafe fn add_tile(
+        self,
+        c: *mut f32,
+        acc: &[f32],
+        nr: usize,
+        i0: usize,
+        rows: usize,
+        j0: usize,
+        cols: usize,
+    ) {
+        match self {
+            Dst::RowMajor { ldc } => {
+                for r in 0..rows {
+                    let at = (i0 + r) * ldc + j0;
+                    // SAFETY: row `i0 + r`, columns `j0..j0 + cols` are tile
+                    // elements, covered by this fn's contract.
+                    let dst = unsafe { std::slice::from_raw_parts_mut(c.add(at), cols) };
+                    for (d, &v) in dst.iter_mut().zip(&acc[r * nr..r * nr + cols]) {
+                        *d += v;
+                    }
+                }
+            }
+            Dst::Nchw { plane, channels } => {
+                // Rows of one sample are consecutive positions, contiguous
+                // in every channel plane: add each channel's run at once.
+                let mut r = 0;
+                while r < rows {
+                    let (sample, pos) = ((i0 + r) / plane, (i0 + r) % plane);
+                    let run = (rows - r).min(plane - pos);
+                    for j in 0..cols {
+                        let at = (sample * channels + j0 + j) * plane + pos;
+                        // SAFETY: `at..at + run` are the tile's rows in one
+                        // channel plane, covered by this fn's contract.
+                        let dst = unsafe { std::slice::from_raw_parts_mut(c.add(at), run) };
+                        for (t, d) in dst.iter_mut().enumerate() {
+                            *d += acc[(r + t) * nr + j];
+                        }
+                    }
+                    r += run;
+                }
+            }
+        }
+    }
+}
+
 /// Run the full blocked loop for one C stripe: rows `i0..i0+ms`, columns
-/// `j0..j0+ns` of the logical `m x n` product, writing into row-major `c`
-/// with leading dimension `ldc`.
+/// `j0..j0+ns` of the logical `m x n` product, adding into `c` laid out
+/// as `dst`.
+///
+/// # Safety
+///
+/// `c` must be valid for reads and writes of every element of C that the
+/// stripe's rows and columns map to under `dst`, and no other thread may
+/// access those elements meanwhile.
 #[allow(clippy::too_many_arguments)]
-fn gemm_stripe(
+// SAFETY: unsafe fn — callers uphold the `# Safety` contract above; `gemm`
+// hands each call a disjoint stripe of a C it has checked with `Dst::fits`.
+unsafe fn gemm_stripe(
     micro: Micro,
     k: usize,
-    a: &[f32],
-    av: View,
+    a: Lhs<'_>,
     b: &[f32],
     bv: View,
     c: *mut f32,
-    ldc: usize,
+    dst: Dst,
     i0: usize,
     ms: usize,
     j0: usize,
@@ -309,7 +578,7 @@ fn gemm_stripe(
             pack_b(&mut bpanel, nr, b, bv, pc, kc, j0 + jc, nc);
             for ic in (0..ms).step_by(MC) {
                 let mc = (ms - ic).min(MC);
-                pack_a(&mut apanel, mr, a, av, i0 + ic, mc, pc, kc);
+                a.pack(&mut apanel, mr, i0 + ic, mc, pc, kc);
                 for jr in 0..nc.div_ceil(nr) {
                     let bstrip = &bpanel[jr * kc * nr..(jr * kc + kc) * nr];
                     let ncols = (nc - jr * nr).min(nr);
@@ -321,22 +590,10 @@ fn gemm_stripe(
                         unsafe {
                             (micro.kernel)(kc, astrip.as_ptr(), bstrip.as_ptr(), acc.as_mut_ptr());
                         }
-                        let crow0 = i0 + ic + ir * mr;
-                        let ccol0 = j0 + jc + jr * nr;
-                        for r in 0..nrows {
-                            let accrow = &acc[r * nr..r * nr + ncols];
-                            // SAFETY: disjoint stripe of C owned by this
-                            // call; the row/col offsets stay inside it.
-                            let dst = unsafe {
-                                std::slice::from_raw_parts_mut(
-                                    c.add((crow0 + r) * ldc + ccol0),
-                                    ncols,
-                                )
-                            };
-                            for (d, &v) in dst.iter_mut().zip(accrow) {
-                                *d += v;
-                            }
-                        }
+                        let (row0, col0) = (i0 + ic + ir * mr, j0 + jc + jr * nr);
+                        // SAFETY: the tile lies inside this call's stripe,
+                        // which this fn's contract covers.
+                        unsafe { dst.add_tile(c, &acc, nr, row0, nrows, col0, ncols) };
                     }
                 }
             }
@@ -344,6 +601,72 @@ fn gemm_stripe(
     }
     scratch::put(bpanel);
     scratch::put(apanel);
+}
+
+/// `C += op(A) · op(B)` over the logical `m x k x n` product on up to
+/// `threads` threads. Below [`PAR_FLOP_THRESHOLD`] one stripe runs on the
+/// calling thread; above it the larger C axis splits into stripes aligned
+/// to the micro-tile, so every shard owns its C elements outright and
+/// amortises its redundant packing of the shared operand.
+#[allow(clippy::too_many_arguments)]
+fn gemm(
+    threads: usize,
+    m: usize,
+    k: usize,
+    n: usize,
+    a: Lhs<'_>,
+    b: &[f32],
+    bv: View,
+    c: &mut [f32],
+    dst: Dst,
+) {
+    assert!(dst.fits(m, n, c.len()), "C is too small for the {m} x {n} product");
+    if m == 0 || n == 0 || k == 0 {
+        return; // C += 0 contribution
+    }
+    let micro = active_micro();
+    let flops = 2usize.saturating_mul(m).saturating_mul(k).saturating_mul(n);
+    let budget = threads.max(1);
+    let shards = if flops < PAR_FLOP_THRESHOLD || budget == 1 {
+        1
+    } else {
+        budget
+            .min(if m >= n {
+                m.div_ceil(micro.mr)
+            } else {
+                n.div_ceil(micro.nr)
+            })
+            .max(1)
+    };
+    if shards == 1 {
+        // SAFETY: the whole product fits the exclusively borrowed C.
+        unsafe { gemm_stripe(micro, k, a, b, bv, c.as_mut_ptr(), dst, 0, m, 0, n) };
+        return;
+    }
+    let cptr = c.as_mut_ptr() as usize;
+    if m >= n {
+        // Row stripes, aligned to mr so no two shards share a C row.
+        let rows_per = m.div_ceil(shards).div_ceil(micro.mr) * micro.mr;
+        let tasks = m.div_ceil(rows_per);
+        parallel_for(tasks, &|t| {
+            let i0 = t * rows_per;
+            let ms = (m - i0).min(rows_per);
+            // SAFETY: row stripes are disjoint and fit C; `parallel_for`
+            // returns before the exclusive borrow of C ends.
+            unsafe { gemm_stripe(micro, k, a, b, bv, cptr as *mut f32, dst, i0, ms, 0, n) };
+        });
+    } else {
+        // Column stripes, aligned to nr.
+        let cols_per = n.div_ceil(shards).div_ceil(micro.nr) * micro.nr;
+        let tasks = n.div_ceil(cols_per);
+        parallel_for(tasks, &|t| {
+            let j0 = t * cols_per;
+            let ns = (n - j0).min(cols_per);
+            // SAFETY: column stripes are disjoint and fit C; `parallel_for`
+            // returns before the exclusive borrow of C ends.
+            unsafe { gemm_stripe(micro, k, a, b, bv, cptr as *mut f32, dst, 0, m, j0, ns) };
+        });
+    }
 }
 
 /// Blocked, threaded GEMM: `C += op(A) · op(B)` where `op(A)` is `m x k`
@@ -388,47 +711,56 @@ pub fn sgemm_with_threads(
     assert_eq!(a.len(), m * k, "A length must be m*k");
     assert_eq!(b.len(), k * n, "B length must be k*n");
     assert_eq!(c.len(), m * n, "C length must be m*n");
-    if m == 0 || n == 0 || k == 0 {
-        return; // C += 0 contribution
-    }
-    let micro = active_micro();
-    let av = View::new(ta, m, k);
-    let bv = View::new(tb, k, n);
-    let flops = 2usize.saturating_mul(m).saturating_mul(k).saturating_mul(n);
-    let budget = threads.max(1);
-    // Shard the larger C axis; every stripe must be big enough to amortise
-    // its redundant packing of the shared operand.
-    let shards = if flops < PAR_FLOP_THRESHOLD || budget == 1 {
-        1
-    } else {
-        budget
-            .min(if m >= n { m.div_ceil(micro.mr) } else { n.div_ceil(micro.nr) })
-            .max(1)
-    };
-    if shards == 1 {
-        gemm_stripe(micro, k, a, av, b, bv, c.as_mut_ptr(), n, 0, m, 0, n);
-        return;
-    }
-    let cptr = c.as_mut_ptr() as usize;
-    if m >= n {
-        // Row stripes, aligned to mr so no two shards share a C row.
-        let rows_per = m.div_ceil(shards).div_ceil(micro.mr) * micro.mr;
-        let tasks = m.div_ceil(rows_per);
-        parallel_for(tasks, &|t| {
-            let i0 = t * rows_per;
-            let ms = (m - i0).min(rows_per);
-            gemm_stripe(micro, k, a, av, b, bv, cptr as *mut f32, n, i0, ms, 0, n);
-        });
-    } else {
-        // Column stripes, aligned to nr.
-        let cols_per = n.div_ceil(shards).div_ceil(micro.nr) * micro.nr;
-        let tasks = n.div_ceil(cols_per);
-        parallel_for(tasks, &|t| {
-            let j0 = t * cols_per;
-            let ns = (n - j0).min(cols_per);
-            gemm_stripe(micro, k, a, av, b, bv, cptr as *mut f32, n, 0, m, j0, ns);
-        });
-    }
+    let a = Lhs::Matrix(a, View::new(ta, m, k));
+    gemm(
+        threads,
+        m,
+        k,
+        n,
+        a,
+        b,
+        View::new(tb, k, n),
+        c,
+        Dst::RowMajor { ldc: n },
+    );
+}
+
+/// Implicit-GEMM convolution forward: adds the convolution of the NCHW
+/// input `x` (`[n, c, h, w]`) by the weight `wt` (`[o, c, kh, kw]`) into
+/// the NCHW output `out` (`[n, o, ho, wo]`), with the configured thread
+/// budget. The blocked loop packs its A strips from `x` and adds its
+/// tiles into `out` directly, so no im2col matrix and no row-major
+/// staging copy of the output ever exist.
+///
+/// # Panics
+///
+/// Panics if a slice length does not match the geometry.
+pub(crate) fn conv2d_nchw(
+    g: &ConvGeom,
+    n: usize,
+    o: usize,
+    x: &[f32],
+    wt: &[f32],
+    out: &mut [f32],
+) {
+    let plane = g.ho * g.wo;
+    let k = g.c * g.kh * g.kw;
+    assert_eq!(x.len(), n * g.c * g.h * g.w, "input length must be n*c*h*w");
+    assert_eq!(wt.len(), o * k, "weight length must be o*c*kh*kw");
+    assert_eq!(out.len(), n * o * plane, "output length must be n*o*ho*wo");
+    let a = Lhs::Im2col(x, *g);
+    let dst = Dst::Nchw { plane, channels: o };
+    gemm(
+        configured_threads(),
+        n * plane,
+        k,
+        o,
+        a,
+        wt,
+        View::new(Trans::T, k, o),
+        out,
+        dst,
+    );
 }
 
 #[cfg(test)]

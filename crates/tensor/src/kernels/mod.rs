@@ -1,18 +1,21 @@
 //! High-performance CPU kernels for the U-Net / DDIM hot path.
 //!
 //! Every DCDiff recover call bottoms out in dense matrix products (linear
-//! layers, attention, im2col convolution). This module supplies the fast
-//! path the [`crate::Tensor`] ops build on:
+//! layers, attention, convolution). This module supplies the fast path
+//! the [`crate::Tensor`] ops build on:
 //!
 //! * [`sgemm`] — cache-blocked, register-tiled `C += op(A)·op(B)` with
 //!   packed panels and a dense microkernel (no per-element zero-skip
-//!   branch), sharded across a std-only persistent thread pool;
+//!   branch), sharded across a std-only persistent thread pool. The
+//!   convolution forward runs the same blocked loop as an implicit GEMM
+//!   that packs straight from the NCHW input and adds straight into the
+//!   NCHW output;
 //! * [`Trans`] — stride-aware operand views so backward passes
 //!   (`dA = dC·Bᵀ`, `dB = Aᵀ·dC`) never materialise transposed copies;
 //! * [`parallel_for`] / [`parallel_chunks_mut`] — the scoped pool, also
-//!   used to fan im2col/col2im across samples;
-//! * [`scratch`] — per-thread buffer recycling for packing, im2col and
-//!   rearrange temporaries;
+//!   used to fan the backward pass's im2col/col2im across samples;
+//! * [`scratch`] — per-thread buffer recycling for packing panels and
+//!   backward-pass temporaries;
 //! * [`gemm_naive`] — the seed repo's scalar reference, kept for parity
 //!   tests and as the baseline in `kernel_bench`;
 //! * [`KernelConfig`] — the thread/block configuration, embedded in bench
@@ -26,42 +29,12 @@
 //! `tensor.{gemm,conv}_flops` counters.
 
 pub mod config;
-pub mod f16;
 mod gemm;
 pub(crate) mod metrics;
 mod pool;
 pub mod scratch;
 
-pub use config::{
-    configured_threads, quantised_inference, set_quantised_inference, set_threads, KernelConfig,
-};
-pub use f16::{f16_to_f32, f32_to_f16, hgemm, hgemm_info, hgemm_with_threads, quantize_f16_slice};
+pub use config::{configured_threads, set_threads, KernelConfig};
+pub(crate) use gemm::{conv2d_nchw, ConvGeom};
 pub use gemm::{gemm_naive, microkernel_info, sgemm, sgemm_with_threads, Trans};
 pub use pool::{parallel_for, parallel_chunks_mut};
-
-/// Inference-aware GEMM dispatch: routes to the f16-storage [`hgemm`]
-/// when quantised inference is enabled **and** the autograd tape is off,
-/// otherwise to the full-precision [`sgemm`].
-///
-/// Ops call this from their *forward* GEMMs only — backward passes call
-/// [`sgemm`] directly, so enabling quantisation can never perturb
-/// gradients (training inside a `no_grad` scope does not exist by
-/// construction). The accuracy contract for the f16 route is pinned by
-/// the workspace accuracy gate (see `PERFORMANCE.md`).
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_infer(
-    ta: Trans,
-    tb: Trans,
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-) {
-    if quantised_inference() && !crate::tensor::grad_enabled() {
-        hgemm(ta, tb, m, k, n, a, b, c);
-    } else {
-        sgemm(ta, tb, m, k, n, a, b, c);
-    }
-}

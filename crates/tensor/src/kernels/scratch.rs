@@ -1,25 +1,25 @@
 //! Thread-local reuse of f32 work buffers.
 //!
-//! The autograd hot path used to allocate fresh im2col / packing / rearrange
-//! buffers on every call; at U-Net sizes those are multi-megabyte
-//! allocations hit hundreds of times per DDIM step. [`take`] hands back a
-//! zeroed buffer recycled from this thread's pool and [`put`] returns it;
+//! GEMM packing panels are requested on every blocked product, hundreds of
+//! times per DDIM step, and the convolution backward pass needs
+//! multi-megabyte im2col and gradient staging buffers. [`take`] hands back
+//! a zeroed buffer recycled from this thread's pool and [`put`] returns it;
 //! [`take_dirty`] skips the zeroing for callers that overwrite every
-//! element before reading (im2col, GEMM packing). Buffers that must outlive
-//! the call (e.g. im2col columns retained for the backward pass) are simply
-//! never returned and the pool regenerates.
+//! element before reading (GEMM packing, the backward pass's im2col).
+//! Buffers that must outlive the call are simply never returned and the
+//! pool regenerates.
 //!
 //! Recycling is **best-fit**: a request takes the smallest pooled buffer
 //! whose capacity suffices. First-fit let a kilobyte-sized request walk off
-//! with a 14 MB im2col buffer, so the next large request missed the pool
-//! and paid a fresh `mmap` plus a page-fault storm — at cohort batch widths
-//! that dominated the whole forward pass.
+//! with a multi-megabyte staging buffer, so the next large request missed
+//! the pool and paid a fresh `mmap` plus a page-fault storm.
 
 use std::cell::RefCell;
 
-/// Per-thread pool bound. Sized for the deepest mix the batched recover
-/// path reaches: im2col columns + GEMM output + A/B packing panels live at
-/// once, across ~a dozen distinct conv shapes per network.
+/// Per-thread pool bound. Sized for the deepest mix the training path
+/// reaches: A/B packing panels plus the convolution backward pass's
+/// gradient, im2col and column-gradient buffers live at once, across ~a
+/// dozen distinct conv shapes per network.
 const POOL_SLOTS: usize = 16;
 
 thread_local! {

@@ -10,7 +10,7 @@
 //! * [`kernels`] — the blocked, register-tiled, multi-threaded GEMM and
 //!   thread-pool layer every dense op dispatches to (`DCDIFF_THREADS`
 //!   controls the thread budget);
-//! * dense 2-D [`Tensor::matmul`] and batched im2col [`Tensor::conv2d`];
+//! * dense 2-D [`Tensor::matmul`] and implicit-GEMM [`Tensor::conv2d`];
 //! * activations, group normalisation, pooling, upsampling, concatenation;
 //! * losses (MSE, L1, masked MSE, softmax cross-entropy);
 //! * [`optim`] — SGD and Adam;

@@ -1,13 +1,13 @@
 use std::time::Instant;
 
 use super::elementwise::shape4;
-use crate::kernels::{self, parallel_chunks_mut, scratch, sgemm, Trans};
+use crate::kernels::{self, parallel_chunks_mut, scratch, sgemm, ConvGeom, Trans};
 use crate::Tensor;
 
 /// Unfold one `[C, H, W]` sample into rows-layout im2col: `col` has shape
 /// `[ho*wo, c*kh*kw]`, one row per output position (zero padding). The
 /// rows layout lets all samples' columns stack into a single
-/// `[N*ho*wo, C*kh*kw]` matrix so the whole batch runs as one GEMM.
+/// `[N*ho*wo, C*kh*kw]` matrix, the operand of the weight-gradient GEMM.
 ///
 /// Writes every element of `col` (callers may pass recycled buffers).
 #[allow(clippy::too_many_arguments)]
@@ -103,12 +103,14 @@ impl Tensor {
     /// `weight` has shape `[O, C, kh, kw]`; the result is
     /// `[N, O, ho, wo]` with `ho = (H + 2*pad - kh) / stride + 1`.
     ///
-    /// All N samples' im2col columns stack into one `[N*ho*wo, C*kh*kw]`
-    /// matrix so forward, weight-gradient and input-gradient passes each
-    /// run as a single blocked GEMM ([`kernels::sgemm`]); im2col/col2im
-    /// fan out across samples on the kernel thread pool. The column matrix
-    /// is retained for backward only when the weight tracks gradients —
-    /// inference recycles it through the scratch pool.
+    /// The forward pass is one implicit GEMM over all N samples: the
+    /// blocked kernel packs its operand strips straight from the NCHW
+    /// input and adds its result tiles straight into the NCHW output, so
+    /// no im2col matrix is built, kept or recycled, in training or in
+    /// inference. The backward pass builds the im2col rows from the input
+    /// only when the weight needs a gradient; the weight- and
+    /// input-gradient passes each run as a single blocked GEMM
+    /// ([`kernels::sgemm`]).
     ///
     /// # Panics
     ///
@@ -129,81 +131,12 @@ impl Tensor {
         let ckk = c * kh * kw;
         let owo = ho * wo;
         let np = n * owo;
+        let chw = c * h * w;
 
         let t0 = Instant::now();
-        // Borrow both operands instead of cloning them: the forward pass
-        // only reads, and the backward pass re-borrows the weight through
-        // its parent handle, so no copy of x or W ever needs to outlive
-        // this call.
-        let x_ref = self.data();
-        let x: &[f32] = &x_ref;
-        let wt_ref = weight.data();
-        let wt: &[f32] = &wt_ref;
-        let keep_cols = weight.tracks_grad();
-
-        // Training stacks all samples' im2col rows into one [np, ckk]
-        // matrix because the backward pass consumes it whole. Inference is
-        // free to process the batch in sample blocks instead: at cohort
-        // widths a full-resolution column matrix runs to tens of megabytes,
-        // spills the last-level cache, and the GEMM re-reads it from DRAM —
-        // per-sample throughput at n=8 measured *worse* than n=1. Blocks
-        // are sized so the staging buffer stays cache-resident; each block
-        // is still a multi-thousand-row GEMM, so kernel efficiency is
-        // unaffected.
-        const INFER_COLS_BLOCK_F32: usize = 1 << 20;
-        let per_sample = owo * ckk;
-        let nb =
-            if keep_cols { n } else { (INFER_COLS_BLOCK_F32 / per_sample.max(1)).clamp(1, n) };
-        // im2col writes every element, so the staging buffer can be dirty.
-        let mut cols =
-            if keep_cols { vec![0.0f32; np * ckk] } else { scratch::take_dirty(nb * per_sample) };
-        let mut out_rm = scratch::take(np * o);
-        let chw = c * h * w;
-        for start in (0..n).step_by(nb) {
-            let cn = nb.min(n - start);
-            // keep_cols runs a single full-batch block, so indexing `cols`
-            // from 0 is correct for both paths.
-            let cblock = &mut cols[..cn * per_sample];
-            parallel_chunks_mut(cblock, per_sample, &|ni, block| {
-                let s = start + ni;
-                im2col_rows(&x[s * chw..(s + 1) * chw], c, h, w, kh, kw, stride, pad, ho, wo, block);
-            });
-            // [cn*owo, ckk] x [ckk, o] with the weight read transposed
-            // through strides, landing in this block's slice of [np, o].
-            // Forward conv routes through the quantised-inference dispatch;
-            // the backward GEMMs stay full-precision sgemm.
-            kernels::gemm_infer(
-                Trans::N,
-                Trans::T,
-                cn * owo,
-                ckk,
-                o,
-                cblock,
-                wt,
-                &mut out_rm[start * owo * o..(start + cn) * owo * o],
-            );
-        }
-
-        // Scatter [np, o] row-major back to NCHW [n, o, ho*wo].
+        let geom = ConvGeom { c, h, w, kh, kw, stride, pad, ho, wo };
         let mut out = vec![0.0f32; n * o * owo];
-        {
-            let out_rm = &out_rm[..];
-            parallel_chunks_mut(&mut out, o * owo, &|ni, block| {
-                for oi in 0..o {
-                    let dst = &mut block[oi * owo..(oi + 1) * owo];
-                    for (p, v) in dst.iter_mut().enumerate() {
-                        *v = out_rm[(ni * owo + p) * o + oi];
-                    }
-                }
-            });
-        }
-        scratch::put(out_rm);
-        let cols = if keep_cols {
-            Some(cols)
-        } else {
-            scratch::put(cols);
-            None
-        };
+        kernels::conv2d_nchw(&geom, n, o, &self.data(), &weight.data(), &mut out);
         kernels::metrics::record_conv(t0.elapsed(), 2 * (np * ckk * o) as u64);
 
         Tensor::from_op(
@@ -227,12 +160,20 @@ impl Tensor {
                     }
                 });
                 if parents[1].tracks_grad() {
-                    // analysis: allow(panic-reachability) — forward retains `cols` whenever the weight tracks grad
-                    let cols = cols.as_deref().expect("columns retained when weight tracks grad");
-                    // dW [o, ckk] = dOutᵀ [o, np] · cols [np, ckk]
+                    // dW [o, ckk] = dOutᵀ [o, np] · cols [np, ckk], over the
+                    // im2col rows the forward never built. im2col writes
+                    // every element, so the buffer can be dirty.
+                    let x_ref = parents[0].data();
+                    let x: &[f32] = &x_ref;
+                    let mut cols = scratch::take_dirty(np * ckk);
+                    parallel_chunks_mut(&mut cols, owo * ckk, &|ni, block| {
+                        let xs = &x[ni * chw..(ni + 1) * chw];
+                        im2col_rows(xs, c, h, w, kh, kw, stride, pad, ho, wo, block);
+                    });
                     let mut gw = vec![0.0f32; o * ckk];
-                    sgemm(Trans::T, Trans::N, o, np, ckk, &g_rm, cols, &mut gw);
+                    sgemm(Trans::T, Trans::N, o, np, ckk, &g_rm, &cols, &mut gw);
                     flops += 2 * (o * np * ckk) as u64;
+                    scratch::put(cols);
                     parents[1].accumulate_grad(&gw);
                 }
                 if parents[0].tracks_grad() {

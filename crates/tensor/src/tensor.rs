@@ -15,13 +15,11 @@ thread_local! {
 /// Run `f` with autograd tape construction disabled on this thread.
 ///
 /// Inside the closure, ops whose parents would normally join the tape
-/// produce constant nodes instead: no backward closure is recorded, and no
-/// per-op saved state (most importantly im2col column matrices, which at
-/// cohort batch sizes are tens of megabytes per convolution) is retained
-/// for a backward pass. Every work buffer recycles through the kernel
-/// scratch pool, so repeated inference forwards reuse a small, warm set of
-/// allocations instead of mapping and unmapping fresh multi-megabyte
-/// regions on every call.
+/// produce constant nodes instead: no backward closure is recorded, so no
+/// op keeps its parents (or the values its backward pass would read)
+/// alive past the forward. Kernel work buffers (GEMM packing panels)
+/// recycle through the kernel scratch pool, so repeated inference
+/// forwards reuse a small, warm set of allocations.
 ///
 /// The guard nests and restores the previous mode even if `f` panics.
 /// Tensors created inside the closure are permanently constant; tensors

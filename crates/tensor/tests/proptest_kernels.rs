@@ -1,12 +1,14 @@
 //! Property-based parity tests for the blocked/threaded kernel layer: on
 //! random shapes (including degenerate k = 0/1 products) the packed
 //! [`sgemm`] must agree with the naive reference for every transpose
-//! combination and thread budget, and the batched-GEMM `conv2d` must agree
-//! with a direct nested-loop convolution and with finite differences.
+//! combination and thread budget, and the implicit-GEMM `conv2d` must
+//! agree with a direct nested-loop convolution and with finite
+//! differences, and bit for bit with an explicit im2col + [`sgemm`] +
+//! NCHW scatter forward.
 
 use dcdiff_tensor::gradcheck::check_gradient;
-use dcdiff_tensor::kernels::{gemm_naive, sgemm_with_threads, Trans};
-use dcdiff_tensor::Tensor;
+use dcdiff_tensor::kernels::{gemm_naive, sgemm, sgemm_with_threads, Trans};
+use dcdiff_tensor::{no_grad, Tensor};
 use proptest::prelude::*;
 
 fn values(n: usize) -> impl Strategy<Value = Vec<f32>> {
@@ -81,8 +83,130 @@ fn conv_reference(
     out
 }
 
+/// The explicit-im2col convolution forward: unfold every sample into
+/// rows-layout columns `[N*ho*wo, C*kh*kw]` (zero padding), multiply by the
+/// transposed weight with [`sgemm`] into a zeroed row-major `[N*ho*wo, O]`
+/// product, then scatter that to NCHW.
+#[allow(clippy::too_many_arguments)]
+fn conv_im2col_sgemm(
+    x: &[f32],
+    n: usize,
+    c: usize,
+    h: usize,
+    w: usize,
+    wt: &[f32],
+    o: usize,
+    k: usize,
+    stride: usize,
+    pad: usize,
+) -> Vec<f32> {
+    let ho = (h + 2 * pad - k) / stride + 1;
+    let wo = (w + 2 * pad - k) / stride + 1;
+    let (owo, ckk) = (ho * wo, c * k * k);
+    let mut cols = vec![0.0f32; n * owo * ckk];
+    for (row, col) in cols.chunks_exact_mut(ckk).enumerate() {
+        let (s, oy, ox) = (row / owo, row % owo / wo, row % wo);
+        for (q, v) in col.iter_mut().enumerate() {
+            let (ci, ky, kx) = (q / (k * k), q % (k * k) / k, q % k);
+            let iy = (oy * stride + ky) as isize - pad as isize;
+            let ix = (ox * stride + kx) as isize - pad as isize;
+            if (0..h as isize).contains(&iy) && (0..w as isize).contains(&ix) {
+                *v = x[((s * c + ci) * h + iy as usize) * w + ix as usize];
+            }
+        }
+    }
+    let mut rows = vec![0.0f32; n * owo * o];
+    sgemm(Trans::N, Trans::T, n * owo, ckk, o, &cols, wt, &mut rows);
+    let mut out = vec![0.0f32; n * o * owo];
+    for (row, vals) in rows.chunks_exact(o).enumerate() {
+        let (s, p) = (row / owo, row % owo);
+        for (oi, &v) in vals.iter().enumerate() {
+            out[(s * o + oi) * owo + p] = v;
+        }
+    }
+    out
+}
+
+/// `Tensor::conv2d` must reproduce [`conv_im2col_sgemm`] bit for bit, both
+/// as an inference forward (`no_grad`) and as a training forward through a
+/// parameter weight.
+#[allow(clippy::too_many_arguments)]
+fn assert_conv_bit_identical(
+    n: usize,
+    c: usize,
+    h: usize,
+    w: usize,
+    o: usize,
+    k: usize,
+    stride: usize,
+    pad: usize,
+    seed: u32,
+) -> Result<(), TestCaseError> {
+    let mix = |i: usize, s: f32| ((i as f32) * 0.377 + seed as f32 * 0.23 + s).sin();
+    let xv: Vec<f32> = (0..n * c * h * w).map(|i| mix(i, 0.0)).collect();
+    let wv: Vec<f32> = (0..o * c * k * k).map(|i| mix(i, 1.0) * 0.2).collect();
+    let want = conv_im2col_sgemm(&xv, n, c, h, w, &wv, o, k, stride, pad);
+    let x = Tensor::from_vec(vec![n, c, h, w], xv);
+    let inference = no_grad(|| {
+        let wt = Tensor::from_vec(vec![o, c, k, k], wv.clone());
+        x.conv2d(&wt, stride, pad).to_vec()
+    });
+    let training = x
+        .conv2d(&Tensor::param(vec![o, c, k, k], wv), stride, pad)
+        .to_vec();
+    let shape = format!("{n}x{c}x{h}x{w} -> {o}, k{k} s{stride} p{pad}");
+    for (mode, got) in [("no_grad", &inference), ("param", &training)] {
+        prop_assert_eq!(got.len(), want.len(), "{} {}", mode, shape);
+        for (i, (g, e)) in got.iter().zip(&want).enumerate() {
+            prop_assert!(
+                g.to_bits() == e.to_bits(),
+                "{mode} {shape} out[{i}]: {g} vs {e}"
+            );
+        }
+    }
+    Ok(())
+}
+
+#[test]
+fn conv2d_is_bit_identical_to_im2col_sgemm_at_network_shapes() {
+    // (n, c, h, w, o, k, stride, pad): stage-1 `d_res0.conv1` and stride-2
+    // `ac1` at 64x64, the U-Net on 8x8 latents, and the fused 8-lane
+    // U-Net convs on the 2x2 / 1x1 latents of 16x16 tiles.
+    for (n, c, h, w, o, k, stride, pad) in [
+        (1, 24, 64, 64, 12, 3, 1, 1),
+        (1, 12, 64, 64, 12, 3, 2, 1),
+        (1, 16, 8, 8, 16, 3, 1, 1),
+        (1, 16, 2, 2, 16, 3, 1, 1),
+        (8, 48, 2, 2, 16, 3, 1, 1),
+        (8, 64, 1, 1, 32, 3, 1, 1),
+        (8, 32, 1, 1, 32, 1, 1, 0),
+    ] {
+        assert_conv_bit_identical(n, c, h, w, o, k, stride, pad, 5).unwrap();
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn conv2d_is_bit_identical_to_im2col_sgemm(
+        n in 1usize..=8,
+        h in 1usize..=70,
+        w in 1usize..=70,
+        c in 1usize..=32,
+        o in 1usize..=24,
+        k in 1usize..=3,
+        stride in 1usize..=2,
+        pad in 0usize..=1,
+        seed in 0u32..1000,
+    ) {
+        // c*k*k reaches 288, across the KC = 256 depth panel; o crosses
+        // NR = 16. The batch shrinks to keep a case's work bounded.
+        prop_assume!(h + 2 * pad >= k && w + 2 * pad >= k);
+        let plane = ((h + 2 * pad - k) / stride + 1) * ((w + 2 * pad - k) / stride + 1);
+        let n = n.min((1usize << 24) / (plane * c * k * k * o)).max(1);
+        assert_conv_bit_identical(n, c, h, w, o, k, stride, pad, seed)?;
+    }
 
     #[test]
     fn sgemm_matches_naive_on_random_shapes(
