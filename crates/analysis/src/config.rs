@@ -1,22 +1,16 @@
 //! Rule catalogue and per-rule scoping.
 //!
 //! Every rule has a *scope*: the set of workspace-relative paths it applies
-//! to. Contracts differ per layer — panic-freedom is a hard requirement in
-//! the crates that parse untrusted bytes (`jpeg`), inject faults
-//! (`faults`), or execute jobs (`runtime`), but a deliberate non-goal in
-//! test fixtures and the CLI, where `assert!` on programmer error is
-//! idiomatic. Scoping is data, not code, so the default workspace policy
-//! is a single function a reader can audit in one screen.
+//! to. Scoping is data, not code, so the default workspace policy is a
+//! single function a reader can audit in one screen. Policy the compiler
+//! or clippy can enforce (panic-freedom, bounds checks, SAFETY comments,
+//! registered telemetry names) lives next to the code it governs instead:
+//! see ANALYSIS.md.
 
 /// All rule identifiers, in the order diagnostics are reported.
 pub const RULES: &[&str] = &[
-    "no-panic",
-    "no-unchecked-index",
-    "unsafe-audit",
     "unsafe-ledger",
-    "lock-hygiene",
     "condvar-wait-loop",
-    "telemetry-names",
     "panic-reachability",
     "lock-order-cycle",
     "hot-path-alloc",
@@ -24,7 +18,7 @@ pub const RULES: &[&str] = &[
 ];
 
 /// The interprocedural rules: they run over the whole workspace call
-/// graph, never per file, so `--changed` does not narrow them.
+/// graph, never per file.
 pub const INTERPROC_RULES: &[&str] =
     &["panic-reachability", "lock-order-cycle", "hot-path-alloc"];
 
@@ -56,19 +50,10 @@ impl Scope {
 pub struct Config {
     /// When set, only this rule runs (`dcdiff lint --rule <id>`).
     pub only: Option<String>,
-    /// When set (`dcdiff lint --changed`), file-local rules run only on
-    /// these workspace-relative paths; the interprocedural rules still
-    /// see the whole workspace, and unused-allow detection is skipped
-    /// (it needs a full run to know an allow suppressed nothing).
-    pub changed: Option<Vec<String>>,
     /// Request-path entry points for `panic-reachability` and `--why`,
     /// matched as `::`-boundary symbol suffixes. Defaults to
     /// [`crate::interproc::DEFAULT_ENTRIES`].
     pub entries: Vec<String>,
-    /// Count `assert!`-family macros as panic sites for
-    /// `panic-reachability`. Off by default: asserts encode
-    /// programmer-error contracts, not input-driven availability hazards.
-    pub include_asserts: bool,
     /// Per-rule scopes, parallel to [`RULES`].
     scopes: Vec<(&'static str, Scope)>,
 }
@@ -76,27 +61,17 @@ pub struct Config {
 impl Config {
     /// The workspace policy this repository commits to.
     ///
-    /// * `no-panic` — the untrusted-input and job-execution crates must
-    ///   not contain reachable panics: `crates/jpeg` (bytes off the wire),
-    ///   `crates/faults` library (runs inside recovery paths),
-    ///   `crates/runtime` (must survive any job), and `crates/serve` (a
-    ///   long-lived server parsing untrusted network bytes). The faults
-    ///   *fixture binary* is a dev tool and exempt.
-    /// * `no-unchecked-index` — the entropy-decode hot path is driven
-    ///   directly by untrusted bits, so plain `x[i]` indexing is banned in
-    ///   `bitstream.rs` and `huffman.rs` specifically.
-    /// * `unsafe-audit` / `unsafe-ledger` — workspace-wide except the
-    ///   vendored shims (third-party API stand-ins, not our contract).
-    /// * `lock-hygiene` / `condvar-wait-loop` — the two places that do
-    ///   nontrivial synchronisation: the tensor worker pool and the
-    ///   runtime.
-    /// * `telemetry-names` — workspace-wide except vendored shims and test
-    ///   code (tests pin wire formats with raw literals on purpose).
+    /// * `unsafe-ledger` — workspace-wide except the vendored shims
+    ///   (third-party API stand-ins, not our contract).
+    /// * `condvar-wait-loop` — the places that do nontrivial
+    ///   synchronisation: the tensor worker pool, the runtime and the
+    ///   server.
     /// * `panic-reachability` / `lock-order-cycle` / `hot-path-alloc` —
     ///   the interprocedural rules; they walk the whole workspace call
     ///   graph and anchor findings at the offending site, so their scope
     ///   is everything but the vendored shims.
-    /// * `bad-allow` — everywhere: a malformed escape hatch is never okay.
+    /// * `bad-allow` — everywhere but the vendored shims: a malformed
+    ///   escape hatch is never okay.
     pub fn default_workspace() -> Config {
         let scope = |include: &[&str], exclude: &[&str]| Scope {
             include: include.iter().map(|s| s.to_string()).collect(),
@@ -104,45 +79,12 @@ impl Config {
         };
         Config {
             only: None,
-            changed: None,
             entries: crate::interproc::DEFAULT_ENTRIES
                 .iter()
                 .map(|s| s.to_string())
                 .collect(),
-            include_asserts: false,
             scopes: vec![
-                (
-                    "no-panic",
-                    scope(
-                        &[
-                            "crates/jpeg/src/",
-                            "crates/faults/src/lib.rs",
-                            "crates/runtime/src/",
-                            "crates/serve/src/",
-                        ],
-                        &[],
-                    ),
-                ),
-                (
-                    "no-unchecked-index",
-                    scope(
-                        &["crates/jpeg/src/bitstream.rs", "crates/jpeg/src/huffman.rs"],
-                        &[],
-                    ),
-                ),
-                ("unsafe-audit", scope(&[], &["vendor/"])),
                 ("unsafe-ledger", scope(&[], &["vendor/"])),
-                (
-                    "lock-hygiene",
-                    scope(
-                        &[
-                            "crates/tensor/src/kernels/",
-                            "crates/runtime/src/",
-                            "crates/serve/src/",
-                        ],
-                        &[],
-                    ),
-                ),
                 (
                     "condvar-wait-loop",
                     scope(
@@ -153,10 +95,6 @@ impl Config {
                         ],
                         &[],
                     ),
-                ),
-                (
-                    "telemetry-names",
-                    scope(&[], &["vendor/", "/tests/", "tests/"]),
                 ),
                 // The interprocedural rules anchor findings at the
                 // offending site, which may be anywhere the request path
@@ -197,32 +135,22 @@ mod tests {
     #[test]
     fn default_scopes_cover_the_contract_crates() {
         let cfg = Config::default_workspace();
-        assert!(cfg.in_scope("no-panic", "crates/jpeg/src/codec.rs"));
-        assert!(cfg.in_scope("no-panic", "crates/runtime/src/exec.rs"));
-        assert!(cfg.in_scope("no-panic", "crates/faults/src/lib.rs"));
-        assert!(cfg.in_scope("no-panic", "crates/serve/src/server.rs"));
-        assert!(cfg.in_scope("lock-hygiene", "crates/serve/src/server.rs"));
+        assert!(cfg.in_scope("condvar-wait-loop", "crates/tensor/src/kernels/pool.rs"));
+        assert!(cfg.in_scope("condvar-wait-loop", "crates/runtime/src/queue.rs"));
         assert!(cfg.in_scope("condvar-wait-loop", "crates/serve/src/http.rs"));
-        assert!(!cfg.in_scope("no-panic", "crates/serve/tests/protocol.rs"));
-        assert!(!cfg.in_scope("no-panic", "crates/faults/src/bin/fault_fixtures.rs"));
-        assert!(!cfg.in_scope("no-panic", "crates/cli/src/commands.rs"));
-    }
-
-    #[test]
-    fn unchecked_index_is_limited_to_the_entropy_decode_path() {
-        let cfg = Config::default_workspace();
-        assert!(cfg.in_scope("no-unchecked-index", "crates/jpeg/src/bitstream.rs"));
-        assert!(cfg.in_scope("no-unchecked-index", "crates/jpeg/src/huffman.rs"));
-        assert!(!cfg.in_scope("no-unchecked-index", "crates/jpeg/src/dct.rs"));
+        assert!(!cfg.in_scope("condvar-wait-loop", "crates/serve/tests/protocol.rs"));
+        assert!(!cfg.in_scope("condvar-wait-loop", "crates/cli/src/commands.rs"));
+        assert!(cfg.in_scope("panic-reachability", "crates/jpeg/src/codec.rs"));
+        assert!(cfg.in_scope("panic-reachability", "crates/serve/src/server.rs"));
     }
 
     #[test]
     fn vendored_shims_are_exempt_from_global_rules() {
         let cfg = Config::default_workspace();
-        assert!(cfg.in_scope("unsafe-audit", "crates/tensor/src/kernels/gemm.rs"));
-        assert!(!cfg.in_scope("unsafe-audit", "vendor/rand/src/lib.rs"));
-        assert!(!cfg.in_scope("telemetry-names", "crates/telemetry/tests/telemetry.rs"));
-        assert!(cfg.in_scope("telemetry-names", "crates/runtime/src/exec.rs"));
+        for rule in ["unsafe-ledger", "bad-allow"] {
+            assert!(cfg.in_scope(rule, "crates/tensor/src/kernels/gemm.rs"));
+            assert!(!cfg.in_scope(rule, "vendor/rand/src/lib.rs"));
+        }
     }
 
     #[test]
@@ -234,15 +162,15 @@ mod tests {
             assert!(!cfg.in_scope(rule, "vendor/rand/src/lib.rs"));
         }
         assert!(!cfg.entries.is_empty());
-        assert!(!cfg.include_asserts);
     }
 
     #[test]
     fn rule_filter_disables_everything_else() {
         let mut cfg = Config::default_workspace();
-        cfg.only = Some("no-panic".to_string());
-        assert!(cfg.in_scope("no-panic", "crates/jpeg/src/codec.rs"));
-        assert!(!cfg.in_scope("unsafe-audit", "crates/tensor/src/kernels/gemm.rs"));
+        cfg.only = Some("condvar-wait-loop".to_string());
+        assert!(cfg.in_scope("condvar-wait-loop", "crates/runtime/src/queue.rs"));
+        assert!(!cfg.in_scope("unsafe-ledger", "crates/tensor/src/kernels/gemm.rs"));
+        assert!(!cfg.rule_enabled("panic-reachability"));
     }
 
     #[test]
@@ -257,5 +185,11 @@ mod tests {
             );
         }
         assert!(!is_rule("no-such-rule"));
+        // Enforced by clippy or the compiler instead (ANALYSIS.md).
+        for gone in
+            ["no-panic", "no-unchecked-index", "unsafe-audit", "lock-hygiene", "telemetry-names"]
+        {
+            assert!(!is_rule(gone), "{gone}");
+        }
     }
 }

@@ -21,7 +21,7 @@ pub struct ChainStep {
 /// One finding from one rule at one source location.
 #[derive(Debug, Clone, Default)]
 pub struct Diagnostic {
-    /// Rule identifier, e.g. `no-panic`.
+    /// Rule identifier, e.g. `panic-reachability`.
     pub rule: &'static str,
     /// Workspace-relative path.
     pub file: String,
@@ -170,7 +170,7 @@ mod tests {
 
     fn sample() -> Diagnostic {
         Diagnostic {
-            rule: "no-panic",
+            rule: "panic-reachability",
             file: "crates/jpeg/src/codec.rs".to_string(),
             line: 42,
             message: "`unwrap()` on untrusted data".to_string(),
@@ -184,7 +184,7 @@ mod tests {
     fn display_includes_location_rule_and_hint() {
         let text = sample().to_string();
         assert!(text.contains("crates/jpeg/src/codec.rs:42"));
-        assert!(text.contains("[no-panic]"));
+        assert!(text.contains("[panic-reachability]"));
         assert!(text.contains("hint:"));
     }
 

@@ -10,10 +10,9 @@
 //!   guard boundary), and — for lock-returning helpers — how long a
 //!   returned guard stays live;
 //! * **panic sites** — `.unwrap()`/`.expect()` and the panicking macros
-//!   (`panic!`, `unreachable!`, `todo!`, `unimplemented!`; the `assert!`
-//!   family only when [`crate::config::Config::include_asserts`] is set,
-//!   because asserts encode programmer-error contracts, not input-driven
-//!   availability hazards);
+//!   (`panic!`, `unreachable!`, `todo!`, `unimplemented!`; not the
+//!   `assert!` family, because asserts encode programmer-error contracts,
+//!   not input-driven availability hazards);
 //! * **lock acquisitions** — `.lock(…)` calls keyed by the receiver's
 //!   last path segment, with the token range the guard is held for
 //!   (`let`-bound guards live to the end of the enclosing block,
@@ -71,22 +70,9 @@ pub struct CallSite {
     pub hold_end: usize,
 }
 
-/// What kind of panic a site is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PanicKind {
-    /// `.unwrap()` / `.expect(…)`.
-    UnwrapExpect,
-    /// `panic!` / `unreachable!` / `todo!` / `unimplemented!`.
-    Macro,
-    /// `assert!` / `assert_eq!` / `assert_ne!` (opt-in).
-    Assert,
-}
-
 /// One potential panic inside a function body.
 #[derive(Debug, Clone)]
 pub struct PanicSite {
-    /// What panics here.
-    pub kind: PanicKind,
     /// The construct, e.g. `unwrap` or `panic`.
     pub what: String,
     /// 1-based source line.
@@ -164,11 +150,11 @@ pub struct WorkspaceFacts {
 
 impl WorkspaceFacts {
     /// Add one file's functions.
-    pub fn add_file(&mut self, rel: &str, src: &str, model: &FileModel, include_asserts: bool) {
+    pub fn add_file(&mut self, rel: &str, src: &str, model: &FileModel) {
         if !facts_in_scope(rel) {
             return;
         }
-        extract_file(self, rel, src, model, include_asserts);
+        extract_file(self, rel, src, model);
     }
 
     /// Function indices whose symbol ends with `suffix` at a segment
@@ -241,7 +227,6 @@ enum Ctx {
 }
 
 const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
-const ASSERT_MACROS: &[&str] = &["assert", "assert_eq", "assert_ne"];
 const ALLOC_MACROS: &[&str] = &["vec", "format"];
 /// Method calls that allocate a fresh heap buffer.
 const ALLOC_METHODS: &[&str] = &[
@@ -306,13 +291,7 @@ fn call_keyword(word: &str) -> bool {
 }
 
 #[allow(clippy::too_many_lines)]
-fn extract_file(
-    out: &mut WorkspaceFacts,
-    rel: &str,
-    src: &str,
-    model: &FileModel,
-    include_asserts: bool,
-) {
+fn extract_file(out: &mut WorkspaceFacts, rel: &str, src: &str, model: &FileModel) {
     let toks = &model.lexed.tokens;
     let text = |i: usize| -> &str { &src[toks[i].start..toks[i].end] };
     let module = module_path(rel);
@@ -427,15 +406,7 @@ fn extract_file(
                         Ctx::Fn(k) => Some(Ctx::Fn(*k)),
                         _ => None,
                     }) {
-                        record_facts(
-                            out,
-                            src,
-                            model,
-                            fn_idx,
-                            i,
-                            include_asserts,
-                            guarded(i),
-                        );
+                        record_facts(out, src, model, fn_idx, i, guarded(i));
                     }
                 }
             }
@@ -637,7 +608,6 @@ fn record_facts(
     model: &FileModel,
     fn_idx: usize,
     i: usize,
-    include_asserts: bool,
     guarded: bool,
 ) {
     let toks = &model.lexed.tokens;
@@ -651,14 +621,6 @@ fn record_facts(
     if next_is(toks, src, i + 1, "!") && prev != Some(".") {
         if PANIC_MACROS.contains(&word) {
             out.functions[fn_idx].panics.push(PanicSite {
-                kind: PanicKind::Macro,
-                what: word.to_string(),
-                line,
-                guarded,
-            });
-        } else if include_asserts && ASSERT_MACROS.contains(&word) {
-            out.functions[fn_idx].panics.push(PanicSite {
-                kind: PanicKind::Assert,
                 what: word.to_string(),
                 line,
                 guarded,
@@ -683,7 +645,6 @@ fn record_facts(
         // Panic facts.
         if word == "unwrap" || word == "expect" {
             out.functions[fn_idx].panics.push(PanicSite {
-                kind: PanicKind::UnwrapExpect,
                 what: word.to_string(),
                 line,
                 guarded,
@@ -963,7 +924,7 @@ mod tests {
     fn facts(src: &str) -> WorkspaceFacts {
         let mut ws = WorkspaceFacts::default();
         let model = FileModel::build(src);
-        ws.add_file("crates/demo/src/lib.rs", src, &model, false);
+        ws.add_file("crates/demo/src/lib.rs", src, &model);
         ws
     }
 
@@ -1127,9 +1088,9 @@ mod tests {
         let mut ws = WorkspaceFacts::default();
         let src = "fn v() {}\n";
         let model = FileModel::build(src);
-        ws.add_file("vendor/rand/src/lib.rs", src, &model, false);
-        ws.add_file("crates/serve/tests/protocol.rs", src, &model, false);
-        ws.add_file("tests/lint_clean.rs", src, &model, false);
+        ws.add_file("vendor/rand/src/lib.rs", src, &model);
+        ws.add_file("crates/serve/tests/protocol.rs", src, &model);
+        ws.add_file("tests/lint_clean.rs", src, &model);
         assert!(ws.functions.is_empty());
     }
 }

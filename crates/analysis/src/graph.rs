@@ -384,7 +384,7 @@ mod tests {
         let mut out = WorkspaceFacts::default();
         for (rel, src) in files {
             let model = FileModel::build(src);
-            out.add_file(rel, src, &model, false);
+            out.add_file(rel, src, &model);
         }
         out
     }

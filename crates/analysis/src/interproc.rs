@@ -6,9 +6,7 @@
 //!   reachable from a request-handling entry point (`dcdiff serve`'s
 //!   connection handler, `dcdiff batch`'s worker loop). Call sites and
 //!   panic sites lexically inside a `catch_unwind(…)` argument are exempt:
-//!   that is the fallback ladder's containment boundary. Sites already
-//!   justified with `allow(no-panic)` are exempt too — the same reviewed
-//!   contract covers both rules.
+//!   that is the fallback ladder's containment boundary.
 //! * **`lock-order-cycle`** — the acquired-while-held relation between
 //!   named locks, collected across function boundaries, must be acyclic.
 //!   A cycle is the precondition for an ABBA deadlock; the diagnostic
@@ -487,7 +485,7 @@ mod tests {
         let mut facts = WorkspaceFacts::default();
         for (rel, src) in files {
             let model = FileModel::build(src);
-            facts.add_file(rel, src, &model, false);
+            facts.add_file(rel, src, &model);
         }
         let graph = CallGraph::build(&facts);
         (facts, graph)

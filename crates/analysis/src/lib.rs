@@ -1,24 +1,17 @@
 //! dcdiff-analysis: the workspace's own static-analysis engine.
 //!
-//! `cargo clippy` checks general Rust hygiene; this crate checks the
-//! *project's* contracts — the invariants this workspace commits to that
-//! no generic linter knows about:
+//! `cargo clippy` and the compiler enforce what they can express: the
+//! workspace's lint table, `clippy.toml` and per-crate `#![deny(…)]`
+//! attributes cover panic-freedom, bounds checks and SAFETY comments, and
+//! the `dcdiff_telemetry::names::Name` type makes unregistered telemetry
+//! names a compile error (ANALYSIS.md has the table). This crate checks
+//! the *project's* contracts that no generic linter knows about:
 //!
-//! * **`no-panic`** — the crates that parse untrusted bytes or execute
-//!   jobs must be panic-free: no `unwrap`/`expect`, no panicking macros.
-//! * **`no-unchecked-index`** — the entropy-decode hot path must not use
-//!   `x[i]` indexing; malformed input must surface as a `JpegError`.
-//! * **`unsafe-audit`** — every `unsafe` site carries an adjacent
-//!   `// SAFETY:` justification.
 //! * **`unsafe-ledger`** — every `unsafe` site is reconciled against the
 //!   committed [`UNSAFE_LEDGER.md`] by content hash, so edited unsafe code
 //!   forces a re-review, and a row whose justification is still the
 //!   generated placeholder counts as unreviewed.
-//! * **`lock-hygiene`** — no `.lock().unwrap()`: poisoned locks are
-//!   recovered, not re-panicked.
 //! * **`condvar-wait-loop`** — `Condvar::wait` happens inside a loop.
-//! * **`telemetry-names`** — span/metric name literals come from the
-//!   registry in [`dcdiff_telemetry::names`].
 //! * **`panic-reachability`** — no panic site transitively reachable
 //!   from the `dcdiff serve`/`dcdiff batch` request-handling entry
 //!   points, across function and crate boundaries ([`interproc`]).
@@ -60,12 +53,12 @@ pub const LEDGER_FILE: &str = "UNSAFE_LEDGER.md";
 ///
 /// Four phases: (1) scan every `.rs` file (skipping `target/` and
 /// dot-directories), build its [`parse::FileModel`] once, and run the
-/// in-scope file-local rules (narrowed to `cfg.changed` when set); (2)
-/// reconcile collected unsafe sites against `UNSAFE_LEDGER.md`; (3)
-/// extract per-function [`facts`], build the [`graph::CallGraph`], and
-/// run the [`interproc`] rules over the whole workspace, filtering the
-/// findings through the same allow annotations; (4) on full runs, flag
-/// allow annotations that suppressed nothing as `bad-allow`.
+/// in-scope file-local rules; (2) reconcile collected unsafe sites
+/// against `UNSAFE_LEDGER.md`; (3) extract per-function [`facts`],
+/// build the [`graph::CallGraph`], and run the [`interproc`] rules over
+/// the whole workspace, filtering the findings through the same allow
+/// annotations; (4) on full runs, flag allow annotations that suppressed
+/// nothing as `bad-allow`.
 ///
 /// # Errors
 ///
@@ -108,16 +101,12 @@ pub fn analyze_workspace_graph(root: &Path, cfg: &Config) -> Result<Analyzed, St
         };
         report.files += 1;
         let model = parse::FileModel::build(&src);
-        let local_rules = match &cfg.changed {
-            None => true,
-            Some(touched) => touched.iter().any(|t| t == &rel),
-        };
-        let mut findings = rules::check_file_model(&rel, &src, &model, cfg, local_rules);
+        let mut findings = rules::check_file_model(&rel, &src, &model, cfg);
         report.diagnostics.append(&mut findings.diagnostics);
         allows.extend(findings.allows.into_iter().map(|a| (rel.clone(), a)));
         sites.extend(findings.unsafe_sites.into_iter().map(|s| (rel.clone(), s)));
         if need_graph {
-            facts.add_file(&rel, &src, &model, cfg.include_asserts);
+            facts.add_file(&rel, &src, &model);
         }
     }
 
@@ -141,20 +130,16 @@ pub fn analyze_workspace_graph(root: &Path, cfg: &Config) -> Result<Analyzed, St
     }
 
     // Interprocedural phase: call graph + graph rules, filtered through
-    // the same allow annotations. A `panic-reachability` finding also
-    // honours `allow(no-panic)` at the site — the same reviewed contract
-    // covers both rules. A `lock-order-cycle` finding can be suppressed
-    // at any edge of its witness chain (breaking one edge breaks the
-    // cycle).
+    // the same allow annotations. A `lock-order-cycle` finding can be
+    // suppressed at any edge of its witness chain (breaking one edge
+    // breaks the cycle).
     let built_graph = if need_graph {
         let g = graph::CallGraph::build(&facts);
         let mut inter = interproc::run(&facts, &g, cfg);
         inter.retain(|d| {
             let mut covered = false;
             for (file, a) in allows.iter_mut() {
-                let at_site = file == &d.file
-                    && (a.covers(d.rule, d.line)
-                        || (d.rule == "panic-reachability" && a.covers("no-panic", d.line)));
+                let at_site = file == &d.file && a.covers(d.rule, d.line);
                 let at_edge = d.rule == "lock-order-cycle"
                     && d.chain
                         .iter()
@@ -173,10 +158,10 @@ pub fn analyze_workspace_graph(root: &Path, cfg: &Config) -> Result<Analyzed, St
         None
     };
 
-    // Unused-allow detection needs a full run: with `--rule` or
-    // `--changed`, a suppressed-nothing annotation may simply belong to a
-    // rule that did not run.
-    if cfg.only.is_none() && cfg.changed.is_none() {
+    // Unused-allow detection needs a full run: with `--rule`, a
+    // suppressed-nothing annotation may simply belong to a rule that did
+    // not run.
+    if cfg.only.is_none() {
         for (file, a) in &allows {
             if !a.used {
                 report.diagnostics.push(Diagnostic {
@@ -305,12 +290,12 @@ mod tests {
     fn seeded_violation_fixture_fails_the_lint() {
         let ws = TempWs::new("seeded");
         ws.write(
-            "crates/jpeg/src/codec.rs",
-            "pub fn decode(b: &[u8]) -> u8 { b.first().copied().unwrap() }\n",
+            "crates/serve/src/server.rs",
+            "pub fn handle_connection(b: &[u8]) -> u8 { b.first().copied().unwrap() }\n",
         );
         let report = analyze_workspace(&ws.root, &Config::default_workspace()).unwrap();
         assert!(!report.is_clean());
-        assert_eq!(report.diagnostics[0].rule, "no-panic");
+        assert_eq!(report.diagnostics[0].rule, "panic-reachability");
         assert!(report.to_json().contains("\"violations\":1"));
     }
 
@@ -470,59 +455,21 @@ mod tests {
     }
 
     #[test]
-    fn changed_scoping_narrows_local_rules_but_not_interproc() {
-        // Two files with file-local violations; only one is "touched".
-        // The untouched file's no-panic finding is skipped, but the
-        // interprocedural hot-path rule still sees the whole workspace.
-        let ws = TempWs::new("changed");
-        ws.write(
-            "crates/jpeg/src/a.rs",
-            "pub fn a(b: &[u8]) -> u8 { b.first().copied().unwrap() }\n",
-        );
-        ws.write(
-            "crates/jpeg/src/b.rs",
-            "pub fn b(b: &[u8]) -> u8 { b.first().copied().unwrap() }\n",
-        );
-        ws.write(
-            "crates/tensor/src/kernels/gemm.rs",
-            "// analysis: hot\nfn micro_kernel() { let v: Vec<u8> = Vec::new(); }\n",
-        );
-        let mut cfg = Config::default_workspace();
-        cfg.changed = Some(vec!["crates/jpeg/src/a.rs".to_string()]);
-        let report = analyze_workspace(&ws.root, &cfg).unwrap();
-        let rules: Vec<(&str, &str)> = report
-            .diagnostics
-            .iter()
-            .map(|d| (d.rule, d.file.as_str()))
-            .collect();
-        assert!(rules.contains(&("no-panic", "crates/jpeg/src/a.rs")), "{rules:?}");
-        assert!(!rules.iter().any(|(_, f)| *f == "crates/jpeg/src/b.rs"), "{rules:?}");
-        assert!(
-            rules.contains(&("hot-path-alloc", "crates/tensor/src/kernels/gemm.rs")),
-            "{rules:?}"
-        );
-    }
-
-    #[test]
     fn unused_allow_is_flagged_on_full_runs_only() {
         let ws = TempWs::new("unused-allow");
         ws.write(
-            "crates/jpeg/src/codec.rs",
-            "// analysis: allow(no-panic) — nothing left to excuse\npub fn f(b: &[u8]) -> u8 { b.first().copied().unwrap_or(0) }\n",
+            "crates/serve/src/server.rs",
+            "pub fn handle_connection(b: &[u8]) -> u8 {\n    // analysis: allow(panic-reachability) — nothing left to excuse\n    b.first().copied().unwrap_or(0)\n}\n",
         );
         let report = analyze_workspace(&ws.root, &Config::default_workspace()).unwrap();
         assert_eq!(report.diagnostics.len(), 1, "{:?}", report.diagnostics);
         assert_eq!(report.diagnostics[0].rule, "bad-allow");
         assert!(report.diagnostics[0].message.contains("suppresses nothing"));
 
-        // Narrowed runs cannot tell an unused allow from one whose rule
-        // did not run, so they stay silent about it.
+        // A `--rule` run cannot tell an unused allow from one whose rule
+        // did not run, so it stays silent about it.
         let mut cfg = Config::default_workspace();
-        cfg.changed = Some(vec![]);
-        let narrowed = analyze_workspace(&ws.root, &cfg).unwrap();
-        assert!(narrowed.is_clean(), "{:?}", narrowed.diagnostics);
-        let mut cfg = Config::default_workspace();
-        cfg.only = Some("unsafe-audit".to_string());
+        cfg.only = Some("condvar-wait-loop".to_string());
         let filtered = analyze_workspace(&ws.root, &cfg).unwrap();
         assert!(filtered.is_clean(), "{:?}", filtered.diagnostics);
     }
@@ -547,17 +494,19 @@ mod tests {
     fn rule_filter_runs_only_the_named_rule() {
         let ws = TempWs::new("filter");
         ws.write(
-            "crates/jpeg/src/codec.rs",
-            "pub fn f(b: &[u8]) -> u8 { b.first().copied().unwrap() }\n",
+            "crates/serve/src/server.rs",
+            "pub fn handle_connection(b: &[u8]) -> u8 { b.first().copied().unwrap() }\n",
         );
         ws.write(
-            "crates/tensor/src/kernels/x.rs",
-            "pub fn g(p: *const u8) -> u8 { unsafe { *p } }\n",
+            "crates/runtime/src/queue.rs",
+            "pub fn pop(c: &Condvar, g: Guard) { let _g = c.wait(g); }\n",
         );
-        let mut cfg = Config::default_workspace();
-        cfg.only = Some("no-panic".to_string());
-        let report = analyze_workspace(&ws.root, &cfg).unwrap();
-        assert!(report.diagnostics.iter().all(|d| d.rule == "no-panic"));
-        assert_eq!(report.diagnostics.len(), 1);
+        for rule in ["condvar-wait-loop", "panic-reachability"] {
+            let mut cfg = Config::default_workspace();
+            cfg.only = Some(rule.to_string());
+            let report = analyze_workspace(&ws.root, &cfg).unwrap();
+            let rules: Vec<&str> = report.diagnostics.iter().map(|d| d.rule).collect();
+            assert_eq!(rules, vec![rule]);
+        }
     }
 }

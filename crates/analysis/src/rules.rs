@@ -1,12 +1,13 @@
-//! The rule implementations and the per-file checking pipeline.
+//! The file-local rules and the per-file checking pipeline.
 //!
-//! Each rule is a pure function from a [`FileModel`] to diagnostics. The
-//! pipeline in [`check_file`] builds the model once, collects
-//! `// analysis: allow(<rule>) — <reason>` annotations, runs every rule
-//! the [`Config`] puts in scope, then filters the findings through the
-//! annotations. An annotation suppresses a finding of the named rule on
-//! its own line or the line directly below — i.e. it is written either as
-//! a trailing comment on the offending line or on the line above it.
+//! Two rules look at one file at a time: `condvar-wait-loop` and
+//! `bad-allow`. The pipeline in [`check_file_model`] collects
+//! `// analysis: allow(<rule>) — <reason>` annotations, runs the in-scope
+//! rules, then filters their findings through the annotations. An
+//! annotation suppresses a finding of the named rule on its own line or
+//! the line directly below — i.e. it is written either as a trailing
+//! comment on the offending line or on the line above it. The workspace
+//! pass applies the same annotations to the interprocedural rules.
 
 use crate::config::{is_rule, Config};
 use crate::diag::Diagnostic;
@@ -40,8 +41,6 @@ impl Allow {
 pub struct FileFindings {
     /// Diagnostics that survived allow filtering.
     pub diagnostics: Vec<Diagnostic>,
-    /// How many allow annotations actually suppressed something.
-    pub allows_used: usize,
     /// Every well-formed allow annotation in the file, with its used
     /// flag, for workspace-level interproc filtering and unused-allow
     /// detection.
@@ -51,23 +50,9 @@ pub struct FileFindings {
     pub unsafe_sites: Vec<UnsafeSite>,
 }
 
-/// Run every in-scope rule over one file (building the model here).
-pub fn check_file(rel: &str, src: &str, cfg: &Config) -> FileFindings {
-    let model = FileModel::build(src);
-    check_file_model(rel, src, &model, cfg, true)
-}
-
-/// Run the file-local pipeline over a prebuilt [`FileModel`]. With
-/// `local_rules` false (a `--changed` run on an untouched file) no rule
-/// diagnostics are produced, but allows and unsafe sites are still
-/// collected — the interprocedural pass and ledger need them regardless.
-pub fn check_file_model(
-    rel: &str,
-    src: &str,
-    model: &FileModel,
-    cfg: &Config,
-    local_rules: bool,
-) -> FileFindings {
+/// Run the file-local pipeline over a prebuilt [`FileModel`]: collect
+/// allows and unsafe sites, and run the in-scope file-local rules.
+pub fn check_file_model(rel: &str, src: &str, model: &FileModel, cfg: &Config) -> FileFindings {
     let lines: Vec<&str> = src.lines().collect();
     let snippet = |line: u32| -> String {
         lines
@@ -77,28 +62,11 @@ pub fn check_file_model(
 
     let mut raw: Vec<Diagnostic> = Vec::new();
     let (mut allows, mut bad_allow_diags) = collect_allows(rel, model, &snippet);
-    if local_rules {
-        if cfg.in_scope("bad-allow", rel) {
-            raw.append(&mut bad_allow_diags);
-        }
-        if cfg.in_scope("no-panic", rel) {
-            no_panic(rel, src, model, &snippet, &mut raw);
-        }
-        if cfg.in_scope("no-unchecked-index", rel) {
-            no_unchecked_index(rel, src, model, &snippet, &mut raw);
-        }
-        if cfg.in_scope("unsafe-audit", rel) {
-            unsafe_audit(rel, model, &snippet, &mut raw);
-        }
-        if cfg.in_scope("lock-hygiene", rel) {
-            lock_hygiene(rel, src, model, &snippet, &mut raw);
-        }
-        if cfg.in_scope("condvar-wait-loop", rel) {
-            condvar_wait_loop(rel, src, model, &snippet, &mut raw);
-        }
-        if cfg.in_scope("telemetry-names", rel) {
-            telemetry_names(rel, src, model, &snippet, &mut raw);
-        }
+    if cfg.in_scope("bad-allow", rel) {
+        raw.append(&mut bad_allow_diags);
+    }
+    if cfg.in_scope("condvar-wait-loop", rel) {
+        condvar_wait_loop(rel, src, model, &snippet, &mut raw);
     }
 
     // Filter through allow annotations. `bad-allow` findings cannot be
@@ -126,7 +94,6 @@ pub fn check_file_model(
     };
     FileFindings {
         diagnostics,
-        allows_used: allows.iter().filter(|a| a.used).count(),
         allows,
         unsafe_sites,
     }
@@ -203,192 +170,6 @@ fn bad_allow(rel: &str, line: u32, snippet: &dyn Fn(u32) -> String, why: &str) -
     }
 }
 
-/// Panic-freedom: no `unwrap()`/`expect()` method calls and no panicking
-/// macros in the scoped crates (test code exempt).
-fn no_panic(
-    rel: &str,
-    src: &str,
-    model: &FileModel,
-    snippet: &dyn Fn(u32) -> String,
-    out: &mut Vec<Diagnostic>,
-) {
-    const MACROS: &[&str] = &[
-        "panic",
-        "unreachable",
-        "todo",
-        "unimplemented",
-        "assert",
-        "assert_eq",
-        "assert_ne",
-    ];
-    let toks = &model.lexed.tokens;
-    for (i, t) in toks.iter().enumerate() {
-        if t.kind != TokKind::Ident || model.is_excluded(t.line) {
-            continue;
-        }
-        let text = &src[t.start..t.end];
-        let prev = i.checked_sub(1).map(|j| &src[toks[j].start..toks[j].end]);
-        let next = toks.get(i + 1).map(|n| &src[n.start..n.end]);
-        if (text == "unwrap" || text == "expect") && prev == Some(".") && next == Some("(") {
-            out.push(Diagnostic {
-                rule: "no-panic",
-                file: rel.to_string(),
-                line: t.line,
-                message: format!("`.{text}()` can panic; this crate must be panic-free"),
-                snippet: snippet(t.line),
-                hint: "propagate an error (`?`, `ok_or_else`) or handle the `None`/`Err` arm \
-                       explicitly"
-                    .to_string(),
-                chain: Vec::new(),
-            });
-        } else if MACROS.contains(&text) && next == Some("!") && prev != Some(".") {
-            out.push(Diagnostic {
-                rule: "no-panic",
-                file: rel.to_string(),
-                line: t.line,
-                message: format!("`{text}!` panics; this crate must be panic-free"),
-                snippet: snippet(t.line),
-                hint: "return an error for recoverable states; if this is a documented caller \
-                       contract, annotate with `// analysis: allow(no-panic) — <contract>`"
-                    .to_string(),
-                chain: Vec::new(),
-            });
-        }
-    }
-}
-
-/// No unchecked slice/array indexing (`x[i]`) in the entropy-decode path.
-/// A single integer-literal index (`table[0]`, fixed-size arrays) is
-/// allowed; everything else must go through `.get()`.
-fn no_unchecked_index(
-    rel: &str,
-    src: &str,
-    model: &FileModel,
-    snippet: &dyn Fn(u32) -> String,
-    out: &mut Vec<Diagnostic>,
-) {
-    let toks = &model.lexed.tokens;
-    for (i, t) in toks.iter().enumerate() {
-        if t.kind != TokKind::Punct || &src[t.start..t.end] != "[" || model.is_excluded(t.line) {
-            continue;
-        }
-        // Indexing only: the `[` must directly follow a value expression.
-        let Some(j) = i.checked_sub(1) else { continue };
-        let prev = &src[toks[j].start..toks[j].end];
-        let is_index = toks[j].kind == TokKind::Ident && !is_keyword(prev)
-            || (toks[j].kind == TokKind::Punct && (prev == ")" || prev == "]"));
-        if !is_index {
-            continue;
-        }
-        // Find the matching `]` and inspect the contents.
-        let mut depth = 1i32;
-        let mut k = i + 1;
-        while k < toks.len() && depth > 0 {
-            match &src[toks[k].start..toks[k].end] {
-                "[" => depth += 1,
-                "]" => depth -= 1,
-                _ => {}
-            }
-            k += 1;
-        }
-        let inner = &toks[i + 1..k.saturating_sub(1)];
-        if inner.len() == 1 && inner[0].kind == TokKind::Num {
-            continue; // constant index into a fixed-size table
-        }
-        out.push(Diagnostic {
-            rule: "no-unchecked-index",
-            file: rel.to_string(),
-            line: t.line,
-            message: "unchecked indexing on the entropy-decode path can panic on malformed input"
-                .to_string(),
-            snippet: snippet(t.line),
-            hint: "use `.get(i)` / `.get_mut(i)` and map `None` to a `JpegError`; for provably \
-                   in-bounds access annotate with `// analysis: allow(no-unchecked-index) — \
-                   <bound argument>`"
-                .to_string(),
-            chain: Vec::new(),
-        });
-    }
-}
-
-fn is_keyword(word: &str) -> bool {
-    matches!(
-        word,
-        "if" | "else" | "match" | "return" | "in" | "as" | "mut" | "ref" | "move" | "box" | "dyn"
-    )
-}
-
-/// Every unsafe site needs an adjacent `// SAFETY:` justification (a
-/// `/// # Safety` doc section counts for `unsafe fn` declarations).
-fn unsafe_audit(
-    rel: &str,
-    model: &FileModel,
-    snippet: &dyn Fn(u32) -> String,
-    out: &mut Vec<Diagnostic>,
-) {
-    for site in &model.unsafe_sites {
-        let justified = model.lexed.comments.iter().any(|c| {
-            let adjacent = c.line == site.line // trailing comment
-                || (c.line_end < site.line && site.line - c.line_end <= 2);
-            adjacent && (c.text.contains("SAFETY:") || c.text.contains("# Safety"))
-        });
-        if !justified {
-            out.push(Diagnostic {
-                rule: "unsafe-audit",
-                file: rel.to_string(),
-                line: site.line,
-                message: format!(
-                    "unsafe {} without an adjacent `// SAFETY:` justification",
-                    site.kind.label()
-                ),
-                snippet: snippet(site.line),
-                hint: "state the invariant that makes this sound in a `// SAFETY:` comment \
-                       directly above the site"
-                    .to_string(),
-                chain: Vec::new(),
-            });
-        }
-    }
-}
-
-/// `.lock().unwrap()` bypasses the workspace's poison-recovery policy: a
-/// panicking worker must not take the whole pool down with it.
-fn lock_hygiene(
-    rel: &str,
-    src: &str,
-    model: &FileModel,
-    snippet: &dyn Fn(u32) -> String,
-    out: &mut Vec<Diagnostic>,
-) {
-    let toks = &model.lexed.tokens;
-    for (i, t) in toks.iter().enumerate() {
-        if t.kind != TokKind::Ident || &src[t.start..t.end] != "lock" || model.is_excluded(t.line) {
-            continue;
-        }
-        let at = |k: usize| toks.get(k).map(|n| &src[n.start..n.end]);
-        let prev = i.checked_sub(1).and_then(|j| Some(&src[toks.get(j)?.start..toks[j].end]));
-        if prev != Some(".") || at(i + 1) != Some("(") || at(i + 2) != Some(")") {
-            continue;
-        }
-        if at(i + 3) == Some(".") && matches!(at(i + 4), Some("unwrap") | Some("expect")) {
-            let line = toks[i + 4].line;
-            out.push(Diagnostic {
-                rule: "lock-hygiene",
-                file: rel.to_string(),
-                line,
-                message: "`.lock().unwrap()` propagates lock poisoning into a second panic"
-                    .to_string(),
-                snippet: snippet(line),
-                hint: "recover the guard with \
-                       `.unwrap_or_else(std::sync::PoisonError::into_inner)` (see the runtime \
-                       queue's `lock()` helper)"
-                    .to_string(),
-                chain: Vec::new(),
-            });
-        }
-    }
-}
-
 /// `Condvar::wait` outside a loop loses wakeups: condition variables may
 /// wake spuriously, so the predicate must be re-checked in a `while`/`loop`.
 /// `wait_while` loops internally and is exempt; so is a no-argument
@@ -445,167 +226,92 @@ fn condvar_wait_loop(
     }
 }
 
-/// Telemetry span/counter/gauge/histogram name literals must come from the
-/// registry in `dcdiff_telemetry::names`. Dynamic names (built with
-/// `format!` against a registered prefix) are invisible to this rule by
-/// construction — the first argument is not a string literal.
-fn telemetry_names(
-    rel: &str,
-    src: &str,
-    model: &FileModel,
-    snippet: &dyn Fn(u32) -> String,
-    out: &mut Vec<Diagnostic>,
-) {
-    const METHODS: &[&str] = &["span", "counter", "gauge", "histogram", "record_span"];
-    let toks = &model.lexed.tokens;
-    for (i, t) in toks.iter().enumerate() {
-        if t.kind != TokKind::Ident || model.is_excluded(t.line) {
-            continue;
-        }
-        let text = &src[t.start..t.end];
-        if !METHODS.contains(&text) {
-            continue;
-        }
-        let prev = i.checked_sub(1).and_then(|j| Some(&src[toks.get(j)?.start..toks[j].end]));
-        if prev != Some(".") {
-            continue;
-        }
-        let Some(open) = toks.get(i + 1) else { continue };
-        if &src[open.start..open.end] != "(" {
-            continue;
-        }
-        let Some(arg) = toks.get(i + 2) else { continue };
-        if arg.kind != TokKind::Str {
-            continue;
-        }
-        let lit = &src[arg.start..arg.end];
-        // Only plain cooked strings can be checked textually.
-        let Some(name) = lit.strip_prefix('"').and_then(|s| s.strip_suffix('"')) else {
-            continue;
-        };
-        if name.contains('\\') {
-            continue;
-        }
-        if !dcdiff_telemetry::names::is_registered(name) {
-            out.push(Diagnostic {
-                rule: "telemetry-names",
-                file: rel.to_string(),
-                line: arg.line,
-                message: format!(
-                    "telemetry name \"{name}\" is not in the registry \
-                     (dcdiff_telemetry::names)"
-                ),
-                snippet: snippet(arg.line),
-                hint: "add a constant to crates/telemetry/src/names.rs and reference it, so \
-                       dashboards and `dcdiff report` see the name"
-                    .to_string(),
-                chain: Vec::new(),
-            });
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::facts::WorkspaceFacts;
+    use crate::graph::CallGraph;
+
+    const SERVER: &str = "crates/serve/src/server.rs";
+    const POOL: &str = "crates/tensor/src/kernels/pool.rs";
 
     fn cfg() -> Config {
         Config::default_workspace()
     }
 
     fn run(rel: &str, src: &str) -> FileFindings {
-        check_file(rel, src, &cfg())
+        check_file_model(rel, src, &FileModel::build(src), &cfg())
     }
 
-    const JPEG: &str = "crates/jpeg/src/codec.rs";
-    const BITS: &str = "crates/jpeg/src/bitstream.rs";
-    const POOL: &str = "crates/tensor/src/kernels/pool.rs";
+    fn used(f: &FileFindings) -> usize {
+        f.allows.iter().filter(|a| a.used).count()
+    }
+
+    /// Lines of the `panic-reachability` findings in a one-file workspace
+    /// whose `handle_connection` is the serve entry point.
+    fn reachable_panics(src: &str) -> Vec<u32> {
+        let mut facts = WorkspaceFacts::default();
+        facts.add_file(SERVER, src, &FileModel::build(src));
+        let graph = CallGraph::build(&facts);
+        crate::interproc::run(&facts, &graph, &cfg())
+            .iter()
+            .filter(|d| d.rule == "panic-reachability")
+            .map(|d| d.line)
+            .collect()
+    }
+
+    /// A condvar wait outside any loop: one `condvar-wait-loop` finding on
+    /// line 3, under whatever annotation line 2 carries.
+    fn unlooped_wait(annotation: &str) -> String {
+        format!("fn f(c: &Condvar, g: Guard) {{\n    {annotation}\n    let _g = c.wait(g);\n}}\n")
+    }
 
     #[test]
     fn unwrap_and_panicking_macros_are_flagged() {
-        let src = "fn f(x: Option<u8>) -> u8 {\n    let v = x.unwrap();\n    if v > 9 { panic!(\"no\") }\n    v\n}\n";
-        let f = run(JPEG, src);
-        let rules: Vec<_> = f.diagnostics.iter().map(|d| (d.rule, d.line)).collect();
-        assert_eq!(rules, vec![("no-panic", 2), ("no-panic", 3)]);
+        let src = "pub fn handle_connection() { decode(None); }\nfn decode(x: Option<u8>) -> u8 {\n    let v = x.unwrap();\n    if v > 9 { panic!(\"no\") }\n    v\n}\n";
+        assert_eq!(reachable_panics(src), vec![3, 4]);
     }
 
     #[test]
     fn unwrap_or_variants_and_test_code_are_not_flagged() {
-        let src = "fn f(x: Option<u8>) -> u8 { x.unwrap_or(0).max(x.unwrap_or_default()) }\n#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() { Some(1).unwrap(); assert_eq!(1, 1); }\n}\n";
-        assert!(run(JPEG, src).diagnostics.is_empty());
+        let src = "pub fn handle_connection() { decode(None); }\nfn decode(x: Option<u8>) -> u8 { x.unwrap_or(0).max(x.unwrap_or_default()) }\n#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() { Some(1).unwrap(); assert_eq!(1, 1); }\n}\n";
+        assert!(reachable_panics(src).is_empty());
     }
 
     #[test]
     fn commented_out_panic_and_string_panic_are_not_flagged() {
-        let src = "// panic!(\"dead code\")\nfn f() -> &'static str { \"unwrap() inside a string\" }\n";
-        assert!(run(JPEG, src).diagnostics.is_empty());
+        let src = "pub fn handle_connection() { decode(); }\n// panic!(\"dead code\")\nfn decode() -> &'static str { \"unwrap() inside a string\" }\n";
+        assert!(reachable_panics(src).is_empty());
     }
 
     #[test]
     fn allow_annotation_with_reason_suppresses_and_counts() {
-        let src = "fn f(x: Option<u8>) -> u8 {\n    // analysis: allow(no-panic) — caller guarantees Some per the docs\n    x.unwrap()\n}\n";
-        let f = run(JPEG, src);
+        let src =
+            unlooped_wait("// analysis: allow(condvar-wait-loop) — the caller re-checks the predicate");
+        let f = run(POOL, &src);
         assert!(f.diagnostics.is_empty(), "{:?}", f.diagnostics);
-        assert_eq!(f.allows_used, 1);
+        assert_eq!(used(&f), 1);
     }
 
     #[test]
     fn allow_without_reason_or_unknown_rule_is_bad_allow() {
-        let src = "// analysis: allow(no-panic)\n// analysis: allow(no-such-rule) — whatever\nfn f() {}\n";
-        let f = run(JPEG, src);
-        let rules: Vec<_> = f.diagnostics.iter().map(|d| d.rule).collect();
-        assert_eq!(rules, vec!["bad-allow", "bad-allow"]);
+        // `lock-hygiene` was a rule once; clippy enforces it now, so an
+        // annotation naming it is as unknown as a typo.
+        let src = "// analysis: allow(condvar-wait-loop)\n// analysis: allow(lock-hygiene) — whatever\nfn f() {}\n";
+        let f = run(POOL, src);
+        let found: Vec<_> = f.diagnostics.iter().map(|d| (d.rule, d.line)).collect();
+        assert_eq!(found, vec![("bad-allow", 1), ("bad-allow", 2)]);
+        assert!(f.diagnostics[0].message.contains("missing reason"));
+        assert!(f.diagnostics[1].message.contains("unknown rule `lock-hygiene`"));
     }
 
     #[test]
     fn allow_for_the_wrong_rule_does_not_suppress() {
-        let src = "fn f(x: Option<u8>) -> u8 {\n    // analysis: allow(unsafe-audit) — wrong rule\n    x.unwrap()\n}\n";
-        let f = run(JPEG, src);
+        let src = unlooped_wait("// analysis: allow(hot-path-alloc) — wrong rule");
+        let f = run(POOL, &src);
         assert_eq!(f.diagnostics.len(), 1);
-        assert_eq!(f.diagnostics[0].rule, "no-panic");
-        assert_eq!(f.allows_used, 0);
-    }
-
-    #[test]
-    fn unchecked_indexing_flagged_but_const_index_allowed() {
-        let src = "fn f(b: &[u8], i: usize) -> u8 {\n    let first = b[0];\n    first + b[i]\n}\n";
-        let f = run(BITS, src);
-        assert_eq!(f.diagnostics.len(), 1, "{:?}", f.diagnostics);
-        assert_eq!(f.diagnostics[0].rule, "no-unchecked-index");
-        assert_eq!(f.diagnostics[0].line, 3);
-    }
-
-    #[test]
-    fn attributes_and_array_types_are_not_indexing() {
-        let src = "#[derive(Clone)]\nstruct S { buf: [u8; 17] }\nfn f() -> Vec<u8> { vec![1, 2] }\n";
-        assert!(run(BITS, src).diagnostics.is_empty());
-    }
-
-    #[test]
-    fn unsafe_without_safety_comment_is_flagged() {
-        let src = "fn f(p: *const u8) -> u8 { unsafe { *p } }\n";
-        let f = run(POOL, src);
-        assert_eq!(f.diagnostics.len(), 1);
-        assert_eq!(f.diagnostics[0].rule, "unsafe-audit");
-    }
-
-    #[test]
-    fn safety_comment_above_or_trailing_satisfies_the_audit() {
-        let above = "fn f(p: *const u8) -> u8 {\n    // SAFETY: p is valid for reads per the caller contract\n    unsafe { *p }\n}\n";
-        let trailing = "unsafe impl Send for K {} // SAFETY: K owns no thread-affine state\n";
-        assert!(run(POOL, above).diagnostics.is_empty());
-        assert!(run(POOL, trailing).diagnostics.is_empty());
-    }
-
-    #[test]
-    fn lock_unwrap_is_flagged_with_poison_hint() {
-        let src = "fn f(m: &std::sync::Mutex<u8>) -> u8 { *m.lock().unwrap() }\n";
-        let f = run(POOL, src);
-        assert_eq!(f.diagnostics.len(), 1);
-        assert_eq!(f.diagnostics[0].rule, "lock-hygiene");
-        assert!(f.diagnostics[0].hint.contains("PoisonError"));
-        let good = "fn f(m: &std::sync::Mutex<u8>) -> u8 {\n    *m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)\n}\n";
-        assert!(run(POOL, good).diagnostics.is_empty());
+        assert_eq!(f.diagnostics[0].rule, "condvar-wait-loop");
+        assert_eq!(used(&f), 0);
     }
 
     #[test]
@@ -625,53 +331,9 @@ mod tests {
     }
 
     #[test]
-    fn unregistered_telemetry_literal_is_flagged_registered_is_not() {
-        let src = "fn f(tel: &Telemetry) {\n    let _s = tel.span(\"batch.run\");\n    tel.counter(\"my.secret.counter\").inc();\n}\n";
-        let f = run("crates/runtime/src/exec.rs", src);
-        assert_eq!(f.diagnostics.len(), 1, "{:?}", f.diagnostics);
-        assert_eq!(f.diagnostics[0].rule, "telemetry-names");
-        assert!(f.diagnostics[0].message.contains("my.secret.counter"));
-    }
-
-    #[test]
-    fn cohort_batching_names_are_registered_and_near_misses_are_flagged() {
-        // The cross-request DDIM batching series ship in the registry, so the
-        // scheduler and sampler may reference them literally.
-        let ok = "fn f(tel: &Telemetry) {\n    tel.histogram(\"diffusion.batch.width\").observe(4);\n    tel.histogram(\"diffusion.batch.cohort_lanes\").observe(4);\n    tel.counter(\"diffusion.batch.cohorts\").inc();\n    tel.counter(\"diffusion.batch.shared_forwards\").inc();\n    tel.counter(\"diffusion.batch.lane_steps\").inc();\n    tel.counter(\"diffusion.batch.evictions\").inc();\n}\n";
-        assert!(run("crates/runtime/src/runtime.rs", ok).diagnostics.is_empty());
-        // A plausible misspelling must not slip through as a new series.
-        let near_miss = "fn f(tel: &Telemetry) {\n    tel.histogram(\"diffusion.batch.widths\").observe(4);\n}\n";
-        let f = run("crates/runtime/src/runtime.rs", near_miss);
-        assert_eq!(f.diagnostics.len(), 1, "{:?}", f.diagnostics);
-        assert_eq!(f.diagnostics[0].rule, "telemetry-names");
-        assert!(f.diagnostics[0].message.contains("diffusion.batch.widths"));
-    }
-
-    #[test]
-    fn dynamic_telemetry_names_are_invisible_to_the_rule() {
-        let src = "fn f(tel: &Telemetry, w: usize) {\n    tel.gauge(&format!(\"runtime.worker.{w}.busy_us\")).set(1);\n}\n";
-        assert!(run("crates/runtime/src/runtime.rs", src).diagnostics.is_empty());
-    }
-
-    #[test]
-    fn unregistered_dynamic_style_literal_fails_the_lint() {
-        // A literal that *looks* like a dynamic per-class series but whose
-        // prefix is not in `names::DYNAMIC_PREFIXES` must be flagged: only
-        // registered prefixes may mint series at runtime.
-        let src = "fn f(tel: &Telemetry) {\n    tel.counter(\"serve.klass.interactive.shed\").inc();\n}\n";
-        let f = run("crates/serve/src/server.rs", src);
-        assert_eq!(f.diagnostics.len(), 1, "{:?}", f.diagnostics);
-        assert_eq!(f.diagnostics[0].rule, "telemetry-names");
-        assert!(f.diagnostics[0].message.contains("serve.klass.interactive.shed"));
-        // The registered prefix spelling passes.
-        let ok = "fn f(tel: &Telemetry) {\n    tel.counter(\"serve.class.interactive.shed\").inc();\n}\n";
-        assert!(run("crates/serve/src/server.rs", ok).diagnostics.is_empty());
-    }
-
-    #[test]
     fn out_of_scope_files_are_not_checked() {
-        let src = "fn f(x: Option<u8>) -> u8 { x.unwrap() }\n";
-        assert!(run("crates/cli/src/commands.rs", src).diagnostics.is_empty());
+        let src = unlooped_wait("");
+        assert!(run("crates/cli/src/commands.rs", &src).diagnostics.is_empty());
     }
 
     #[test]
@@ -680,7 +342,6 @@ mod tests {
         let f = run(POOL, src);
         assert_eq!(f.unsafe_sites.len(), 1);
         // vendored files do not contribute ledger entries
-        let v = check_file("vendor/rand/src/lib.rs", src, &cfg());
-        assert!(v.unsafe_sites.is_empty());
+        assert!(run("vendor/rand/src/lib.rs", src).unsafe_sites.is_empty());
     }
 }

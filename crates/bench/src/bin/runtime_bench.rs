@@ -49,7 +49,7 @@ struct RunResult {
     stats: StatsSnapshot,
 }
 
-fn quantile_ms(tel: &Telemetry, name: &str, p: f64) -> f64 {
+fn quantile_ms(tel: &Telemetry, name: names::Name, p: f64) -> f64 {
     tel.histogram(name).quantile(p).unwrap_or(0) as f64 / 1e3
 }
 

@@ -52,7 +52,6 @@ const BOOL_FLAGS: &[&str] = &[
     "--dc-plane",
     "--once",
     "--graph",
-    "--changed",
 ];
 
 impl Parsed {

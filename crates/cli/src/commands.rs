@@ -62,7 +62,7 @@ pub const USAGE: &str = "usage:
                                      [--dc-plane]
   dcdiff top     <addr>              [--interval-ms MS] [--once]
   dcdiff lint    [--rule <id>] [--json] [--root DIR] [--update-ledger]
-                 [--changed] [--graph] [--entry SYM]... [--why SYM]
+                 [--graph] [--entry SYM]... [--why SYM]
                  [--max-unresolved RATE]";
 
 /// Dispatch the parsed command line.
@@ -776,12 +776,12 @@ fn render_top(addr: &str, samples: &[dcdiff_telemetry::prometheus::Sample]) -> S
 /// emits the machine-readable report (for the CI artifact), `--root DIR`
 /// lints a different tree, and `--update-ledger` regenerates
 /// `UNSAFE_LEDGER.md` from the workspace's unsafe sites instead of
-/// linting. The interprocedural engine adds `--changed` (file-local rules
-/// only on git-modified files), `--entry SYM` (override the request-path
-/// entry points, repeatable), `--graph` (print call-graph resolution
-/// stats), `--why SYM` (print every call chain from an entry point or hot
-/// function to SYM, instead of linting), and `--max-unresolved RATE`
-/// (fail when the call-graph unresolved rate exceeds RATE, e.g. `0.10`).
+/// linting. The interprocedural engine adds `--entry SYM` (override the
+/// request-path entry points, repeatable), `--graph` (print call-graph
+/// resolution stats), `--why SYM` (print every call chain from an entry
+/// point or hot function to SYM, instead of linting), and
+/// `--max-unresolved RATE` (fail when the call-graph unresolved rate
+/// exceeds RATE, e.g. `0.10`).
 fn lint(parsed: &Parsed) -> Result<(), String> {
     let root = std::path::PathBuf::from(parsed.value("--root").unwrap_or("."));
     let mut cfg = dcdiff_analysis::Config::default_workspace();
@@ -797,9 +797,6 @@ fn lint(parsed: &Parsed) -> Result<(), String> {
     let entries: Vec<String> = parsed.values("--entry").map(str::to_string).collect();
     if !entries.is_empty() {
         cfg.entries = entries;
-    }
-    if parsed.has("--changed") {
-        cfg.changed = Some(git_changed_files(&root)?);
     }
     if parsed.has("--update-ledger") {
         let ledger = dcdiff_analysis::generate_ledger(&root, &cfg)?;
@@ -867,29 +864,6 @@ fn lint(parsed: &Parsed) -> Result<(), String> {
             report.diagnostics.len()
         ))
     }
-}
-
-/// Workspace-relative `.rs` files touched per `git diff` (staged and
-/// unstaged, against `HEAD`), for `dcdiff lint --changed`.
-fn git_changed_files(root: &std::path::Path) -> Result<Vec<String>, String> {
-    let out = std::process::Command::new("git")
-        .arg("-C")
-        .arg(root)
-        .args(["diff", "--name-only", "HEAD"])
-        .output()
-        .map_err(|e| format!("--changed: cannot run git: {e}"))?;
-    if !out.status.success() {
-        return Err(format!(
-            "--changed: git diff failed: {}",
-            String::from_utf8_lossy(&out.stderr).trim()
-        ));
-    }
-    Ok(String::from_utf8_lossy(&out.stdout)
-        .lines()
-        .map(str::trim)
-        .filter(|l| l.ends_with(".rs"))
-        .map(str::to_string)
-        .collect())
 }
 
 /// Human-readable call-graph resolution summary for `lint --graph`.

@@ -585,7 +585,7 @@ impl DcDiff {
             _ => Ok(()),
         };
         // Attribute a shared-phase span to one lane's trace.
-        let lane_span = |i: usize, name: &'static str, start: Instant, end: Instant| {
+        let lane_span = |i: usize, name: names::Name, start: Instant, end: Instant| {
             let _attributed = jobs[i].trace.map(dcdiff_telemetry::install_trace);
             tel.record_span(name, start, end);
         };

@@ -41,6 +41,18 @@
 //! # Ok::<(), dcdiff_jpeg::JpegError>(())
 //! ```
 
+// Untrusted bytes and job execution must never panic (ANALYSIS.md).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::disallowed_macros
+)]
+#![cfg_attr(test, allow(clippy::disallowed_macros))]
+
 use dcdiff_image::{ColorSpace, Image, Plane};
 use dcdiff_jpeg::{encode_coefficients, DcDropMode, JpegEncoder, JpegError};
 use rand::rngs::StdRng;

@@ -4,6 +4,9 @@
 //! be followed by a stuffed `0x00` so decoders can distinguish data from
 //! markers. [`BitWriter`] inserts the stuffing; [`BitReader`] removes it.
 
+// Driven directly by untrusted bits: index with `.get()` (ANALYSIS.md).
+#![deny(clippy::indexing_slicing)]
+
 /// Most-significant-bit-first bit writer with `0xFF 0x00` byte stuffing.
 #[derive(Debug, Default)]
 pub struct BitWriter {
@@ -23,8 +26,11 @@ impl BitWriter {
     /// # Panics
     ///
     /// Panics if `count > 24`.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "encoder-side documented `# Panics` contract; counts come from our own Huffman tables, never from input bytes"
+    )]
     pub fn put(&mut self, bits: u32, count: u32) {
-        // analysis: allow(no-panic) — encoder-side documented `# Panics` contract; counts come from our own Huffman tables, never from input bytes
         assert!(count <= 24, "at most 24 bits per call");
         if count == 0 {
             return;
@@ -62,8 +68,11 @@ impl BitWriter {
     /// # Panics
     ///
     /// Panics unless `m < 8`.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "encoder-side documented `# Panics` contract; the encoder computes m modulo 8"
+    )]
     pub fn put_restart_marker(&mut self, m: u8) {
-        // analysis: allow(no-panic) — encoder-side documented `# Panics` contract; the encoder computes m modulo 8
         assert!(m < 8, "restart marker index must be 0..8");
         self.align();
         self.bytes.push(0xFF);
@@ -259,8 +268,11 @@ pub fn magnitude_code(value: i32) -> (u32, u32) {
 ///
 /// Panics if `size > 16` (callers must validate entropy-decoded
 /// categories first).
+#[expect(
+    clippy::disallowed_macros,
+    reason = "documented `# Panics` contract; both decode_block call sites bound size (DC checked <= 15, AC is a 4-bit field)"
+)]
 pub fn magnitude_decode(size: u32, bits: u32) -> i32 {
-    // analysis: allow(no-panic) — documented `# Panics` contract; both decode_block call sites bound size (DC checked <= 15, AC is a 4-bit field)
     assert!(size <= 16, "baseline magnitude categories are at most 16 bits");
     if size == 0 {
         return 0;

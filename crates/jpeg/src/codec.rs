@@ -68,8 +68,11 @@ impl JpegEncoder {
     /// # Panics
     ///
     /// Panics unless `1 <= quality <= 100`.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "documented `# Panics` API contract on programmer input; the CLI validates quality before constructing an encoder"
+    )]
     pub fn new(quality: u8) -> Self {
-        // analysis: allow(no-panic) — documented `# Panics` API contract on programmer input; the CLI validates quality before constructing an encoder
         assert!((1..=100).contains(&quality), "quality must be 1..=100");
         Self {
             quality,

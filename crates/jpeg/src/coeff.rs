@@ -85,8 +85,11 @@ impl CoeffPlane {
     /// # Panics
     ///
     /// Panics if either block count is zero.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "documented `# Panics` contract; block counts derive from validated SOF dimensions, which T.81 bounds above zero"
+    )]
     pub fn zeros(blocks_x: usize, blocks_y: usize, width: usize, height: usize) -> Self {
-        // analysis: allow(no-panic) — documented `# Panics` contract; block counts derive from validated SOF dimensions, which T.81 bounds above zero
         assert!(blocks_x > 0 && blocks_y > 0, "coefficient plane must be nonempty");
         Self {
             blocks_x,
@@ -122,8 +125,11 @@ impl CoeffPlane {
     /// # Panics
     ///
     /// Panics if out of bounds.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "documented `# Panics` contract, the slice-indexing idiom: callers iterate 0..blocks_x/0..blocks_y"
+    )]
     pub fn block(&self, bx: usize, by: usize) -> &[i32; BLOCK_AREA] {
-        // analysis: allow(no-panic) — documented `# Panics` contract, the slice-indexing idiom: callers iterate 0..blocks_x/0..blocks_y
         assert!(bx < self.blocks_x && by < self.blocks_y, "block out of bounds");
         &self.blocks[by * self.blocks_x + bx]
     }
@@ -133,8 +139,11 @@ impl CoeffPlane {
     /// # Panics
     ///
     /// Panics if out of bounds.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "documented `# Panics` contract, the slice-indexing idiom: callers iterate 0..blocks_x/0..blocks_y"
+    )]
     pub fn block_mut(&mut self, bx: usize, by: usize) -> &mut [i32; BLOCK_AREA] {
-        // analysis: allow(no-panic) — documented `# Panics` contract, the slice-indexing idiom: callers iterate 0..blocks_x/0..blocks_y
         assert!(bx < self.blocks_x && by < self.blocks_y, "block out of bounds");
         &mut self.blocks[by * self.blocks_x + bx]
     }
@@ -319,6 +328,10 @@ impl CoeffImage {
     /// # Panics
     ///
     /// Panics if plane and table counts differ or are empty.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "documented `# Panics` contract; the decoder builds one quant table per parsed component before calling"
+    )]
     pub fn from_parts(
         planes: Vec<CoeffPlane>,
         qtables: Vec<QuantTable>,
@@ -326,7 +339,7 @@ impl CoeffImage {
         width: usize,
         height: usize,
     ) -> Self {
-        assert!(!planes.is_empty(), "at least one component"); // analysis: allow(no-panic) — documented `# Panics` contract; the decoder builds one quant table per parsed component before calling
+        assert!(!planes.is_empty(), "at least one component");
         assert_eq!(planes.len(), qtables.len(), "one quant table per plane");
         Self {
             planes,
@@ -420,8 +433,12 @@ impl CoeffImage {
             }
             ChromaSampling::Cs444 => {}
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "structural invariant: the chroma planes were just upsampled to the luma grid above"
+        )]
         let ycbcr = Image::from_planes(vec![y, cb, cr], ColorSpace::YCbCr)
-            // analysis: allow(no-panic) — structural invariant: the chroma planes were just upsampled to the luma grid above
+            // analysis: allow(panic-reachability) — structural invariant: the chroma planes were just upsampled to the luma grid above
             .expect("component planes share dimensions");
         let out = ycbcr.into_rgb();
         crate::metrics::record_pixels(t0, blocks);
@@ -432,6 +449,10 @@ impl CoeffImage {
     /// DC levels alone, skipping the IDCT entirely. This is the classic
     /// fast-preview trick JPEG browsers use — and it visualises exactly
     /// the information the DC-drop pipeline removes.
+    #[expect(
+        clippy::expect_used,
+        reason = "structural invariant: every plane was just resized to the luma grid above"
+    )]
     pub fn dc_thumbnail(&self) -> Image {
         let planes: Vec<Plane> = (0..self.planes.len())
             .map(|c| {
@@ -462,10 +483,7 @@ impl CoeffImage {
                 }
             })
             .collect();
-        Image::from_planes(resized, ColorSpace::YCbCr)
-            // analysis: allow(no-panic) — structural invariant: every plane was just resized to the luma grid above
-            .expect("planes share dimensions")
-            .to_rgb()
+        Image::from_planes(resized, ColorSpace::YCbCr).expect("planes share dimensions").to_rgb()
     }
 
     /// The receiver's view before recovery: reconstruction using the

@@ -14,6 +14,9 @@
 //! [`HuffmanTable::decode_bitwise`], which preserves the exact
 //! truncation semantics the fault corpus pins.
 
+// Driven directly by untrusted bits: index with `.get()` (ANALYSIS.md).
+#![deny(clippy::indexing_slicing)]
+
 use crate::bitstream::{BitReader, BitWriter};
 
 /// Window width of the single-probe decode lookup table.
@@ -95,8 +98,12 @@ impl HuffmanTable {
     /// # Panics
     ///
     /// Panics if `vals.len()` does not match the total of `bits`.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented `# Panics` contract; used only with the compile-time Annex-K tables, untrusted DHT segments go through `try_new`"
+    )]
     pub fn new(bits: [u8; 16], vals: &[u8]) -> Self {
-        // analysis: allow(no-panic) — documented `# Panics` contract; used only with the compile-time Annex-K tables, untrusted DHT segments go through `try_new`
+        // analysis: allow(panic-reachability) — documented `# Panics` contract; used only with the compile-time Annex-K tables, untrusted DHT segments go through `try_new`
         Self::try_new(bits, vals).expect("BITS total must equal HUFFVAL length")
     }
 
@@ -107,6 +114,10 @@ impl HuffmanTable {
     /// Returns a message when `vals.len()` does not match the total of
     /// `bits` — the one way a canonical table description can be
     /// internally inconsistent.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "l = i+1 is 1..=16 into [_; 17] tables; sym is a u8 index into 256-entry tables"
+    )]
     pub fn try_new(bits: [u8; 16], vals: &[u8]) -> Result<Self, String> {
         let total: usize = bits.iter().map(|&b| b as usize).sum();
         if total != vals.len() {
@@ -127,13 +138,13 @@ impl HuffmanTable {
         let mut lut = Box::new([0u16; LOOKUP_LEN]);
         for (i, &count) in bits.iter().enumerate() {
             let (l, count) = (i + 1, count as usize);
-            min_code[l] = code as i32; // analysis: allow(no-unchecked-index) — l = i+1 is 1..=16 into [_; 17] tables
+            min_code[l] = code as i32;
             val_ptr[l] = k;
             let chunk = vals
                 .get(k..k + count)
                 .ok_or("BITS total overflows HUFFVAL")?;
             for &sym in chunk {
-                enc_code[sym as usize] = code as u16; // analysis: allow(no-unchecked-index) — sym is a u8 index into 256-entry tables
+                enc_code[sym as usize] = code as u16;
                 enc_size[sym as usize] = l as u8;
                 if l <= LOOKUP_BITS as usize {
                     // Every window whose high `l` bits equal `code` decodes
@@ -152,7 +163,7 @@ impl HuffmanTable {
                 code += 1;
             }
             k += count;
-            max_code[l] = if count > 0 { code as i32 - 1 } else { -1 }; // analysis: allow(no-unchecked-index) — l = i+1 is 1..=16 into [_; 17] tables
+            max_code[l] = if count > 0 { code as i32 - 1 } else { -1 };
             code <<= 1;
         }
         Ok(Self {
@@ -198,8 +209,9 @@ impl HuffmanTable {
     }
 
     /// Code length in bits for `symbol`, or 0 when absent from the table.
+    #[expect(clippy::indexing_slicing, reason = "u8 index into a 256-entry table")]
     pub fn code_len(&self, symbol: u8) -> u8 {
-        self.enc_size[symbol as usize] // analysis: allow(no-unchecked-index) — u8 index into a 256-entry table
+        self.enc_size[symbol as usize]
     }
 
     /// Append the code for `symbol` to `writer`.
@@ -207,11 +219,15 @@ impl HuffmanTable {
     /// # Panics
     ///
     /// Panics if the symbol has no code in this table.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "encoder-side documented `# Panics` contract; encoders only emit symbols from their own table"
+    )]
+    #[expect(clippy::indexing_slicing, reason = "u8 index into a 256-entry table")]
     pub fn encode(&self, writer: &mut BitWriter, symbol: u8) {
         let size = self.code_len(symbol);
-        // analysis: allow(no-panic) — encoder-side documented `# Panics` contract; encoders only emit symbols from their own table
         assert!(size > 0, "symbol {symbol:#04x} not present in table");
-        writer.put(self.enc_code[symbol as usize] as u32, size as u32); // analysis: allow(no-unchecked-index) — u8 index into a 256-entry table
+        writer.put(self.enc_code[symbol as usize] as u32, size as u32);
     }
 
     /// Decode the next symbol from `reader`; `None` at end of data or on
@@ -245,14 +261,14 @@ impl HuffmanTable {
 
     /// Bit-by-bit canonical decode (T.81 F.2.2.3), the slow tier behind
     /// [`Self::decode`] and the oracle the LUT path is tested against.
+    #[expect(clippy::indexing_slicing, reason = "l is 1..=16 into [_; 17] tables")]
     // analysis: hot
     pub fn decode_bitwise(&self, reader: &mut BitReader<'_>) -> Option<u8> {
         let mut code: i32 = 0;
         for l in 1..=16usize {
             code = (code << 1) | reader.bit()? as i32;
-            // analysis: allow(no-unchecked-index) — l is 1..=16 into [_; 17] tables
             if self.max_code[l] >= 0 && code <= self.max_code[l] && code >= self.min_code[l] {
-                let idx = self.val_ptr[l] + (code - self.min_code[l]) as usize; // analysis: allow(no-unchecked-index) — l is 1..=16 into [_; 17] tables
+                let idx = self.val_ptr[l] + (code - self.min_code[l]) as usize;
                 return self.vals.get(idx).copied();
             }
         }

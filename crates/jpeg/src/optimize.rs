@@ -33,6 +33,10 @@ impl FreqTable {
     }
 
     /// Annex K.2: derive the `BITS`/`HUFFVAL` lists from frequencies.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "encoder-side debug check: `bits` and `vals` are both derived from the same code-size table"
+    )]
     fn build(&self) -> HuffmanTable {
         // freq[256] is the reserved symbol guaranteeing no code is all
         // ones; it must receive a code, so it gets frequency 1.

@@ -38,8 +38,11 @@ impl QuantTable {
     /// # Panics
     ///
     /// Panics if any entry is zero (division by the entry must be defined).
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "documented `# Panics` contract; parse_dqt rejects zero entries before constructing a table from untrusted bytes"
+    )]
     pub fn from_values(values: [u16; BLOCK_AREA]) -> Self {
-        // analysis: allow(no-panic) — documented `# Panics` contract; parse_dqt rejects zero entries before constructing a table from untrusted bytes
         assert!(values.iter().all(|&v| v > 0), "quantiser entries must be positive");
         Self { values }
     }
@@ -60,8 +63,11 @@ impl QuantTable {
     /// # Panics
     ///
     /// Panics unless `1 <= quality <= 100`.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "documented `# Panics` API contract on programmer input, validated at the CLI boundary"
+    )]
     pub fn scaled(base: &[u16; BLOCK_AREA], quality: u8) -> Self {
-        // analysis: allow(no-panic) — documented `# Panics` API contract on programmer input, validated at the CLI boundary
         assert!((1..=100).contains(&quality), "quality must be 1..=100");
         let scale: u32 = if quality < 50 {
             5000 / quality as u32

@@ -598,9 +598,10 @@ mod tests {
             let image = guarded(&dropped, RecoverMethod::Icip, &mut cache, &tel).unwrap();
             assert_eq!(image.dims(), (32, 32));
             assert_eq!(calls.load(std::sync::atomic::Ordering::SeqCst), 1);
-            assert_eq!(tel.counter("estimator.primary_fail").get(), 1);
-            assert_eq!(tel.counter("estimator.fallback_baseline").get(), 1);
-            assert_eq!(tel.counter("estimator.fallback_flat").get(), 0);
+            let metrics = tel.registry().snapshot();
+            assert_eq!(metrics.counter("estimator.primary_fail"), 1);
+            assert_eq!(metrics.counter("estimator.fallback_baseline"), 1);
+            assert_eq!(metrics.counter("estimator.fallback_flat"), 0);
         });
     }
 
@@ -615,7 +616,7 @@ mod tests {
             let dropped = dropped_coeffs();
             let image = guarded(&dropped, RecoverMethod::Tip2006, &mut cache, &tel).unwrap();
             assert_eq!(image.dims(), (32, 32));
-            assert_eq!(tel.counter("estimator.fallback_flat").get(), 1);
+            assert_eq!(tel.registry().snapshot().counter("estimator.fallback_flat"), 1);
         });
     }
 
@@ -637,9 +638,10 @@ mod tests {
             // Two failures trip the breaker; the last two jobs never touch
             // the primary engine and go straight to the baseline tier.
             assert_eq!(calls.load(std::sync::atomic::Ordering::SeqCst), 2);
-            assert_eq!(tel.counter("estimator.breaker_short_circuit").get(), 2);
-            assert_eq!(tel.counter("estimator.fallback_baseline").get(), 4);
-            assert_eq!(tel.gauge("breaker.state").get(), 2, "gauge reports open");
+            let metrics = tel.registry().snapshot();
+            assert_eq!(metrics.counter("estimator.breaker_short_circuit"), 2);
+            assert_eq!(metrics.counter("estimator.fallback_baseline"), 4);
+            assert_eq!(metrics.gauge("breaker.state"), 2, "gauge reports open");
         });
     }
 
@@ -668,9 +670,10 @@ mod tests {
         let dropped = dropped_coeffs();
         let image = guarded(&dropped, RecoverMethod::Tip2006, &mut cache, &tel).unwrap();
         assert_eq!(image.dims(), (32, 32));
-        assert_eq!(tel.counter("estimator.primary_ok").get(), 1);
-        assert_eq!(tel.counter("estimator.fallback_baseline").get(), 0);
-        assert_eq!(tel.gauge("breaker.state").get(), 0, "gauge reports closed");
+        let metrics = tel.registry().snapshot();
+        assert_eq!(metrics.counter("estimator.primary_ok"), 1);
+        assert_eq!(metrics.counter("estimator.fallback_baseline"), 0);
+        assert_eq!(metrics.gauge("breaker.state"), 0, "gauge reports closed");
     }
 
     #[test]
@@ -681,8 +684,9 @@ mod tests {
         // The sampler publishes cohort telemetry through the process-global
         // handle; sample before/after so parallel tests only help the delta.
         let widths_before = dcdiff_telemetry::global()
-            .histogram("diffusion.batch.width")
+            .registry()
             .snapshot()
+            .histogram("diffusion.batch.width")
             .count;
         let inputs = [dropped_coeffs_filled(80.0), dropped_coeffs_filled(160.0)];
         let solo: Vec<Image> = inputs
@@ -698,9 +702,13 @@ mod tests {
             let image = lane.expect("healthy lane recovers");
             assert_eq!(&image, reference, "cohort lane diverged from width-1 output");
         }
-        assert_eq!(tel.counter("estimator.primary_ok").get(), 2);
-        assert_eq!(tel.counter("estimator.fallback_baseline").get(), 0);
-        let widths = dcdiff_telemetry::global().histogram("diffusion.batch.width").snapshot();
+        let metrics = tel.registry().snapshot();
+        assert_eq!(metrics.counter("estimator.primary_ok"), 2);
+        assert_eq!(metrics.counter("estimator.fallback_baseline"), 0);
+        let widths = dcdiff_telemetry::global()
+            .registry()
+            .snapshot()
+            .histogram("diffusion.batch.width");
         assert!(widths.count > widths_before, "fused steps must observe cohort width");
         assert!(widths.max >= 2, "both lanes shared each forward");
     }
@@ -729,8 +737,9 @@ mod tests {
         assert_eq!(survivor.expect("survivor recovers"), reference);
         // Eviction is the lane's budget, not an engine fault: no breaker
         // failure, no fallback tier.
-        assert_eq!(tel.counter("estimator.primary_fail").get(), 0);
-        assert_eq!(tel.counter("estimator.fallback_baseline").get(), 0);
+        let metrics = tel.registry().snapshot();
+        assert_eq!(metrics.counter("estimator.primary_fail"), 0);
+        assert_eq!(metrics.counter("estimator.fallback_baseline"), 0);
     }
 
     #[test]

@@ -48,6 +48,18 @@
 //! println!("{}", report.stats.render());
 //! ```
 
+// Untrusted bytes and job execution must never panic (ANALYSIS.md).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::disallowed_macros
+)]
+#![cfg_attr(test, allow(clippy::disallowed_macros))]
+
 pub mod exec;
 pub mod job;
 pub mod manifest;

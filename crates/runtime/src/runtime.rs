@@ -270,6 +270,10 @@ impl Runtime {
         let stats = Arc::new(RuntimeStats::new());
         let results = Arc::new(Mutex::new(Vec::new()));
         let rt = RtMetrics::new(&config.telemetry);
+        #[expect(
+            clippy::expect_used,
+            reason = "one-time startup: failing to create worker threads is unrecoverable resource exhaustion, not a job-path error"
+        )]
         let workers = (0..config.workers.max(1))
             .map(|i| {
                 let queue = Arc::clone(&queue);
@@ -280,7 +284,6 @@ impl Runtime {
                 std::thread::Builder::new()
                     .name(format!("dcdiff-worker-{i}"))
                     .spawn(move || worker_loop(i, &queue, &stats, &results, &config, &rt))
-                    // analysis: allow(no-panic) — one-time startup: failing to create worker threads is unrecoverable resource exhaustion, not a job-path error
                     .expect("spawn worker thread")
             })
             .collect();
@@ -465,7 +468,7 @@ fn worker_loop(
 ) {
     let tel = &config.telemetry;
     // Per-worker utilisation: cumulative busy time (pop to batch done).
-    let busy_us = tel.gauge(&names::worker_busy_gauge(worker));
+    let busy_us = tel.gauge(names::worker_busy_gauge(worker));
     let mut engines = EngineCache::with_policy(config.recovery.clone());
     while let Some(first) = queue.pop() {
         let popped = Instant::now();
@@ -739,7 +742,7 @@ fn complete(
 }
 
 /// Trace span name for a job of the given stage.
-fn stage_span_name(stage: Stage) -> &'static str {
+fn stage_span_name(stage: Stage) -> names::Name {
     match stage {
         Stage::Encode => names::SPAN_JOB_ENCODE,
         Stage::Transcode => names::SPAN_JOB_TRANSCODE,
@@ -877,16 +880,17 @@ mod tests {
         assert_eq!(report.results.len(), 12);
 
         // Every executed job waited in the queue exactly once.
-        assert_eq!(tel.histogram("runtime.queue_wait_us").snapshot().count, 12);
-        assert_eq!(tel.histogram("runtime.job_wall_us").snapshot().count, 12);
+        let metrics = tel.registry().snapshot();
+        assert_eq!(metrics.histogram("runtime.queue_wait_us").count, 12);
+        assert_eq!(metrics.histogram("runtime.job_wall_us").count, 12);
         // Metrics jobs never batch, so batch count == job count here.
-        let batches = tel.histogram("runtime.batch_size").snapshot();
+        let batches = metrics.histogram("runtime.batch_size");
         assert_eq!(batches.count, 12);
         assert_eq!(batches.max, 1);
         // Stage latency flows into the shared registry (Metrics = index 3).
-        assert_eq!(tel.histogram("stage.metrics_us").snapshot().count, 12);
+        assert_eq!(metrics.histogram("stage.metrics_us").count, 12);
         // The gauge exists and ended at zero: the drain emptied the queue.
-        assert_eq!(tel.gauge("runtime.queue_depth").get(), 0);
+        assert_eq!(metrics.gauges.get("runtime.queue_depth"), Some(&0));
         // Worker pops observe depth too, so the high-water mark is at least
         // one even if every submit raced an idle worker.
         assert!(report.stats.queue_high_water >= 1);
@@ -996,7 +1000,7 @@ mod tests {
         }
         // All jobs are done and the runtime is idle (but still running): the
         // gauge must read the true depth, zero.
-        assert_eq!(tel.gauge("runtime.queue_depth").get(), 0);
+        assert_eq!(tel.registry().snapshot().gauge("runtime.queue_depth"), 0);
         runtime.shutdown(ShutdownMode::Drain);
     }
 

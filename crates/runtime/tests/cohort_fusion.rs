@@ -98,8 +98,9 @@ fn fused_cohorts_write_bit_identical_outputs_across_widths() {
     let dir = scratch_dir("widths");
     stage_inputs(&dir, n);
     let widths_before = dcdiff_telemetry::global()
-        .histogram("diffusion.batch.width")
-        .snapshot();
+        .registry()
+        .snapshot()
+        .histogram("diffusion.batch.width");
 
     run_at_width(&dir, n, 1, "w1_");
     let tel8 = run_at_width(&dir, n, 8, "w8_");
@@ -114,12 +115,14 @@ fn fused_cohorts_write_bit_identical_outputs_across_widths() {
     }
 
     // The width-8 runtime assembled a real micro-batch...
-    assert!(tel8.histogram("runtime.batch_size").snapshot().max > 1, "burst formed a batch");
+    let batch_size = tel8.registry().snapshot().histogram("runtime.batch_size");
+    assert!(batch_size.max > 1, "burst formed a batch");
     // ...and the fused estimate observed multi-lane forwards (global handle;
     // parallel tests only add to the delta).
     let widths_after = dcdiff_telemetry::global()
-        .histogram("diffusion.batch.width")
-        .snapshot();
+        .registry()
+        .snapshot()
+        .histogram("diffusion.batch.width");
     assert!(widths_after.count > widths_before.count, "cohort steps were observed");
     assert!(widths_after.max >= 2, "at least one shared forward carried multiple lanes");
     let _ = std::fs::remove_dir_all(&dir);

@@ -1,9 +1,10 @@
 //! Minimal HTTP/1.1 framing over blocking `TcpStream`s.
 //!
 //! The server faces untrusted bytes, so everything here is defensive: the
-//! request head is capped, `Content-Length` is the only body framing
-//! accepted (no chunked encoding), and every parse failure is an error
-//! value rather than a panic. The same framing is reused by the blocking
+//! request head is capped, a single `1*DIGIT` `Content-Length` is the only
+//! body framing accepted (any `Transfer-Encoding` or a duplicate length is
+//! malformed, per RFC 9112 §6.1 and §6.3), and every parse failure is an
+//! error value rather than a panic. The same framing is reused by the blocking
 //! [`crate::Client`], which keeps the wire format covered from both ends
 //! by the protocol tests.
 
@@ -38,9 +39,32 @@ impl Message {
             .map(|(_, v)| v.as_str())
     }
 
-    /// `Content-Length` parsed as a size, if present and well-formed.
-    pub fn content_length(&self) -> Option<usize> {
-        self.header("content-length")?.trim().parse().ok()
+    /// The body length the head declares: its one `Content-Length`, or 0
+    /// when there is none.
+    ///
+    /// # Errors
+    ///
+    /// [`HttpError::Malformed`] for framing the reader cannot trust (RFC
+    /// 9112 §6.1, §6.3): any `Transfer-Encoding`, more than one
+    /// `Content-Length`, or a value that is not `1*DIGIT` (Rust's integer
+    /// parser alone would accept `+5`).
+    pub fn content_length(&self) -> Result<usize, HttpError> {
+        if self.header("transfer-encoding").is_some() {
+            return Err(HttpError::Malformed("transfer-encoding is not supported".to_string()));
+        }
+        let mut lengths =
+            self.headers.iter().filter(|(k, _)| k == "content-length").map(|(_, v)| v.as_str());
+        let Some(raw) = lengths.next() else {
+            return Ok(0);
+        };
+        if lengths.next().is_some() {
+            return Err(HttpError::Malformed("duplicate content-length".to_string()));
+        }
+        let bad = || HttpError::Malformed(format!("bad content-length '{raw}'"));
+        if raw.is_empty() || !raw.bytes().all(|b| b.is_ascii_digit()) {
+            return Err(bad());
+        }
+        raw.parse().map_err(|_| bad())
     }
 }
 
@@ -139,13 +163,7 @@ pub fn read_message(
     };
     let head = parse_head(buf.get(..head_end).unwrap_or(&[]))?;
     let mut body: Vec<u8> = buf.get(head_end + 4..).unwrap_or(&[]).to_vec();
-    let declared = match head.header("content-length") {
-        Some(raw) => raw
-            .trim()
-            .parse::<usize>()
-            .map_err(|_| HttpError::Malformed(format!("bad content-length '{raw}'")))?,
-        None => 0,
-    };
+    let declared = head.content_length()?;
     if declared > max_body {
         return Err(HttpError::TooLarge(declared));
     }
@@ -324,7 +342,29 @@ mod tests {
         let msg = parse_head(head).expect("valid head");
         assert_eq!(msg.header("content-length"), Some("3"));
         assert_eq!(msg.header("x-deadline-class"), Some("bulk"));
-        assert_eq!(msg.content_length(), Some(3));
+        assert!(matches!(msg.content_length(), Ok(3)));
+    }
+
+    #[test]
+    fn untrustworthy_framing_is_malformed() {
+        for head in [
+            &b"POST /r HTTP/1.1\r\nContent-Length: 3\r\ncontent-length: 4\r\n"[..],
+            b"POST /r HTTP/1.1\r\nContent-Length: 3\r\nContent-Length: 3\r\n",
+            b"POST /r HTTP/1.1\r\nContent-Length: +5\r\n",
+            b"POST /r HTTP/1.1\r\nContent-Length: \r\n",
+            b"POST /r HTTP/1.1\r\nContent-Length: 99999999999999999999999\r\n",
+            b"POST /r HTTP/1.1\r\nTransfer-Encoding: chunked\r\n",
+            b"POST /r HTTP/1.1\r\nTransfer-Encoding: chunked\r\nContent-Length: 5\r\n",
+        ] {
+            let msg = parse_head(head).expect("well-formed head");
+            assert!(
+                matches!(msg.content_length(), Err(HttpError::Malformed(_))),
+                "{}",
+                String::from_utf8_lossy(head)
+            );
+        }
+        let none = parse_head(b"GET /healthz HTTP/1.1\r\n").expect("well-formed head");
+        assert!(matches!(none.content_length(), Ok(0)));
     }
 
     #[test]

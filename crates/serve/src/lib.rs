@@ -26,6 +26,17 @@
 //! Everything observable is published as registered `serve.*` telemetry
 //! series (see [`dcdiff_telemetry::names`]).
 
+// Untrusted bytes and job execution must never panic (ANALYSIS.md).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::disallowed_macros
+)]
+#![cfg_attr(test, allow(clippy::disallowed_macros))]
 #![warn(missing_docs)]
 
 pub mod client;

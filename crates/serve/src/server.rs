@@ -502,7 +502,7 @@ fn recover_request(shared: &Arc<Shared>, request: &Message, peer: IpAddr) -> Rep
     let admit_limit = (class.admit_below * shared.queue_cap as f64).ceil() as usize;
     if depth >= admit_limit.max(1) {
         tel.counter(names::CTR_SERVE_SHED).inc();
-        tel.counter(&names::class_shed_counter(&class.name)).inc();
+        tel.counter(names::class_shed_counter(&class.name)).inc();
         return Reply::text(
             503,
             "Service Unavailable",
@@ -570,12 +570,12 @@ fn admitted_request(shared: &Arc<Shared>, request: &Message, class: &DeadlineCla
     let handle = match submitted {
         Some(Ok((_, handle))) => {
             tel.counter(names::CTR_SERVE_ACCEPTED).inc();
-            tel.counter(&names::class_admitted_counter(&class.name)).inc();
+            tel.counter(names::class_admitted_counter(&class.name)).inc();
             handle
         }
         Some(Err(SubmitError::QueueFull)) => {
             tel.counter(names::CTR_SERVE_SHED).inc();
-            tel.counter(&names::class_shed_counter(&class.name)).inc();
+            tel.counter(names::class_shed_counter(&class.name)).inc();
             cleanup(&input, &output);
             return Reply::text(503, "Service Unavailable", "queue full\n");
         }

@@ -61,6 +61,18 @@ fn start_with(cfg: ServeConfig) -> (Server, Client) {
     (server, client)
 }
 
+/// Send `request` raw on a fresh connection and read until the server
+/// closes it (or 5 s pass). Returns everything received and whether the
+/// server closed the connection.
+fn raw_exchange(addr: std::net::SocketAddr, request: &[u8]) -> (String, bool) {
+    let mut raw = TcpStream::connect(addr).expect("connect");
+    raw.write_all(request).expect("send raw request");
+    raw.set_read_timeout(Some(Duration::from_secs(5))).expect("timeout");
+    let mut buf = Vec::new();
+    let closed = raw.read_to_end(&mut buf).is_ok();
+    (String::from_utf8_lossy(&buf).into_owned(), closed)
+}
+
 #[test]
 fn recover_roundtrip_full_image_and_dc_plane() {
     let (server, client) = start("roundtrip");
@@ -107,35 +119,54 @@ fn rejects_bad_requests_without_dying() {
 
     // Oversized payload is refused from the Content-Length alone — the
     // connection never uploads the body (MAX_DECODE_PIXELS-style guard).
-    let mut raw = TcpStream::connect(addr).expect("connect");
-    raw.write_all(b"POST /recover HTTP/1.1\r\ncontent-length: 999999999\r\n\r\n")
-        .expect("send oversized head");
-    let mut buf = Vec::new();
-    raw.set_read_timeout(Some(Duration::from_secs(5))).expect("timeout");
-    let _ = raw.read_to_end(&mut buf);
-    let text = String::from_utf8_lossy(&buf).into_owned();
+    let (text, _) = raw_exchange(addr, b"POST /recover HTTP/1.1\r\ncontent-length: 999999999\r\n\r\n");
     assert!(text.starts_with("HTTP/1.1 413"), "got: {text}");
 
     // Missing Content-Length entirely.
-    let mut raw = TcpStream::connect(addr).expect("connect");
-    raw.write_all(b"POST /recover HTTP/1.1\r\n\r\n").expect("send bare head");
-    let mut buf = Vec::new();
-    raw.set_read_timeout(Some(Duration::from_secs(5))).expect("timeout");
-    let _ = raw.read_to_end(&mut buf);
-    let text = String::from_utf8_lossy(&buf).into_owned();
+    let (text, _) = raw_exchange(addr, b"POST /recover HTTP/1.1\r\n\r\n");
     assert!(text.starts_with("HTTP/1.1 411"), "got: {text}");
 
     // Garbage request line.
-    let mut raw = TcpStream::connect(addr).expect("connect");
-    raw.write_all(b"NONSENSE\r\n\r\n").expect("send garbage");
-    let mut buf = Vec::new();
-    raw.set_read_timeout(Some(Duration::from_secs(5))).expect("timeout");
-    let _ = raw.read_to_end(&mut buf);
-    let text = String::from_utf8_lossy(&buf).into_owned();
+    let (text, _) = raw_exchange(addr, b"NONSENSE\r\n\r\n");
     assert!(text.starts_with("HTTP/1.1 400"), "got: {text}");
 
     // After all that abuse the server still serves.
     assert_eq!(client.get("/healthz").expect("healthz").status, 200);
+    let report = server.drain();
+    assert_eq!(report.stats.expect("stats").submitted, 0, "nothing reached the queue");
+}
+
+/// Framing the server cannot trust (RFC 9112 §6.1, §6.3) is a 400 that
+/// closes the connection: nothing is read as a body, and nothing left on
+/// the socket is read as a second request.
+#[test]
+fn untrustworthy_framing_is_a_400_that_closes_the_connection() {
+    let (server, client) = start("framing");
+    let addr = server.local_addr();
+    let cases: [(&str, &[u8]); 3] = [
+        (
+            "duplicate content-length",
+            b"POST /recover HTTP/1.1\r\ncontent-length: 5\r\ncontent-length: 3\r\n\r\nhello",
+        ),
+        (
+            "signed content-length",
+            b"POST /recover HTTP/1.1\r\ncontent-length: +5\r\n\r\nhello",
+        ),
+        (
+            "chunked transfer coding",
+            b"POST /recover HTTP/1.1\r\ntransfer-encoding: chunked\r\n\r\n5\r\nhello\r\n0\r\n\r\n",
+        ),
+    ];
+    for (case, request) in cases {
+        let (text, closed) = raw_exchange(addr, request);
+        assert!(text.starts_with("HTTP/1.1 400"), "{case}: got {text}");
+        assert!(text.contains("connection: close"), "{case}: got {text}");
+        assert_eq!(text.matches("HTTP/1.1 ").count(), 1, "{case}: got {text}");
+        assert!(closed, "{case}: the server kept the connection open");
+    }
+
+    let metrics = String::from_utf8_lossy(&client.get("/metrics").expect("metrics").body).into_owned();
+    assert!(metrics.contains("\"serve.bad_request\": 3"), "metrics: {metrics}");
     let report = server.drain();
     assert_eq!(report.stats.expect("stats").submitted, 0, "nothing reached the queue");
 }
@@ -416,9 +447,10 @@ fn concurrent_diffusion_requests_fuse_into_one_cohort_with_linked_traces() {
     dcdiff_telemetry::install(dcdiff_telemetry::Telemetry::new());
 
     // (a) the followers shared forwards: multi-lane widths were observed.
-    let widths = tel.histogram("diffusion.batch.width").snapshot();
+    let metrics = tel.registry().snapshot();
+    let widths = metrics.histogram("diffusion.batch.width");
     assert!(widths.max >= 2, "no shared forward carried more than one lane: {widths:?}");
-    assert!(tel.counter("diffusion.batch.cohorts").get() >= 1, "no cohort was formed");
+    assert!(metrics.counter("diffusion.batch.cohorts") >= 1, "no cohort was formed");
 
     // (b) per-lane causal chains survive fusion.
     let text = tel.take_trace_vec().expect("in-memory trace");

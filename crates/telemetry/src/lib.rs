@@ -26,21 +26,25 @@
 //! --trace t.jsonl` installs its handle globally, which is how sampler steps
 //! land in the same trace as the runtime's queue spans.
 //!
+//! Every span and series is named by a [`Name`] from the [`names`]
+//! registry; only this crate can construct one, so an unregistered name
+//! is a compile error rather than a parallel series no dashboard reads.
+//!
 //! ## Example
 //!
 //! ```
-//! use dcdiff_telemetry::Telemetry;
+//! use dcdiff_telemetry::{names, Telemetry};
 //!
 //! let tel = Telemetry::builder().trace_to_vec().build();
 //! {
-//!     let _outer = tel.span("batch.exec");
-//!     let _inner = tel.span("job.recover");
-//!     tel.histogram("stage.recover_us").record(1500);
+//!     let _outer = tel.span(names::SPAN_BATCH_EXEC);
+//!     let _inner = tel.span(names::SPAN_JOB_RECOVER);
+//!     tel.histogram(names::HIST_STAGE_RECOVER_US).record(1500);
 //! }
-//! tel.counter("jobs.completed").inc();
+//! tel.counter(names::CTR_RETRIES).inc();
 //! let trace = tel.take_trace_vec().unwrap();
 //! assert_eq!(trace.lines().count(), 4); // two B + two E events
-//! assert!(tel.metrics_json().contains("jobs.completed"));
+//! assert!(tel.metrics_json().contains("runtime.retries"));
 //! ```
 
 pub mod json;
@@ -61,6 +65,7 @@ pub use crate::log::{Level, Logger};
 pub use crate::metrics::{
     Counter, Gauge, Histogram, HistogramSnapshot, Registry, RegistrySnapshot,
 };
+pub use crate::names::Name;
 pub use crate::report::TraceReport;
 pub use crate::windows::{WindowView, WindowedMetrics};
 pub use crate::trace::{
@@ -176,7 +181,7 @@ impl TelemetryBuilder {
     pub fn build(self) -> Telemetry {
         let registry = Registry::new();
         let logger = Logger::new(self.log_level, self.log_rate)
-            .with_suppressed_counter(registry.counter(names::CTR_LOG_SUPPRESSED));
+            .with_suppressed_counter(registry.counter(&names::CTR_LOG_SUPPRESSED));
         Telemetry {
             inner: Arc::new(Inner {
                 epoch: Instant::now(),
@@ -234,7 +239,7 @@ impl Telemetry {
     /// now and an end event (with duration) when dropped; spans opened while
     /// it is alive on the same thread become its children. Inert when
     /// tracing is disabled.
-    pub fn span(&self, name: &'static str) -> Span {
+    pub fn span(&self, name: Name) -> Span {
         let Some(sink) = &self.inner.trace else {
             return Span { active: None };
         };
@@ -242,7 +247,7 @@ impl Telemetry {
         let parent = trace::current_span();
         let start = Instant::now();
         sink.write_line(&trace::begin_line(
-            name,
+            &name,
             id,
             parent,
             trace::thread_index(),
@@ -265,14 +270,14 @@ impl Telemetry {
         let dur = end.duration_since(active.start);
         if let Some(sink) = &self.inner.trace {
             sink.write_line(&trace::end_line(
-                active.name,
+                &active.name,
                 active.id,
                 self.t_us(end),
                 u64::try_from(dur.as_micros()).unwrap_or(u64::MAX),
             ));
         }
         trace::set_current_span(active.parent);
-        self.histogram_for_span(active.name).record_duration(dur);
+        self.histogram_for_span(&active.name).record_duration(dur);
     }
 
     /// Record a complete span measured externally (e.g. queue wait, whose
@@ -280,20 +285,20 @@ impl Telemetry {
     /// span becomes its parent. No-op when tracing is disabled (the caller
     /// keeps its own histogram if the measurement must survive without
     /// tracing).
-    pub fn record_span(&self, name: &'static str, start: Instant, end: Instant) {
+    pub fn record_span(&self, name: Name, start: Instant, end: Instant) {
         let Some(sink) = &self.inner.trace else {
             return;
         };
         let dur = end.saturating_duration_since(start);
         sink.write_line(&trace::complete_line(
-            name,
+            &name,
             sink.alloc_span(),
             trace::current_span(),
             trace::thread_index(),
             self.t_us(start),
             u64::try_from(dur.as_micros()).unwrap_or(u64::MAX),
         ));
-        self.histogram_for_span(name).record_duration(dur);
+        self.histogram_for_span(&name).record_duration(dur);
     }
 
     /// Span durations double as registry histograms, prefixed to keep them
@@ -303,21 +308,22 @@ impl Telemetry {
     }
 
     /// The counter registered under `name` (get-or-create).
-    pub fn counter(&self, name: &str) -> Counter {
-        self.inner.registry.counter(name)
+    pub fn counter(&self, name: Name) -> Counter {
+        self.inner.registry.counter(&name)
     }
 
     /// The gauge registered under `name` (get-or-create).
-    pub fn gauge(&self, name: &str) -> Gauge {
-        self.inner.registry.gauge(name)
+    pub fn gauge(&self, name: Name) -> Gauge {
+        self.inner.registry.gauge(&name)
     }
 
     /// The histogram registered under `name` (get-or-create).
-    pub fn histogram(&self, name: &str) -> Histogram {
-        self.inner.registry.histogram(name)
+    pub fn histogram(&self, name: Name) -> Histogram {
+        self.inner.registry.histogram(&name)
     }
 
-    /// The underlying metrics registry.
+    /// The underlying metrics registry: read-only from outside this crate
+    /// (series are created through the [`Name`]-typed methods above).
     pub fn registry(&self) -> &Registry {
         &self.inner.registry
     }
@@ -416,20 +422,21 @@ mod tests {
     fn disabled_tracing_produces_inert_spans() {
         let tel = Telemetry::new();
         assert!(!tel.tracing_enabled());
-        let span = tel.span("anything");
+        let span = tel.span(names::SPAN_BATCH_EXEC);
         assert_eq!(span.id(), 0);
         drop(span);
         // No span histogram is created when tracing is off.
-        assert_eq!(tel.histogram("span.anything_us").count(), 0);
+        let spans = tel.registry().snapshot();
+        assert!(!spans.histograms.contains_key("span.batch.exec_us"));
     }
 
     #[test]
     fn span_events_nest_via_thread_local_parent() {
         let tel = Telemetry::builder().trace_to_vec().build();
         {
-            let outer = tel.span("outer");
+            let outer = tel.span(names::SPAN_BATCH_EXEC);
             assert!(outer.id() > 0);
-            let inner = tel.span("inner");
+            let inner = tel.span(names::SPAN_JOB_RECOVER);
             drop(inner);
             drop(outer);
         }
@@ -453,13 +460,14 @@ mod tests {
         let tel = Telemetry::builder().trace_to_vec().build();
         let start = Instant::now();
         let end = start + std::time::Duration::from_millis(2);
-        tel.record_span("queue.wait", start, end);
+        tel.record_span(names::SPAN_QUEUE_WAIT, start, end);
         let text = tel.take_trace_vec().unwrap();
         let ev = TraceEvent::parse_line(text.trim()).unwrap();
         assert_eq!(ev.kind, EventKind::Complete);
         assert_eq!(ev.name, "queue.wait");
         assert!(ev.dur_us >= 2000);
-        assert_eq!(tel.histogram("span.queue.wait_us").count(), 1);
+        let spans = tel.registry().snapshot();
+        assert_eq!(spans.histogram("span.queue.wait_us").count, 1);
     }
 
     #[test]

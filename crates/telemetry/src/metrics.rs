@@ -20,7 +20,7 @@ pub struct Counter(Arc<AtomicU64>);
 
 impl Counter {
     /// Fresh unregistered counter (registry handles come from
-    /// [`Registry::counter`]).
+    /// [`crate::Telemetry::counter`]).
     pub fn new() -> Self {
         Counter::default()
     }
@@ -280,11 +280,31 @@ pub struct RegistrySnapshot {
     pub histograms: BTreeMap<String, HistogramSnapshot>,
 }
 
+impl RegistrySnapshot {
+    /// Value of the counter named `name` (0 if it was never created).
+    pub fn counter(&self, name: &str) -> u64 {
+        self.counters.get(name).copied().unwrap_or(0)
+    }
+
+    /// Value of the gauge named `name` (0 if it was never created).
+    pub fn gauge(&self, name: &str) -> i64 {
+        self.gauges.get(name).copied().unwrap_or(0)
+    }
+
+    /// Snapshot of the histogram named `name` (empty if it was never
+    /// created).
+    pub fn histogram(&self, name: &str) -> HistogramSnapshot {
+        self.histograms.get(name).cloned().unwrap_or_else(|| Histogram::new().snapshot())
+    }
+}
+
 /// Name-keyed registry of counters, gauges and histograms.
 ///
-/// `counter`/`gauge`/`histogram` get-or-create by name and hand back a
-/// cloneable handle sharing the underlying atomics, so hot paths resolve
-/// their metrics once and never touch the registry lock again.
+/// Series are created through [`crate::Telemetry`]'s [`crate::Name`]-typed
+/// methods, which get-or-create by name and hand back a cloneable handle
+/// sharing the underlying atomics, so hot paths resolve their metrics once
+/// and never touch the registry lock again. Outside this crate the
+/// registry is read-only ([`Registry::snapshot`], [`Registry::to_json`]).
 #[derive(Debug, Default)]
 pub struct Registry {
     counters: Mutex<BTreeMap<String, Counter>>,
@@ -303,7 +323,7 @@ impl Registry {
     }
 
     /// The counter registered under `name`, creating it on first use.
-    pub fn counter(&self, name: &str) -> Counter {
+    pub(crate) fn counter(&self, name: &str) -> Counter {
         lock(&self.counters)
             .entry(name.to_string())
             .or_default()
@@ -311,7 +331,7 @@ impl Registry {
     }
 
     /// The gauge registered under `name`, creating it on first use.
-    pub fn gauge(&self, name: &str) -> Gauge {
+    pub(crate) fn gauge(&self, name: &str) -> Gauge {
         lock(&self.gauges)
             .entry(name.to_string())
             .or_default()
@@ -319,7 +339,7 @@ impl Registry {
     }
 
     /// The histogram registered under `name`, creating it on first use.
-    pub fn histogram(&self, name: &str) -> Histogram {
+    pub(crate) fn histogram(&self, name: &str) -> Histogram {
         lock(&self.histograms)
             .entry(name.to_string())
             .or_default()

@@ -269,7 +269,7 @@ pub struct Span {
 
 pub(crate) struct SpanActive {
     pub(crate) tel: crate::Telemetry,
-    pub(crate) name: &'static str,
+    pub(crate) name: crate::Name,
     pub(crate) id: u64,
     pub(crate) parent: u64,
     pub(crate) start: Instant,

@@ -109,7 +109,7 @@ impl WindowedMetrics {
             .counters
             .iter()
             .map(|(name, &value)| {
-                let before = baseline.snapshot.counters.get(name).copied().unwrap_or(0);
+                let before = baseline.snapshot.counter(name);
                 (name.clone(), value.saturating_sub(before) as f64 / secs)
             })
             .collect();

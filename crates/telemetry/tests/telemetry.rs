@@ -6,7 +6,7 @@ use std::str::FromStr as _;
 use std::sync::Arc;
 use std::thread;
 
-use dcdiff_telemetry::{EventKind, Telemetry, TraceEvent, TraceReport};
+use dcdiff_telemetry::{names, EventKind, Histogram, Telemetry, TraceEvent, TraceReport};
 
 const THREADS: usize = 8;
 const RECORDS: usize = 5_000;
@@ -18,8 +18,8 @@ fn concurrent_counters_and_histograms_lose_no_samples() {
         .map(|t| {
             let tel = Arc::clone(&tel);
             thread::spawn(move || {
-                let counter = tel.counter("test.ops");
-                let histogram = tel.histogram("test.latency_us");
+                let counter = tel.counter(names::CTR_RETRIES);
+                let histogram = tel.histogram(names::HIST_QUEUE_WAIT_US);
                 for i in 0..RECORDS {
                     counter.inc();
                     histogram.record((t * RECORDS + i) as u64);
@@ -31,8 +31,9 @@ fn concurrent_counters_and_histograms_lose_no_samples() {
         h.join().unwrap();
     }
     let n = (THREADS * RECORDS) as u64;
-    assert_eq!(tel.counter("test.ops").get(), n);
-    let snap = tel.histogram("test.latency_us").snapshot();
+    let metrics = tel.registry().snapshot();
+    assert_eq!(metrics.counter("runtime.retries"), n);
+    let snap = metrics.histogram("runtime.queue_wait_us");
     assert_eq!(snap.count, n);
     // Sum of 0..n-1.
     assert_eq!(snap.sum, n * (n - 1) / 2);
@@ -42,14 +43,12 @@ fn concurrent_counters_and_histograms_lose_no_samples() {
 
 #[test]
 fn quantile_edge_cases() {
-    let tel = Telemetry::new();
-
     // Empty histogram has no quantiles.
-    let empty = tel.histogram("edge.empty");
+    let empty = Histogram::new();
     assert_eq!(empty.quantile(0.5), None);
 
     // A single sample is reported exactly at every p.
-    let single = tel.histogram("edge.single");
+    let single = Histogram::new();
     single.record(123);
     for p in [0.0, 0.5, 0.99, 1.0] {
         assert_eq!(single.quantile(p), Some(123));
@@ -57,7 +56,7 @@ fn quantile_edge_cases() {
 
     // All-equal samples are reported exactly at every p (clamped to the
     // observed min == max despite bucket interpolation).
-    let equal = tel.histogram("edge.equal");
+    let equal = Histogram::new();
     for _ in 0..1000 {
         equal.record(700);
     }
@@ -77,8 +76,7 @@ fn quantile_edge_cases() {
 /// decision.
 #[test]
 fn quantile_regression_pins_on_known_samples() {
-    let tel = Telemetry::new();
-    let h = tel.histogram("pin.uniform");
+    let h = Histogram::new();
     for v in 1..=1000u64 {
         h.record(v);
     }
@@ -91,7 +89,7 @@ fn quantile_regression_pins_on_known_samples() {
     assert_eq!(h.quantile(0.0), Some(1));
     assert_eq!(h.quantile(1.0), Some(1000));
 
-    let small = tel.histogram("pin.small");
+    let small = Histogram::new();
     for v in [10u64, 20, 30, 40] {
         small.record(v);
     }
@@ -107,10 +105,10 @@ fn quantile_regression_pins_on_known_samples() {
 fn span_nesting_produces_well_formed_parent_child_jsonl() {
     let tel = Telemetry::builder().trace_to_vec().build();
     {
-        let _batch = tel.span("batch.exec");
+        let _batch = tel.span(names::SPAN_BATCH_EXEC);
         for _ in 0..3 {
-            let _job = tel.span("job.recover");
-            let _stage = tel.span("recover.estimate");
+            let _job = tel.span(names::SPAN_JOB_RECOVER);
+            let _stage = tel.span(names::SPAN_RECOVER_ESTIMATE);
         }
     }
     let text = tel.take_trace_vec().unwrap();
@@ -156,7 +154,7 @@ fn spans_on_multiple_threads_carry_distinct_thread_ids() {
         .map(|_| {
             let tel = Arc::clone(&tel);
             thread::spawn(move || {
-                let _span = tel.span("worker.tick");
+                let _span = tel.span(names::SPAN_JOB_RECOVER);
             })
         })
         .collect();

@@ -90,8 +90,11 @@ struct Micro {
 
 /// Portable 4x8 kernel; fixed bounds keep the accumulator tile in
 /// registers and let LLVM vectorise for whatever the build target offers.
-// SAFETY: unsafe fn — callers uphold the `Micro::kernel` contract (packed
-// strip and accumulator sizes); no ISA requirement beyond the build target.
+///
+/// # Safety
+///
+/// Callers uphold the `Micro::kernel` contract (packed strip and
+/// accumulator sizes); no ISA requirement beyond the build target.
 unsafe fn micro_portable_4x8(kc: usize, astrip: *const f32, bstrip: *const f32, acc: *mut f32) { // analysis: hot
     const MR: usize = 4;
     const NR: usize = 8;
@@ -99,6 +102,7 @@ unsafe fn micro_portable_4x8(kc: usize, astrip: *const f32, bstrip: *const f32, 
     for p in 0..kc {
         // SAFETY: the contract guarantees kc strips of MR / NR floats each.
         let a = unsafe { std::slice::from_raw_parts(astrip.add(p * MR), MR) };
+        // SAFETY: as for `a`, with NR floats per B strip.
         let b = unsafe { std::slice::from_raw_parts(bstrip.add(p * NR), NR) };
         for (r, row) in tile.iter_mut().enumerate() {
             let av = a[r];
@@ -115,10 +119,13 @@ unsafe fn micro_portable_4x8(kc: usize, astrip: *const f32, bstrip: *const f32, 
 
 /// AVX2+FMA 6x16 kernel: 12 ymm accumulators, two B loads and six
 /// broadcast-FMAs per depth step (~2 FMA issues per cycle on one core).
+///
+/// # Safety
+///
+/// `Micro::kernel` contract plus a CPU with avx2+fma; `detect_micro`
+/// only selects this kernel after checking the feature bits.
 #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
 #[target_feature(enable = "avx2,fma")]
-// SAFETY: unsafe fn — `Micro::kernel` contract plus a CPU with avx2+fma;
-// detect_micro only selects this kernel after checking the feature bits.
 unsafe fn micro_avx2_6x16(kc: usize, astrip: *const f32, bstrip: *const f32, acc: *mut f32) { // analysis: hot
     #[cfg(target_arch = "x86")]
     use std::arch::x86::*;
@@ -151,10 +158,13 @@ unsafe fn micro_avx2_6x16(kc: usize, astrip: *const f32, bstrip: *const f32, acc
 /// 512-bit FMAs. The tall 14-row tile keeps `nr` at 16 columns, matching
 /// the AVX2 kernel's padding waste on narrow conv GEMMs while doubling
 /// per-instruction width on the tall im2col products batching produces.
+///
+/// # Safety
+///
+/// `Micro::kernel` contract plus a CPU with avx512f; `detect_micro` only
+/// selects this kernel after checking the feature bit.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-// SAFETY: unsafe fn — `Micro::kernel` contract plus a CPU with avx512f;
-// detect_micro only selects this kernel after checking the feature bit.
 unsafe fn micro_avx512_14x16(kc: usize, astrip: *const f32, bstrip: *const f32, acc: *mut f32) { // analysis: hot
     use std::arch::x86_64::*;
     const MR: usize = 14;

@@ -42,6 +42,7 @@ thread_local! {
     static HANDLES: RefCell<Option<Handles>> = const { RefCell::new(None) };
 }
 
+#[expect(clippy::expect_used, reason = "the stale branch above just filled the slot")]
 fn with_handles(f: impl FnOnce(&Handles)) {
     HANDLES.with(|slot| {
         let mut slot = slot.borrow_mut();
@@ -95,15 +96,16 @@ mod tests {
         record_conv(Duration::from_micros(250), 2_000_000);
         // Other tests in this binary may record concurrently through the
         // same global, so bound from below rather than asserting equality.
-        assert!(tel.counter("tensor.gemm_flops").get() >= 1_000_000);
-        assert!(tel.counter("tensor.conv_flops").get() >= 2_000_000);
-        assert!(tel.histogram("tensor.gemm_us").count() >= 1);
-        assert!(tel.histogram("tensor.conv_us").count() >= 1);
+        let metrics = tel.registry().snapshot();
+        assert!(metrics.counter("tensor.gemm_flops") >= 1_000_000);
+        assert!(metrics.counter("tensor.conv_flops") >= 2_000_000);
+        assert!(metrics.histogram("tensor.gemm_us").count >= 1);
+        assert!(metrics.histogram("tensor.conv_us").count >= 1);
         // Re-install swaps the cached handles.
         let fresh = Telemetry::new();
         dcdiff_telemetry::install(fresh.clone());
         record_gemm(Duration::from_micros(10), 42);
-        assert!(fresh.counter("tensor.gemm_flops").get() >= 42);
+        assert!(fresh.registry().snapshot().counter("tensor.gemm_flops") >= 42);
         dcdiff_telemetry::install(Telemetry::new());
     }
 }

@@ -28,6 +28,10 @@
 //! `tensor.gemm_us` / `tensor.conv_us` histograms and
 //! `tensor.{gemm,conv}_flops` counters.
 
+// A panicking pool worker must not poison the pool: recover locks with
+// `PoisonError::into_inner` instead of unwrapping them (ANALYSIS.md).
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 pub mod config;
 mod gemm;
 pub(crate) mod metrics;

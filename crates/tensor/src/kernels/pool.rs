@@ -108,6 +108,7 @@ fn worker_loop(jobs: &Mutex<Receiver<Kick>>) {
         let Ok(kick) = kick else { return };
         // SAFETY: see `Kick` — pointers stay valid until the check-in below.
         let region: &Region<'_> = unsafe { &*kick.region };
+        // SAFETY: as for `region`: the latch outlives this worker's check-in.
         let latch: &Latch = unsafe { &*kick.latch };
         let panicked =
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| region.drain())).is_err();
@@ -115,6 +116,10 @@ fn worker_loop(jobs: &Mutex<Receiver<Kick>>) {
     }
 }
 
+#[expect(
+    clippy::expect_used,
+    reason = "thread-spawn failure at pool init is an unrecoverable environment fault"
+)]
 fn pool() -> &'static Pool {
     static POOL: OnceLock<Pool> = OnceLock::new();
     POOL.get_or_init(|| {
@@ -143,6 +148,7 @@ fn pool() -> &'static Pool {
 /// exceed the thread count. Runs inline when the pool is configured for a
 /// single thread or there is at most one task. Panics in `f` are joined and
 /// re-raised on the caller.
+#[expect(clippy::expect_used, reason = "the receiver is leaked at pool init and never dropped")]
 pub fn parallel_for(total: usize, f: &(dyn Fn(usize) + Sync)) {
     if total == 0 {
         return;

@@ -1,10 +1,11 @@
 //! Workspace self-check: the committed tree must satisfy every
-//! `dcdiff-analysis` contract (panic-freedom in untrusted crates, audited
-//! unsafe reconciled against `UNSAFE_LEDGER.md`, lock/condvar hygiene,
-//! registered telemetry names, and the interprocedural reachability
-//! rules). This is the same check CI gates on via `dcdiff lint`; running
-//! it as a test keeps `cargo test` and the CI lint step from drifting
-//! apart.
+//! `dcdiff-analysis` contract (unsafe sites reconciled against
+//! `UNSAFE_LEDGER.md`, condvar waits in loops, well-formed allow
+//! annotations, and the interprocedural reachability rules). This is the
+//! same check CI gates on via `dcdiff lint`; running it as a test keeps
+//! `cargo test` and the CI lint step from drifting apart. Panic-freedom,
+//! bounds checks and SAFETY comments are clippy's job (CI's clippy step),
+//! and registered telemetry names are the compiler's (ANALYSIS.md).
 
 use std::path::Path;
 
