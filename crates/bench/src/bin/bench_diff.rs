@@ -18,9 +18,12 @@
 //! (`threads`, shapes, byte counts) have no direction and are skipped.
 //!
 //! The verdict JSON lists every regression and improvement with its
-//! baseline/current values and ratio. The exit status stays 0 unless
-//! `--strict` is given, so the CI step records the verdict as an artifact
-//! without flaking the build on a shared runner's bad day.
+//! baseline/current values and ratio, plus every directional baseline
+//! metric the current report no longer has (`missing`), so a deleted or
+//! renamed metric cannot pass silently. The exit status stays 0 unless
+//! `--strict` is given, when any regression or missing metric fails it; the
+//! CI step records the verdict as an artifact without flaking the build on
+//! a shared runner's bad day.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -333,6 +336,8 @@ struct Delta {
 struct FileVerdict {
     compared: usize,
     skipped: usize,
+    /// Directional baseline metrics absent from the current report.
+    missing: Vec<String>,
     regressions: Vec<Delta>,
     improvements: Vec<Delta>,
 }
@@ -352,7 +357,7 @@ fn compare(
             continue;
         };
         let Some(&cur) = current.get(path) else {
-            verdict.skipped += 1;
+            verdict.missing.push(path.clone());
             continue;
         };
         if base.abs() < MIN_MAGNITUDE {
@@ -456,6 +461,7 @@ fn run() -> Result<bool, String> {
     let _ = writeln!(verdict_json, "  \"tolerance\": {},", args.tol);
     let mut all_regressions = Vec::new();
     let mut all_improvements = Vec::new();
+    let mut all_missing = Vec::new();
     let mut compared = 0usize;
     let mut skipped = 0usize;
     let mut files_json = Vec::new();
@@ -481,12 +487,16 @@ fn run() -> Result<bool, String> {
         );
         let fv = compare(&base_flat, &cur_flat, args.tol);
         println!(
-            "{name}: {} compared, {} skipped, {} regression(s), {} improvement(s)",
+            "{name}: {} compared, {} skipped, {} missing, {} regression(s), {} improvement(s)",
             fv.compared,
             fv.skipped,
+            fv.missing.len(),
             fv.regressions.len(),
             fv.improvements.len()
         );
+        for path in &fv.missing {
+            println!("  MISSING   {path}");
+        }
         for d in &fv.regressions {
             println!(
                 "  REGRESSED {}: {} -> {} ({:.2}x)",
@@ -512,23 +522,28 @@ fn run() -> Result<bool, String> {
         };
         all_regressions.extend(prefixed(&fv.regressions));
         all_improvements.extend(prefixed(&fv.improvements));
+        all_missing.extend(fv.missing.iter().map(|path| format!("\"{name}:{path}\"")));
         files_json.push(format!(
-            "    {{\"file\": \"{name}\", \"compared\": {}, \"skipped\": {}, \"regressions\": {}, \"improvements\": {}}}",
+            "    {{\"file\": \"{name}\", \"compared\": {}, \"skipped\": {}, \"missing\": {}, \"regressions\": {}, \"improvements\": {}}}",
             fv.compared,
             fv.skipped,
+            fv.missing.len(),
             fv.regressions.len(),
             fv.improvements.len()
         ));
     }
 
-    let regressed = !all_regressions.is_empty();
-    let _ = writeln!(
-        verdict_json,
-        "  \"status\": \"{}\",",
-        if regressed { "regressed" } else { "ok" }
-    );
+    let status = if !all_regressions.is_empty() {
+        "regressed"
+    } else if !all_missing.is_empty() {
+        "missing"
+    } else {
+        "ok"
+    };
+    let _ = writeln!(verdict_json, "  \"status\": \"{status}\",");
     let _ = writeln!(verdict_json, "  \"compared\": {compared},");
     let _ = writeln!(verdict_json, "  \"skipped\": {skipped},");
+    let _ = writeln!(verdict_json, "  \"missing\": [{}],", all_missing.join(", "));
     let _ = writeln!(verdict_json, "  \"files\": [\n{}\n  ],", files_json.join(",\n"));
     json_deltas(&mut verdict_json, "regressions", &all_regressions);
     verdict_json.pop();
@@ -538,13 +553,12 @@ fn run() -> Result<bool, String> {
     std::fs::write(&args.out_path, &verdict_json)
         .map_err(|e| format!("{}: {e}", args.out_path))?;
     println!(
-        "verdict: {} ({} metric(s) compared, tol ±{:.0}%) -> {}",
-        if regressed { "REGRESSED" } else { "ok" },
-        compared,
+        "verdict: {status} ({compared} metric(s) compared, {} missing, tol ±{:.0}%) -> {}",
+        all_missing.len(),
         args.tol * 100.0,
         args.out_path
     );
-    Ok(!regressed || !args.strict)
+    Ok(status == "ok" || !args.strict)
 }
 
 fn main() -> ExitCode {
@@ -635,6 +649,22 @@ mod tests {
         assert!(v.regressions.is_empty());
         assert_eq!(v.improvements.len(), 1);
         assert_eq!(v.improvements[0].path, "wall_ms");
+    }
+
+    #[test]
+    fn compare_reports_missing_metrics() {
+        // A deleted metric (however small) must not pass as merely
+        // skipped; a config echo without a direction is never compared.
+        let base = flat(
+            r#"{"wall_ms": 100.0, "speedup_4_vs_1_workers": 3.87,
+                "queue_wait_p50_ms": 0.09, "threads": 4}"#,
+        );
+        let cur = flat(r#"{"wall_ms": 100.0}"#);
+        let v = compare(&base, &cur, 0.5);
+        assert_eq!(v.compared, 1);
+        assert_eq!(v.skipped, 0);
+        assert_eq!(v.missing, ["queue_wait_p50_ms", "speedup_4_vs_1_workers"]);
+        assert!(v.regressions.is_empty());
     }
 
     #[test]

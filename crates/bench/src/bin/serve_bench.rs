@@ -10,6 +10,10 @@
 //! responses (503) and deadline misses instead of the silent slowdown a
 //! closed-loop client would show (coordinated omission).
 //!
+//! Load comes from compute alone: each request carries a DC-dropped 512x512
+//! scene (dcbench's `serve_tip2006_512` shape) recovered with TIP-2006, so
+//! the upper sweep levels overload a small host's workers.
+//!
 //! The headline number is `max_rps_p99_compliant`: the highest offered
 //! load at which p99 latency of completed requests still met the 500 ms
 //! interactive deadline. Writes `BENCH_serve.json` to the current
@@ -25,15 +29,10 @@ use dcdiff_jpeg::{encode_coefficients, DcDropMode, JpegEncoder};
 use dcdiff_runtime::{RecoverMethod, RuntimeConfig};
 use dcdiff_serve::{Client, ServeConfig, Server};
 
-const IMAGE_SIZE: usize = 64;
+const IMAGE_SIZE: usize = 512;
 const SWEEP_SECS: f64 = 2.0;
 const OFFERED_RPS: &[f64] = &[10.0, 25.0, 50.0, 100.0, 200.0];
 const DEADLINE_MS: f64 = 500.0;
-/// Simulated sender-uplink stall per job (`x-ingest-stall-ms`), matching
-/// `runtime_bench`'s IoT model; it pins per-worker capacity near
-/// `1000 / INGEST_STALL_MS` jobs/s so the upper sweeps genuinely overload
-/// the queue and exercise shedding.
-const INGEST_STALL_MS: u64 = 20;
 
 struct SweepResult {
     offered_rps: f64,
@@ -76,12 +75,7 @@ fn sweep(addr: &str, jpeg: Arc<Vec<u8>>, offered_rps: f64) -> SweepResult {
         senders.push(std::thread::spawn(move || {
             let t0 = Instant::now();
             let status = client
-                .recover_opts(
-                    &jpeg,
-                    Some("interactive"),
-                    false,
-                    Some(Duration::from_millis(INGEST_STALL_MS)),
-                )
+                .recover(&jpeg, Some("interactive"), false)
                 .map_or(0, |resp| resp.status);
             let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
             if let Ok(mut o) = outcomes.lock() {
@@ -148,7 +142,7 @@ fn main() {
     let addr = server.local_addr().to_string();
     println!(
         "serve_bench: {IMAGE_SIZE}x{IMAGE_SIZE} dropped scene ({} bytes), {cores} worker(s), \
-         {INGEST_STALL_MS} ms uplink stall, interactive deadline {DEADLINE_MS} ms",
+         interactive deadline {DEADLINE_MS} ms",
         jpeg.len()
     );
 
@@ -186,7 +180,6 @@ fn main() {
     let _ = writeln!(json, "  \"method\": \"tip2006\",");
     let _ = writeln!(json, "  \"deadline_class\": \"interactive\",");
     let _ = writeln!(json, "  \"deadline_ms\": {DEADLINE_MS},");
-    let _ = writeln!(json, "  \"ingest_stall_ms\": {INGEST_STALL_MS},");
     let _ = writeln!(json, "  \"sweep_secs\": {SWEEP_SECS},");
     let _ = writeln!(json, "  \"cpu_cores\": {cores},");
     let _ = writeln!(

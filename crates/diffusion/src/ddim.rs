@@ -216,117 +216,3 @@ mod tests {
         assert_eq!(a.to_vec(), b.unwrap().to_vec());
     }
 }
-
-/// Stochastic ancestral (DDPM) sampler — the full-`T` reverse chain of
-/// Ho et al. used during the paper's training-time analyses; DDIM is the
-/// fast deterministic special case used at deployment.
-#[derive(Debug, Clone)]
-pub struct DdpmSampler {
-    schedule: NoiseSchedule,
-}
-
-impl DdpmSampler {
-    /// Create a sampler over the full training schedule.
-    pub fn new(schedule: NoiseSchedule) -> Self {
-        Self { schedule }
-    }
-
-    /// The underlying schedule.
-    pub fn schedule(&self) -> &NoiseSchedule {
-        &self.schedule
-    }
-
-    /// Run the full `T`-step ancestral reverse process.
-    ///
-    /// `eps_fn(z_t, t)` returns the predicted noise. Each step samples
-    /// `z_{t-1} ~ N(mu_theta(z_t, t), sigma_t^2 I)` with the posterior
-    /// variance `sigma_t^2 = beta_t (1 - abar_{t-1}) / (1 - abar_t)`.
-    pub fn sample(
-        &self,
-        shape: &[usize],
-        rng: &mut Rng,
-        eps_fn: impl Fn(&Tensor, usize) -> Tensor,
-    ) -> Tensor {
-        let t_max = self.schedule.steps();
-        let mut z = Tensor::randn(shape.to_vec(), 1.0, rng);
-        for t in (0..t_max).rev() {
-            let eps = eps_fn(&z, t).detach();
-            let beta = self.schedule.beta(t);
-            let alpha = 1.0 - beta;
-            let abar = self.schedule.alpha_bar(t);
-            // mu = (z - beta/sqrt(1-abar) * eps) / sqrt(alpha)
-            let mu = z
-                .sub(&eps.scale(beta / (1.0 - abar).sqrt()))
-                .scale(1.0 / alpha.sqrt());
-            if t == 0 {
-                z = mu.detach();
-            } else {
-                let abar_prev = self.schedule.alpha_bar(t - 1);
-                let var = beta * (1.0 - abar_prev) / (1.0 - abar);
-                let noise = Tensor::randn(shape.to_vec(), 1.0, rng);
-                z = mu.add(&noise.scale(var.sqrt())).detach();
-            }
-        }
-        z
-    }
-}
-
-#[cfg(test)]
-mod ddpm_tests {
-    use super::*;
-    use dcdiff_tensor::seeded_rng;
-
-    #[test]
-    fn oracle_predictor_lands_near_target() {
-        let schedule = NoiseSchedule::linear(50, 1e-3, 3e-2);
-        let sampler = DdpmSampler::new(schedule.clone());
-        let target = -1.5f32;
-        let mut rng = seeded_rng(2);
-        let out = sampler.sample(&[1, 1, 2, 2], &mut rng, |zt, t| {
-            let ab = schedule.alpha_bar(t);
-            zt.add_scalar(-ab.sqrt() * target)
-                .scale(1.0 / (1.0 - ab).sqrt())
-        });
-        for v in out.to_vec() {
-            // ancestral sampling is stochastic: allow posterior spread
-            assert!((v - target).abs() < 0.8, "got {v}, want ~{target}");
-        }
-    }
-
-    #[test]
-    fn different_seeds_give_different_samples() {
-        let schedule = NoiseSchedule::linear(20, 1e-3, 2e-2);
-        let sampler = DdpmSampler::new(schedule);
-        let run = |seed: u64| {
-            let mut rng = seeded_rng(seed);
-            sampler.sample(&[1, 1, 2, 2], &mut rng, |zt, _| zt.scale(0.05)).to_vec()
-        };
-        assert_ne!(run(1), run(2), "ancestral sampling must be stochastic");
-    }
-
-    #[test]
-    fn matches_ddim_in_expectation_roughly() {
-        // with an oracle predictor both samplers should land near the
-        // same target; compare their means over a few seeds
-        let schedule = NoiseSchedule::linear(40, 1e-3, 2e-2);
-        let ddpm = DdpmSampler::new(schedule.clone());
-        let ddim = DdimSampler::new(schedule.clone(), 40);
-        let target = 0.8f32;
-        let oracle = |zt: &Tensor, t: usize| {
-            let ab = schedule.alpha_bar(t);
-            zt.add_scalar(-ab.sqrt() * target)
-                .scale(1.0 / (1.0 - ab).sqrt())
-        };
-        let mut ddpm_mean = 0.0f32;
-        let mut ddim_mean = 0.0f32;
-        for seed in 0..6 {
-            let mut r1 = seeded_rng(seed);
-            let mut r2 = seeded_rng(seed);
-            ddpm_mean += ddpm.sample(&[1, 1, 1, 1], &mut r1, oracle).to_vec()[0];
-            ddim_mean += ddim.sample(&[1, 1, 1, 1], &mut r2, oracle).to_vec()[0];
-        }
-        ddpm_mean /= 6.0;
-        ddim_mean /= 6.0;
-        assert!((ddpm_mean - ddim_mean).abs() < 0.4, "{ddpm_mean} vs {ddim_mean}");
-    }
-}

@@ -36,6 +36,6 @@ mod fmpp;
 mod schedule;
 
 pub use batched::{BatchLane, BatchedDdimSampler};
-pub use ddim::{DdimSampler, DdpmSampler};
+pub use ddim::DdimSampler;
 pub use fmpp::Fmpp;
 pub use schedule::NoiseSchedule;

@@ -182,13 +182,6 @@ pub struct JobSpec {
     pub deadline: Option<Duration>,
     /// How many times a *transient* failure may be retried.
     pub max_retries: u32,
-    /// Simulated sender-link stall served before execution. DCDiff's sender
-    /// is a low-power IoT device, so a receiver worker blocks this long — as
-    /// if waiting on the device's uplink — before the job's bytes are
-    /// available. Stalls on different workers overlap, which is what makes
-    /// multi-worker serving pay off even for cheap jobs; used by the runtime
-    /// benchmark and `--ingest-ms` manifest lines.
-    pub ingest: Option<Duration>,
     /// Request-scoped trace context carried from the submitter (e.g. the
     /// serve front door's `traceparent`) across the queue to the worker
     /// thread, where it is re-installed so every span the job emits —
@@ -198,9 +191,9 @@ pub struct JobSpec {
 }
 
 impl JobSpec {
-    /// Spec with no deadline, no retries, no ingest stall, no trace context.
+    /// Spec with no deadline, no retries, no trace context.
     pub fn new(job: Job) -> Self {
-        JobSpec { job, deadline: None, max_retries: 0, ingest: None, trace: None }
+        JobSpec { job, deadline: None, max_retries: 0, trace: None }
     }
 
     /// Set the relative deadline.
@@ -214,13 +207,6 @@ impl JobSpec {
     #[must_use]
     pub fn with_retries(mut self, max_retries: u32) -> Self {
         self.max_retries = max_retries;
-        self
-    }
-
-    /// Set the simulated sender-link ingest stall.
-    #[must_use]
-    pub fn with_ingest(mut self, ingest: Duration) -> Self {
-        self.ingest = Some(ingest);
         self
     }
 

@@ -17,8 +17,8 @@
 //!   bounded retry with exponential backoff;
 //! * [`RuntimeStats`] — an atomic counter block whose [`RuntimeStats::snapshot`]
 //!   the CLI prints after `dcdiff batch`;
-//! * [`manifest`] — the one-job-per-line manifest format shared by
-//!   `dcdiff batch` and the runtime benchmark.
+//! * [`manifest`] — the one-job-per-line manifest format `dcdiff batch`
+//!   reads.
 //!
 //! ## Observability
 //!
@@ -59,6 +59,10 @@
     clippy::disallowed_macros
 )]
 #![cfg_attr(test, allow(clippy::disallowed_macros))]
+
+// Lets the test gate shared with the integration tests name this crate.
+#[cfg(test)]
+extern crate self as dcdiff_runtime;
 
 pub mod exec;
 pub mod job;

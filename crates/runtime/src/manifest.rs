@@ -9,9 +9,8 @@
 //! metrics   scene0.ppm out.ppm
 //! ```
 //!
-//! Each line may additionally carry serving metadata: `--deadline-ms N`,
-//! `--retries N`, and `--ingest-ms N` (simulated sender-uplink stall served
-//! by the worker before execution — see [`JobSpec::ingest`]).
+//! Each line may additionally carry serving metadata: `--deadline-ms N`
+//! and `--retries N`.
 
 use std::time::Duration;
 
@@ -30,7 +29,6 @@ const VALUE_FLAGS: &[&str] = &[
     "--sweeps",
     "--deadline-ms",
     "--retries",
-    "--ingest-ms",
 ];
 
 /// Boolean flags accepted in manifests.
@@ -166,10 +164,6 @@ pub fn parse_line(text: &str) -> Result<Option<JobSpec>, String> {
         spec = spec.with_deadline(Duration::from_millis(deadline_ms));
     }
     spec = spec.with_retries(line.int("--retries", 0)? as u32);
-    let ingest_ms = line.int("--ingest-ms", 0)?;
-    if ingest_ms > 0 {
-        spec = spec.with_ingest(Duration::from_millis(ingest_ms));
-    }
     Ok(Some(spec))
 }
 
@@ -276,18 +270,21 @@ mod tests {
 
     #[test]
     fn serving_metadata_parses() {
-        let spec = parse_line("metrics a.ppm b.ppm --deadline-ms 250 --retries 2 --ingest-ms 15")
+        let spec = parse_line("metrics a.ppm b.ppm --deadline-ms 250 --retries 2")
             .unwrap()
             .unwrap();
         assert_eq!(spec.deadline, Some(Duration::from_millis(250)));
         assert_eq!(spec.max_retries, 2);
-        assert_eq!(spec.ingest, Some(Duration::from_millis(15)));
     }
 
     #[test]
     fn unknown_flag_is_named() {
         let err = parse_line("encode a.ppm b.jpg --qualty 80").unwrap_err();
         assert!(err.contains("--qualty"), "{err}");
+        // A manifest line carrying a retired flag is rejected by name, not
+        // run without it.
+        let err = parse_manifest("metrics a.ppm b.ppm --ingest-ms 15\n").unwrap_err();
+        assert_eq!(err, "line 1: unknown flag '--ingest-ms'");
     }
 
     #[test]

@@ -148,7 +148,6 @@ struct Queued {
     submitted: Instant,
     deadline: Option<Instant>,
     max_retries: u32,
-    ingest: Option<Duration>,
     /// Trace context carried across the queue so worker-side spans join the
     /// submitter's causal chain (see [`JobSpec::with_trace`]).
     trace: Option<dcdiff_telemetry::TraceCtx>,
@@ -322,7 +321,6 @@ impl Runtime {
             submitted: now,
             deadline: spec.deadline.map(|d| now + d),
             max_retries: spec.max_retries,
-            ingest: spec.ingest,
             trace: spec.trace,
             notify,
         };
@@ -568,13 +566,12 @@ struct Lane {
 /// a diffusion micro-batch, whose lanes are same-config Recover jobs):
 ///
 /// 1. deadline gate;
-/// 2. ingest stall, outside the `exec` clock;
-/// 3. read and entropy decode under [`with_retries`] — or, for a
+/// 2. read and entropy decode under [`with_retries`] — or, for a
 ///    non-Recover job, its whole [`execute`];
-/// 4. one [`recover_guarded`] ladder call over every surviving lane;
-/// 5. per-lane write and accounting.
+/// 3. one [`recover_guarded`] ladder call over every surviving lane;
+/// 4. per-lane write and accounting.
 ///
-/// Steps 1–3 run per lane in arrival order. A lane whose deadline expires
+/// Steps 1–2 run per lane in arrival order. A lane whose deadline expires
 /// during the estimate is evicted without aborting its batch-mates.
 fn run_lanes(
     cohort: Vec<Queued>,
@@ -603,13 +600,6 @@ fn run_lanes(
             };
             finish(result, entry.notify, stats, results);
             continue;
-        }
-        if let Some(stall) = entry.ingest {
-            // Simulated sender-uplink wait (see `JobSpec::ingest`). It counts
-            // against the wall clock but not `exec`; like execution itself it
-            // is not preempted by the deadline once started.
-            let _ingest = tel.span(names::SPAN_JOB_INGEST);
-            std::thread::sleep(stall);
         }
         if let Job::Recover { input, output, method } = &entry.job {
             let (output, method) = (output.clone(), *method);
@@ -708,7 +698,7 @@ fn with_retries<T>(
 }
 
 /// Account for and deliver a job that ran: `exec` is measured from the
-/// start of its final attempt, after any ingest stall.
+/// start of its final attempt.
 fn complete(
     entry: Queued,
     outcome: Result<JobOutput, JobFailure>,
@@ -750,6 +740,11 @@ fn stage_span_name(stage: Stage) -> names::Name {
         Stage::Metrics => names::SPAN_JOB_METRICS,
     }
 }
+
+#[cfg(test)]
+#[cfg(unix)]
+#[path = "../tests/support/gate.rs"]
+mod gate;
 
 #[cfg(test)]
 mod tests {
@@ -911,7 +906,6 @@ mod tests {
                 submitted: Instant::now(),
                 deadline: None,
                 max_retries: 0,
-                ingest: None,
                 trace: None,
                 notify: None,
             }),
@@ -965,6 +959,7 @@ mod tests {
         assert_eq!(report.stats.rejected, rejected);
     }
 
+    #[cfg(unix)]
     #[test]
     fn queue_depth_gauge_decays_to_zero_between_bursts() {
         // Regression test: the gauge used to be set only on submit and on
@@ -984,26 +979,25 @@ mod tests {
             output: format!("/nonexistent/{tag}.ppm"),
             method: RecoverMethod::Tip2006,
         };
-        // The leader stalls in ingest long enough for the burst behind it to
-        // queue up; the worker then assembles the rest into one batch.
-        let (_, first) = runtime
-            .submit_watched(
-                JobSpec::new(recover("qd0")).with_ingest(Duration::from_millis(150)),
-            )
-            .unwrap();
-        let handles: Vec<_> = (1..6)
+        // The gate holds the worker while the burst queues; on release the
+        // worker assembles the whole burst into one batch.
+        let gate = super::gate::Gate::hold(&runtime);
+        let handles: Vec<_> = (0..6)
             .map(|i| runtime.submit_watched(recover(&format!("qd{i}"))).unwrap().1)
             .collect();
-        first.wait_timeout(Duration::from_secs(10)).expect("leader completes");
+        gate.release();
         for handle in handles {
             handle.wait_timeout(Duration::from_secs(10)).expect("burst job completes");
         }
+        let metrics = tel.registry().snapshot();
+        assert_eq!(metrics.histogram("runtime.batch_size").max, 6, "the burst ran as one batch");
         // All jobs are done and the runtime is idle (but still running): the
         // gauge must read the true depth, zero.
-        assert_eq!(tel.registry().snapshot().gauge("runtime.queue_depth"), 0);
+        assert_eq!(metrics.gauge("runtime.queue_depth"), 0);
         runtime.shutdown(ShutdownMode::Drain);
     }
 
+    #[cfg(unix)]
     #[test]
     fn watched_wait_timeout_expires_then_delivers_later() {
         let runtime = Runtime::start(RuntimeConfig {
@@ -1011,10 +1005,11 @@ mod tests {
             queue_cap: 8,
             ..RuntimeConfig::default()
         });
-        let spec = JobSpec::new(metrics_job("wt")).with_ingest(Duration::from_millis(120));
-        let (_, handle) = runtime.submit_watched(spec).unwrap();
-        // The ingest stall outlasts this first wait.
+        let gate = super::gate::Gate::hold(&runtime);
+        let (_, handle) = runtime.submit_watched(metrics_job("wt")).unwrap();
+        // The job is queued behind the held worker, so this wait expires.
         assert!(handle.wait_timeout(Duration::from_millis(5)).is_none());
+        gate.release();
         let result = handle.wait_timeout(Duration::from_secs(10));
         assert!(result.is_some(), "a later wait still takes the delivery");
         runtime.shutdown(ShutdownMode::Drain);

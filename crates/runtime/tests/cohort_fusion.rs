@@ -8,7 +8,13 @@
 //!   observations wider than one lane.
 //! * **Eviction** — a lane whose deadline is already blown fails with
 //!   `DeadlineExceeded` while its batch-mates complete normally.
-//! * **Accounting** — a lane's `exec` starts after its ingest stall.
+//!
+//! Each burst queues behind a [`gate::Gate`] that holds the lone worker, so
+//! the worker assembles it into one micro-batch.
+#![cfg(unix)]
+
+#[path = "support/gate.rs"]
+mod gate;
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -64,8 +70,7 @@ fn recover_job(dir: &std::path::Path, i: usize, prefix: &str) -> Job {
 }
 
 /// Run `n` diffusion recoveries through a single-worker runtime at the given
-/// cohort width. The leader's ingest stall lets the rest of the burst queue
-/// up so the worker assembles one micro-batch.
+/// cohort width, queued as one burst behind the gate.
 fn run_at_width(dir: &std::path::Path, n: usize, width: usize, prefix: &str) -> Telemetry {
     let tel = Telemetry::new();
     let runtime = Runtime::start(RuntimeConfig {
@@ -75,14 +80,11 @@ fn run_at_width(dir: &std::path::Path, n: usize, width: usize, prefix: &str) -> 
         telemetry: tel.clone(),
         ..RuntimeConfig::default()
     });
-    let leader = JobSpec::new(recover_job(dir, 0, prefix))
-        .with_ingest(Duration::from_millis(150));
-    runtime.submit_blocking(leader).expect("submit leader");
-    for i in 1..n {
-        runtime
-            .submit_blocking(recover_job(dir, i, prefix))
-            .expect("submit follower");
+    let gate = gate::Gate::hold(&runtime);
+    for i in 0..n {
+        runtime.submit_blocking(recover_job(dir, i, prefix)).expect("submit burst job");
     }
+    gate.release();
     let report = runtime.shutdown(ShutdownMode::Drain);
     assert_eq!(report.results.len(), n);
     assert!(
@@ -147,17 +149,15 @@ fn expired_lane_is_evicted_while_batch_mates_complete() {
         batch_max: 8,
         ..RuntimeConfig::default()
     });
-    let leader = JobSpec::new(recover_job(&dir, 0, "run_"))
-        .with_ingest(Duration::from_millis(150));
-    runtime.submit_blocking(leader).expect("submit leader");
-    runtime
-        .submit_blocking(recover_job(&dir, 1, "run_"))
-        .expect("submit survivor");
-    // The doomed lane's deadline expires during the leader's ingest stall,
-    // so it is evicted at the cohort's first cooperative check.
-    let doomed = JobSpec::new(recover_job(&dir, 2, "run_"))
-        .with_deadline(Duration::from_millis(1));
+    let gate = gate::Gate::hold(&runtime);
+    for i in 0..2 {
+        runtime.submit_blocking(recover_job(&dir, i, "run_")).expect("submit survivor");
+    }
+    // A zero deadline has passed by the time the worker looks, so the
+    // doomed lane is evicted at its batch's pre-flight deadline gate.
+    let doomed = JobSpec::new(recover_job(&dir, 2, "run_")).with_deadline(Duration::ZERO);
     let doomed_id = runtime.submit_blocking(doomed).expect("submit doomed");
+    gate.release();
     let report = runtime.shutdown(ShutdownMode::Drain);
 
     assert_eq!(report.results.len(), n);
@@ -173,46 +173,5 @@ fn expired_lane_is_evicted_while_batch_mates_complete() {
         let expected = std::fs::read(path(&dir, &format!("ref_{i}.ppm"))).expect("reference");
         assert_eq!(survivor, expected, "survivor {i} must match its solo recovery");
     }
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn stalled_leader_of_a_fused_batch_does_not_count_its_ingest_as_exec() {
-    let n = 3;
-    let stall = Duration::from_millis(150);
-    let dir = scratch_dir("ingest");
-    stage_inputs(&dir, n);
-    let runtime = Runtime::start(RuntimeConfig {
-        workers: 1,
-        queue_cap: 16,
-        batch_max: 8,
-        ..RuntimeConfig::default()
-    });
-    // A short non-Recover blocker holds the worker while the burst queues,
-    // so the stalled leader is popped with its followers already waiting
-    // and its queue wait stays well under its own stall.
-    let blocker = Job::Metrics {
-        reference: path(&dir, "none-a.ppm"),
-        test: path(&dir, "none-b.ppm"),
-    };
-    runtime
-        .submit_blocking(JobSpec::new(blocker).with_ingest(Duration::from_millis(30)))
-        .expect("submit blocker");
-    let leader = JobSpec::new(recover_job(&dir, 0, "lead_")).with_ingest(stall);
-    let leader_id = runtime.submit_blocking(leader).expect("submit leader");
-    for i in 1..n {
-        runtime.submit_blocking(recover_job(&dir, i, "lead_")).expect("submit follower");
-    }
-    let report = runtime.shutdown(ShutdownMode::Drain);
-
-    assert_eq!(report.stats.batched_jobs, n as u64, "the leader fused its followers");
-    let leader = report.result(leader_id).expect("leader result");
-    assert!(leader.is_ok());
-    assert!(
-        leader.exec + stall <= leader.wall,
-        "exec {:?} must exclude the {stall:?} ingest stall (wall {:?})",
-        leader.exec,
-        leader.wall
-    );
     let _ = std::fs::remove_dir_all(&dir);
 }

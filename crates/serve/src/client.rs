@@ -121,32 +121,12 @@ impl Client {
         class: Option<&str>,
         dc_plane: bool,
     ) -> std::io::Result<HttpResponse> {
-        self.recover_opts(jpeg, class, dc_plane, None)
-    }
-
-    /// [`Client::recover`] plus the `x-ingest-stall-ms` fault-injection
-    /// header (simulated slow sender uplink; used by tests and the bench).
-    ///
-    /// # Errors
-    ///
-    /// Connection and framing failures.
-    pub fn recover_opts(
-        &self,
-        jpeg: &[u8],
-        class: Option<&str>,
-        dc_plane: bool,
-        ingest_stall: Option<Duration>,
-    ) -> std::io::Result<HttpResponse> {
-        let stall_ms = ingest_stall.map(|d| d.as_millis().to_string());
         let mut headers: Vec<(&str, &str)> = Vec::new();
         if let Some(class) = class {
             headers.push(("x-deadline-class", class));
         }
         if dc_plane {
             headers.push(("accept", "image/x-portable-graymap"));
-        }
-        if let Some(ms) = stall_ms.as_deref() {
-            headers.push(("x-ingest-stall-ms", ms));
         }
         self.round_trip("POST", "/recover", &headers, jpeg)
     }

@@ -555,15 +555,6 @@ fn admitted_request(shared: &Arc<Shared>, request: &Message, class: &DeadlineCla
     if let Some(deadline) = class.deadline {
         spec = spec.with_deadline(deadline);
     }
-    // Fault-injection knob mirroring the batch manifest's ingest stalls:
-    // `x-ingest-stall-ms` simulates a slow sender uplink inside the job,
-    // capped so untrusted clients cannot park a worker indefinitely.
-    if let Some(stall) = request
-        .header("x-ingest-stall-ms")
-        .and_then(|v| v.trim().parse::<u64>().ok())
-    {
-        spec = spec.with_ingest(Duration::from_millis(stall.min(10_000)));
-    }
     let submitted = lock(&shared.runtime)
         .as_ref()
         .map(|rt| rt.submit_watched(spec));
@@ -600,7 +591,8 @@ fn admitted_request(shared: &Arc<Shared>, request: &Message, class: &DeadlineCla
         Some(result) => {
             // Per-stage breakdown in Server-Timing grammar: `exec` is pure
             // recovery compute, `queue` the remainder of the job's wall
-            // (queue wait + any ingest stall), `total` the job wall clock.
+            // (queue wait and anything else before its final attempt),
+            // `total` the job wall clock.
             let exec_ms = result.exec.as_secs_f64() * 1e3;
             let wall_ms = result.wall.as_secs_f64() * 1e3;
             let queue_ms = (wall_ms - exec_ms).max(0.0);
@@ -733,8 +725,17 @@ pub fn dc_plane_pgm(image: &Image) -> Vec<u8> {
 }
 
 #[cfg(test)]
+#[cfg(unix)]
+#[path = "../../runtime/tests/support/gate.rs"]
+mod gate;
+
+#[cfg(test)]
 mod tests {
     use super::*;
+    #[cfg(unix)]
+    use super::gate::{dropped_jpeg, wait_until, Gate};
+    use crate::{Client, HttpResponse};
+    use dcdiff_runtime::{RecoverMethod, RuntimeConfig};
 
     #[test]
     fn dc_plane_pgm_is_one_sample_per_block() {
@@ -745,5 +746,302 @@ mod tests {
         assert_eq!(pgm.get(..header.len()), Some(&header[..]));
         let samples = pgm.get(header.len()..).expect("payload present");
         assert_eq!(samples, &[64, 192, 64, 192]);
+    }
+
+    // The tests below need a busy worker. They hold the server's lone
+    // worker on a `Gate`, submitted straight to the private runtime, and
+    // wait on the queue depth for their requests to queue behind it.
+
+    #[cfg(unix)]
+    fn test_config(tag: &str) -> ServeConfig {
+        ServeConfig {
+            addr: "127.0.0.1:0".to_string(),
+            spool_dir: std::env::temp_dir()
+                .join(format!("dcdiff-serve-unit-{tag}-{}", std::process::id())),
+            runtime: RuntimeConfig {
+                workers: 1,
+                queue_cap: 8,
+                ..RuntimeConfig::default()
+            },
+            method: RecoverMethod::Tip2006,
+            ..ServeConfig::default()
+        }
+    }
+
+    #[cfg(unix)]
+    fn start_with(cfg: ServeConfig) -> (Server, Client) {
+        let server = Server::bind(cfg).expect("bind loopback server");
+        let client = Client::new(server.local_addr().to_string());
+        (server, client)
+    }
+
+    #[cfg(unix)]
+    fn hold(server: &Server) -> Gate {
+        Gate::hold(lock(&server.shared.runtime).as_ref().expect("runtime running"))
+    }
+
+    /// Wait until `n` admitted requests are queued behind the gate.
+    #[cfg(unix)]
+    fn wait_for_queued(server: &Server, n: usize) {
+        wait_until(&format!("{n} request(s) queue"), || {
+            lock(&server.shared.runtime).as_ref().map(Runtime::queue_depth) == Some(n)
+        });
+    }
+
+    /// One recovery on its own thread: it blocks until the worker serves it.
+    #[cfg(unix)]
+    fn spawn_recover(
+        client: &Client,
+        jpeg: &[u8],
+        class: &'static str,
+    ) -> thread::JoinHandle<std::io::Result<HttpResponse>> {
+        let (client, jpeg) = (client.clone(), jpeg.to_vec());
+        thread::spawn(move || client.recover(&jpeg, Some(class), false))
+    }
+
+    #[cfg(unix)]
+    fn metrics_json(client: &Client) -> String {
+        String::from_utf8_lossy(&client.get("/metrics").expect("metrics").body).into_owned()
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn fairness_cap_rejects_the_over_quota_client() {
+        let mut cfg = test_config("fairness");
+        cfg.per_client_inflight = 1;
+        let (server, client) = start_with(cfg);
+        let jpeg = dropped_jpeg(16, 16);
+
+        // The first request queues behind the held worker, holding its
+        // fairness slot.
+        let gate = hold(&server);
+        let first = spawn_recover(&client, &jpeg, "bulk");
+        wait_for_queued(&server, 1);
+
+        // Same peer IP, second connection: over the in-flight cap.
+        let rejected = client.recover(&jpeg, Some("bulk"), false).expect("second request");
+        assert_eq!(rejected.status, 429, "body: {:?}", String::from_utf8_lossy(&rejected.body));
+
+        gate.release();
+        let first = first.join().expect("first thread").expect("first roundtrip");
+        assert_eq!(first.status, 200);
+
+        // With the slot released, the same client is admitted again.
+        let after = client.recover(&jpeg, Some("bulk"), false).expect("third request");
+        assert_eq!(after.status, 200);
+
+        let metrics = metrics_json(&client);
+        assert!(metrics.contains("serve.fairness_reject"), "metrics: {metrics}");
+        server.drain();
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn overload_sheds_bulk_before_interactive() {
+        let mut cfg = test_config("shed");
+        cfg.runtime.queue_cap = 4;
+        cfg.per_client_inflight = 16;
+        cfg.classes = DeadlineClass::default_ladder();
+        let (server, client) = start_with(cfg);
+        let jpeg = dropped_jpeg(16, 16);
+
+        // Hold the single worker, then pack the queue to depth 2 with bulk
+        // requests (bulk admits while depth < ceil(0.5·4) = 2).
+        let gate = hold(&server);
+        let bulk: Vec<_> = (0..2).map(|_| spawn_recover(&client, &jpeg, "bulk")).collect();
+        wait_for_queued(&server, 2);
+
+        // Queue depth is now 2: bulk is shed, interactive is still admitted.
+        let shed = client.recover(&jpeg, Some("bulk"), false).expect("bulk send");
+        assert_eq!(shed.status, 503, "body: {:?}", String::from_utf8_lossy(&shed.body));
+        let vip = spawn_recover(&client, &jpeg, "interactive");
+        wait_for_queued(&server, 3);
+
+        // Released well inside its deadline, the interactive request is
+        // served.
+        gate.release();
+        let vip = vip.join().expect("interactive thread").expect("interactive send");
+        assert_eq!(vip.status, 200, "body: {:?}", String::from_utf8_lossy(&vip.body));
+        for t in bulk {
+            let resp = t.join().expect("bulk thread").expect("bulk roundtrip");
+            assert_eq!(resp.status, 200, "admitted bulk jobs all complete");
+        }
+
+        let metrics = metrics_json(&client);
+        assert!(metrics.contains("serve.class.bulk.shed"), "metrics: {metrics}");
+        assert!(metrics.contains("serve.class.bulk.admitted"), "metrics: {metrics}");
+        server.drain();
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn drain_completes_in_flight_and_refuses_new_work() {
+        let (server, client) = start_with(test_config("drain"));
+        let jpeg = dropped_jpeg(32, 32);
+
+        // One admitted request, still queued behind the held worker when
+        // the drain starts.
+        let gate = hold(&server);
+        let in_flight = spawn_recover(&client, &jpeg, "bulk");
+        wait_for_queued(&server, 1);
+
+        // Trigger drain over the wire.
+        let accepted = client.drain().expect("drain request");
+        assert_eq!(accepted.status, 202);
+
+        // New work is refused from this point on: either the request is
+        // answered 503 (handler saw the flag) or the acceptor is already gone
+        // (connection refused).
+        if let Ok(resp) = client.recover(&jpeg, None, false) {
+            assert_eq!(resp.status, 503, "draining server admitted new work");
+        }
+
+        // The admitted request is still owed (and gets) its response.
+        gate.release();
+        let first = in_flight.join().expect("in-flight thread").expect("in-flight roundtrip");
+        assert_eq!(first.status, 200, "drain lost an admitted response");
+
+        let report = server.drain();
+        let stats = report.stats.expect("stats");
+        assert_eq!(stats.completed, 2, "the held job and the in-flight request");
+        assert_eq!(report.abandoned_connections, 0);
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn concurrent_diffusion_requests_fuse_into_one_cohort_with_linked_traces() {
+        // N concurrent `--method diffusion` requests queued behind the held
+        // worker must (a) fuse into one cohort, whose shared forwards carry
+        // every lane, and (b) keep distinct causal chains: every request's
+        // trace id still links `serve.request` through `queue.wait`,
+        // `recover.estimate` and its own per-DDIM-step spans. This is the
+        // only test in this binary that installs the process-wide handle,
+        // which per-DDIM-step and cohort telemetry flow through.
+        let tel = Telemetry::builder().trace_to_vec().build();
+        dcdiff_telemetry::install(tel.clone());
+        let mut cfg = test_config("cohort");
+        cfg.method = RecoverMethod::Diffusion { ddim_steps: 2 };
+        cfg.runtime.batch_max = 8;
+        let server = Server::bind_with(cfg, tel.clone()).expect("bind loopback server");
+        let addr = server.local_addr().to_string();
+
+        let gate = hold(&server);
+        let trace_ids: Vec<String> =
+            (0..3u64).map(|i| format!("{:032x}", 0xc0_4042_7000 + i)).collect();
+        let requests: Vec<_> = trace_ids
+            .iter()
+            .map(|tid| {
+                let client = Client::new(addr.clone());
+                let traceparent = format!("00-{tid}-00f067aa0ba902b7-01");
+                thread::spawn(move || {
+                    client
+                        .recover_traced(&dropped_jpeg(32, 32), Some("bulk"), &traceparent)
+                        .expect("request roundtrip")
+                })
+            })
+            .collect();
+        wait_for_queued(&server, trace_ids.len());
+        gate.release();
+
+        for (tid, request) in trace_ids.iter().zip(requests) {
+            let resp = request.join().expect("request thread");
+            assert_eq!(resp.status, 200, "body: {:?}", String::from_utf8_lossy(&resp.body));
+            assert_eq!(resp.header("x-dcdiff-trace-id"), Some(tid.as_str()));
+        }
+        server.drain();
+        dcdiff_telemetry::install(Telemetry::new());
+
+        // (a) one cohort, and its shared forwards carried every lane.
+        let metrics = tel.registry().snapshot();
+        let widths = metrics.histogram("diffusion.batch.width");
+        assert_eq!(widths.max, trace_ids.len() as u64, "forward widths: {widths:?}");
+        assert_eq!(metrics.counter("diffusion.batch.cohorts"), 1);
+
+        // (b) per-lane causal chains survive fusion.
+        let text = tel.take_trace_vec().expect("in-memory trace");
+        for tid in &trace_ids {
+            let lane: Vec<_> = text
+                .lines()
+                .filter_map(|l| dcdiff_telemetry::TraceEvent::parse_line(l).ok())
+                .filter(|ev| ev.trace.as_deref() == Some(tid.as_str()))
+                .collect();
+            let has = |name: &str| lane.iter().any(|ev| ev.name == name);
+            assert!(has("serve.request"), "lane {tid} lost serve.request");
+            assert!(has("queue.wait"), "lane {tid} lost queue.wait");
+            assert!(has("recover.estimate"), "lane {tid} lost recover.estimate");
+            assert!(has("recover.ddim_step"), "lane {tid} lost its per-step spans");
+        }
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn prometheus_exposition_windows_diverge_from_cumulative_after_burst() {
+        let mut cfg = test_config("promwin");
+        cfg.metrics_epoch = Duration::from_millis(50);
+        cfg.metrics_windows = vec![Duration::from_millis(300)];
+        let (server, client) = start_with(cfg);
+        let jpeg = dropped_jpeg(16, 16);
+
+        // Slow phase: three requests wait behind the held worker for 400 ms,
+        // so the hold dominates their wall clock. Three of them keep the
+        // fractional-rank p99 inside the slow bucket even as later scrapes
+        // add fast `/metrics` samples to the histogram.
+        let gate = hold(&server);
+        let slow: Vec<_> = (0..3).map(|_| spawn_recover(&client, &jpeg, "bulk")).collect();
+        wait_for_queued(&server, 3);
+        thread::sleep(Duration::from_millis(400));
+        gate.release();
+        for request in slow {
+            let resp = request.join().expect("slow thread").expect("slow roundtrip");
+            assert_eq!(resp.status, 200);
+        }
+
+        // Let the slow samples age out of the 300 ms window, then burst.
+        thread::sleep(Duration::from_millis(450));
+        for _ in 0..10 {
+            let fast = client.recover(&jpeg, Some("bulk"), false).expect("fast roundtrip");
+            assert_eq!(fast.status, 200);
+        }
+
+        // JSON stays the default exposition.
+        let json = client.get("/metrics").expect("json metrics");
+        assert_eq!(json.header("content-type"), Some("application/json"));
+
+        // The windowed p99 must eventually cover only the fast burst while
+        // the cumulative p99 still remembers the slow requests.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            let resp = client
+                .get_with("/metrics", &[("accept", "text/plain")])
+                .expect("prometheus metrics");
+            assert_eq!(resp.status, 200);
+            assert_eq!(resp.header("content-type"), Some("text/plain; version=0.0.4"));
+            let text = String::from_utf8_lossy(&resp.body).into_owned();
+            let samples = prometheus::parse(&text).expect("exposition parses");
+            let p99 = |window: Option<&str>| {
+                samples
+                    .iter()
+                    .find(|s| {
+                        s.name == "serve_request_wall_us"
+                            && s.label("quantile") == Some("0.99")
+                            && s.label("window") == window
+                    })
+                    .map(|s| s.value)
+            };
+            let cumulative = p99(None).expect("cumulative p99 present");
+            // The slow requests alone guarantee a large cumulative p99.
+            assert!(cumulative > 100_000.0, "cumulative p99 {cumulative}");
+            if let Some(windowed) = p99(Some("300ms")) {
+                if windowed > 0.0 && windowed * 4.0 < cumulative {
+                    break; // window sees only the fast burst
+                }
+            }
+            assert!(
+                Instant::now() < deadline,
+                "windowed p99 never diverged from cumulative: {text}"
+            );
+            thread::sleep(Duration::from_millis(60));
+        }
+        server.drain();
     }
 }

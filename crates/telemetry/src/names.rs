@@ -85,7 +85,7 @@ pub const SPAN_BATCH_EXEC: Name = Name::new("batch.exec");
 /// Submission-to-pop latency of one job (recorded via `record_span`).
 pub const SPAN_QUEUE_WAIT: Name = Name::new("queue.wait");
 
-/// One encode job's execution (after any ingest stall) to result.
+/// One encode job, from the start of its final attempt to its result.
 pub const SPAN_JOB_ENCODE: Name = Name::new("job.encode");
 /// One transcode job.
 pub const SPAN_JOB_TRANSCODE: Name = Name::new("job.transcode");
@@ -93,8 +93,6 @@ pub const SPAN_JOB_TRANSCODE: Name = Name::new("job.transcode");
 pub const SPAN_JOB_RECOVER: Name = Name::new("job.recover");
 /// One metrics job.
 pub const SPAN_JOB_METRICS: Name = Name::new("job.metrics");
-/// Simulated sender-uplink ingest stall before a job's execution.
-pub const SPAN_JOB_INGEST: Name = Name::new("job.ingest");
 /// Retry backoff sleep inside a job.
 pub const SPAN_JOB_BACKOFF: Name = Name::new("job.backoff");
 
@@ -298,7 +296,6 @@ pub const REGISTERED: &[Name] = &[
     SPAN_JOB_TRANSCODE,
     SPAN_JOB_RECOVER,
     SPAN_JOB_METRICS,
-    SPAN_JOB_INGEST,
     SPAN_JOB_BACKOFF,
     SPAN_ENCODE_READ,
     SPAN_ENCODE_DCT,
