@@ -14,7 +14,8 @@ use std::time::{Duration, Instant};
 
 use dcdiff_data::{SceneGenerator, SceneKind};
 use dcdiff_runtime::{
-    execute, CodingOpts, EngineCache, Job, RecoverMethod, Runtime, RuntimeConfig, ShutdownMode,
+    execute, CodingOpts, EngineCache, Job, Rate, RecoverMethod, Runtime, RuntimeConfig,
+    ShutdownMode,
 };
 use dcdiff_telemetry::{names, Telemetry};
 
@@ -106,7 +107,7 @@ fn main() {
                     .join(format!("dropped-c{canvas}-{i}.jpg"))
                     .to_string_lossy()
                     .into_owned(),
-                quality: 50,
+                rate: Rate::Quality(50),
                 sampling: dcdiff_jpeg::ChromaSampling::Cs444,
                 opts: CodingOpts { drop_dc: true, ..Default::default() },
             };

@@ -1,18 +1,17 @@
 //! Sub-command implementations.
+//!
+//! Every command reads its flags through the job grammar's parser
+//! ([`dcdiff_runtime::Line`]). The four job commands — `encode`,
+//! `transcode`, `recover`, `metrics` — are parsed by
+//! [`dcdiff_runtime::parse_job`] and run as a one-job `dcdiff batch`.
 
-use dcdiff_baselines::{DcRecovery, Icip2022, SmartCom2019, Tip2006};
-use dcdiff_core::refine_dc_offsets;
 use dcdiff_data::{SceneGenerator, SceneKind};
-use dcdiff_image::{read_pgm, read_ppm, write_pgm, write_ppm};
-
-/// Read a PPM or PGM image based on the file extension.
-fn read_image(path: &str) -> Result<dcdiff_image::Image, String> {
-    if path.to_ascii_lowercase().ends_with(".pgm") {
-        read_pgm(path).map_err(|e| e.to_string())
-    } else {
-        read_ppm(path).map_err(|e| e.to_string())
-    }
-}
+use dcdiff_image::{write_pgm, write_ppm};
+use dcdiff_jpeg::JpegDecoder;
+use dcdiff_runtime::{
+    parse_job, parse_method, Job, JobFailure, JobOutput, Line, RecoveryPolicy, Runtime,
+    RuntimeConfig, ShutdownMode, METHOD_FLAGS,
+};
 
 /// Write a PPM or PGM image based on the file extension.
 fn write_image(path: &str, image: &dcdiff_image::Image) -> Result<(), String> {
@@ -22,37 +21,32 @@ fn write_image(path: &str, image: &dcdiff_image::Image) -> Result<(), String> {
         write_ppm(path, image).map_err(|e| e.to_string())
     }
 }
-use dcdiff_jpeg::{
-    encode_coefficients, encode_coefficients_optimized, encode_coefficients_with_restarts,
-    ChromaSampling, DcDropMode, JpegDecoder, JpegEncoder,
-};
-use dcdiff_metrics::{ms_ssim, psnr, ssim, PerceptualDistance};
-
-use crate::args::Parsed;
 
 /// Usage text shown on errors.
 pub const USAGE: &str = "usage:
   dcdiff encode  <in.ppm> <out.jpg>  [--quality N | --budget BYTES]
-                                     [--subsample 444|422|420]
-                                     [--optimize] [--restart N] [--drop-dc]
+                                     [--subsample 444|422|420] [--drop-dc]
+                                     [--optimize | --restart N]
   dcdiff decode  <in.jpg> <out.ppm>
-  dcdiff transcode <in.jpg> <out.jpg> [--drop-dc] [--optimize] [--restart N]
+  dcdiff transcode <in.jpg> <out.jpg> [--drop-dc] [--optimize | --restart N]
   dcdiff recover <in.jpg> <out.ppm>  [--method tip2006|smartcom|icip|mld|diffusion]
-                                     [--threshold T] [--sweeps N]
+                                     [--threshold T --sweeps N (mld)]
+                                     [--steps N (diffusion)]
   dcdiff metrics <ref.ppm> <test.ppm>
+      (encode, transcode, recover and metrics are manifest lines run as a
+       one-job batch; each also takes [--deadline-ms MS] [--retries R])
   dcdiff info    <in.jpg>
   dcdiff demo    <out.ppm>           [--scene smooth|natural|texture|urban|aerial]
                                      [--size WxH] [--seed N]
   dcdiff batch   <manifest>          [--workers N (default: all cores)]
-                                     [--queue-cap M] [--retries R]
-                                     [--batch K]
+                                     [--queue-cap M] [--batch K]
                                      [--fail-fast] [--no-fallback]
                                      [--trace t.jsonl] [--metrics m.json]
                                      [--log-level error|warn|info|debug]
   dcdiff report  <trace.jsonl> [more.jsonl ...]
   dcdiff serve   [--addr HOST:PORT]   [--workers N] [--queue-cap M] [--batch K]
-                                     [--method tip2006|smartcom|icip|mld|diffusion]
-                                     [--threshold T] [--sweeps N] [--no-fallback]
+                                     [--method ...] [--threshold T] [--sweeps N]
+                                     [--steps N] [--no-fallback]
                                      [--max-conns C] [--client-inflight F]
                                      [--max-body BYTES]
                                      [--trace t.jsonl] [--metrics m.json]
@@ -65,117 +59,107 @@ pub const USAGE: &str = "usage:
                  [--graph] [--entry SYM]... [--why SYM]
                  [--max-unresolved RATE]";
 
-/// Dispatch the parsed command line.
+/// Value flags `batch` and `serve` share: runtime sizing and telemetry.
+const RUNTIME_FLAGS: &[&str] =
+    &["--workers", "--queue-cap", "--batch", "--trace", "--metrics", "--log-level"];
+
+/// A command body, run on its parsed line.
+type Command = fn(&Line<'_>) -> Result<(), String>;
+
+/// Dispatch the command line.
 ///
 /// # Errors
 ///
 /// Returns a human-readable message for any parse, I/O or codec failure.
 pub fn dispatch(argv: &[String]) -> Result<(), String> {
-    let parsed = Parsed::parse(argv)?;
-    // `submit` takes <addr> <in> <out>, `report` merges any number of
-    // trace files; everything else at most two positionals after the
-    // command.
-    let max_positionals = match parsed.positional(0) {
-        Some("submit") => 4,
-        Some("report") => usize::MAX,
-        _ => 3,
+    let Some(command) = argv.first() else {
+        return Err("no command given".to_string());
     };
-    if parsed.positional_len() > max_positionals {
+    // Each command's body, value flags, boolean flags, and the most
+    // positionals it takes (the command itself included).
+    let (run, values, bools, max_positionals): (Command, Vec<&str>, &[&str], usize) =
+        match command.as_str() {
+            "decode" => (decode, vec![], &[], 3),
+            "info" => (info, vec![], &[], 2),
+            "demo" => (demo, vec!["--scene", "--size", "--seed"], &[], 2),
+            "batch" => (batch, RUNTIME_FLAGS.to_vec(), &["--fail-fast", "--no-fallback"], 2),
+            "report" => (report, vec![], &[], usize::MAX),
+            "serve" => {
+                let own = ["--addr", "--max-conns", "--client-inflight", "--max-body"];
+                (serve, [RUNTIME_FLAGS, &own, METHOD_FLAGS].concat(), &["--no-fallback"], 1)
+            }
+            "submit" => (submit, vec!["--class"], &["--dc-plane"], 4),
+            "top" => (top, vec!["--interval-ms"], &["--once"], 2),
+            "lint" => (
+                lint,
+                vec!["--rule", "--root", "--entry", "--why", "--max-unresolved"],
+                &["--json", "--update-ledger", "--graph"],
+                1,
+            ),
+            // `encode`, `transcode`, `recover` and `metrics` are job lines;
+            // the job grammar names any other command as unknown.
+            _ => return one_shot(argv),
+        };
+    let line = Line::parse(argv, &values, bools)?;
+    let given = line.positionals().len();
+    if given > max_positionals {
         return Err(format!(
-            "too many arguments ({} given, at most {max_positionals} expected)",
-            parsed.positional_len()
+            "too many arguments ({given} given, at most {max_positionals} expected)"
         ));
     }
-    match parsed.positional(0) {
-        Some("encode") => encode(&parsed),
-        Some("decode") => decode(&parsed),
-        Some("transcode") => transcode(&parsed),
-        Some("recover") => recover(&parsed),
-        Some("metrics") => metrics(&parsed),
-        Some("info") => info(&parsed),
-        Some("demo") => demo(&parsed),
-        Some("batch") => batch(&parsed),
-        Some("report") => report(&parsed),
-        Some("serve") => serve(&parsed),
-        Some("submit") => submit(&parsed),
-        Some("top") => top(&parsed),
-        Some("lint") => lint(&parsed),
-        Some(other) => Err(format!("unknown command '{other}'")),
-        None => Err("no command given".to_string()),
-    }
+    run(&line)
 }
 
 fn io_err(err: impl std::fmt::Display) -> String {
     err.to_string()
 }
 
-fn need(parsed: &Parsed, i: usize, what: &str) -> Result<String, String> {
-    parsed
-        .positional(i)
-        .map(str::to_string)
-        .ok_or_else(|| format!("missing {what}"))
+/// Run one job command as a one-line manifest: the job grammar's
+/// [`parse_job`], then a one-job batch on a one-worker runtime — the
+/// `dcdiff batch` path, fallback ladder, deadline and retries included.
+fn one_shot(argv: &[String]) -> Result<(), String> {
+    let spec = parse_job(argv)?;
+    let runtime = Runtime::start(RuntimeConfig::with_workers(1));
+    runtime.submit_blocking(spec).map_err(io_err)?;
+    let result = runtime
+        .shutdown(ShutdownMode::Drain)
+        .results
+        .pop()
+        .ok_or("the runtime returned no result")?;
+    match result.outcome {
+        Ok(output) => {
+            println!("{}", summary(&result.job, &output));
+            Ok(())
+        }
+        Err(JobFailure::Error(err)) => Err(err.message),
+        Err(failure) => Err(format!("{} job: {failure:?}", result.job.stage().name())),
+    }
 }
 
-fn encode(parsed: &Parsed) -> Result<(), String> {
-    let input = need(parsed, 1, "input .ppm path")?;
-    let output = need(parsed, 2, "output .jpg path")?;
-    let quality = parsed.int("--quality", 50)? as u8;
-    if !(1..=100).contains(&quality) {
-        return Err("--quality must be 1..=100".to_string());
+/// One line describing a finished job.
+fn summary(job: &Job, output: &JobOutput) -> String {
+    match (job, output) {
+        (Job::Encode { output, .. }, JobOutput::Encoded { bytes, quality }) => {
+            format!("{output}: {bytes} bytes (quality {quality})")
+        }
+        (Job::Transcode { output, .. }, JobOutput::Transcoded { bytes_in, bytes_out }) => format!(
+            "{output}: {bytes_in} -> {bytes_out} bytes ({:.1}%)",
+            100.0 * *bytes_out as f64 / *bytes_in as f64
+        ),
+        (Job::Recover { method, .. }, JobOutput::Recovered { output }) => {
+            format!("{output}: recovered with {}", method.name())
+        }
+        (_, JobOutput::Metrics { psnr, ssim, ms_ssim, lpips }) => {
+            let ms_ssim = ms_ssim.map_or_else(String::new, |v| format!("  MS-SSIM {v:.4}"));
+            format!("PSNR {psnr:.3} dB  SSIM {ssim:.4}{ms_ssim}  LPIPS {lpips:.4}")
+        }
+        (_, output) => format!("{output:?}"),
     }
-    let sampling = match parsed.value("--subsample") {
-        None | Some("444") => ChromaSampling::Cs444,
-        Some("422") => ChromaSampling::Cs422,
-        Some("420") => ChromaSampling::Cs420,
-        Some(other) => return Err(format!("unknown subsampling '{other}' (444, 422 or 420)")),
-    };
-    let restart = parsed.int("--restart", 0)? as usize;
-
-    let image = read_image(&input)?;
-    if let Some(budget) = parsed.value("--budget") {
-        let max_bytes: usize = budget
-            .parse()
-            .map_err(|_| format!("--budget: '{budget}' is not an integer"))?;
-        let control = dcdiff_jpeg::rate::RateControl {
-            max_bytes,
-            sampling,
-            drop_dc: parsed.has("--drop-dc"),
-            optimize: parsed.has("--optimize"),
-        };
-        let out = dcdiff_jpeg::rate::encode_to_budget(&image, control).map_err(io_err)?;
-        std::fs::write(&output, &out.bytes).map_err(io_err)?;
-        println!(
-            "{output}: {} bytes within budget {max_bytes} (picked quality {})",
-            out.bytes.len(),
-            out.quality
-        );
-        return Ok(());
-    }
-    let encoder = JpegEncoder::new(quality).with_sampling(sampling);
-    let mut coeffs = encoder.to_coefficients(&image);
-    if parsed.has("--drop-dc") {
-        coeffs = coeffs.drop_dc(DcDropMode::KeepCorners);
-    }
-    let bytes = if parsed.has("--optimize") {
-        encode_coefficients_optimized(&coeffs).map_err(io_err)?
-    } else if restart > 0 {
-        encode_coefficients_with_restarts(&coeffs, restart).map_err(io_err)?
-    } else {
-        encode_coefficients(&coeffs).map_err(io_err)?
-    };
-    std::fs::write(&output, &bytes).map_err(io_err)?;
-    println!(
-        "{output}: {} bytes (quality {quality}, {sampling}{}{})",
-        bytes.len(),
-        if parsed.has("--drop-dc") { ", DC dropped" } else { "" },
-        if parsed.has("--optimize") { ", optimized tables" } else { "" },
-    );
-    Ok(())
 }
 
-fn decode(parsed: &Parsed) -> Result<(), String> {
-    let input = need(parsed, 1, "input .jpg path")?;
-    let output = need(parsed, 2, "output .ppm path")?;
+fn decode(line: &Line<'_>) -> Result<(), String> {
+    let input = line.positional(1, "input .jpg path")?;
+    let output = line.positional(2, "output .ppm path")?;
     let bytes = std::fs::read(&input).map_err(io_err)?;
     let image = JpegDecoder::decode(&bytes).map_err(io_err)?;
     write_image(&output, &image)?;
@@ -183,98 +167,8 @@ fn decode(parsed: &Parsed) -> Result<(), String> {
     Ok(())
 }
 
-/// Lossless bitstream surgery on an existing JPEG: entropy-decode,
-/// optionally drop DC, re-code with standard/optimised tables.
-fn transcode(parsed: &Parsed) -> Result<(), String> {
-    let input = need(parsed, 1, "input .jpg path")?;
-    let output = need(parsed, 2, "output .jpg path")?;
-    let bytes = std::fs::read(&input).map_err(io_err)?;
-    let mut coeffs = JpegDecoder::decode_coefficients(&bytes).map_err(io_err)?;
-    if parsed.has("--drop-dc") {
-        coeffs = coeffs.drop_dc(DcDropMode::KeepCorners);
-    }
-    let restart = parsed.int("--restart", 0)? as usize;
-    let out = if parsed.has("--optimize") {
-        encode_coefficients_optimized(&coeffs).map_err(io_err)?
-    } else if restart > 0 {
-        encode_coefficients_with_restarts(&coeffs, restart).map_err(io_err)?
-    } else {
-        encode_coefficients(&coeffs).map_err(io_err)?
-    };
-    std::fs::write(&output, &out).map_err(io_err)?;
-    println!(
-        "{output}: {} -> {} bytes ({:.1}%)",
-        bytes.len(),
-        out.len(),
-        100.0 * out.len() as f64 / bytes.len() as f64
-    );
-    Ok(())
-}
-
-fn recover(parsed: &Parsed) -> Result<(), String> {
-    let input = need(parsed, 1, "input .jpg path")?;
-    let output = need(parsed, 2, "output .ppm path")?;
-    let bytes = std::fs::read(&input).map_err(io_err)?;
-    let dropped = JpegDecoder::decode_coefficients(&bytes).map_err(io_err)?;
-    let method = parsed.value("--method").unwrap_or("mld");
-    let image = match method {
-        "tip2006" => Tip2006::new().recover(&dropped),
-        "smartcom" => SmartCom2019::new().recover(&dropped),
-        "icip" => Icip2022::new().recover(&dropped),
-        "mld" => {
-            // the masked-Laplacian refinement with a neutral prior — the
-            // training-free core of DCDiff's receiver
-            let threshold = parsed.float("--threshold", 10.0)?;
-            let sweeps = parsed.int("--sweeps", 300)? as usize;
-            refine_dc_offsets(&dropped, &dropped, threshold, 5e-4, sweeps.max(1)).to_image()
-        }
-        "diffusion" => {
-            // Full DDIM sampler, quality-oriented offline defaults
-            // (`DcDiffConfig::ddim_steps`); `--sweeps` overrides the step
-            // count, clamped to the legal 1..=diffusion_steps range.
-            let config = dcdiff_core::DcDiffConfig::default();
-            let mut options = dcdiff_core::RecoverOptions::from_config(&config);
-            if parsed.value("--sweeps").is_some() {
-                let steps = parsed.int("--sweeps", options.ddim_steps as u64)? as usize;
-                options.ddim_steps = steps.clamp(1, config.diffusion_steps);
-            }
-            dcdiff_core::DcDiff::new(config, 0xdcd1ff).recover_with(&dropped, &options)
-        }
-        other => return Err(format!(
-            "unknown method '{other}' (tip2006, smartcom, icip, mld or diffusion)"
-        )),
-    };
-    write_image(&output, &image)?;
-    println!("{output}: recovered with {method}");
-    Ok(())
-}
-
-fn metrics(parsed: &Parsed) -> Result<(), String> {
-    let reference = read_image(&need(parsed, 1, "reference image")?)?;
-    let test = read_image(&need(parsed, 2, "test image")?)?;
-    if reference.dims() != test.dims() {
-        return Err(format!(
-            "size mismatch: {}x{} vs {}x{}",
-            reference.width(),
-            reference.height(),
-            test.width(),
-            test.height()
-        ));
-    }
-    println!("PSNR    {:.3} dB", psnr(&reference, &test));
-    println!("SSIM    {:.4}", ssim(&reference, &test));
-    if reference.width() >= 16 && reference.height() >= 16 {
-        println!("MS-SSIM {:.4}", ms_ssim(&reference, &test));
-    }
-    println!(
-        "LPIPS   {:.4}",
-        PerceptualDistance::default().distance(&reference, &test)
-    );
-    Ok(())
-}
-
-fn info(parsed: &Parsed) -> Result<(), String> {
-    let input = need(parsed, 1, "input .jpg path")?;
+fn info(line: &Line<'_>) -> Result<(), String> {
+    let input = line.positional(1, "input .jpg path")?;
     let bytes = std::fs::read(&input).map_err(io_err)?;
     let coeffs = JpegDecoder::decode_coefficients(&bytes).map_err(io_err)?;
     println!("{input}:");
@@ -307,9 +201,9 @@ fn info(parsed: &Parsed) -> Result<(), String> {
     Ok(())
 }
 
-fn demo(parsed: &Parsed) -> Result<(), String> {
-    let output = need(parsed, 1, "output .ppm path")?;
-    let kind = match parsed.value("--scene").unwrap_or("natural") {
+fn demo(line: &Line<'_>) -> Result<(), String> {
+    let output = line.positional(1, "output .ppm path")?;
+    let kind = match line.value("--scene").unwrap_or("natural") {
         "smooth" => SceneKind::Smooth,
         "natural" => SceneKind::Natural,
         "texture" => SceneKind::Texture,
@@ -317,11 +211,11 @@ fn demo(parsed: &Parsed) -> Result<(), String> {
         "aerial" => SceneKind::Aerial,
         other => return Err(format!("unknown scene '{other}'")),
     };
-    let (w, h) = parsed.size("--size", (96, 96))?;
+    let (w, h) = line.size("--size", (96, 96))?;
     if w == 0 || h == 0 {
         return Err("--size must be positive".to_string());
     }
-    let seed = parsed.int("--seed", 0)?;
+    let seed = line.number("--seed", 0)?;
     let image = SceneGenerator::new(kind, w, h).generate(seed);
     write_image(&output, &image)?;
     println!("{output}: {kind:?} scene {w}x{h} (seed {seed})");
@@ -330,13 +224,13 @@ fn demo(parsed: &Parsed) -> Result<(), String> {
 
 /// Build the [`dcdiff_telemetry::Telemetry`] handle described by `--trace`, `--metrics` and
 /// `--log-level`, shared by `batch` and any future instrumented command.
-fn telemetry_from_flags(parsed: &Parsed) -> Result<dcdiff_telemetry::Telemetry, String> {
-    let level = match parsed.value("--log-level") {
+fn telemetry_from_flags(line: &Line<'_>) -> Result<dcdiff_telemetry::Telemetry, String> {
+    let level = match line.value("--log-level") {
         None => dcdiff_telemetry::Level::Info,
         Some(s) => s.parse()?,
     };
     let mut builder = dcdiff_telemetry::Telemetry::builder().log_level(level);
-    if let Some(path) = parsed.value("--trace") {
+    if let Some(path) = line.value("--trace") {
         builder = builder
             .trace_to_path(path)
             .map_err(|e| format!("--trace {path}: {e}"))?;
@@ -344,11 +238,32 @@ fn telemetry_from_flags(parsed: &Parsed) -> Result<dcdiff_telemetry::Telemetry, 
     Ok(builder.build())
 }
 
-/// Run a manifest of jobs through the batch-serving runtime.
-fn batch(parsed: &Parsed) -> Result<(), String> {
-    use dcdiff_runtime::{RecoveryPolicy, Runtime, RuntimeConfig, ShutdownMode, SubmitError};
+/// The runtime `batch` and `serve` build from `--workers`, `--queue-cap`,
+/// `--batch` and `--no-fallback`.
+fn runtime_config(
+    line: &Line<'_>,
+    tel: &dcdiff_telemetry::Telemetry,
+) -> Result<RuntimeConfig, String> {
+    let defaults = RuntimeConfig::default();
+    Ok(RuntimeConfig {
+        workers: line.number("--workers", defaults.workers)?.max(1),
+        queue_cap: line.number("--queue-cap", defaults.queue_cap)?.max(1),
+        batch_max: line.number("--batch", defaults.batch_max)?.max(1),
+        telemetry: tel.clone(),
+        recovery: if line.has("--no-fallback") {
+            RecoveryPolicy::no_fallback()
+        } else {
+            RecoveryPolicy::default()
+        },
+        ..defaults
+    })
+}
 
-    let manifest_path = need(parsed, 1, "manifest path")?;
+/// Run a manifest of jobs through the batch-serving runtime.
+fn batch(line: &Line<'_>) -> Result<(), String> {
+    use dcdiff_runtime::SubmitError;
+
+    let manifest_path = line.positional(1, "manifest path")?;
     let text = std::fs::read_to_string(&manifest_path)
         .map_err(|e| format!("{manifest_path}: {e}"))?;
     let specs =
@@ -357,28 +272,14 @@ fn batch(parsed: &Parsed) -> Result<(), String> {
         return Err(format!("{manifest_path}: no jobs in manifest"));
     }
 
-    let tel = telemetry_from_flags(parsed)?;
+    let tel = telemetry_from_flags(line)?;
     // Deep library code (DDIM steps, recovery phases) traces through the
     // process-wide handle; installing ours merges those spans into this
     // batch's trace.
     dcdiff_telemetry::install(tel.clone());
 
-    let default_workers =
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let config = RuntimeConfig {
-        workers: parsed.int("--workers", default_workers as u64)?.max(1) as usize,
-        queue_cap: parsed.int("--queue-cap", 64)?.max(1) as usize,
-        default_retries: parsed.int("--retries", 0)? as u32,
-        batch_max: parsed.int("--batch", 8)?.max(1) as usize,
-        telemetry: tel.clone(),
-        recovery: if parsed.has("--no-fallback") {
-            RecoveryPolicy::no_fallback()
-        } else {
-            RecoveryPolicy::default()
-        },
-        ..RuntimeConfig::default()
-    };
-    let fail_fast = parsed.has("--fail-fast");
+    let config = runtime_config(line, &tel)?;
+    let fail_fast = line.has("--fail-fast");
     let total = specs.len();
     println!(
         "batch: {total} jobs, {} workers, queue cap {}, micro-batch (cohort width) {}",
@@ -433,11 +334,11 @@ fn batch(parsed: &Parsed) -> Result<(), String> {
         println!("shed {shed} job(s) at submission (--fail-fast)");
     }
     tel.flush();
-    if let Some(path) = parsed.value("--metrics") {
+    if let Some(path) = line.value("--metrics") {
         std::fs::write(path, tel.metrics_json()).map_err(|e| format!("--metrics {path}: {e}"))?;
         println!("metrics written to {path}");
     }
-    if let Some(path) = parsed.value("--trace") {
+    if let Some(path) = line.value("--trace") {
         println!("trace written to {path} (inspect with `dcdiff report {path}`)");
     }
     if failed > 0 {
@@ -447,49 +348,31 @@ fn batch(parsed: &Parsed) -> Result<(), String> {
 }
 
 /// Run the long-lived network front door (`dcdiff serve`).
-fn serve(parsed: &Parsed) -> Result<(), String> {
-    use dcdiff_runtime::{RecoveryPolicy, RuntimeConfig};
-    use dcdiff_serve::{method_from_name, ServeConfig, Server};
+fn serve(line: &Line<'_>) -> Result<(), String> {
+    use dcdiff_serve::{ServeConfig, Server};
 
-    let tel = telemetry_from_flags(parsed)?;
-    dcdiff_telemetry::install(tel.clone());
-
-    let default_workers =
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let method = method_from_name(
-        parsed.value("--method").unwrap_or("mld"),
-        parsed.float("--threshold", 10.0)?,
-        parsed.int("--sweeps", 300)? as usize,
-    )?;
-    let mut cfg = ServeConfig {
-        addr: parsed.value("--addr").unwrap_or("127.0.0.1:7878").to_string(),
-        max_connections: parsed.int("--max-conns", 64)?.max(1) as usize,
-        per_client_inflight: parsed.int("--client-inflight", 4)?.max(1) as usize,
-        max_body_bytes: parsed.int("--max-body", 16 << 20)?.max(1024) as usize,
-        method,
+    let tel = telemetry_from_flags(line)?;
+    let cfg = ServeConfig {
+        addr: line.value("--addr").unwrap_or("127.0.0.1:7878").to_string(),
+        max_connections: line.number("--max-conns", 64)?.max(1),
+        per_client_inflight: line.number("--client-inflight", 4)?.max(1),
+        max_body_bytes: line.number("--max-body", 16 << 20)?.max(1024),
+        method: parse_method(line)?,
+        runtime: runtime_config(line, &tel)?,
         ..ServeConfig::default()
     };
-    cfg.runtime = RuntimeConfig {
-        workers: parsed.int("--workers", default_workers as u64)?.max(1) as usize,
-        queue_cap: parsed.int("--queue-cap", 64)?.max(1) as usize,
-        batch_max: parsed.int("--batch", 8)?.max(1) as usize,
-        telemetry: tel.clone(),
-        recovery: if parsed.has("--no-fallback") {
-            RecoveryPolicy::no_fallback()
-        } else {
-            RecoveryPolicy::default()
-        },
-        ..RuntimeConfig::default()
-    };
-
+    let banner = format!(
+        "{} workers, queue cap {}, method {}",
+        cfg.runtime.workers,
+        cfg.runtime.queue_cap,
+        cfg.method.name()
+    );
+    dcdiff_telemetry::install(tel.clone());
     let server = Server::bind_with(cfg, tel.clone()).map_err(io_err)?;
     dcdiff_serve::signal::install();
     println!(
-        "serve: listening on {} ({} workers, queue cap {}, method {}); SIGTERM or POST /admin/drain to stop",
+        "serve: listening on {} ({banner}); SIGTERM or POST /admin/drain to stop",
         server.local_addr(),
-        parsed.int("--workers", default_workers as u64)?.max(1),
-        parsed.int("--queue-cap", 64)?.max(1),
-        parsed.value("--method").unwrap_or("mld"),
     );
     let report = server.run_until_shutdown();
     if let Some(stats) = &report.stats {
@@ -502,11 +385,11 @@ fn serve(parsed: &Parsed) -> Result<(), String> {
         );
     }
     tel.flush();
-    if let Some(path) = parsed.value("--metrics") {
+    if let Some(path) = line.value("--metrics") {
         std::fs::write(path, tel.metrics_json()).map_err(|e| format!("--metrics {path}: {e}"))?;
         println!("metrics written to {path}");
     }
-    if let Some(path) = parsed.value("--trace") {
+    if let Some(path) = line.value("--trace") {
         println!("trace written to {path} (inspect with `dcdiff report {path}`)");
     }
     println!("serve: drained cleanly");
@@ -515,15 +398,15 @@ fn serve(parsed: &Parsed) -> Result<(), String> {
 
 /// Send one JPEG to a running `dcdiff serve` and save the response
 /// (`dcdiff submit`).
-fn submit(parsed: &Parsed) -> Result<(), String> {
-    let addr = need(parsed, 1, "server address (host:port)")?;
-    let input = need(parsed, 2, "input .jpg path")?;
-    let output = need(parsed, 3, "output image path")?;
+fn submit(line: &Line<'_>) -> Result<(), String> {
+    let addr = line.positional(1, "server address (host:port)")?;
+    let input = line.positional(2, "input .jpg path")?;
+    let output = line.positional(3, "output image path")?;
     let jpeg = std::fs::read(&input).map_err(|e| format!("{input}: {e}"))?;
-    let dc_plane = parsed.has("--dc-plane") || output.to_ascii_lowercase().ends_with(".pgm");
+    let dc_plane = line.has("--dc-plane") || output.to_ascii_lowercase().ends_with(".pgm");
     let client = dcdiff_serve::Client::new(addr.as_str());
     let response = client
-        .recover(&jpeg, parsed.value("--class"), dc_plane)
+        .recover(&jpeg, line.value("--class"), dc_plane)
         .map_err(|e| format!("{addr}: {e}"))?;
     if !response.is_success() {
         return Err(format!(
@@ -545,18 +428,13 @@ fn submit(parsed: &Parsed) -> Result<(), String> {
 /// `dcdiff batch --trace` / `dcdiff serve --trace`. Multiple files are
 /// merged end-to-end ([`dcdiff_telemetry::TraceReport::from_texts`]), so a
 /// fleet of per-run traces rolls up into one table.
-fn report(parsed: &Parsed) -> Result<(), String> {
-    let mut paths = Vec::new();
-    let mut i = 1;
-    while let Some(path) = parsed.positional(i) {
-        paths.push(path.to_string());
-        i += 1;
-    }
+fn report(line: &Line<'_>) -> Result<(), String> {
+    let paths = line.positionals().get(1..).unwrap_or_default();
     if paths.is_empty() {
         return Err("missing trace .jsonl path".to_string());
     }
     let mut texts = Vec::new();
-    for path in &paths {
+    for path in paths {
         texts.push(std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?);
     }
     let refs: Vec<&str> = texts.iter().map(String::as_str).collect();
@@ -574,11 +452,11 @@ fn report(parsed: &Parsed) -> Result<(), String> {
 /// [`dcdiff_telemetry::prometheus::parse`], and renders a refreshing
 /// terminal table. `--once` prints a single frame (CI smoke); `--interval-ms`
 /// sets the refresh cadence.
-fn top(parsed: &Parsed) -> Result<(), String> {
-    let addr = need(parsed, 1, "server address (host:port)")?;
+fn top(line: &Line<'_>) -> Result<(), String> {
+    let addr = line.positional(1, "server address (host:port)")?;
     let interval =
-        std::time::Duration::from_millis(parsed.int("--interval-ms", 1000)?.max(100));
-    let once = parsed.has("--once");
+        std::time::Duration::from_millis(line.number("--interval-ms", 1000)?.max(100));
+    let once = line.has("--once");
     let client = dcdiff_serve::Client::new(addr.as_str());
     loop {
         let response = client
@@ -782,10 +660,10 @@ fn render_top(addr: &str, samples: &[dcdiff_telemetry::prometheus::Sample]) -> S
 /// point or hot function to SYM, instead of linting), and
 /// `--max-unresolved RATE` (fail when the call-graph unresolved rate
 /// exceeds RATE, e.g. `0.10`).
-fn lint(parsed: &Parsed) -> Result<(), String> {
-    let root = std::path::PathBuf::from(parsed.value("--root").unwrap_or("."));
+fn lint(line: &Line<'_>) -> Result<(), String> {
+    let root = std::path::PathBuf::from(line.value("--root").unwrap_or("."));
     let mut cfg = dcdiff_analysis::Config::default_workspace();
-    if let Some(rule) = parsed.value("--rule") {
+    if let Some(rule) = line.value("--rule") {
         if !dcdiff_analysis::config::is_rule(rule) {
             return Err(format!(
                 "unknown rule '{rule}' (known: {})",
@@ -794,11 +672,11 @@ fn lint(parsed: &Parsed) -> Result<(), String> {
         }
         cfg.only = Some(rule.to_string());
     }
-    let entries: Vec<String> = parsed.values("--entry").map(str::to_string).collect();
+    let entries: Vec<String> = line.values("--entry").map(str::to_string).collect();
     if !entries.is_empty() {
         cfg.entries = entries;
     }
-    if parsed.has("--update-ledger") {
+    if line.has("--update-ledger") {
         let ledger = dcdiff_analysis::generate_ledger(&root, &cfg)?;
         let path = root.join(dcdiff_analysis::LEDGER_FILE);
         std::fs::write(&path, ledger).map_err(io_err)?;
@@ -806,7 +684,7 @@ fn lint(parsed: &Parsed) -> Result<(), String> {
         return Ok(());
     }
     let analyzed = dcdiff_analysis::analyze_workspace_graph(&root, &cfg)?;
-    if let Some(symbol) = parsed.value("--why") {
+    if let Some(symbol) = line.value("--why") {
         let Some(graph) = &analyzed.graph else {
             return Err("--why needs the interprocedural rules enabled \
                         (drop --rule, or name an interprocedural rule)"
@@ -827,17 +705,17 @@ fn lint(parsed: &Parsed) -> Result<(), String> {
         return Ok(());
     }
     let report = &analyzed.report;
-    if parsed.has("--json") {
+    if line.has("--json") {
         println!("{}", report.to_json());
     } else {
         print!("{}", report.render());
-        if parsed.has("--graph") {
+        if line.has("--graph") {
             if let Some(g) = &report.graph {
                 print!("{}", render_graph_stats(g));
             }
         }
     }
-    if let Some(max) = parsed.value("--max-unresolved") {
+    if let Some(max) = line.value("--max-unresolved") {
         let max: f64 = max
             .parse()
             .map_err(|_| format!("flag --max-unresolved: '{max}' is not a number"))?;
@@ -995,6 +873,33 @@ mod tests {
     fn unknown_flag_error_names_the_flag() {
         let err = run(&["encode", "a.ppm", "b.jpg", "--qualty", "80"]).unwrap_err();
         assert!(err.contains("--qualty"), "{err}");
+        // Job commands read the job grammar only; other commands their own.
+        let err = run(&["encode", "a.ppm", "b.jpg", "--workers", "4"]).unwrap_err();
+        assert_eq!(err, "unknown flag '--workers'");
+        let err = run(&["batch", "m.txt", "--retries", "2"]).unwrap_err();
+        assert_eq!(err, "unknown flag '--retries'");
+        let err = run(&["info", "a.jpg", "--drop-dc"]).unwrap_err();
+        assert_eq!(err, "unknown flag '--drop-dc'");
+    }
+
+    #[test]
+    fn serve_reads_method_flags_through_the_job_grammar() {
+        // Rejected while parsing, before anything binds.
+        let err = run(&["serve", "--method", "diffusion", "--sweeps", "8"]).unwrap_err();
+        assert_eq!(err, "flag --sweeps does not apply to --method diffusion");
+        let err = run(&["serve", "--method", "tip2006", "--steps", "16"]).unwrap_err();
+        assert_eq!(err, "flag --steps does not apply to --method tip2006");
+        assert!(run(&["serve", "--method", "gan"]).unwrap_err().contains("gan"));
+    }
+
+    #[test]
+    fn one_shot_takes_serving_metadata() {
+        let scene = tmp("sm-scene.ppm");
+        run(&["demo", &scene, "--size", "16x16"]).unwrap();
+        run(&["metrics", &scene, &scene, "--deadline-ms", "60000", "--retries", "1"]).unwrap();
+        let err = run(&["metrics", &scene, &tmp("sm-missing.ppm"), "--retries", "2"]).unwrap_err();
+        assert!(err.contains("sm-missing.ppm"), "{err}");
+        std::fs::remove_file(&scene).ok();
     }
 
     #[test]

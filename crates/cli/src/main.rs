@@ -1,27 +1,10 @@
 //! `dcdiff` — command-line front end for the DCDiff reproduction.
 //!
-//! ```text
-//! dcdiff encode  <in.ppm> <out.jpg>  [--quality N] [--subsample 420]
-//!                                    [--optimize] [--restart N] [--drop-dc]
-//! dcdiff decode  <in.jpg> <out.ppm>
-//! dcdiff recover <in.jpg> <out.ppm>  [--method tip2006|smartcom|icip|mld]
-//! dcdiff metrics <ref.ppm> <test.ppm>
-//! dcdiff info    <in.jpg>
-//! dcdiff demo    <out.ppm>           [--scene smooth|natural|texture|urban|aerial]
-//!                                    [--size WxH] [--seed N]
-//! dcdiff batch   <manifest>          [--workers N (default: all cores)]
-//!                                    [--queue-cap M] [--retries R]
-//!                                    [--trace t.jsonl] [--metrics m.json]
-//!                                    [--log-level error|warn|info|debug]
-//! dcdiff report  <trace.jsonl>
-//! dcdiff serve   [--addr HOST:PORT] [--workers N] [--queue-cap M]
-//!                                    [--method tip2006|smartcom|icip|mld]
-//! dcdiff submit  <addr> <in.jpg> <out.ppm|out.pgm> [--class C] [--dc-plane]
-//! ```
+//! The commands and their flags are listed in [`commands::USAGE`], which
+//! is also printed after any error.
 
 use std::process::ExitCode;
 
-mod args;
 mod commands;
 
 fn main() -> ExitCode {

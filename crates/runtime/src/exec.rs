@@ -1,7 +1,8 @@
-//! Job execution: one function per [`Job`] kind, mirroring the CLI
-//! sub-commands byte-for-byte, plus the per-worker [`EngineCache`] that lets
-//! a micro-batch of Recover jobs reuse one constructed method object instead
-//! of rebuilding state per image (the CLI's one-shot behaviour).
+//! Job execution: the one implementation of each [`Job`] kind, behind
+//! `dcdiff batch`, `dcdiff serve` and the one-shot CLI commands alike, plus
+//! the per-worker [`EngineCache`] that lets a micro-batch of Recover jobs
+//! reuse one constructed method object instead of rebuilding state per
+//! image.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -17,13 +18,14 @@ use dcdiff_jpeg::{
     encode_coefficients, encode_coefficients_optimized, encode_coefficients_with_restarts,
     CoeffImage, DcDropMode, JpegDecoder, JpegEncoder,
 };
-use dcdiff_metrics::{psnr, ssim};
+use dcdiff_jpeg::rate::{encode_to_budget, RateControl};
+use dcdiff_metrics::{ms_ssim, psnr, ssim, PerceptualDistance};
 use dcdiff_telemetry::names;
 use dcdiff_telemetry::Telemetry;
 
-use crate::job::{CodingOpts, Job, JobError, JobFailure, JobOutput, RecoverMethod};
+use crate::job::{CodingOpts, Job, JobError, JobFailure, JobOutput, Rate, RecoverMethod};
 
-/// Read a PPM or PGM image based on the file extension (CLI-compatible).
+/// Read a PPM or PGM image based on the file extension.
 fn read_image(path: &str) -> Result<Image, JobError> {
     let loaded = if path.to_ascii_lowercase().ends_with(".pgm") {
         read_pgm(path)
@@ -33,7 +35,7 @@ fn read_image(path: &str) -> Result<Image, JobError> {
     loaded.map_err(|e| classify_image_error(path, &e))
 }
 
-/// Write a PPM or PGM image based on the file extension (CLI-compatible).
+/// Write a PPM or PGM image based on the file extension.
 fn write_image(path: &str, image: &Image) -> Result<(), JobError> {
     let written = if path.to_ascii_lowercase().ends_with(".pgm") {
         write_pgm(path, image)
@@ -67,6 +69,9 @@ fn write_bytes(path: &str, bytes: &[u8]) -> Result<(), JobError> {
 
 /// Entropy-code `coeffs` under the shared coding options.
 fn code(coeffs: &CoeffImage, opts: &CodingOpts) -> Result<Vec<u8>, JobError> {
+    if opts.optimize && opts.restart > 0 {
+        return Err(JobError::permanent("--optimize cannot be combined with --restart"));
+    }
     let coded = if opts.optimize {
         encode_coefficients_optimized(coeffs)
     } else if opts.restart > 0 {
@@ -163,8 +168,7 @@ impl Engine {
                 let options = RecoverOptions { seed: content_seed(dropped), ..engine.options };
                 engine.model.recover_with(dropped, &options)
             }
-            // Neutral prior — identical constants to the CLI
-            // `recover --method mld` path.
+            // Neutral prior: the training-free core of DCDiff's receiver.
             Engine::Mld { threshold, sweeps } => {
                 refine_dc_offsets(dropped, dropped, *threshold, 5e-4, (*sweeps).max(1)).to_image()
             }
@@ -207,13 +211,13 @@ impl EngineCache {
     /// Replace a method's engine (tests inject failing engines with this).
     #[cfg(test)]
     fn inject(&mut self, method: RecoverMethod, engine: Box<dyn DcRecovery>) {
-        self.engines.retain(|(m, _)| !m.same_config(&method));
+        self.engines.retain(|(m, _)| *m != method);
         self.engines.push((method, Engine::Object(engine)));
     }
 
     /// The engine for `method`, constructing it on first use.
     fn engine(&mut self, method: &RecoverMethod) -> &Engine {
-        let i = match self.engines.iter().position(|(m, _)| m.same_config(method)) {
+        let i = match self.engines.iter().position(|(m, _)| m == method) {
             Some(i) => {
                 self.hits += 1;
                 i
@@ -251,27 +255,46 @@ pub fn execute(
     tel: &Telemetry,
 ) -> Result<JobOutput, JobError> {
     match job {
-        Job::Encode { input, output, quality, sampling, opts } => {
-            if !(1..=100).contains(quality) {
-                return Err(JobError::permanent("--quality must be 1..=100"));
-            }
+        Job::Encode { input, output, rate, sampling, opts } => {
             let read = tel.span(names::SPAN_ENCODE_READ);
             let image = read_image(input)?;
             drop(read);
-            let dct = tel.span(names::SPAN_ENCODE_DCT);
-            let encoder = JpegEncoder::new(*quality).with_sampling(*sampling);
-            let mut coeffs = encoder.to_coefficients(&image);
-            drop(dct);
-            if opts.drop_dc {
-                let _drop_dc = tel.span(names::SPAN_ENCODE_DROP_DC);
-                coeffs = coeffs.drop_dc(DcDropMode::KeepCorners);
-            }
-            let entropy = tel.span(names::SPAN_ENCODE_ENTROPY);
-            let bytes = code(&coeffs, opts)?;
-            drop(entropy);
+            let (bytes, quality) = match *rate {
+                Rate::Quality(quality) => {
+                    if !(1..=100).contains(&quality) {
+                        return Err(JobError::permanent("--quality must be 1..=100"));
+                    }
+                    let dct = tel.span(names::SPAN_ENCODE_DCT);
+                    let encoder = JpegEncoder::new(quality).with_sampling(*sampling);
+                    let mut coeffs = encoder.to_coefficients(&image);
+                    drop(dct);
+                    if opts.drop_dc {
+                        let _drop_dc = tel.span(names::SPAN_ENCODE_DROP_DC);
+                        coeffs = coeffs.drop_dc(DcDropMode::KeepCorners);
+                    }
+                    let _entropy = tel.span(names::SPAN_ENCODE_ENTROPY);
+                    (code(&coeffs, opts)?, quality)
+                }
+                Rate::Budget(max_bytes) => {
+                    if opts.restart > 0 {
+                        return Err(JobError::permanent(
+                            "--budget cannot be combined with --restart",
+                        ));
+                    }
+                    let control = RateControl {
+                        max_bytes,
+                        sampling: *sampling,
+                        drop_dc: opts.drop_dc,
+                        optimize: opts.optimize,
+                    };
+                    let fitted = encode_to_budget(&image, control)
+                        .map_err(|e| JobError::permanent(format!("{input}: {e}")))?;
+                    (fitted.bytes, fitted.quality)
+                }
+            };
             let _write = tel.span(names::SPAN_ENCODE_WRITE);
             write_bytes(output, &bytes)?;
-            Ok(JobOutput::Encoded { bytes: bytes.len() })
+            Ok(JobOutput::Encoded { bytes: bytes.len(), quality })
         }
         Job::Transcode { input, output, opts } => {
             let read = tel.span(names::SPAN_TRANSCODE_READ);
@@ -327,9 +350,12 @@ pub fn execute(
                 )));
             }
             let _compare = tel.span(names::SPAN_METRICS_COMPARE);
+            let multi_scale = reference_img.width() >= 16 && reference_img.height() >= 16;
             Ok(JobOutput::Metrics {
                 psnr: f64::from(psnr(&reference_img, &test_img)),
                 ssim: f64::from(ssim(&reference_img, &test_img)),
+                ms_ssim: multi_scale.then(|| f64::from(ms_ssim(&reference_img, &test_img))),
+                lpips: f64::from(PerceptualDistance::default().distance(&reference_img, &test_img)),
             })
         }
     }

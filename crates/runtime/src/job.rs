@@ -1,10 +1,11 @@
 //! The job model: what the runtime executes, and how outcomes are reported.
 //!
-//! A [`Job`] describes one unit of pipeline work over files on disk, mirroring
-//! the `dcdiff` CLI sub-commands one-to-one so a manifest line and a CLI
-//! invocation mean the same thing. A [`JobSpec`] adds the serving metadata —
-//! deadline and retry budget — and the runtime stamps each accepted spec with
-//! a stable [`JobId`].
+//! A [`Job`] describes one unit of pipeline work over files on disk. The
+//! `dcdiff encode|transcode|recover|metrics` commands and manifest lines
+//! are both parsed into one by [`crate::manifest::parse_job`] and run by the
+//! runtime, so a manifest line and a CLI invocation mean the same thing. A
+//! [`JobSpec`] adds the serving metadata — deadline and retry budget — and
+//! the runtime stamps each accepted spec with a stable [`JobId`].
 
 use std::time::Duration;
 
@@ -13,7 +14,10 @@ use dcdiff_jpeg::ChromaSampling;
 /// Stable identifier assigned at submission, unique per runtime instance.
 pub type JobId = u64;
 
-/// DC-recovery method selection, mirroring `dcdiff recover --method`.
+/// DC-recovery method selection (`--method`, parsed by
+/// [`crate::manifest::parse_method`]). Equal selections share an engine
+/// configuration, so they can be served by one micro-batch without
+/// changing results.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum RecoverMethod {
     /// Ahmed et al., TIP 2006 — gradient-based propagation.
@@ -50,12 +54,17 @@ impl RecoverMethod {
             RecoverMethod::Diffusion { .. } => "diffusion",
         }
     }
+}
 
-    /// Whether two selections share the same engine configuration, i.e. can
-    /// be served by the same micro-batch without changing results.
-    pub fn same_config(&self, other: &RecoverMethod) -> bool {
-        self == other
-    }
+/// How [`Job::Encode`] picks its quantiser.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Rate {
+    /// Fixed JPEG quality 1..=100 (`--quality`).
+    Quality(u8),
+    /// The highest quality whose stream fits in this many bytes
+    /// (`--budget`, rate control by [`dcdiff_jpeg::rate::encode_to_budget`]).
+    /// Coded without restart markers.
+    Budget(usize),
 }
 
 /// Encoder options shared by [`Job::Encode`] and [`Job::Transcode`].
@@ -65,12 +74,13 @@ pub struct CodingOpts {
     pub drop_dc: bool,
     /// Two-pass Huffman table optimisation.
     pub optimize: bool,
-    /// Restart-marker interval in MCUs (0 = none).
+    /// Restart-marker interval in MCUs (0 = none). Optimised tables are
+    /// coded without restart markers, so this must be 0 with `optimize`.
     pub restart: usize,
 }
 
 /// One unit of pipeline work. Inputs and outputs are file paths, exactly as
-/// the CLI sub-commands take them.
+/// the CLI commands take them.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Job {
     /// `dcdiff encode`: PPM/PGM in, JPEG out.
@@ -79,8 +89,8 @@ pub enum Job {
         input: String,
         /// Destination JPEG path.
         output: String,
-        /// JPEG quality 1..=100.
-        quality: u8,
+        /// Fixed quality or byte budget.
+        rate: Rate,
         /// Chroma subsampling mode.
         sampling: ChromaSampling,
         /// Entropy-coding options.
@@ -297,6 +307,8 @@ pub enum JobOutput {
     Encoded {
         /// Output stream size.
         bytes: usize,
+        /// JPEG quality used: the fixed one, or the one rate control picked.
+        quality: u8,
     },
     /// Before/after sizes of a transcode.
     Transcoded {
@@ -316,6 +328,10 @@ pub enum JobOutput {
         psnr: f64,
         /// Structural similarity in `[-1, 1]`.
         ssim: f64,
+        /// Multi-scale SSIM; `None` when either side is under 16 px.
+        ms_ssim: Option<f64>,
+        /// Learned-perceptual distance (LPIPS-style, lower is closer).
+        lpips: f64,
     },
 }
 
@@ -384,14 +400,14 @@ mod tests {
         let a = RecoverMethod::Mld { threshold: 10.0, sweeps: 300 };
         let b = RecoverMethod::Mld { threshold: 10.0, sweeps: 300 };
         let c = RecoverMethod::Mld { threshold: 9.0, sweeps: 300 };
-        assert!(a.same_config(&b));
-        assert!(!a.same_config(&c));
-        assert!(!a.same_config(&RecoverMethod::Tip2006));
+        assert_eq!(a, b);
+        assert_ne!(a, c);
+        assert_ne!(a, RecoverMethod::Tip2006);
         assert_eq!(a.name(), "mld");
         // Diffusion batches only with identical step counts.
         let d8 = RecoverMethod::Diffusion { ddim_steps: 8 };
-        assert!(d8.same_config(&RecoverMethod::Diffusion { ddim_steps: 8 }));
-        assert!(!d8.same_config(&RecoverMethod::Diffusion { ddim_steps: 16 }));
+        assert_eq!(d8, RecoverMethod::Diffusion { ddim_steps: 8 });
+        assert_ne!(d8, RecoverMethod::Diffusion { ddim_steps: 16 });
         assert_eq!(d8.name(), "diffusion");
     }
 

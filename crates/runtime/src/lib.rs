@@ -17,8 +17,10 @@
 //!   bounded retry with exponential backoff;
 //! * [`RuntimeStats`] — an atomic counter block whose [`RuntimeStats::snapshot`]
 //!   the CLI prints after `dcdiff batch`;
-//! * [`manifest`] — the one-job-per-line manifest format `dcdiff batch`
-//!   reads.
+//! * [`manifest`] — the job grammar: the one-job-per-line manifest format
+//!   `dcdiff batch` reads, which is also how the one-shot `dcdiff` job
+//!   commands are parsed, and the flag parser ([`Line`]) and method table
+//!   ([`parse_method`]) every `dcdiff` command shares.
 //!
 //! ## Observability
 //!
@@ -73,10 +75,10 @@ pub mod stats;
 
 pub use exec::{execute, recover_guarded, CohortLane, EngineCache, RecoveryPolicy};
 pub use job::{
-    CodingOpts, ErrorClass, Job, JobError, JobFailure, JobId, JobOutput, JobResult, JobSpec,
+    CodingOpts, ErrorClass, Job, JobError, JobFailure, JobId, JobOutput, JobResult, JobSpec, Rate,
     RecoverMethod, Stage,
 };
-pub use manifest::{parse_line, parse_manifest};
+pub use manifest::{parse_job, parse_line, parse_manifest, parse_method, Line, METHOD_FLAGS};
 pub use queue::{BoundedQueue, PushError};
 pub use runtime::{ResultHandle, Runtime, RuntimeConfig, RuntimeReport, ShutdownMode, SubmitError};
 pub use stats::{RuntimeStats, StatsSnapshot};

@@ -1,143 +1,207 @@
-//! Manifest parsing: one job per line, in CLI sub-command syntax.
+//! The job grammar: one job per line, and the flag parser every `dcdiff`
+//! command reads its arguments through.
 //!
 //! ```text
 //! # comments and blank lines are ignored
 //! encode    scene0.ppm scene0.jpg --quality 80 --subsample 420 --drop-dc
+//! encode    scene0.ppm fit.jpg    --budget 1200 --optimize
 //! transcode scene0.jpg small.jpg  --drop-dc --optimize
 //! recover   small.jpg  out.ppm    --method mld --threshold 10 --sweeps 300
-//! recover   small.jpg  out2.ppm   --method diffusion --sweeps 8
+//! recover   small.jpg  out2.ppm   --method diffusion --steps 8
 //! metrics   scene0.ppm out.ppm
 //! ```
 //!
 //! Each line may additionally carry serving metadata: `--deadline-ms N`
-//! and `--retries N`.
+//! and `--retries N`. A one-shot `dcdiff encode|transcode|recover|metrics`
+//! invocation is parsed by the same [`parse_job`] and runs as a one-line
+//! batch, so a manifest line and a command line mean the same thing.
 
 use std::time::Duration;
 
 use dcdiff_jpeg::ChromaSampling;
 
-use crate::job::{CodingOpts, Job, JobSpec, RecoverMethod};
+use crate::job::{CodingOpts, Job, JobSpec, Rate, RecoverMethod};
 
-/// Flags that take a value; everything else is boolean. Unknown flags are
-/// rejected by name.
-const VALUE_FLAGS: &[&str] = &[
-    "--quality",
-    "--subsample",
-    "--restart",
-    "--method",
-    "--threshold",
-    "--sweeps",
-    "--deadline-ms",
-    "--retries",
-];
+/// The flags [`parse_method`] reads: the method name and each method's
+/// knobs.
+pub const METHOD_FLAGS: &[&str] = &["--method", "--threshold", "--sweeps", "--steps"];
 
-/// Boolean flags accepted in manifests.
-const BOOL_FLAGS: &[&str] = &["--drop-dc", "--optimize"];
+/// Serving metadata any job line may carry.
+const SERVING_FLAGS: &[&str] = &["--deadline-ms", "--retries"];
 
-struct Line<'a> {
+/// Boolean entropy-coding flags of `encode` and `transcode`.
+const CODING_FLAGS: &[&str] = &["--drop-dc", "--optimize"];
+
+/// One tokenised command: positionals in order, flags by name.
+///
+/// Tokens are taken as given, never re-split, so a path containing spaces
+/// survives as one positional.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Line<'a> {
     positional: Vec<&'a str>,
     flags: Vec<(&'a str, Option<&'a str>)>,
 }
 
 impl<'a> Line<'a> {
-    fn parse(text: &'a str) -> Result<Self, String> {
+    /// Split `tokens` into positionals and flags. `values` names the flags
+    /// that take a value and `bools` the boolean ones.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message when a value flag is missing its value, or naming
+    /// the offending flag when it is in neither list, so a typo like
+    /// `--qualty` fails loudly instead of being silently swallowed.
+    pub fn parse<S: AsRef<str>>(
+        tokens: &'a [S],
+        values: &[&str],
+        bools: &[&str],
+    ) -> Result<Self, String> {
         let mut positional = Vec::new();
         let mut flags = Vec::new();
-        let mut tokens = text.split_whitespace().peekable();
+        let mut tokens = tokens.iter().map(AsRef::as_ref);
         while let Some(token) = tokens.next() {
-            if token.starts_with("--") {
-                if VALUE_FLAGS.contains(&token) {
-                    let value = tokens
-                        .next()
-                        .ok_or_else(|| format!("flag {token} requires a value"))?;
-                    flags.push((token, Some(value)));
-                } else if BOOL_FLAGS.contains(&token) {
-                    flags.push((token, None));
-                } else {
-                    return Err(format!("unknown flag '{token}'"));
-                }
-            } else {
+            if !token.starts_with("--") {
                 positional.push(token);
+            } else if values.contains(&token) {
+                let value = tokens
+                    .next()
+                    .ok_or_else(|| format!("flag {token} requires a value"))?;
+                flags.push((token, Some(value)));
+            } else if bools.contains(&token) {
+                flags.push((token, None));
+            } else {
+                return Err(format!("unknown flag '{token}'"));
             }
         }
         Ok(Line { positional, flags })
     }
 
-    fn value(&self, name: &str) -> Option<&'a str> {
-        self.flags
-            .iter()
-            .find(|(n, _)| *n == name)
-            .and_then(|(_, v)| *v)
-    }
-
-    fn has(&self, name: &str) -> bool {
-        self.flags.iter().any(|(n, _)| *n == name)
-    }
-
-    fn int(&self, name: &str, default: u64) -> Result<u64, String> {
-        match self.value(name) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| format!("flag {name}: '{v}' is not an integer")),
-        }
-    }
-
-    fn float(&self, name: &str, default: f32) -> Result<f32, String> {
-        match self.value(name) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| format!("flag {name}: '{v}' is not a number")),
-        }
-    }
-
-    fn positional(&self, i: usize, what: &str) -> Result<String, String> {
+    /// Positional `i`, or `missing {what}`.
+    ///
+    /// # Errors
+    ///
+    /// Returns `missing {what}` when there are at most `i` positionals.
+    pub fn positional(&self, i: usize, what: &str) -> Result<String, String> {
         self.positional
             .get(i)
             .map(|s| (*s).to_string())
             .ok_or_else(|| format!("missing {what}"))
     }
 
+    /// Every positional, in order.
+    pub fn positionals(&self) -> &[&'a str] {
+        &self.positional
+    }
+
+    /// Whether a flag was given.
+    pub fn has(&self, name: &str) -> bool {
+        self.flags.iter().any(|(n, _)| *n == name)
+    }
+
+    /// Value of a flag (its first occurrence).
+    pub fn value(&self, name: &str) -> Option<&'a str> {
+        self.values(name).next()
+    }
+
+    /// All values of a repeatable flag, in order (`--entry a --entry b`).
+    pub fn values<'s>(&'s self, name: &'s str) -> impl Iterator<Item = &'a str> + 's {
+        self.flags
+            .iter()
+            .filter(move |(n, _)| *n == name)
+            .filter_map(|(_, v)| *v)
+    }
+
+    /// Numeric value of a flag with a default.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message when the value does not parse as a `T`.
+    pub fn number<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
+        self.value(name).map_or(Ok(default), |v| {
+            v.parse().map_err(|_| format!("flag {name}: cannot parse '{v}'"))
+        })
+    }
+
+    /// `WxH` value of a flag with a default.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message for malformed sizes.
+    pub fn size(&self, name: &str, default: (usize, usize)) -> Result<(usize, usize), String> {
+        let Some(v) = self.value(name) else {
+            return Ok(default);
+        };
+        let (w, h) = v
+            .split_once(['x', 'X'])
+            .ok_or_else(|| format!("flag {name}: expected WxH, got '{v}'"))?;
+        let w = w.parse().map_err(|_| format!("flag {name}: bad width '{w}'"))?;
+        let h = h.parse().map_err(|_| format!("flag {name}: bad height '{h}'"))?;
+        Ok((w, h))
+    }
+
+    /// Fail naming `flag` and the first of `others` also given: flags that
+    /// cannot take effect together are rejected rather than one dropped.
+    fn exclusive(&self, flag: &str, others: &[&str]) -> Result<(), String> {
+        match others.iter().find(|other| self.has(flag) && self.has(other)) {
+            Some(other) => Err(format!("{flag} cannot be combined with {other}")),
+            None => Ok(()),
+        }
+    }
+
     fn coding_opts(&self) -> Result<CodingOpts, String> {
+        // Optimised tables are coded without restart markers.
+        self.exclusive("--optimize", &["--restart"])?;
         Ok(CodingOpts {
             drop_dc: self.has("--drop-dc"),
             optimize: self.has("--optimize"),
-            restart: self.int("--restart", 0)? as usize,
+            restart: self.number("--restart", 0)?,
         })
     }
 }
 
-/// Parse one manifest line into a [`JobSpec`]. Returns `None` for blank and
-/// comment (`#`) lines.
+/// Parse one job from its tokens: the command (`encode`, `transcode`,
+/// `recover` or `metrics`), two paths, and the flags that command reads.
 ///
 /// # Errors
 ///
-/// Returns a message naming the problem (unknown command, unknown flag,
-/// missing path, malformed value).
-pub fn parse_line(text: &str) -> Result<Option<JobSpec>, String> {
-    let trimmed = text.trim();
-    if trimmed.is_empty() || trimmed.starts_with('#') {
-        return Ok(None);
-    }
-    let line = Line::parse(trimmed)?;
-    let command = line.positional(0, "command")?;
+/// Returns a message naming the problem (unknown command, a flag the
+/// command does not read, flags that cannot take effect together, missing
+/// path, malformed value).
+pub fn parse_job<S: AsRef<str>>(tokens: &[S]) -> Result<JobSpec, String> {
+    let command = tokens.first().map_or("", AsRef::as_ref);
+    let (values, bools): (&[&str], &[&str]) = match command {
+        "encode" => (&["--quality", "--budget", "--subsample", "--restart"], CODING_FLAGS),
+        "transcode" => (&["--restart"], CODING_FLAGS),
+        "recover" => (METHOD_FLAGS, &[]),
+        "metrics" => (&[], &[]),
+        "" => return Err("missing command".to_string()),
+        other => return Err(format!("unknown command '{other}'")),
+    };
+    let line = Line::parse(tokens, &[values, SERVING_FLAGS].concat(), bools)?;
     if line.positional.len() > 3 {
         return Err(format!(
             "too many arguments ({} given, at most 3 expected)",
             line.positional.len()
         ));
     }
-    let job = match command.as_str() {
+    let job = match command {
         "encode" => {
-            let quality = line.int("--quality", 50)? as u8;
-            if !(1..=100).contains(&quality) {
-                return Err("--quality must be 1..=100".to_string());
-            }
+            // Rate control searches the quality and codes without restarts.
+            line.exclusive("--budget", &["--quality", "--restart"])?;
+            let rate = match line.value("--budget") {
+                Some(_) => Rate::Budget(line.number("--budget", 0)?),
+                None => {
+                    let quality: u64 = line.number("--quality", 50)?;
+                    if !(1..=100).contains(&quality) {
+                        return Err("--quality must be 1..=100".to_string());
+                    }
+                    Rate::Quality(quality as u8)
+                }
+            };
             Job::Encode {
                 input: line.positional(1, "input .ppm path")?,
                 output: line.positional(2, "output .jpg path")?,
-                quality,
+                rate,
                 sampling: parse_sampling(line.value("--subsample"))?,
                 opts: line.coding_opts()?,
             }
@@ -152,19 +216,34 @@ pub fn parse_line(text: &str) -> Result<Option<JobSpec>, String> {
             output: line.positional(2, "output .ppm path")?,
             method: parse_method(&line)?,
         },
-        "metrics" => Job::Metrics {
+        // The vocabulary match above admits no other command.
+        _ => Job::Metrics {
             reference: line.positional(1, "reference image")?,
             test: line.positional(2, "test image")?,
         },
-        other => return Err(format!("unknown command '{other}'")),
     };
     let mut spec = JobSpec::new(job);
-    let deadline_ms = line.int("--deadline-ms", 0)?;
+    let deadline_ms = line.number("--deadline-ms", 0)?;
     if deadline_ms > 0 {
         spec = spec.with_deadline(Duration::from_millis(deadline_ms));
     }
-    spec = spec.with_retries(line.int("--retries", 0)? as u32);
-    Ok(Some(spec))
+    spec = spec.with_retries(line.number("--retries", 0)?);
+    Ok(spec)
+}
+
+/// Parse one manifest line into a [`JobSpec`]: whitespace-separated tokens
+/// for [`parse_job`]. Returns `None` for blank and comment (`#`) lines.
+///
+/// # Errors
+///
+/// Returns [`parse_job`]'s message.
+pub fn parse_line(text: &str) -> Result<Option<JobSpec>, String> {
+    let trimmed = text.trim();
+    if trimmed.is_empty() || trimmed.starts_with('#') {
+        return Ok(None);
+    }
+    let tokens: Vec<&str> = trimmed.split_whitespace().collect();
+    parse_job(&tokens).map(Some)
 }
 
 /// Parse a full manifest; errors are prefixed with their 1-based line number.
@@ -193,28 +272,52 @@ fn parse_sampling(value: Option<&str>) -> Result<ChromaSampling, String> {
     }
 }
 
-fn parse_method(line: &Line<'_>) -> Result<RecoverMethod, String> {
-    match line.value("--method").unwrap_or("mld") {
-        "tip2006" => Ok(RecoverMethod::Tip2006),
-        "smartcom" => Ok(RecoverMethod::SmartCom),
-        "icip" => Ok(RecoverMethod::Icip),
-        "mld" => Ok(RecoverMethod::Mld {
-            threshold: line.float("--threshold", 10.0)?,
-            sweeps: line.int("--sweeps", 300)?.max(1) as usize,
-        }),
-        // `--sweeps` doubles as the DDIM step count, mirroring the CLI
-        // recover sub-command; the serving default of 8 matches `dcdiff
-        // serve`, and the executor clamps to the trained schedule length.
-        "diffusion" => Ok(RecoverMethod::Diffusion {
-            ddim_steps: line.int("--sweeps", 8)?.max(1) as usize,
-        }),
-        other => Err(format!("unknown method '{other}'")),
+/// The method table: `--method` (default `mld`) and the knobs of the chosen
+/// method. mld reads `--threshold` (default 10) and `--sweeps` (default
+/// 300); diffusion reads `--steps`, its DDIM step count (default 8, the
+/// executor clamps it to the trained schedule). A knob the chosen method
+/// does not read is rejected by name.
+///
+/// # Errors
+///
+/// Returns a message for an unknown method, a malformed value, or a knob
+/// of another method.
+pub fn parse_method(line: &Line<'_>) -> Result<RecoverMethod, String> {
+    let name = line.value("--method").unwrap_or("mld");
+    let (method, knobs): (RecoverMethod, &[&str]) = match name {
+        "tip2006" => (RecoverMethod::Tip2006, &[]),
+        "smartcom" => (RecoverMethod::SmartCom, &[]),
+        "icip" => (RecoverMethod::Icip, &[]),
+        "mld" => (
+            RecoverMethod::Mld {
+                threshold: line.number("--threshold", 10.0)?,
+                sweeps: line.number("--sweeps", 300)?.max(1),
+            },
+            &["--threshold", "--sweeps"],
+        ),
+        "diffusion" => (
+            RecoverMethod::Diffusion { ddim_steps: line.number("--steps", 8)?.max(1) },
+            &["--steps"],
+        ),
+        other => {
+            return Err(format!(
+                "unknown method '{other}' (tip2006, smartcom, icip, mld or diffusion)"
+            ))
+        }
+    };
+    match METHOD_FLAGS[1..].iter().find(|flag| line.has(flag) && !knobs.contains(flag)) {
+        Some(flag) => Err(format!("flag {flag} does not apply to --method {name}")),
+        None => Ok(method),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn job(line: &str) -> Job {
+        parse_line(line).unwrap().unwrap().job
+    }
 
     #[test]
     fn blank_and_comment_lines_skip() {
@@ -225,47 +328,70 @@ mod tests {
 
     #[test]
     fn encode_line_with_options() {
-        let spec = parse_line("encode a.ppm b.jpg --quality 80 --subsample 420 --drop-dc")
-            .unwrap()
-            .unwrap();
-        match spec.job {
-            Job::Encode { input, output, quality, sampling, opts } => {
+        match job("encode a.ppm b.jpg --quality 80 --subsample 420 --drop-dc") {
+            Job::Encode { input, output, rate, sampling, opts } => {
                 assert_eq!(input, "a.ppm");
                 assert_eq!(output, "b.jpg");
-                assert_eq!(quality, 80);
+                assert_eq!(rate, Rate::Quality(80));
                 assert_eq!(sampling, ChromaSampling::Cs420);
                 assert!(opts.drop_dc);
                 assert!(!opts.optimize);
             }
             other => panic!("wrong job: {other:?}"),
         }
+        assert!(matches!(
+            job("encode a.ppm b.jpg --budget 1500 --optimize"),
+            Job::Encode { rate: Rate::Budget(1500), opts: CodingOpts { optimize: true, .. }, .. }
+        ));
+        assert!(parse_line("encode a.ppm b.jpg --quality 300").is_err());
+    }
+
+    #[test]
+    fn optimize_with_restart_is_rejected_by_name() {
+        for line in [
+            "encode a.ppm b.jpg --optimize --restart 4",
+            "transcode a.jpg b.jpg --restart 4 --optimize",
+        ] {
+            let err = parse_line(line).unwrap_err();
+            assert_eq!(err, "--optimize cannot be combined with --restart", "{line}");
+        }
+    }
+
+    #[test]
+    fn budget_with_quality_is_rejected_by_name() {
+        let err = parse_line("encode a.ppm b.jpg --budget 1500 --quality 90").unwrap_err();
+        assert_eq!(err, "--budget cannot be combined with --quality");
+    }
+
+    #[test]
+    fn budget_with_restart_is_rejected_by_name() {
+        let err = parse_line("encode a.ppm b.jpg --budget 1500 --restart 2").unwrap_err();
+        assert_eq!(err, "--budget cannot be combined with --restart");
     }
 
     #[test]
     fn recover_defaults_to_mld() {
-        let spec = parse_line("recover in.jpg out.ppm").unwrap().unwrap();
         assert_eq!(
-            spec.job.recover_method(),
+            job("recover in.jpg out.ppm").recover_method(),
             Some(&RecoverMethod::Mld { threshold: 10.0, sweeps: 300 })
         );
     }
 
     #[test]
     fn recover_diffusion_takes_sweeps_as_step_count() {
-        let spec = parse_line("recover in.jpg out.ppm --method diffusion")
-            .unwrap()
-            .unwrap();
         assert_eq!(
-            spec.job.recover_method(),
+            job("recover in.jpg out.ppm --method diffusion").recover_method(),
             Some(&RecoverMethod::Diffusion { ddim_steps: 8 })
         );
-        let spec = parse_line("recover in.jpg out.ppm --method diffusion --sweeps 16")
-            .unwrap()
-            .unwrap();
         assert_eq!(
-            spec.job.recover_method(),
+            job("recover in.jpg out.ppm --method diffusion --steps 16").recover_method(),
             Some(&RecoverMethod::Diffusion { ddim_steps: 16 })
         );
+        // Diffusion's step count is `--steps`; the old `--sweeps` spelling
+        // fails loudly, with its line number, instead of meaning steps.
+        let err = parse_manifest("recover in.jpg out.ppm --method diffusion --sweeps 8\n")
+            .unwrap_err();
+        assert_eq!(err, "line 1: flag --sweeps does not apply to --method diffusion");
     }
 
     #[test]
@@ -280,11 +406,30 @@ mod tests {
     #[test]
     fn unknown_flag_is_named() {
         let err = parse_line("encode a.ppm b.jpg --qualty 80").unwrap_err();
-        assert!(err.contains("--qualty"), "{err}");
+        assert_eq!(err, "unknown flag '--qualty'");
         // A manifest line carrying a retired flag is rejected by name, not
         // run without it.
         let err = parse_manifest("metrics a.ppm b.ppm --ingest-ms 15\n").unwrap_err();
         assert_eq!(err, "line 1: unknown flag '--ingest-ms'");
+        // Flags outside the job grammar are unknown here too.
+        let err = parse_job(&["encode", "a.ppm", "b.jpg", "--workers", "4"]).unwrap_err();
+        assert_eq!(err, "unknown flag '--workers'");
+        // A method knob the chosen method does not read is named, not ignored.
+        for (line, flag, method) in [
+            ("recover a.jpg b.ppm --method tip2006 --threshold 5", "--threshold", "tip2006"),
+            ("recover a.jpg b.ppm --method icip --sweeps 5", "--sweeps", "icip"),
+            ("recover a.jpg b.ppm --steps 2", "--steps", "mld"),
+            ("recover a.jpg b.ppm --method smartcom --steps 2", "--steps", "smartcom"),
+            ("recover a.jpg b.ppm --method diffusion --threshold 5", "--threshold", "diffusion"),
+        ] {
+            let err = parse_line(line).unwrap_err();
+            assert_eq!(err, format!("flag {flag} does not apply to --method {method}"));
+        }
+        // Each job kind reads only its own flags.
+        let err = parse_line("metrics a.ppm b.ppm --method mld").unwrap_err();
+        assert_eq!(err, "unknown flag '--method'");
+        let err = parse_line("recover a.jpg b.ppm --quality 80").unwrap_err();
+        assert_eq!(err, "unknown flag '--quality'");
     }
 
     #[test]
@@ -293,6 +438,17 @@ mod tests {
         assert!(parse_line("recover a b --method nope")
             .unwrap_err()
             .contains("nope"));
+    }
+
+    #[test]
+    fn method_names_round_trip() {
+        for name in ["tip2006", "smartcom", "icip", "mld", "diffusion"] {
+            let tokens = ["--method", name];
+            let line = Line::parse(&tokens, METHOD_FLAGS, &[]).unwrap();
+            assert_eq!(parse_method(&line).expect("known method").name(), name);
+        }
+        let line = Line::parse(&["--method", "gan"], METHOD_FLAGS, &[]).unwrap();
+        assert!(parse_method(&line).is_err());
     }
 
     #[test]
@@ -314,5 +470,78 @@ metrics a.ppm c.ppm
 ";
         let specs = parse_manifest(manifest).unwrap();
         assert_eq!(specs.len(), 4);
+    }
+
+    #[test]
+    fn tokens_are_not_resplit() {
+        let spec = parse_job(&["recover", "my scans/in.jpg", "out dir/out.ppm"]).unwrap();
+        assert_eq!(
+            spec.job,
+            Job::Recover {
+                input: "my scans/in.jpg".into(),
+                output: "out dir/out.ppm".into(),
+                method: RecoverMethod::Mld { threshold: 10.0, sweeps: 300 },
+            }
+        );
+    }
+
+    fn parse<'a>(tokens: &'a [&'a str]) -> Line<'a> {
+        Line::parse(tokens, &["--quality", "--size", "--seed", "--entry", "--rule"], &[
+            "--optimize",
+            "--drop-dc",
+            "--graph",
+        ])
+        .unwrap()
+    }
+
+    #[test]
+    fn positionals_and_flags_mix() {
+        let p = parse(&["encode", "a.ppm", "--quality", "80", "b.jpg", "--optimize"]);
+        assert_eq!(p.positionals(), ["encode", "a.ppm", "b.jpg"]);
+        assert_eq!(p.number("--quality", 50).unwrap(), 80);
+        assert!(p.has("--optimize"));
+        assert!(!p.has("--drop-dc"));
+    }
+
+    #[test]
+    fn missing_value_is_an_error() {
+        let err = Line::parse(&["encode", "--quality"], &["--quality"], &[]).unwrap_err();
+        assert_eq!(err, "flag --quality requires a value");
+    }
+
+    #[test]
+    fn unknown_flag_is_rejected_by_name() {
+        let err = Line::parse(&["encode", "--qualty", "80"], &["--quality"], &[]).unwrap_err();
+        assert_eq!(err, "unknown flag '--qualty'");
+    }
+
+    #[test]
+    fn bad_integer_is_an_error() {
+        let p = parse(&["--quality", "high"]);
+        assert!(p.number("--quality", 50).is_err());
+    }
+
+    #[test]
+    fn size_parsing() {
+        let p = parse(&["--size", "128x96"]);
+        assert_eq!(p.size("--size", (0, 0)).unwrap(), (128, 96));
+        let bad = parse(&["--size", "128"]);
+        assert!(bad.size("--size", (0, 0)).is_err());
+    }
+
+    #[test]
+    fn repeatable_value_flags_collect_in_order() {
+        let p = parse(&["lint", "--entry", "a::b", "--graph", "--entry", "c::d"]);
+        let entries: Vec<_> = p.values("--entry").collect();
+        assert_eq!(entries, vec!["a::b", "c::d"]);
+        assert!(p.has("--graph"));
+        assert_eq!(p.values("--rule").count(), 0);
+    }
+
+    #[test]
+    fn defaults_apply() {
+        let p = parse(&["demo"]);
+        assert_eq!(p.number("--seed", 7).unwrap(), 7);
+        assert_eq!(p.size("--size", (96, 96)).unwrap(), (96, 96));
     }
 }

@@ -32,9 +32,6 @@ pub struct RuntimeConfig {
     pub workers: usize,
     /// Bounded queue capacity — the backpressure point.
     pub queue_cap: usize,
-    /// Default transient-failure retry budget for [`Runtime::submit`] with a
-    /// bare [`Job`] (specs carry their own budget).
-    pub default_retries: u32,
     /// First retry backoff; attempt `n` waits `backoff_base * 2^(n-1)`.
     pub backoff_base: Duration,
     /// Largest micro-batch a worker may gather (`dcdiff batch`/`serve`
@@ -65,7 +62,6 @@ impl Default for RuntimeConfig {
         RuntimeConfig {
             workers: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
             queue_cap: 64,
-            default_retries: 0,
             backoff_base: Duration::from_millis(10),
             batch_max: 8,
             telemetry: Telemetry::new(),
@@ -348,11 +344,7 @@ impl Runtime {
     /// [`SubmitError::QueueFull`] under backpressure,
     /// [`SubmitError::ShuttingDown`] after shutdown began.
     pub fn submit(&self, spec: impl Into<JobSpec>) -> Result<JobId, SubmitError> {
-        let mut spec = spec.into();
-        if spec.max_retries == 0 {
-            spec.max_retries = self.config.default_retries;
-        }
-        self.enqueue(spec, None, BoundedQueue::try_push)
+        self.enqueue(spec.into(), None, BoundedQueue::try_push)
     }
 
     /// Blocking submission: waits for queue space.
@@ -361,11 +353,7 @@ impl Runtime {
     ///
     /// [`SubmitError::ShuttingDown`] after shutdown began.
     pub fn submit_blocking(&self, spec: impl Into<JobSpec>) -> Result<JobId, SubmitError> {
-        let mut spec = spec.into();
-        if spec.max_retries == 0 {
-            spec.max_retries = self.config.default_retries;
-        }
-        self.enqueue(spec, None, BoundedQueue::push_blocking)
+        self.enqueue(spec.into(), None, BoundedQueue::push_blocking)
     }
 
     /// Fail-fast *watched* submission for long-lived callers (the serve
@@ -383,12 +371,8 @@ impl Runtime {
         &self,
         spec: impl Into<JobSpec>,
     ) -> Result<(JobId, ResultHandle), SubmitError> {
-        let mut spec = spec.into();
-        if spec.max_retries == 0 {
-            spec.max_retries = self.config.default_retries;
-        }
         let handle = ResultHandle::default();
-        let id = self.enqueue(spec, Some(handle.clone()), BoundedQueue::try_push)?;
+        let id = self.enqueue(spec.into(), Some(handle.clone()), BoundedQueue::try_push)?;
         Ok((id, handle))
     }
 
@@ -484,7 +468,7 @@ fn worker_loop(
                 let extras = queue.take_matching(config.batch_max - 1, |q| {
                     q.job
                         .recover_method()
-                        .is_some_and(|m| m.same_config(&method))
+                        .is_some_and(|m| *m == method)
                 });
                 drop(assemble);
                 batch.extend(extras);

@@ -2,7 +2,9 @@
 //! one-job-at-a-time path.
 //!
 //! The sequential reference runs `execute` directly with a fresh
-//! [`EngineCache`] per job — exactly what `dcdiff recover` does per image.
+//! [`EngineCache`] per job: one lane through the same ladder
+//! (`recover_guarded`) that a one-shot `dcdiff recover` runs on its own
+//! fresh one-worker runtime.
 //! The batch path pushes the same jobs through a 4-worker [`Runtime`] with
 //! micro-batching enabled. Whatever the scheduler does (batch grouping,
 //! engine reuse, completion reordering), the written image files must match
@@ -73,7 +75,7 @@ proptest! {
             let encode = Job::Encode {
                 input: path(&dir, &format!("in{i}.ppm")),
                 output: path(&dir, &format!("dropped{i}.jpg")),
-                quality,
+                rate: dcdiff_runtime::Rate::Quality(quality),
                 sampling: dcdiff_jpeg::ChromaSampling::Cs444,
                 opts: dcdiff_runtime::CodingOpts {
                     drop_dc: true,
@@ -83,7 +85,7 @@ proptest! {
             prop_assert!(execute(&encode, &mut setup, &Telemetry::new()).is_ok());
         }
 
-        // Sequential reference: fresh engine per job, like the CLI.
+        // Sequential reference: fresh engine per job, like one-shot recover.
         for i in 0..n_images {
             let job = Job::Recover {
                 input: path(&dir, &format!("dropped{i}.jpg")),

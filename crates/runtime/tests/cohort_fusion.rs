@@ -22,7 +22,7 @@ use std::time::Duration;
 
 use dcdiff_image::Image;
 use dcdiff_runtime::{
-    execute, CodingOpts, EngineCache, Job, JobFailure, JobSpec, RecoverMethod, Runtime,
+    execute, CodingOpts, EngineCache, Job, JobFailure, JobSpec, Rate, RecoverMethod, Runtime,
     RuntimeConfig, ShutdownMode,
 };
 use dcdiff_telemetry::Telemetry;
@@ -53,7 +53,7 @@ fn stage_inputs(dir: &std::path::Path, n: usize) {
         let encode = Job::Encode {
             input: path(dir, &format!("in{i}.ppm")),
             output: path(dir, &format!("dropped{i}.jpg")),
-            quality: 50,
+            rate: Rate::Quality(50),
             sampling: dcdiff_jpeg::ChromaSampling::Cs444,
             opts: CodingOpts { drop_dc: true, ..Default::default() },
         };

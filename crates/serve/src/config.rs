@@ -125,33 +125,6 @@ impl ServeConfig {
     }
 }
 
-/// Parse a CLI/wire method spelling into a [`RecoverMethod`].
-///
-/// # Errors
-///
-/// Returns a human-readable message for unknown names.
-pub fn method_from_name(
-    name: &str,
-    threshold: f32,
-    sweeps: usize,
-) -> Result<RecoverMethod, String> {
-    match name {
-        "tip2006" => Ok(RecoverMethod::Tip2006),
-        "smartcom" => Ok(RecoverMethod::SmartCom),
-        "icip" => Ok(RecoverMethod::Icip),
-        "mld" => Ok(RecoverMethod::Mld {
-            threshold,
-            sweeps: sweeps.max(1),
-        }),
-        // The paper's estimator; 8 DDIM steps is the latency-oriented
-        // serving default (the paper's quality setting is 50).
-        "diffusion" => Ok(RecoverMethod::Diffusion { ddim_steps: 8 }),
-        other => Err(format!(
-            "unknown method '{other}' (tip2006, smartcom, icip, mld or diffusion)"
-        )),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -167,14 +140,5 @@ mod tests {
         assert!(interactive.deadline < standard.deadline);
         assert!(bulk.deadline.is_none());
         assert!(cfg.class("nope").is_none());
-    }
-
-    #[test]
-    fn method_names_round_trip() {
-        for name in ["tip2006", "smartcom", "icip", "mld", "diffusion"] {
-            let method = method_from_name(name, 10.0, 300).expect("known method");
-            assert_eq!(method.name(), name);
-        }
-        assert!(method_from_name("gan", 10.0, 300).is_err());
     }
 }

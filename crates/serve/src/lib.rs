@@ -46,5 +46,5 @@ pub mod server;
 pub mod signal;
 
 pub use client::{Client, HttpResponse};
-pub use config::{method_from_name, DeadlineClass, ServeConfig};
+pub use config::{DeadlineClass, ServeConfig};
 pub use server::{dc_plane_pgm, DrainReport, Server};
