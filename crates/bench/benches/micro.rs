@@ -116,13 +116,13 @@ fn bench_tensor_primitives(c: &mut Criterion) {
         bch.iter(|| black_box(&a).matmul(black_box(&b)))
     });
     group.bench_function("conv2d_16ch_32x32_fwd", |bch| {
-        bch.iter(|| black_box(&x).conv2d(black_box(&w), 1, 1))
+        bch.iter(|| black_box(&x).conv2d(black_box(&w), None, 1, 1))
     });
     group.sample_size(20);
     group.bench_function("conv2d_backward", |bch| {
         bch.iter_batched(
             || Tensor::param(vec![1, 16, 32, 32], xp.to_vec()),
-            |p| p.conv2d(&w, 1, 1).square().mean_all().backward(),
+            |p| p.conv2d(&w, None, 1, 1).square().mean_all().backward(),
             BatchSize::SmallInput,
         )
     });

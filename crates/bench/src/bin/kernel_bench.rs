@@ -165,11 +165,11 @@ fn bench_conv(shape: &ConvShape, max_threads: usize, budget: Duration) -> ConvRe
     let wt = Tensor::from_vec(vec![o, c, 3, 3], pattern(o * c * 9, 0.7));
     set_threads(1);
     let single = best_time(budget, 3, || {
-        black_box(x.conv2d(&wt, stride, 1));
+        black_box(x.conv2d(&wt, None, stride, 1));
     });
     set_threads(max_threads);
     let threaded = best_time(budget, 3, || {
-        black_box(x.conv2d(&wt, stride, 1));
+        black_box(x.conv2d(&wt, None, stride, 1));
     });
     let (ho, wo) = ((h - 1) / stride + 1, (w - 1) / stride + 1);
     ConvResult {

@@ -48,9 +48,9 @@ pub fn mld_loss(x_hat: &Tensor, masks: &[Plane]) -> Tensor {
     let kernel_v = Tensor::from_vec(vec![c, c, 3, 1], kv);
 
     // horizontal second differences: output [N, C, H, W-2]
-    let dh = x_hat.conv2d(&kernel_h, 1, 0);
+    let dh = x_hat.conv2d(&kernel_h, None, 1, 0);
     // vertical: [N, C, H-2, W]
-    let dv = x_hat.conv2d(&kernel_v, 1, 0);
+    let dv = x_hat.conv2d(&kernel_v, None, 1, 0);
 
     // mask at the centre position of each 3-tap window; a window is valid
     // only when all three pixels are unmasked

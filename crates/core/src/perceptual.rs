@@ -66,8 +66,8 @@ impl PerceptualLoss {
         let mut b = target.detach();
         let mut total = Tensor::zeros(vec![1]);
         for s in 0..self.scales {
-            let fa = a.conv2d(&self.filters, 1, 1);
-            let fb = b.conv2d(&self.filters, 1, 1);
+            let fa = a.conv2d(&self.filters, None, 1, 1);
+            let fb = b.conv2d(&self.filters, None, 1, 1);
             total = total.add(&fa.mse(&fb));
             if s + 1 < self.scales {
                 a = a.avg_pool2();

@@ -53,7 +53,7 @@ impl Conv2d {
 
     /// Apply the convolution to an NCHW tensor.
     pub fn forward(&self, x: &Tensor) -> Tensor {
-        x.conv2d(&self.weight, self.stride, self.pad).add_bias(&self.bias)
+        x.conv2d(&self.weight, Some(&self.bias), self.stride, self.pad)
     }
 
     /// Output channel count.

@@ -146,7 +146,7 @@ mod tests {
         let beta = Tensor::from_vec(vec![2], vec![0.1, -0.1]);
         let x0 = Tensor::randn(vec![1, 1, 4, 4], 1.0, &mut rng).to_vec();
         let report = check_gradient(&[1, 1, 4, 4], &x0, &[0, 5, 10, 15], 1e-2, |x| {
-            x.conv2d(&k, 1, 1)
+            x.conv2d(&k, None, 1, 1)
                 .group_norm(1, &gamma, &beta, 1e-5)
                 .silu()
                 .mean_all()

@@ -20,9 +20,10 @@
 //! The same blocked loop runs the convolution forward as an implicit GEMM
 //! (`conv2d_nchw`): its A strips are packed straight from the NCHW input,
 //! tap by tap, and each accumulator tile is added straight into the NCHW
-//! output. The microkernel sees exactly the packed values an explicit
-//! im2col matrix would give it, in the same depth order, so the result is
-//! bit-identical to im2col followed by [`sgemm`] and an NCHW scatter.
+//! output, with the bias on the last depth panel. The microkernel sees
+//! exactly the packed values an explicit im2col matrix would give it, in
+//! the same depth order, so the result is bit-identical to im2col
+//! followed by [`sgemm`], an NCHW scatter and a per-channel bias add.
 //!
 //! Large products are sharded across [`super::pool`]: disjoint row (or
 //! column) stripes of C go to different threads, each running the full
@@ -122,7 +123,7 @@ unsafe fn micro_portable_4x8(kc: usize, astrip: *const f32, bstrip: *const f32, 
 ///
 /// # Safety
 ///
-/// `Micro::kernel` contract plus a CPU with avx2+fma; `detect_micro`
+/// `Micro::kernel` contract plus a CPU with avx2+fma; `supported_micros`
 /// only selects this kernel after checking the feature bits.
 #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
 #[target_feature(enable = "avx2,fma")]
@@ -161,7 +162,7 @@ unsafe fn micro_avx2_6x16(kc: usize, astrip: *const f32, bstrip: *const f32, acc
 ///
 /// # Safety
 ///
-/// `Micro::kernel` contract plus a CPU with avx512f; `detect_micro` only
+/// `Micro::kernel` contract plus a CPU with avx512f; `supported_micros` only
 /// selects this kernel after checking the feature bit.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
@@ -185,26 +186,32 @@ unsafe fn micro_avx512_14x16(kc: usize, astrip: *const f32, bstrip: *const f32, 
     }
 }
 
-fn detect_micro() -> Micro {
+/// Every microkernel this CPU can run, fastest first; the portable kernel,
+/// which runs everywhere, is last.
+fn supported_micros() -> Vec<Micro> {
+    let mut micros = Vec::new();
     #[cfg(target_arch = "x86_64")]
     {
         if std::arch::is_x86_feature_detected!("avx512f") {
-            return Micro { name: "avx512f_14x16", mr: 14, nr: 16, kernel: micro_avx512_14x16 };
+            let kernel = micro_avx512_14x16;
+            micros.push(Micro { name: "avx512f_14x16", mr: 14, nr: 16, kernel });
         }
     }
     #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
     {
         if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
         {
-            return Micro { name: "avx2_fma_6x16", mr: 6, nr: 16, kernel: micro_avx2_6x16 };
+            let kernel = micro_avx2_6x16;
+            micros.push(Micro { name: "avx2_fma_6x16", mr: 6, nr: 16, kernel });
         }
     }
-    Micro { name: "portable_4x8", mr: 4, nr: 8, kernel: micro_portable_4x8 }
+    micros.push(Micro { name: "portable_4x8", mr: 4, nr: 8, kernel: micro_portable_4x8 });
+    micros
 }
 
 fn active_micro() -> Micro {
     static MICRO: OnceLock<Micro> = OnceLock::new();
-    *MICRO.get_or_init(detect_micro)
+    *MICRO.get_or_init(|| supported_micros()[0])
 }
 
 /// `(name, mr, nr)` of the microkernel selected for this CPU (recorded in
@@ -303,13 +310,22 @@ fn pack_a(
     }
 }
 
+/// A strip with a run at least this many rows long copies its runs whole;
+/// a strip whose runs are all shorter gathers them (see [`pack_a_im2col`]).
+const LONG_RUN: usize = 8;
+
 /// [`Lhs::pack`] for the im2col matrix of the NCHW input `x`, read from
 /// `x` itself. A strip's rows split into runs of consecutive positions on
 /// one output row. Per kernel tap `(ky, kx)`, each run reads a span of one
 /// input row at the conv stride and falls in the zero padding outside it;
 /// that span is worked out once and reused for every input channel `ci`
-/// (depth index `ci*kh*kw + ky*kw + kx`), so the per-channel work is one
-/// copy per run, contiguous at stride 1.
+/// (depth index `ci*kh*kw + ky*kw + kx`). The strip is zeroed first, so
+/// only the spans are written. A strip with a run of at least
+/// [`LONG_RUN`] rows (image-resolution planes) writes each channel as one
+/// copy per span, contiguous at stride 1. A strip of short runs (small
+/// latents, where a run is an output row of two or one) turns the tap's
+/// spans into one list of (strip row, source offset) pairs instead, so
+/// each channel is a branch-free gather.
 #[allow(clippy::too_many_arguments)]
 fn pack_a_im2col(
     panel: &mut [f32],
@@ -368,7 +384,10 @@ fn pack_a_im2col(
             r0 += len;
         }
         let runs = &mut runs[..nruns];
+        let long = runs.iter().any(|run| run.len >= LONG_RUN);
         let strip = &mut panel[ir * kc * mr..(ir * kc + kc) * mr];
+        // Only in-bounds taps are written below; the rest stay zero.
+        strip.fill(0.0);
         for tap in 0..khw {
             let (ky, kx) = ((tap / g.kw) as isize, (tap % g.kw) as isize);
             for run in runs.iter_mut() {
@@ -382,48 +401,66 @@ fn pack_a_im2col(
                 let first = run.sample as isize + iy * g.w as isize + ix + (run.lo * s) as isize;
                 run.src = if run.lo < run.hi { first as usize } else { 0 };
             }
-            let padding_only = runs.iter().all(|run| run.lo == run.hi);
             // Channels whose depth index ci*khw + tap lies in p0..p0 + kc.
             let ci_lo = (p0 + khw - 1 - tap) / khw;
             let ci_hi = (p0 + kc + khw - 1 - tap) / khw;
+            let dst_at = |ci: usize| (ci * khw + tap - p0) * mr;
+            if long {
+                for ci in ci_lo..ci_hi {
+                    let dst = &mut strip[dst_at(ci)..dst_at(ci) + mr];
+                    for run in runs.iter() {
+                        let span = &mut dst[run.r0 + run.lo..run.r0 + run.hi];
+                        let src = &x[run.src + ci * hw..];
+                        if s == 1 {
+                            span.copy_from_slice(&src[..span.len()]);
+                        } else {
+                            for (d, &v) in span.iter_mut().zip(src.iter().step_by(s)) {
+                                *d = v;
+                            }
+                        }
+                    }
+                }
+                continue;
+            }
+            let mut gather = [(0usize, 0usize); MR_MAX];
+            let mut taps = 0;
+            for run in runs.iter() {
+                for t in run.lo..run.hi {
+                    gather[taps] = (run.r0 + t, run.src + (t - run.lo) * s);
+                    taps += 1;
+                }
+            }
+            let gather = &gather[..taps];
+            // The channel loop's largest indices, checked once per tap
+            // instead of once per element.
+            if let Some(last) = (ci_lo..ci_hi).last() {
+                let rows = gather.iter().map(|&(r, _)| r + 1).max().unwrap_or(0);
+                let offs = gather.iter().map(|&(_, off)| off).max().unwrap_or(0);
+                assert!(
+                    rows <= mr && dst_at(last) + mr <= strip.len() && last * hw + offs < x.len()
+                );
+            }
             for ci in ci_lo..ci_hi {
-                let p = ci * khw + tap - p0;
-                let dst = &mut strip[p * mr..p * mr + mr];
-                if padding_only {
-                    dst.fill(0.0);
-                    continue;
+                let (d0, s0) = (dst_at(ci), ci * hw);
+                for &(r, off) in gather {
+                    // SAFETY: with `ci <= last`, `r < rows <= mr` and
+                    // `off <= offs`, both indices are below the bounds the
+                    // assert above checked against `strip` and `x`.
+                    unsafe { *strip.get_unchecked_mut(d0 + r) = *x.get_unchecked(s0 + off) };
                 }
-                for run in runs.iter() {
-                    let seg = &mut dst[run.r0..run.r0 + run.len];
-                    let src = &x[run.src + ci * hw..];
-                    if run.len < 8 {
-                        // Short runs (small latents): per-element writes
-                        // beat the fill and copy calls.
-                        for (t, d) in seg.iter_mut().enumerate() {
-                            *d = if (run.lo..run.hi).contains(&t) {
-                                src[(t - run.lo) * s]
-                            } else {
-                                0.0
-                            };
-                        }
-                        continue;
-                    }
-                    seg[..run.lo].fill(0.0);
-                    let taps = &mut seg[run.lo..run.hi];
-                    if s == 1 {
-                        taps.copy_from_slice(&src[..taps.len()]);
-                    } else {
-                        for (d, &v) in taps.iter_mut().zip(src.iter().step_by(s)) {
-                            *d = v;
-                        }
-                    }
-                    seg[run.hi..].fill(0.0);
-                }
-                dst[full..].fill(0.0);
             }
         }
     }
 }
+
+/// Columns a weight strip is transposed in per pass: every microkernel's
+/// `nr` is a multiple of it, and its fixed width lets the column loop
+/// unroll.
+const COL_BLOCK: usize = 8;
+
+/// The zero column that pads a transposed B strip past the product's last
+/// column.
+static ZERO_COL: [f32; KC] = [0.0; KC];
 
 /// Pack the `kc x nc` block of `op(B)` starting at `(p0, j0)` into
 /// `nr`-column strips: strip `jr` holds `panel[(jr*kc + p)*nr + j]`,
@@ -440,23 +477,28 @@ fn pack_b(
     nc: usize,
 ) {
     let strips = nc.div_ceil(nr);
-    debug_assert!(panel.len() >= strips * kc * nr);
+    debug_assert!(panel.len() >= strips * kc * nr && kc <= KC);
     for jr in 0..strips {
         let col0 = jr * nr;
         let full = (nc - col0).min(nr);
         let strip = &mut panel[jr * kc * nr..(jr * kc + kc) * nr];
         if view.rs == 1 {
             // Columns are contiguous in storage (a transposed operand such
-            // as a conv weight): copy each one down its strip lane.
-            for j in 0..nr {
-                let lane = strip[j..].iter_mut().step_by(nr);
-                if j < full {
-                    let base = view.at(p0, j0 + col0 + j);
-                    for (d, &v) in lane.zip(&b[base..base + kc]) {
-                        *d = v;
+            // as a conv weight): slice COL_BLOCK of them at a time, then
+            // block-transpose them into the strip depth by depth.
+            for j in (0..nr).step_by(COL_BLOCK) {
+                let cols: [&[f32]; COL_BLOCK] = std::array::from_fn(|t| {
+                    if j + t < full {
+                        let base = view.at(p0, j0 + col0 + j + t);
+                        &b[base..base + kc]
+                    } else {
+                        &ZERO_COL[..kc]
                     }
-                } else {
-                    lane.for_each(|d| *d = 0.0);
+                });
+                for (p, row) in strip.chunks_exact_mut(nr).enumerate() {
+                    for (d, col) in row[j..j + COL_BLOCK].iter_mut().zip(&cols) {
+                        *d = col[p];
+                    }
                 }
             }
             continue;
@@ -473,28 +515,30 @@ fn pack_b(
 
 /// Where C lives: the memory layout the accumulator tiles are added into.
 #[derive(Clone, Copy)]
-enum Dst {
+enum Dst<'a> {
     /// Row-major with leading dimension `ldc`.
     RowMajor { ldc: usize },
     /// NCHW `[N, channels, plane]`: GEMM row `i` is position `i % plane` of
-    /// sample `i / plane`, GEMM column `j` is channel `j`.
-    Nchw { plane: usize, channels: usize },
+    /// sample `i / plane`, GEMM column `j` is channel `j`. With a bias,
+    /// `bias[j]` is added to channel `j` once its sums are complete.
+    Nchw { plane: usize, channels: usize, bias: Option<&'a [f32]> },
 }
 
-impl Dst {
+impl Dst<'_> {
     /// Whether a C slice of `len` floats holds every element of the
     /// `m x n` product in this layout.
     fn fits(self, m: usize, n: usize, len: usize) -> bool {
         match self {
             Dst::RowMajor { ldc } => n <= ldc && m * ldc <= len,
-            Dst::Nchw { plane, channels } => {
+            Dst::Nchw { plane, channels, .. } => {
                 n <= channels && m.is_multiple_of(plane) && m / plane * channels * plane <= len
             }
         }
     }
 
     /// Add the `rows x cols` accumulator tile `acc` (row stride `nr`) into
-    /// C at GEMM position `(i0, j0)`.
+    /// C at GEMM position `(i0, j0)`; on the product's `last` depth panel
+    /// an NCHW bias is added after it, as `(c + acc) + bias`.
     ///
     /// # Safety
     ///
@@ -513,6 +557,7 @@ impl Dst {
         rows: usize,
         j0: usize,
         cols: usize,
+        last: bool,
     ) {
         match self {
             Dst::RowMajor { ldc } => {
@@ -526,7 +571,7 @@ impl Dst {
                     }
                 }
             }
-            Dst::Nchw { plane, channels } => {
+            Dst::Nchw { plane, channels, bias } => {
                 // Rows of one sample are consecutive positions, contiguous
                 // in every channel plane: add each channel's run at once.
                 let mut r = 0;
@@ -534,12 +579,19 @@ impl Dst {
                     let (sample, pos) = ((i0 + r) / plane, (i0 + r) % plane);
                     let run = (rows - r).min(plane - pos);
                     for j in 0..cols {
+                        // -0.0 is the additive identity of every f32, +0.0
+                        // and -0.0 included, so without a bias (or before
+                        // the last panel) each sum rounds as `c + acc`.
+                        let b = match bias {
+                            Some(bias) if last => bias[j0 + j],
+                            _ => -0.0,
+                        };
                         let at = (sample * channels + j0 + j) * plane + pos;
                         // SAFETY: `at..at + run` are the tile's rows in one
                         // channel plane, covered by this fn's contract.
                         let dst = unsafe { std::slice::from_raw_parts_mut(c.add(at), run) };
                         for (t, d) in dst.iter_mut().enumerate() {
-                            *d += acc[(r + t) * nr + j];
+                            *d = (*d + acc[(r + t) * nr + j]) + b;
                         }
                     }
                     r += run;
@@ -568,7 +620,7 @@ unsafe fn gemm_stripe(
     b: &[f32],
     bv: View,
     c: *mut f32,
-    dst: Dst,
+    dst: Dst<'_>,
     i0: usize,
     ms: usize,
     j0: usize,
@@ -603,7 +655,9 @@ unsafe fn gemm_stripe(
                         let (row0, col0) = (i0 + ic + ir * mr, j0 + jc + jr * nr);
                         // SAFETY: the tile lies inside this call's stripe,
                         // which this fn's contract covers.
-                        unsafe { dst.add_tile(c, &acc, nr, row0, nrows, col0, ncols) };
+                        unsafe {
+                            dst.add_tile(c, &acc, nr, row0, nrows, col0, ncols, pc + kc == k);
+                        };
                     }
                 }
             }
@@ -614,12 +668,14 @@ unsafe fn gemm_stripe(
 }
 
 /// `C += op(A) · op(B)` over the logical `m x k x n` product on up to
-/// `threads` threads. Below [`PAR_FLOP_THRESHOLD`] one stripe runs on the
-/// calling thread; above it the larger C axis splits into stripes aligned
-/// to the micro-tile, so every shard owns its C elements outright and
-/// amortises its redundant packing of the shared operand.
+/// `threads` threads, through the microkernel `micro`. Below
+/// [`PAR_FLOP_THRESHOLD`] one stripe runs on the calling thread; above it
+/// the larger C axis splits into stripes aligned to the micro-tile, so
+/// every shard owns its C elements outright and amortises its redundant
+/// packing of the shared operand.
 #[allow(clippy::too_many_arguments)]
 fn gemm(
+    micro: Micro,
     threads: usize,
     m: usize,
     k: usize,
@@ -628,13 +684,12 @@ fn gemm(
     b: &[f32],
     bv: View,
     c: &mut [f32],
-    dst: Dst,
+    dst: Dst<'_>,
 ) {
     assert!(dst.fits(m, n, c.len()), "C is too small for the {m} x {n} product");
     if m == 0 || n == 0 || k == 0 {
         return; // C += 0 contribution
     }
-    let micro = active_micro();
     let flops = 2usize.saturating_mul(m).saturating_mul(k).saturating_mul(n);
     let budget = threads.max(1);
     let shards = if flops < PAR_FLOP_THRESHOLD || budget == 1 {
@@ -723,6 +778,7 @@ pub fn sgemm_with_threads(
     assert_eq!(c.len(), m * n, "C length must be m*n");
     let a = Lhs::Matrix(a, View::new(ta, m, k));
     gemm(
+        active_micro(),
         threads,
         m,
         k,
@@ -737,10 +793,11 @@ pub fn sgemm_with_threads(
 
 /// Implicit-GEMM convolution forward: adds the convolution of the NCHW
 /// input `x` (`[n, c, h, w]`) by the weight `wt` (`[o, c, kh, kw]`) into
-/// the NCHW output `out` (`[n, o, ho, wo]`), with the configured thread
-/// budget. The blocked loop packs its A strips from `x` and adds its
-/// tiles into `out` directly, so no im2col matrix and no row-major
-/// staging copy of the output ever exist.
+/// the NCHW output `out` (`[n, o, ho, wo]`), then the per-channel `bias`
+/// (`[o]`) if given, with the configured thread budget. The blocked loop
+/// packs its A strips from `x` and adds its tiles into `out` directly,
+/// the bias with the last depth panel's, so no im2col matrix, no
+/// row-major staging copy and no second pass over the output exist.
 ///
 /// # Panics
 ///
@@ -751,6 +808,7 @@ pub(crate) fn conv2d_nchw(
     o: usize,
     x: &[f32],
     wt: &[f32],
+    bias: Option<&[f32]>,
     out: &mut [f32],
 ) {
     let plane = g.ho * g.wo;
@@ -758,19 +816,20 @@ pub(crate) fn conv2d_nchw(
     assert_eq!(x.len(), n * g.c * g.h * g.w, "input length must be n*c*h*w");
     assert_eq!(wt.len(), o * k, "weight length must be o*c*kh*kw");
     assert_eq!(out.len(), n * o * plane, "output length must be n*o*ho*wo");
+    assert!(bias.is_none_or(|b| b.len() == o), "bias length must be o");
+    if k == 0 {
+        // No depth panel to carry the bias: the output is the bias alone.
+        if let Some(bias) = bias {
+            for (chan, &b) in out.chunks_exact_mut(plane).zip(bias.iter().cycle()) {
+                chan.iter_mut().for_each(|v| *v += b);
+            }
+        }
+        return;
+    }
     let a = Lhs::Im2col(x, *g);
-    let dst = Dst::Nchw { plane, channels: o };
-    gemm(
-        configured_threads(),
-        n * plane,
-        k,
-        o,
-        a,
-        wt,
-        View::new(Trans::T, k, o),
-        out,
-        dst,
-    );
+    let dst = Dst::Nchw { plane, channels: o, bias };
+    let bv = View::new(Trans::T, k, o);
+    gemm(active_micro(), configured_threads(), n * plane, k, o, a, wt, bv, out, dst);
 }
 
 #[cfg(test)]
@@ -869,6 +928,91 @@ mod tests {
         let mut c1 = vec![0.0f32];
         sgemm(Trans::N, Trans::N, 1, 1, 1, &[3.0], &[4.0], &mut c1);
         assert_eq!(c1, vec![12.0]);
+    }
+
+    /// Direct nested-loop convolution of `x` by `wt` under `g`, plus
+    /// `bias` per output channel.
+    fn conv_reference(
+        g: &ConvGeom,
+        n: usize,
+        o: usize,
+        x: &[f32],
+        wt: &[f32],
+        bias: &[f32],
+    ) -> Vec<f32> {
+        let plane = g.ho * g.wo;
+        let mut out = vec![0.0f32; n * o * plane];
+        for (idx, v) in out.iter_mut().enumerate() {
+            let (ni, oi) = (idx / (o * plane), idx / plane % o);
+            let (oy, ox) = (idx % plane / g.wo, idx % g.wo);
+            let mut dot = 0.0f32;
+            for ci in 0..g.c {
+                for (ky, kx) in (0..g.kh).flat_map(|ky| (0..g.kw).map(move |kx| (ky, kx))) {
+                    let iy = (oy * g.stride + ky) as isize - g.pad as isize;
+                    let ix = (ox * g.stride + kx) as isize - g.pad as isize;
+                    if (0..g.h as isize).contains(&iy) && (0..g.w as isize).contains(&ix) {
+                        let xi = ((ni * g.c + ci) * g.h + iy as usize) * g.w + ix as usize;
+                        dot += x[xi] * wt[((oi * g.c + ci) * g.kh + ky) * g.kw + kx];
+                    }
+                }
+            }
+            *v = dot + bias[oi];
+        }
+        out
+    }
+
+    #[test]
+    fn every_supported_microkernel_matches_the_reference() {
+        // The parity proptests run only the microkernel this CPU selects;
+        // this runs each one it can execute, so a packing bug at another
+        // `mr`/`nr` fails here on every host.
+        let micros = supported_micros();
+        assert_eq!(micros.last().map(|m| (m.mr, m.nr)), Some((4, 8)));
+        for micro in micros {
+            let name = micro.name;
+            for (m, k, n) in [(13, 21, 17), (MC + 7, KC + 3, 37)] {
+                for (ta, tb) in [(Trans::N, Trans::N), (Trans::N, Trans::T), (Trans::T, Trans::T)] {
+                    let (a, b) = (pattern(m * k, 1.0), pattern(k * n, 2.0));
+                    let want = reference(ta, tb, m, k, n, &a, &b);
+                    let mut c = vec![0.0f32; m * n];
+                    let (av, bv) = (View::new(ta, m, k), View::new(tb, k, n));
+                    let dst = Dst::RowMajor { ldc: n };
+                    gemm(micro, 2, m, k, n, Lhs::Matrix(&a, av), &b, bv, &mut c, dst);
+                    for (i, (g, w)) in c.iter().zip(&want).enumerate() {
+                        let rel = (g - w).abs() / (1.0 + w.abs());
+                        assert!(rel < 1e-3, "{name} {m}x{k}x{n}[{i}]: got {g}, want {w}");
+                    }
+                }
+            }
+            // (n, c, h, w, o, k, stride, pad): short runs on 2x2 and 1x1
+            // latents eight lanes wide, long runs on 20x20 planes, narrow
+            // strips (3, 4 and 12 output channels), stride 2, and c*k*k =
+            // 576 across three depth panels.
+            for (n, c, h, w, o, k, stride, pad) in [
+                (8, 48, 2, 2, 16, 3, 1, 1),
+                (8, 64, 1, 1, 32, 3, 1, 1),
+                (2, 5, 20, 20, 3, 3, 1, 1),
+                (1, 16, 8, 8, 4, 3, 1, 1),
+                (1, 6, 17, 17, 12, 3, 2, 1),
+                (3, 4, 5, 7, 9, 1, 1, 0),
+            ] {
+                let (ho, wo) = ((h + 2 * pad - k) / stride + 1, (w + 2 * pad - k) / stride + 1);
+                let g = ConvGeom { c, h, w, kh: k, kw: k, stride, pad, ho, wo };
+                let x = pattern(n * c * h * w, 0.3);
+                let (wt, bias) = (pattern(o * c * k * k, 0.7), pattern(o, 1.1));
+                let want = conv_reference(&g, n, o, &x, &wt, &bias);
+                let mut out = vec![0.0f32; want.len()];
+                let (kk, plane) = (c * k * k, ho * wo);
+                let dst = Dst::Nchw { plane, channels: o, bias: Some(&bias) };
+                let bv = View::new(Trans::T, kk, o);
+                gemm(micro, 2, n * plane, kk, o, Lhs::Im2col(&x, g), &wt, bv, &mut out, dst);
+                let shape = format!("{n}x{c}x{h}x{w}->{o} k{k} s{stride}");
+                for (i, (g, w)) in out.iter().zip(&want).enumerate() {
+                    let rel = (g - w).abs() / (1.0 + w.abs());
+                    assert!(rel < 1e-3, "{name} conv {shape}[{i}]: got {g}, want {w}");
+                }
+            }
+        }
     }
 
     #[test]

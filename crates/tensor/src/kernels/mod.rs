@@ -9,7 +9,7 @@
 //!   branch), sharded across a std-only persistent thread pool. The
 //!   convolution forward runs the same blocked loop as an implicit GEMM
 //!   that packs straight from the NCHW input and adds straight into the
-//!   NCHW output;
+//!   NCHW output, bias included;
 //! * [`Trans`] — stride-aware operand views so backward passes
 //!   (`dA = dC·Bᵀ`, `dB = Aᵀ·dC`) never materialise transposed copies;
 //! * [`parallel_for`] / [`parallel_chunks_mut`] — the scoped pool, also

@@ -98,29 +98,42 @@ pub(crate) fn col2im_rows(
 }
 
 impl Tensor {
-    /// 2-D convolution over an NCHW tensor with zero padding.
+    /// 2-D convolution over an NCHW tensor with zero padding, plus an
+    /// optional per-channel bias.
     ///
-    /// `weight` has shape `[O, C, kh, kw]`; the result is
-    /// `[N, O, ho, wo]` with `ho = (H + 2*pad - kh) / stride + 1`.
+    /// `weight` has shape `[O, C, kh, kw]` and `bias`, if given, `[O]`;
+    /// the result is `[N, O, ho, wo]` with
+    /// `ho = (H + 2*pad - kh) / stride + 1`.
     ///
     /// The forward pass is one implicit GEMM over all N samples: the
     /// blocked kernel packs its operand strips straight from the NCHW
     /// input and adds its result tiles straight into the NCHW output, so
     /// no im2col matrix is built, kept or recycled, in training or in
-    /// inference. The backward pass builds the im2col rows from the input
-    /// only when the weight needs a gradient; the weight- and
-    /// input-gradient passes each run as a single blocked GEMM
-    /// ([`kernels::sgemm`]).
+    /// inference. The bias is added in the same writeback, after each
+    /// output's last partial sum, so every output rounds exactly as the
+    /// convolution followed by a separate bias add would. The backward
+    /// pass builds the im2col rows from the input only when the weight
+    /// needs a gradient; the weight- and input-gradient passes each run as
+    /// a single blocked GEMM ([`kernels::sgemm`]).
     ///
     /// # Panics
     ///
     /// Panics if shapes are inconsistent or the kernel does not fit.
-    pub fn conv2d(&self, weight: &Tensor, stride: usize, pad: usize) -> Tensor {
+    pub fn conv2d(
+        &self,
+        weight: &Tensor,
+        bias: Option<&Tensor>,
+        stride: usize,
+        pad: usize,
+    ) -> Tensor {
         let (n, c, h, w) = shape4(self.shape());
         let ws = weight.shape();
         assert_eq!(ws.len(), 4, "conv2d weight must be [O, C, kh, kw]");
         let (o, wc, kh, kw) = (ws[0], ws[1], ws[2], ws[3]);
         assert_eq!(c, wc, "conv2d channel mismatch: input {c}, weight {wc}");
+        if let Some(bias) = bias {
+            assert_eq!(bias.shape(), &[o], "conv2d bias must be [O]");
+        }
         assert!(stride > 0, "stride must be positive");
         assert!(
             h + 2 * pad >= kh && w + 2 * pad >= kw,
@@ -136,13 +149,17 @@ impl Tensor {
         let t0 = Instant::now();
         let geom = ConvGeom { c, h, w, kh, kw, stride, pad, ho, wo };
         let mut out = vec![0.0f32; n * o * owo];
-        kernels::conv2d_nchw(&geom, n, o, &self.data(), &weight.data(), &mut out);
+        let bias_data = bias.map(Tensor::data);
+        let b = bias_data.as_deref().map(Vec::as_slice);
+        kernels::conv2d_nchw(&geom, n, o, &self.data(), &weight.data(), b, &mut out);
         kernels::metrics::record_conv(t0.elapsed(), 2 * (np * ckk * o) as u64);
 
+        let mut parents = vec![self.clone(), weight.clone()];
+        parents.extend(bias.cloned());
         Tensor::from_op(
             vec![n, o, ho, wo],
             out,
-            vec![self.clone(), weight.clone()],
+            parents,
             Box::new(move |g, parents| {
                 let t0 = Instant::now();
                 let mut flops = 0u64;
@@ -206,6 +223,17 @@ impl Tensor {
                     parents[0].accumulate_grad(&gx);
                 }
                 scratch::put(g_rm);
+                if let Some(bias) = parents.get(2).filter(|b| b.tracks_grad()) {
+                    // Per-sample channel sums, added sample by sample.
+                    let mut gb = vec![0.0f32; o];
+                    for ni in 0..n {
+                        for (oi, acc) in gb.iter_mut().enumerate() {
+                            let base = (ni * o + oi) * owo;
+                            *acc += g[base..base + owo].iter().sum::<f32>();
+                        }
+                    }
+                    bias.accumulate_grad(&gb);
+                }
                 if flops > 0 {
                     kernels::metrics::record_conv(t0.elapsed(), flops);
                 }
@@ -346,7 +374,7 @@ mod tests {
         // 1x1 kernel with weight 1 reproduces the input.
         let x = Tensor::from_vec(vec![1, 1, 2, 2], vec![1.0, 2.0, 3.0, 4.0]);
         let w = Tensor::from_vec(vec![1, 1, 1, 1], vec![1.0]);
-        let y = x.conv2d(&w, 1, 0);
+        let y = x.conv2d(&w, None, 1, 0);
         assert_eq!(y.to_vec(), x.to_vec());
     }
 
@@ -355,7 +383,7 @@ mod tests {
         // All-ones 3x3 kernel with pad 1: each output = sum of 3x3 neighbourhood.
         let x = Tensor::from_vec(vec![1, 1, 3, 3], (1..=9).map(|v| v as f32).collect());
         let w = Tensor::from_vec(vec![1, 1, 3, 3], vec![1.0; 9]);
-        let y = x.conv2d(&w, 1, 1);
+        let y = x.conv2d(&w, None, 1, 1);
         assert_eq!(y.shape(), &[1, 1, 3, 3]);
         // centre output sees all nine values
         assert_eq!(y.to_vec()[4], 45.0);
@@ -364,10 +392,35 @@ mod tests {
     }
 
     #[test]
+    fn bias_broadcast_and_gradient() {
+        // A 1x1 identity-kernel conv with a bias adds the bias per channel.
+        let x = Tensor::param(vec![1, 2, 2, 2], vec![0.0; 8]);
+        let w = Tensor::from_vec(vec![2, 2, 1, 1], vec![1.0, 0.0, 0.0, 1.0]);
+        let b = Tensor::param(vec![2], vec![1.0, -1.0]);
+        let y = x.conv2d(&w, Some(&b), 1, 0);
+        assert_eq!(
+            y.to_vec(),
+            vec![1.0, 1.0, 1.0, 1.0, -1.0, -1.0, -1.0, -1.0]
+        );
+        y.sum_all().backward();
+        assert_eq!(b.grad_vec(), vec![4.0, 4.0]);
+        assert_eq!(x.grad_vec(), vec![1.0; 8]);
+    }
+
+    #[test]
+    fn conv_over_no_input_channels_is_its_bias() {
+        let x = Tensor::from_vec(vec![1, 0, 2, 2], vec![]);
+        let w = Tensor::from_vec(vec![2, 0, 3, 3], vec![]);
+        let b = Tensor::from_vec(vec![2], vec![0.5, -2.0]);
+        let y = x.conv2d(&w, Some(&b), 1, 1);
+        assert_eq!(y.to_vec(), vec![0.5, 0.5, 0.5, 0.5, -2.0, -2.0, -2.0, -2.0]);
+    }
+
+    #[test]
     fn conv_stride_two_downsamples() {
         let x = Tensor::from_vec(vec![1, 1, 4, 4], (0..16).map(|v| v as f32).collect());
         let w = Tensor::from_vec(vec![1, 1, 2, 2], vec![0.25; 4]);
-        let y = x.conv2d(&w, 2, 0);
+        let y = x.conv2d(&w, None, 2, 0);
         assert_eq!(y.shape(), &[1, 1, 2, 2]);
         assert_eq!(y.to_vec(), vec![2.5, 4.5, 10.5, 12.5]);
     }
@@ -378,12 +431,12 @@ mod tests {
         let mut rng = crate::seeded_rng(17);
         let x = Tensor::randn(vec![3, 2, 5, 5], 1.0, &mut rng);
         let w = Tensor::randn(vec![4, 2, 3, 3], 0.5, &mut rng);
-        let batched = x.conv2d(&w, 1, 1).to_vec();
+        let batched = x.conv2d(&w, None, 1, 1).to_vec();
         let xv = x.to_vec();
         let per = 2 * 5 * 5;
         for ni in 0..3 {
             let xi = Tensor::from_vec(vec![1, 2, 5, 5], xv[ni * per..(ni + 1) * per].to_vec());
-            let yi = xi.conv2d(&w, 1, 1).to_vec();
+            let yi = xi.conv2d(&w, None, 1, 1).to_vec();
             let block = &batched[ni * yi.len()..(ni + 1) * yi.len()];
             for (a, b) in block.iter().zip(&yi) {
                 assert!((a - b).abs() < 1e-5, "sample {ni}: {a} vs {b}");
@@ -400,12 +453,12 @@ mod tests {
         let loss_at = |xv: &[f32], wv: &[f32]| -> f32 {
             let x = Tensor::from_vec(vec![1, 2, 4, 4], xv.to_vec());
             let w = Tensor::from_vec(vec![3, 2, 3, 3], wv.to_vec());
-            x.conv2d(&w, 1, 1).square().sum_all().item()
+            x.conv2d(&w, None, 1, 1).square().sum_all().item()
         };
 
         let x = Tensor::param(vec![1, 2, 4, 4], x0.clone());
         let w = Tensor::param(vec![3, 2, 3, 3], w0.clone());
-        x.conv2d(&w, 1, 1).square().sum_all().backward();
+        x.conv2d(&w, None, 1, 1).square().sum_all().backward();
         let gx = x.grad_vec();
         let gw = w.grad_vec();
 

@@ -219,48 +219,6 @@ impl Tensor {
         )
     }
 
-    /// Add a per-channel bias to an NCHW tensor; `bias` has shape `[C]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self` is not 4-D or `bias` is not `[C]`.
-    pub fn add_bias(&self, bias: &Tensor) -> Tensor {
-        assert_eq!(self.shape().len(), 4, "add_bias expects NCHW");
-        let (n, c, h, w) = shape4(self.shape());
-        assert_eq!(bias.shape(), &[c], "bias must be [C]");
-        let hw = h * w;
-        let b = bias.to_vec();
-        let mut data = self.to_vec();
-        for ni in 0..n {
-            for (ci, &bv) in b.iter().enumerate() {
-                let base = (ni * c + ci) * hw;
-                for v in &mut data[base..base + hw] {
-                    *v += bv;
-                }
-            }
-        }
-        Tensor::from_op(
-            self.shape().to_vec(),
-            data,
-            vec![self.clone(), bias.clone()],
-            Box::new(move |g, parents| {
-                if parents[0].tracks_grad() {
-                    parents[0].accumulate_grad(g);
-                }
-                if parents[1].tracks_grad() {
-                    let mut gb = vec![0.0f32; c];
-                    for ni in 0..n {
-                        for (ci, acc) in gb.iter_mut().enumerate() {
-                            let base = (ni * c + ci) * hw;
-                            *acc += g[base..base + hw].iter().sum::<f32>();
-                        }
-                    }
-                    parents[1].accumulate_grad(&gb);
-                }
-            }),
-        )
-    }
-
     /// Scale each sample of an NCHW tensor by a per-sample scalar; `s` has
     /// shape `[N]`. Used by the FMPP frequency modulation (gradients flow
     /// into `s`).
@@ -469,20 +427,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn bias_broadcast_and_gradient() {
-        let x = Tensor::param(vec![1, 2, 2, 2], vec![0.0; 8]);
-        let b = Tensor::param(vec![2], vec![1.0, -1.0]);
-        let y = x.add_bias(&b);
-        assert_eq!(
-            y.to_vec(),
-            vec![1.0, 1.0, 1.0, 1.0, -1.0, -1.0, -1.0, -1.0]
-        );
-        y.sum_all().backward();
-        assert_eq!(b.grad_vec(), vec![4.0, 4.0]);
-        assert_eq!(x.grad_vec(), vec![1.0; 8]);
     }
 
     #[test]

@@ -45,7 +45,7 @@ proptest! {
     fn conv_pool_gradients(x0 in small_values(16)) {
         let k = Tensor::from_vec(vec![1, 1, 3, 3], vec![0.1, -0.2, 0.3, 0.0, 0.5, -0.1, 0.2, 0.1, -0.3]);
         let report = check_gradient(&[1, 1, 4, 4], &x0, &[], 1e-3, |x| {
-            x.conv2d(&k, 1, 1).avg_pool2().square().sum_all()
+            x.conv2d(&k, None, 1, 1).avg_pool2().square().sum_all()
         });
         prop_assert!(report.passes(2e-2), "{report:?}");
     }

@@ -4,7 +4,7 @@
 //! combination and thread budget, and the implicit-GEMM `conv2d` must
 //! agree with a direct nested-loop convolution and with finite
 //! differences, and bit for bit with an explicit im2col + [`sgemm`] +
-//! NCHW scatter forward.
+//! NCHW scatter forward followed by a separate per-channel bias add.
 
 use dcdiff_tensor::gradcheck::check_gradient;
 use dcdiff_tensor::kernels::{gemm_naive, sgemm, sgemm_with_threads, Trans};
@@ -129,7 +129,8 @@ fn conv_im2col_sgemm(
 
 /// `Tensor::conv2d` must reproduce [`conv_im2col_sgemm`] bit for bit, both
 /// as an inference forward (`no_grad`) and as a training forward through a
-/// parameter weight.
+/// parameter weight; and with a bias, the same product followed by a
+/// per-channel add, the two-pass forward the fused bias writeback replaces.
 #[allow(clippy::too_many_arguments)]
 fn assert_conv_bit_identical(
     n: usize,
@@ -145,23 +146,31 @@ fn assert_conv_bit_identical(
     let mix = |i: usize, s: f32| ((i as f32) * 0.377 + seed as f32 * 0.23 + s).sin();
     let xv: Vec<f32> = (0..n * c * h * w).map(|i| mix(i, 0.0)).collect();
     let wv: Vec<f32> = (0..o * c * k * k).map(|i| mix(i, 1.0) * 0.2).collect();
+    let bv: Vec<f32> = (0..o).map(|i| mix(i, 2.0)).collect();
     let want = conv_im2col_sgemm(&xv, n, c, h, w, &wv, o, k, stride, pad);
+    let plane = want.len() / (n * o);
+    let want_biased: Vec<f32> = (want.iter().enumerate())
+        .map(|(i, &v)| v + bv[i / plane % o])
+        .collect();
     let x = Tensor::from_vec(vec![n, c, h, w], xv);
-    let inference = no_grad(|| {
-        let wt = Tensor::from_vec(vec![o, c, k, k], wv.clone());
-        x.conv2d(&wt, stride, pad).to_vec()
-    });
-    let training = x
-        .conv2d(&Tensor::param(vec![o, c, k, k], wv), stride, pad)
-        .to_vec();
-    let shape = format!("{n}x{c}x{h}x{w} -> {o}, k{k} s{stride} p{pad}");
-    for (mode, got) in [("no_grad", &inference), ("param", &training)] {
-        prop_assert_eq!(got.len(), want.len(), "{} {}", mode, shape);
-        for (i, (g, e)) in got.iter().zip(&want).enumerate() {
-            prop_assert!(
-                g.to_bits() == e.to_bits(),
-                "{mode} {shape} out[{i}]: {g} vs {e}"
-            );
+    for (biased, want) in [(false, &want), (true, &want_biased)] {
+        let inference = no_grad(|| {
+            let wt = Tensor::from_vec(vec![o, c, k, k], wv.clone());
+            let bias = biased.then(|| Tensor::from_vec(vec![o], bv.clone()));
+            x.conv2d(&wt, bias.as_ref(), stride, pad).to_vec()
+        });
+        let wt = Tensor::param(vec![o, c, k, k], wv.clone());
+        let bias = biased.then(|| Tensor::param(vec![o], bv.clone()));
+        let training = x.conv2d(&wt, bias.as_ref(), stride, pad).to_vec();
+        let shape = format!("{n}x{c}x{h}x{w} -> {o}, k{k} s{stride} p{pad}, bias {biased}");
+        for (mode, got) in [("no_grad", &inference), ("param", &training)] {
+            prop_assert_eq!(got.len(), want.len(), "{} {}", mode, shape);
+            for (i, (g, e)) in got.iter().zip(want).enumerate() {
+                prop_assert!(
+                    g.to_bits() == e.to_bits(),
+                    "{mode} {shape} out[{i}]: {g} vs {e}"
+                );
+            }
         }
     }
     Ok(())
@@ -169,13 +178,18 @@ fn assert_conv_bit_identical(
 
 #[test]
 fn conv2d_is_bit_identical_to_im2col_sgemm_at_network_shapes() {
-    // (n, c, h, w, o, k, stride, pad): stage-1 `d_res0.conv1` and stride-2
-    // `ac1` at 64x64, the U-Net on 8x8 latents, and the fused 8-lane
-    // U-Net convs on the 2x2 / 1x1 latents of 16x16 tiles.
+    // (n, c, h, w, o, k, stride, pad): stage-1 `d_res0.conv1`, stride-2
+    // `ac1` and `d_out` at 64x64, the U-Net and its `conv_out` on 8x8
+    // latents, and the fused 8-lane U-Net convs on the 2x2 / 1x1 latents
+    // of 16x16 tiles. `d_out` and `conv_out` fill less than one `nr`-wide
+    // weight strip; c*k*k = 576 spans three KC = 256 depth panels, so a
+    // bias added before the last one would round differently.
     for (n, c, h, w, o, k, stride, pad) in [
         (1, 24, 64, 64, 12, 3, 1, 1),
         (1, 12, 64, 64, 12, 3, 2, 1),
+        (1, 12, 64, 64, 3, 3, 1, 1),
         (1, 16, 8, 8, 16, 3, 1, 1),
+        (1, 16, 8, 8, 4, 3, 1, 1),
         (1, 16, 2, 2, 16, 3, 1, 1),
         (8, 48, 2, 2, 16, 3, 1, 1),
         (8, 64, 1, 1, 32, 3, 1, 1),
@@ -287,7 +301,7 @@ proptest! {
         let want = conv_reference(&xv, n, c, hw, hw, &wv, o, ks, ks, stride, pad);
         let x = Tensor::from_vec(vec![n, c, hw, hw], xv);
         let wt = Tensor::from_vec(vec![o, c, ks, ks], wv);
-        let got = x.conv2d(&wt, stride, pad).to_vec();
+        let got = x.conv2d(&wt, None, stride, pad).to_vec();
         prop_assert_eq!(got.len(), want.len());
         assert_parity(&got, &want)?;
     }
@@ -303,7 +317,7 @@ proptest! {
             (0..36).map(|v| ((v as f32) * 0.23).sin() * 0.5).collect(),
         );
         let report = check_gradient(&[2, 2, 4, 4], &x0, &[0, 5, 17, 31, 40, 63], 1e-3, |x| {
-            x.conv2d(&k, stride, 1).square().sum_all()
+            x.conv2d(&k, None, stride, 1).square().sum_all()
         });
         prop_assert!(report.passes(2e-2), "stride {stride}: {report:?}");
     }
@@ -311,30 +325,44 @@ proptest! {
     #[test]
     fn conv2d_weight_gradients_match_finite_difference(
         w0 in values(2 * 2 * 2 * 2),
+        b0 in values(2),
         seed in 0u32..1000,
     ) {
         let xv: Vec<f32> = (0..2 * 2 * 4 * 4)
             .map(|i| ((i as f32) * 0.29 + seed as f32 * 0.13).sin())
             .collect();
         let x = Tensor::from_vec(vec![2, 2, 4, 4], xv);
-        let loss_at = |wv: &[f32]| -> f32 {
+        let loss_at = |wv: &[f32], bv: &[f32]| -> f32 {
             let w = Tensor::from_vec(vec![2, 2, 2, 2], wv.to_vec());
-            x.conv2d(&w, 2, 0).square().sum_all().item()
+            let b = Tensor::from_vec(vec![2], bv.to_vec());
+            x.conv2d(&w, Some(&b), 2, 0).square().sum_all().item()
         };
         let w = Tensor::param(vec![2, 2, 2, 2], w0.clone());
-        x.conv2d(&w, 2, 0).square().sum_all().backward();
-        let gw = w.grad_vec();
+        let b = Tensor::param(vec![2], b0.clone());
+        x.conv2d(&w, Some(&b), 2, 0).square().sum_all().backward();
+        let (gw, gb) = (w.grad_vec(), b.grad_vec());
         let h = 1e-3;
+        let nudged = |v: &[f32], idx: usize, by: f32| {
+            let mut v = v.to_vec();
+            v[idx] += by;
+            v
+        };
         for idx in [0usize, 5, 9, 15] {
-            let mut wp = w0.clone();
-            wp[idx] += h;
-            let mut wm = w0.clone();
-            wm[idx] -= h;
-            let fd = (loss_at(&wp) - loss_at(&wm)) / (2.0 * h);
+            let fd = (loss_at(&nudged(&w0, idx, h), &b0) - loss_at(&nudged(&w0, idx, -h), &b0))
+                / (2.0 * h);
             prop_assert!(
                 (fd - gw[idx]).abs() < 2e-2 * (1.0 + fd.abs()),
                 "w grad {idx}: fd {fd} vs ad {}",
                 gw[idx]
+            );
+        }
+        for idx in [0usize, 1] {
+            let fd = (loss_at(&w0, &nudged(&b0, idx, h)) - loss_at(&w0, &nudged(&b0, idx, -h)))
+                / (2.0 * h);
+            prop_assert!(
+                (fd - gb[idx]).abs() < 2e-2 * (1.0 + fd.abs()),
+                "bias grad {idx}: fd {fd} vs ad {}",
+                gb[idx]
             );
         }
     }
