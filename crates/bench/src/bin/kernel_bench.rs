@@ -1,7 +1,9 @@
 //! Benchmark of the `dcdiff-tensor` kernel layer: naive vs blocked vs
 //! threaded GEMM, plus the implicit-GEMM conv2d, on the shapes the DCDiff
 //! recover path actually executes (stage-1 encoder/decoder convs at image
-//! resolution, U-Net convs and attention products at latent resolution).
+//! resolution, U-Net convs and attention products at latent resolution),
+//! and the JPEG codec's decode and encode stages at the forced-scalar and
+//! the dispatched tier.
 //!
 //! Usage: `cargo run --release -p dcdiff-bench --bin kernel_bench`
 //!
@@ -16,10 +18,11 @@ use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 use dcdiff_data::DatasetProfile;
-use dcdiff_image::ycbcr_to_rgb_rows;
+use dcdiff_image::{ycbcr_to_rgb_rows, Image};
 use dcdiff_jpeg::bitstream::{BitReader, BitWriter};
-use dcdiff_jpeg::dct::idct;
+use dcdiff_jpeg::dct::{fdct_quantize, idct};
 use dcdiff_jpeg::huffman::HuffmanTable;
+use dcdiff_jpeg::quant::QuantTable;
 use dcdiff_jpeg::simd::{self, Tier};
 use dcdiff_jpeg::{JpegDecoder, JpegEncoder, BLOCK_AREA};
 use dcdiff_tensor::kernels::{gemm_naive, set_threads, sgemm_with_threads, KernelConfig, Trans};
@@ -181,9 +184,9 @@ fn bench_conv(shape: &ConvShape, max_threads: usize, budget: Duration) -> ConvRe
     }
 }
 
-/// One decode-path stage timed at the forced-scalar reference tier and at
-/// the runtime-dispatched tier, reported as input MB/s.
-struct DecodeResult {
+/// One codec stage timed at the forced-scalar reference tier and at the
+/// runtime-dispatched tier, reported as input MB/s.
+struct TierResult {
     name: &'static str,
     bytes: usize,
     scalar_mbps: f64,
@@ -198,17 +201,17 @@ fn mbps(bytes: usize, t: Duration) -> f64 {
 /// Time `f` with the scalar reference pipeline pinned via
 /// [`simd::force_scalar`] and again with runtime dispatch, normalising to
 /// MB/s over `bytes` of input consumed per run. Leaves dispatch unpinned.
-fn bench_decode_stage(
+fn bench_tiers(
     name: &'static str,
     bytes: usize,
     budget: Duration,
     mut f: impl FnMut(),
-) -> DecodeResult {
+) -> TierResult {
     simd::force_scalar(true);
     let scalar = best_time(budget, 3, &mut f);
     simd::force_scalar(false);
     let dispatched = best_time(budget, 3, &mut f);
-    DecodeResult {
+    TierResult {
         name,
         bytes,
         scalar_mbps: mbps(bytes, scalar),
@@ -217,10 +220,29 @@ fn bench_decode_stage(
     }
 }
 
+/// Append `"key": [...]` holding `rows` to the artifact.
+fn push_tier_rows(json: &mut String, key: &str, rows: &[TierResult]) {
+    let _ = writeln!(json, "  \"{key}\": [");
+    for (i, r) in rows.iter().enumerate() {
+        let _ = writeln!(
+            json,
+            "    {{\"name\": \"{}\", \"bytes\": {}, \"scalar_mbps\": {:.3}, \
+             \"simd_mbps\": {:.3}, \"simd_speedup\": {:.3}}}{}",
+            r.name,
+            r.bytes,
+            r.scalar_mbps,
+            r.simd_mbps,
+            r.simd_speedup,
+            if i + 1 < rows.len() { "," } else { "" },
+        );
+    }
+    json.push_str("  ],\n");
+}
+
 /// The decode hot path, stage by stage plus end to end: entropy decode
 /// (bitwise vs table-accelerated), the 8x8 iDCT, planar colour
 /// conversion, and a full `JpegDecoder::decode` of a Kodak-profile image.
-fn bench_decode(budget: Duration) -> Vec<DecodeResult> {
+fn bench_decode(budget: Duration, image: &Image) -> Vec<TierResult> {
     let mut results = Vec::new();
 
     // Entropy: a long AC-luma symbol stream with Kraft-weighted symbol
@@ -241,11 +263,11 @@ fn bench_decode(budget: Duration) -> Vec<DecodeResult> {
     }
     let mut writer = BitWriter::new();
     for &v in &syms {
-        table.encode(&mut writer, v);
+        table.encode(&mut writer, v).expect("symbol drawn from the table's own values");
     }
     let stream = writer.finish();
     let stream_bytes = stream.len();
-    results.push(bench_decode_stage("huffman_ac_stream", stream_bytes, budget, || {
+    results.push(bench_tiers("huffman_ac_stream", stream_bytes, budget, || {
         let mut reader = BitReader::new(&stream);
         let mut n = 0usize;
         while let Some(sym) = table.decode(&mut reader) {
@@ -264,7 +286,7 @@ fn bench_decode(budget: Duration) -> Vec<DecodeResult> {
         })
         .collect();
     let block_bytes = blocks.len() * BLOCK_AREA * 4;
-    results.push(bench_decode_stage("idct_8x8", block_bytes, budget, || {
+    results.push(bench_tiers("idct_8x8", block_bytes, budget, || {
         for block in &blocks {
             black_box(idct(block));
         }
@@ -277,23 +299,57 @@ fn bench_decode(budget: Duration) -> Vec<DecodeResult> {
     let cr = pattern(n, 0.3);
     let (mut r, mut g, mut b) = (vec![0.0f32; n], vec![0.0f32; n], vec![0.0f32; n]);
     let row_bytes = 3 * n * 4;
-    results.push(bench_decode_stage("ycbcr_to_rgb_rows", row_bytes, budget, || {
+    results.push(bench_tiers("ycbcr_to_rgb_rows", row_bytes, budget, || {
         ycbcr_to_rgb_rows(&y, &cb, &cr, &mut r, &mut g, &mut b);
         black_box(&r);
     }));
 
     // End to end: entropy -> dequant -> iDCT -> colour on a coded image.
-    // A large texture-heavy scene keeps real entropy work in the stream
-    // and amortises the per-call plane allocations the tiny dataset
-    // stand-in profiles would otherwise be dominated by.
-    let image =
-        DatasetProfile::bsds200().with_count(1).with_dims(512, 512).generate(0x5EED).remove(0);
-    let coded = JpegEncoder::new(75).encode(&image).expect("encode bench image");
+    let coded = JpegEncoder::new(75).encode(image).expect("encode bench image");
     let coded_bytes = coded.len();
-    results.push(bench_decode_stage("full_decode", coded_bytes, budget, || {
+    results.push(bench_tiers("full_decode", coded_bytes, budget, || {
         black_box(JpegDecoder::decode(&coded).expect("decode bench image"));
     }));
     results
+}
+
+/// The codec benches' end-to-end input: a large texture-heavy scene keeps
+/// real entropy work in the stream and amortises the per-call plane
+/// allocations the tiny dataset stand-in profiles would otherwise be
+/// dominated by.
+fn bench_scene() -> Image {
+    DatasetProfile::bsds200().with_count(1).with_dims(512, 512).generate(0x5EED).remove(0)
+}
+
+/// The encode hot path: the fused fDCT + quantise kernel on a working set
+/// of level-shifted blocks, and a whole `JpegEncoder::to_coefficients`
+/// (colour conversion, block gather, transform) of the decode bench's
+/// scene, reported as MB/s over its 8-bit samples.
+fn bench_encode(budget: Duration, image: &Image) -> Vec<TierResult> {
+    let qtable = QuantTable::luma(75);
+    let blocks: Vec<[f32; BLOCK_AREA]> = (0..2048)
+        .map(|i| {
+            let mut block = [0.0f32; BLOCK_AREA];
+            for (d, s) in block.iter_mut().zip(pattern(BLOCK_AREA, i as f32 * 0.61)) {
+                *d = 127.0 * s;
+            }
+            block
+        })
+        .collect();
+    let block_bytes = blocks.len() * BLOCK_AREA * 4;
+    let encoder = JpegEncoder::new(75);
+    let (w, h) = image.dims();
+    let image_bytes = w * h * image.channels();
+    vec![
+        bench_tiers("fdct_quant_8x8", block_bytes, budget, || {
+            for block in &blocks {
+                black_box(fdct_quantize(block, &qtable));
+            }
+        }),
+        bench_tiers("full_transform", image_bytes, budget, || {
+            black_box(encoder.to_coefficients(image));
+        }),
+    ]
 }
 
 fn main() {
@@ -350,17 +406,21 @@ fn main() {
     }
     set_threads(max_threads);
 
-    let decode = bench_decode(budget);
+    let scene = bench_scene();
+    let decode = bench_decode(budget, &scene);
+    let encode = bench_encode(budget, &scene);
     let decode_tier = simd::active();
-    for d in &decode {
-        println!(
-            "  dec  {:<28} scalar {:8.2}  {} {:8.2} MB/s  (speedup {:.2}x)",
-            d.name,
-            d.scalar_mbps,
-            decode_tier.name(),
-            d.simd_mbps,
-            d.simd_speedup
-        );
+    for (tag, rows) in [("dec", &decode), ("enc", &encode)] {
+        for r in rows {
+            println!(
+                "  {tag}  {:<28} scalar {:8.2}  {} {:8.2} MB/s  (speedup {:.2}x)",
+                r.name,
+                r.scalar_mbps,
+                decode_tier.name(),
+                r.simd_mbps,
+                r.simd_speedup
+            );
+        }
     }
 
     // The acceptance gates: blocking must win on the largest recover-path
@@ -391,9 +451,9 @@ fn main() {
          zero-skip branch, blocked = packed register-tiled kernel at 1 thread, threaded = same \
          kernel sharded across the DCDIFF_THREADS pool. GEMM shapes are the logical conv and \
          attention products the recover path issues; conv2d rows time the implicit-GEMM \
-         Tensor::conv2d forward on convs the benchmarked networks run; decode rows time the \
-         forced-scalar reference pipeline against the runtime-dispatched tier as MB/s over \
-         input bytes (see PERFORMANCE.md).\","
+         Tensor::conv2d forward on convs the benchmarked networks run; decode and encode rows \
+         time the forced-scalar reference pipeline against the runtime-dispatched tier as \
+         MB/s over input bytes (see PERFORMANCE.md).\","
     );
     json.push_str("  \"gemm\": [\n");
     for (i, r) in results.iter().enumerate() {
@@ -438,21 +498,8 @@ fn main() {
     }
     json.push_str("  ],\n");
     let _ = writeln!(json, "  \"decode_tier\": \"{}\",", decode_tier.name());
-    json.push_str("  \"decode\": [\n");
-    for (i, d) in decode.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"name\": \"{}\", \"bytes\": {}, \"scalar_mbps\": {:.3}, \
-             \"simd_mbps\": {:.3}, \"simd_speedup\": {:.3}}}{}",
-            d.name,
-            d.bytes,
-            d.scalar_mbps,
-            d.simd_mbps,
-            d.simd_speedup,
-            if i + 1 < decode.len() { "," } else { "" },
-        );
-    }
-    json.push_str("  ],\n");
+    push_tier_rows(&mut json, "decode", &decode);
+    push_tier_rows(&mut json, "encode", &encode);
     let _ = writeln!(json, "  \"largest_shape\": \"{}\",", largest.name);
     let _ = writeln!(json, "  \"blocked_over_naive_largest\": {:.3},", largest.blocked_speedup);
     let _ = writeln!(json, "  \"two_thread_over_blocked_largest\": {two_thread_speedup:.3}");

@@ -20,7 +20,7 @@ use dcdiff_metrics::PerceptualDistance;
 /// resolutions they would dominate the ratio, so the comparison uses the
 /// scan payload (the quantity DC dropping actually changes).
 fn coded_len(coeffs: &CoeffImage) -> usize {
-    scan_length(coeffs)
+    scan_length(coeffs).expect("encoder-made levels fit the Annex-K tables")
 }
 
 /// Find the standard-JPEG quality whose reconstruction has LPIPS closest

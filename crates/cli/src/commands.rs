@@ -341,6 +341,25 @@ fn batch(line: &Line<'_>) -> Result<(), String> {
     if let Some(path) = line.value("--trace") {
         println!("trace written to {path} (inspect with `dcdiff report {path}`)");
     }
+    batch_verdict(&report.stats, failed, total)
+}
+
+/// `batch`'s exit status: an error when a job failed, or when a submitted
+/// job never reached a terminal state (completed, failed or rejected) —
+/// what a worker that died mid-job leaves behind.
+fn batch_verdict(
+    stats: &dcdiff_runtime::StatsSnapshot,
+    failed: usize,
+    total: usize,
+) -> Result<(), String> {
+    let finished = stats.completed + stats.failed + stats.rejected;
+    if finished < stats.submitted {
+        return Err(format!(
+            "{} of {} submitted job(s) never finished",
+            stats.submitted - finished,
+            stats.submitted
+        ));
+    }
     if failed > 0 {
         return Err(format!("{failed} of {total} job(s) failed"));
     }
@@ -1055,6 +1074,49 @@ mod tests {
         let err = run(&["batch", &manifest, "--workers", "2"]).unwrap_err();
         assert!(err.contains("failed"), "{err}");
         std::fs::remove_file(&manifest).ok();
+    }
+
+    #[test]
+    fn batch_runs_past_a_transcode_the_annex_k_tables_cannot_code() {
+        use dcdiff_jpeg::quant::QuantTable;
+        use dcdiff_jpeg::{encode_coefficients_optimized, ChromaSampling, CoeffImage, CoeffPlane};
+        // One AC level of 2000 (magnitude category 11): valid JPEG, but
+        // outside the Annex-K AC tables a plain transcode re-encodes with.
+        let mut plane = CoeffPlane::zeros(2, 2, 16, 16);
+        plane.block_mut(0, 0)[1] = 2000;
+        let coeffs = CoeffImage::from_parts(
+            vec![plane],
+            vec![QuantTable::luma(50)],
+            ChromaSampling::Cs444,
+            16,
+            16,
+        );
+        let stream = tmp("m-cat11.jpg");
+        std::fs::write(&stream, encode_coefficients_optimized(&coeffs).unwrap()).unwrap();
+        let (scene, jpg, out, manifest) =
+            (tmp("m-c11.ppm"), tmp("m-c11.jpg"), tmp("m-c11-out.jpg"), tmp("m-c11.txt"));
+        run(&["demo", &scene, "--size", "16x16"]).unwrap();
+        std::fs::write(&manifest, format!("transcode {stream} {out}\nencode {scene} {jpg}\n"))
+            .unwrap();
+        let err = run(&["batch", &manifest, "--workers", "1"]).unwrap_err();
+        assert!(err.contains("1 of 2 job(s) failed"), "{err}");
+        assert!(std::fs::metadata(&jpg).is_ok(), "the encode line after it still ran");
+        for f in [&stream, &scene, &jpg, &manifest] {
+            std::fs::remove_file(f).ok();
+        }
+    }
+
+    #[test]
+    fn batch_fails_when_a_submitted_job_never_finishes() {
+        let stats = dcdiff_runtime::StatsSnapshot {
+            submitted: 2,
+            ..Default::default()
+        };
+        let err = batch_verdict(&stats, 0, 2).unwrap_err();
+        assert!(err.contains("2 of 2 submitted job(s) never finished"), "{err}");
+        let done = dcdiff_runtime::StatsSnapshot { completed: 1, rejected: 1, ..stats };
+        assert_eq!(batch_verdict(&done, 0, 2), Ok(()));
+        assert!(batch_verdict(&done, 1, 2).unwrap_err().contains("1 of 2 job(s) failed"));
     }
 
     #[test]

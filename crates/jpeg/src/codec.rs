@@ -141,13 +141,17 @@ impl JpegEncoder {
 /// # Errors
 ///
 /// Returns a [`JpegErrorKind::Unsupported`](crate::JpegErrorKind::Unsupported) error when dimensions exceed
-/// the 16-bit JFIF fields.
+/// the 16-bit JFIF fields, or naming the symbol when a level needs one
+/// the Annex-K tables lack (an AC magnitude category above 10, as a
+/// decoded foreign stream can carry);
+/// [`encode_coefficients_optimized`](crate::encode_coefficients_optimized)
+/// builds tables that cover every symbol.
 pub fn encode_coefficients(coeffs: &CoeffImage) -> Result<Vec<u8>, JpegError> {
     let dc_l = HuffmanTable::dc_luma();
     let ac_l = HuffmanTable::ac_luma();
     let dc_c = HuffmanTable::dc_chroma();
     let ac_c = HuffmanTable::ac_chroma();
-    let scan = encode_scan_with(coeffs, &dc_l, &ac_l, &dc_c, &ac_c);
+    let scan = encode_scan_with(coeffs, &dc_l, &ac_l, &dc_c, &ac_c)?;
     write_file_with_tables(coeffs, &dc_l, &ac_l, &dc_c, &ac_c, &scan)
 }
 
@@ -191,12 +195,16 @@ pub(crate) fn write_file_with_tables(
 
 /// Length in bytes of the entropy-coded scan alone (no headers) — the
 /// payload the compression-ratio experiments compare.
-pub fn scan_length(coeffs: &CoeffImage) -> usize {
+///
+/// # Errors
+///
+/// As for [`encode_coefficients`]: a level the Annex-K tables cannot code.
+pub fn scan_length(coeffs: &CoeffImage) -> Result<usize, JpegError> {
     let dc_l = HuffmanTable::dc_luma();
     let ac_l = HuffmanTable::ac_luma();
     let dc_c = HuffmanTable::dc_chroma();
     let ac_c = HuffmanTable::ac_chroma();
-    encode_scan_with(coeffs, &dc_l, &ac_l, &dc_c, &ac_c).len()
+    Ok(encode_scan_with(coeffs, &dc_l, &ac_l, &dc_c, &ac_c)?.len())
 }
 
 /// Baseline JPEG decoder for streams produced by [`JpegEncoder`] (and any
@@ -333,19 +341,21 @@ fn write_sos(out: &mut Vec<u8>, channels: usize) {
     write_segment(out, 0xDA, &payload);
 }
 
+/// Entropy-code one block; the error is a symbol the tables have no code
+/// for.
 fn encode_block(
     writer: &mut BitWriter,
     block: &[i32; BLOCK_AREA],
     pred: &mut i32,
     dc_table: &HuffmanTable,
     ac_table: &HuffmanTable,
-) {
+) -> Result<(), u8> {
     let zz = to_zigzag(block);
     // DC differential
     let diff = zz[0] - *pred;
     *pred = zz[0];
     let (size, bits) = magnitude_code(diff);
-    dc_table.encode(writer, size as u8);
+    dc_table.put(writer, size as u8)?;
     writer.put(bits, size);
     // AC run-length
     let mut run = 0u32;
@@ -355,30 +365,41 @@ fn encode_block(
             continue;
         }
         while run >= 16 {
-            ac_table.encode(writer, 0xF0); // ZRL
+            ac_table.put(writer, 0xF0)?; // ZRL
             run -= 16;
         }
         let (size, bits) = magnitude_code(coef);
-        ac_table.encode(writer, ((run as u8) << 4) | size as u8);
+        ac_table.put(writer, ((run as u8) << 4) | size as u8)?;
         writer.put(bits, size);
         run = 0;
     }
     if run > 0 {
-        ac_table.encode(writer, 0x00); // EOB
+        ac_table.put(writer, 0x00)?; // EOB
     }
+    Ok(())
 }
 
+/// Scan encoder without restart markers.
+///
+/// # Errors
+///
+/// As for [`encode_scan_restarts`].
 pub(crate) fn encode_scan_with(
     coeffs: &CoeffImage,
     dc_l: &HuffmanTable,
     ac_l: &HuffmanTable,
     dc_c: &HuffmanTable,
     ac_c: &HuffmanTable,
-) -> Vec<u8> {
+) -> Result<Vec<u8>, JpegError> {
     encode_scan_restarts(coeffs, dc_l, ac_l, dc_c, ac_c, 0)
 }
 
 /// Scan encoder with an optional restart interval (0 disables).
+///
+/// # Errors
+///
+/// A [`JpegErrorKind::Unsupported`](crate::JpegErrorKind::Unsupported)
+/// error when a block needs a symbol the given tables have no code for.
 pub(crate) fn encode_scan_restarts(
     coeffs: &CoeffImage,
     dc_l: &HuffmanTable,
@@ -386,7 +407,7 @@ pub(crate) fn encode_scan_restarts(
     dc_c: &HuffmanTable,
     ac_c: &HuffmanTable,
     restart_interval: usize,
-) -> Vec<u8> {
+) -> Result<Vec<u8>, JpegError> {
     let factors = sampling_factors(coeffs);
     let hmax = factors.iter().map(|&(h, _)| h).max().unwrap_or(1) as usize;
     let vmax = factors.iter().map(|&(_, v)| v).max().unwrap_or(1) as usize;
@@ -412,13 +433,14 @@ pub(crate) fn encode_scan_restarts(
                     for bh in 0..h as usize {
                         let bx = (mx * h as usize + bh).min(plane.blocks_x() - 1);
                         let by = (my * v as usize + bv).min(plane.blocks_y() - 1);
-                        encode_block(&mut writer, plane.block(bx, by), &mut preds[c], dc_t, ac_t);
+                        encode_block(&mut writer, plane.block(bx, by), &mut preds[c], dc_t, ac_t)
+                            .map_err(crate::huffman::missing_symbol)?;
                     }
                 }
             }
         }
     }
-    writer.finish()
+    Ok(writer.finish())
 }
 
 /// Entropy-code with restart markers every `interval` MCUs (DRI + RSTn).
@@ -426,7 +448,8 @@ pub(crate) fn encode_scan_restarts(
 /// # Errors
 ///
 /// Returns a [`JpegErrorKind::Unsupported`](crate::JpegErrorKind::Unsupported) error for out-of-range
-/// dimensions or a zero/overlong interval.
+/// dimensions, a zero/overlong interval, or a level the Annex-K tables
+/// cannot code (as for [`encode_coefficients`]).
 pub fn encode_coefficients_with_restarts(
     coeffs: &CoeffImage,
     interval: usize,
@@ -440,7 +463,7 @@ pub fn encode_coefficients_with_restarts(
     let ac_l = HuffmanTable::ac_luma();
     let dc_c = HuffmanTable::dc_chroma();
     let ac_c = HuffmanTable::ac_chroma();
-    let scan = encode_scan_restarts(coeffs, &dc_l, &ac_l, &dc_c, &ac_c, interval);
+    let scan = encode_scan_restarts(coeffs, &dc_l, &ac_l, &dc_c, &ac_c, interval)?;
     let full = write_file_with_tables(coeffs, &dc_l, &ac_l, &dc_c, &ac_c, &scan)?;
     // splice a DRI segment in front of the SOS marker
     let sos = full
@@ -990,7 +1013,7 @@ mod tests {
     fn scan_length_is_consistent_with_file_size() {
         let img = test_image(48, 48);
         let coeffs = JpegEncoder::new(50).to_coefficients(&img);
-        let scan = scan_length(&coeffs);
+        let scan = scan_length(&coeffs).unwrap();
         let file = encode_coefficients(&coeffs).unwrap().len();
         assert!(scan < file && scan > file / 2, "scan {scan}, file {file}");
     }

@@ -1,7 +1,7 @@
 use dcdiff_image::{ColorSpace, Image, Plane};
 
 use crate::codec::ChromaSampling;
-use crate::dct::{fdct, idct};
+use crate::dct::{fdct_quantize, idct};
 use crate::quant::QuantTable;
 use crate::{BLOCK, BLOCK_AREA};
 
@@ -53,22 +53,32 @@ impl CoeffPlane {
     ) -> Self {
         let width = plane.width();
         let height = plane.height();
-        let pw = width.div_ceil(align_x) * align_x;
-        let ph = height.div_ceil(align_y) * align_y;
-        let padded = plane.crop_clamped(0, 0, pw, ph);
-        let blocks_x = pw / BLOCK;
-        let blocks_y = ph / BLOCK;
+        let blocks_x = width.div_ceil(align_x) * align_x / BLOCK;
+        let blocks_y = height.div_ceil(align_y) * align_y / BLOCK;
         let mut blocks = Vec::with_capacity(blocks_x * blocks_y);
         let mut samples = [0.0f32; BLOCK_AREA];
         for by in 0..blocks_y {
+            // Padding replicates the last row and column: clamping the
+            // indices reads exactly what an edge-extended copy would hold.
+            let rows: [&[f32]; BLOCK] =
+                std::array::from_fn(|y| plane.row((by * BLOCK + y).min(height - 1)));
             for bx in 0..blocks_x {
-                for y in 0..BLOCK {
-                    for x in 0..BLOCK {
-                        samples[y * BLOCK + x] =
-                            padded.get(bx * BLOCK + x, by * BLOCK + y) - 128.0;
+                let x0 = bx * BLOCK;
+                for (dst, row) in samples.chunks_exact_mut(BLOCK).zip(rows) {
+                    match row.get(x0..x0 + BLOCK) {
+                        Some(src) => {
+                            for (d, &s) in dst.iter_mut().zip(src) {
+                                *d = s - 128.0;
+                            }
+                        }
+                        None => {
+                            for (x, d) in dst.iter_mut().enumerate() {
+                                *d = row[(x0 + x).min(width - 1)] - 128.0;
+                            }
+                        }
                     }
                 }
-                blocks.push(qtable.quantize(&fdct(&samples)));
+                blocks.push(fdct_quantize(&samples, qtable));
             }
         }
         Self {

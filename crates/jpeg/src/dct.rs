@@ -9,14 +9,22 @@
 //!   multiplies than the reference);
 //! * [`idct`] — the decode-path entry point: runtime-dispatched to an
 //!   AVX2+FMA two-pass matrix kernel when [`crate::simd`] detects the
-//!   features, falling back to [`idct_scalar`] otherwise.
+//!   features, falling back to [`idct_scalar`] otherwise;
+//! * [`fdct_quantize`] — the encode-path entry point: forward transform
+//!   and quantisation of one block in a single call, runtime-dispatched
+//!   to an AVX2 kernel, falling back to
+//!   `qtable.quantize(&fdct(samples))` otherwise.
 //!
 //! All operate on level-shifted samples (caller subtracts 128) and use
 //! the orthonormal JPEG normalisation: `C(0) = 1/sqrt(2)`, scale `1/2`
-//! per 1-D pass. The AVX2 kernel evaluates the same orthonormal basis,
+//! per 1-D pass. The AVX2 iDCT evaluates the same orthonormal basis,
 //! so it matches the scalar transform to within a few ULP of f32 —
-//! bounded by the SIMD parity tests, not assumed.
+//! bounded by the SIMD parity tests, not assumed. The AVX2 forward
+//! kernel has no such band: its output is integer levels, so it repeats
+//! [`fdct`]'s arithmetic operation for operation and returns exactly the
+//! scalar levels.
 
+use crate::quant::QuantTable;
 use crate::{BLOCK, BLOCK_AREA};
 
 /// Precomputed `cos((2x+1) u pi / 16)` table, `COS[u][x]`.
@@ -221,6 +229,158 @@ unsafe fn idct_avx2(coeffs: &[f32; BLOCK_AREA], out: &mut [f32; BLOCK_AREA]) {
     }
 }
 
+/// Forward DCT and quantisation of one level-shifted block, runtime-
+/// dispatched per [`crate::simd::active`]: the encoder's per-block step.
+///
+/// Both tiers return exactly `qtable.quantize(&fdct(samples))`. The AVX2
+/// kernel does the same float operations as [`fdct`] and
+/// [`QuantTable::quantize`], in the same order: separate multiplies and
+/// adds (no FMA), the `0.5·C(u)` scale as one multiply after each sum,
+/// a true division by the quantiser, and `f32::round` followed by
+/// `as i32`.
+pub fn fdct_quantize(samples: &[f32; BLOCK_AREA], qtable: &QuantTable) -> [i32; BLOCK_AREA] {
+    #[cfg(target_arch = "x86_64")]
+    {
+        if crate::simd::active() == crate::simd::Tier::Avx2Fma {
+            let mut out = [0i32; BLOCK_AREA];
+            // SAFETY: the Avx2Fma tier is only ever reported after
+            // `is_x86_feature_detected!` confirmed avx2 and fma.
+            unsafe { fdct_quantize_avx2(samples, qtable.values(), &mut out) };
+            return out;
+        }
+    }
+    qtable.quantize(&fdct(samples))
+}
+
+/// `COS` transposed, `COS_T[x][u] = COS[u][x]`: row `x` holds sample
+/// `x`'s weight in every output `u`, so the forward row pass can scale
+/// whole rows. Same values as [`cos_table`], copied.
+#[cfg(target_arch = "x86_64")]
+fn cos_table_t() -> &'static [[f32; BLOCK]; BLOCK] {
+    use std::sync::OnceLock;
+    static TABLE: OnceLock<[[f32; BLOCK]; BLOCK]> = OnceLock::new();
+    TABLE.get_or_init(|| {
+        let t = cos_table();
+        std::array::from_fn(|x| std::array::from_fn(|u| t[u][x]))
+    })
+}
+
+/// AVX2 forward DCT plus quantisation, bit-identical to
+/// `QuantTable::quantize(&fdct(samples))`.
+///
+/// Row pass: `R[y] = s ⊙ Σ_x samples[y][x] · COS_T[x]` with
+/// `s[u] = 0.5·C(u)`, each lane summing over `x` in [`fdct_1d`]'s order.
+/// Column pass: `F[v] = (0.5·C(v)) · Σ_y R[y] · COS[v][y]`, lanes being
+/// columns. Then each row of `F` is divided by its quantisers and
+/// rounded by [`round_to_level_avx2`].
+///
+/// # Safety
+///
+/// The caller must ensure the CPU supports AVX2
+/// (`simd::active() == Tier::Avx2Fma` guarantees this — the tier is only
+/// selected after `is_x86_feature_detected!` confirms it).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+// SAFETY: unsafe fn — requires avx2; the dispatcher only calls this after
+// `simd::active()` reports the Avx2Fma tier.
+unsafe fn fdct_quantize_avx2( // analysis: hot
+    samples: &[f32; BLOCK_AREA],
+    qtable: &[u16; BLOCK_AREA],
+    out: &mut [i32; BLOCK_AREA],
+) {
+    use std::arch::x86_64::{
+        __m128i, __m256i, _mm256_add_ps, _mm256_cvtepi32_ps, _mm256_cvtepu16_epi32, _mm256_div_ps,
+        _mm256_loadu_ps, _mm256_mul_ps, _mm256_set1_ps, _mm256_setr_ps, _mm256_setzero_ps,
+        _mm256_storeu_si256, _mm_loadu_si128,
+    };
+    let cos = cos_table();
+    let scale = |u: usize| 0.5 * c(u);
+    // SAFETY: every pointer is an 8-element row of a fixed-size array:
+    // `cos_table_t()` rows ([f32; 8], 32 bytes loaded), quantiser rows
+    // (8 × u16, 16 bytes loaded) and exclusively borrowed `out` rows
+    // (8 × i32, 32 bytes stored). Intrinsics are guarded by the enclosing
+    // `target_feature` fn, whose contract requires AVX2 (upheld by the
+    // dispatcher).
+    let mut basis = [_mm256_setzero_ps(); BLOCK];
+    for (b, row) in basis.iter_mut().zip(cos_table_t()) {
+        *b = _mm256_loadu_ps(row.as_ptr());
+    }
+    let row_scale = _mm256_setr_ps(
+        scale(0),
+        scale(1),
+        scale(2),
+        scale(3),
+        scale(4),
+        scale(5),
+        scale(6),
+        scale(7),
+    );
+    let mut rows = [_mm256_setzero_ps(); BLOCK];
+    for (r, line) in rows.iter_mut().zip(samples.chunks_exact(BLOCK)) {
+        let mut sum = _mm256_setzero_ps();
+        for (&s, &b) in line.iter().zip(&basis) {
+            sum = _mm256_add_ps(sum, _mm256_mul_ps(_mm256_set1_ps(s), b));
+        }
+        *r = _mm256_mul_ps(row_scale, sum);
+    }
+    for (v, (levels, q)) in out
+        .chunks_exact_mut(BLOCK)
+        .zip(qtable.chunks_exact(BLOCK))
+        .enumerate()
+    {
+        let mut sum = _mm256_setzero_ps();
+        for (&r, &w) in rows.iter().zip(&cos[v]) {
+            sum = _mm256_add_ps(sum, _mm256_mul_ps(r, _mm256_set1_ps(w)));
+        }
+        let coeffs = _mm256_mul_ps(_mm256_set1_ps(scale(v)), sum);
+        let steps = _mm256_cvtepi32_ps(_mm256_cvtepu16_epi32(_mm_loadu_si128(
+            q.as_ptr().cast::<__m128i>(),
+        )));
+        let level = round_to_level_avx2(_mm256_div_ps(coeffs, steps));
+        _mm256_storeu_si256(levels.as_mut_ptr().cast::<__m256i>(), level);
+    }
+}
+
+/// `x.round() as i32` on eight lanes: round half away from zero, then
+/// the saturating cast (NaN → 0, beyond `i32` → `i32::MIN`/`i32::MAX`).
+///
+/// Rounds by truncating and stepping one away from zero where the
+/// dropped fraction is at least one half. `x - trunc(x)` is exact, so
+/// ties are caught exactly, and the largest f32 below 0.5 stays 0 (the
+/// `trunc(x + 0.5)` shortcut rounds it to 1). `cvttps2dq` returns
+/// `i32::MIN` for NaN and every out-of-range lane; the fix-ups turn
+/// NaN into 0 and lanes at or above 2³¹ into `i32::MAX`.
+///
+/// # Safety
+///
+/// The CPU must support AVX2. [`fdct_quantize_avx2`] calls this within
+/// its own AVX2 contract; any other caller needs an `unsafe` block that
+/// confirms the feature first.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+fn round_to_level_avx2(x: std::arch::x86_64::__m256) -> std::arch::x86_64::__m256i {
+    use std::arch::x86_64::{
+        _mm256_add_ps, _mm256_and_ps, _mm256_andnot_ps, _mm256_andnot_si256, _mm256_castps_si256,
+        _mm256_cmp_ps, _mm256_cvttps_epi32, _mm256_or_ps, _mm256_round_ps, _mm256_set1_ps,
+        _mm256_sub_ps, _mm256_xor_si256, _CMP_GE_OQ, _CMP_UNORD_Q, _MM_FROUND_NO_EXC,
+        _MM_FROUND_TO_ZERO,
+    };
+    let whole = _mm256_round_ps::<{ _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC }>(x);
+    let frac = _mm256_sub_ps(x, whole);
+    let sign = _mm256_set1_ps(-0.0);
+    let away = _mm256_cmp_ps::<_CMP_GE_OQ>(_mm256_andnot_ps(sign, frac), _mm256_set1_ps(0.5));
+    let step = _mm256_or_ps(_mm256_set1_ps(1.0), _mm256_and_ps(x, sign));
+    let rounded = _mm256_add_ps(whole, _mm256_and_ps(away, step));
+    let level = _mm256_cvttps_epi32(rounded);
+    let high = _mm256_cmp_ps::<_CMP_GE_OQ>(rounded, _mm256_set1_ps(2_147_483_648.0));
+    let nan = _mm256_cmp_ps::<_CMP_UNORD_Q>(rounded, rounded);
+    _mm256_andnot_si256(
+        _mm256_castps_si256(nan),
+        _mm256_xor_si256(level, _mm256_castps_si256(high)),
+    )
+}
+
 /// Inverse DCT, runtime-dispatched per [`crate::simd::active`].
 ///
 /// Selects the AVX2+FMA kernel when the CPU supports it (and no scalar
@@ -344,6 +504,72 @@ mod tests {
         for i in 0..BLOCK_AREA {
             let tol = 1e-2 * scalar[i].abs().max(1.0);
             assert!((fast[i] - scalar[i]).abs() < tol);
+        }
+    }
+
+    #[test]
+    fn dispatched_fdct_quantize_matches_scalar_levels() {
+        // Exact, not banded: pixel-range blocks at every quality, plus
+        // magnitudes far outside it, where `as i32` saturates, and blocks
+        // poisoned with NaN and infinities.
+        let mut blocks: Vec<[f32; BLOCK_AREA]> = (0..200).map(sample_block).collect();
+        for (i, scale) in [1e3f32, 1e6, 1e9, 1e12].into_iter().enumerate() {
+            let mut b = sample_block(300 + i as u32);
+            b.iter_mut().for_each(|v| *v *= scale);
+            blocks.push(b);
+        }
+        for special in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let mut b = sample_block(400);
+            b[9] = special;
+            blocks.push(b);
+        }
+        for quality in [1u8, 10, 50, 90, 100] {
+            for table in [QuantTable::luma(quality), QuantTable::chroma(quality)] {
+                for block in &blocks {
+                    assert_eq!(fdct_quantize(block, &table), table.quantize(&fdct(block)));
+                }
+            }
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn vector_rounding_matches_round_as_i32_at_ties_and_limits() {
+        use std::arch::x86_64::{_mm256_loadu_ps, _mm256_storeu_si256};
+        if !std::arch::is_x86_feature_detected!("avx2") {
+            return;
+        }
+        let below_half = f32::from_bits(0.5f32.to_bits() - 1);
+        let two_31 = 2_147_483_648.0f32;
+        let values = [
+            0.5,
+            -0.5,
+            1.5,
+            -1.5,
+            2.5,
+            -2.5,
+            1023.5,
+            -1023.5,
+            below_half,
+            -below_half,
+            two_31,
+            -two_31,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            -0.0,
+        ];
+        for chunk in values.chunks_exact(8) {
+            let mut got = [0i32; 8];
+            // SAFETY: AVX2 was detected above; `chunk` and `got` are
+            // 8-element buffers, exactly what the load and store touch.
+            unsafe {
+                let level = round_to_level_avx2(_mm256_loadu_ps(chunk.as_ptr()));
+                _mm256_storeu_si256(got.as_mut_ptr().cast(), level);
+            }
+            for (&x, &level) in chunk.iter().zip(&got) {
+                assert_eq!(level, x.round() as i32, "round({x:e})");
+            }
         }
     }
 

@@ -18,6 +18,7 @@
 #![deny(clippy::indexing_slicing)]
 
 use crate::bitstream::{BitReader, BitWriter};
+use crate::JpegError;
 
 /// Window width of the single-probe decode lookup table.
 ///
@@ -216,18 +217,28 @@ impl HuffmanTable {
 
     /// Append the code for `symbol` to `writer`.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the symbol has no code in this table.
-    #[expect(
-        clippy::disallowed_macros,
-        reason = "encoder-side documented `# Panics` contract; encoders only emit symbols from their own table"
-    )]
+    /// Returns a [`JpegErrorKind::Unsupported`](crate::JpegErrorKind::Unsupported)
+    /// error naming the symbol when it has no code in this table — for
+    /// example an AC level of magnitude category 11, which the Annex-K
+    /// AC tables do not cover. Nothing is written then.
+    pub fn encode(&self, writer: &mut BitWriter, symbol: u8) -> Result<(), JpegError> {
+        self.put(writer, symbol).map_err(missing_symbol)
+    }
+
+    /// [`Self::encode`] with the bare symbol as the error: the scan
+    /// encoder's per-symbol step, which passes a byte rather than a
+    /// [`JpegError`] through its hot loop.
+    #[inline]
     #[expect(clippy::indexing_slicing, reason = "u8 index into a 256-entry table")]
-    pub fn encode(&self, writer: &mut BitWriter, symbol: u8) {
+    pub(crate) fn put(&self, writer: &mut BitWriter, symbol: u8) -> Result<(), u8> {
         let size = self.code_len(symbol);
-        assert!(size > 0, "symbol {symbol:#04x} not present in table");
+        if size == 0 {
+            return Err(symbol);
+        }
         writer.put(self.enc_code[symbol as usize] as u32, size as u32);
+        Ok(())
     }
 
     /// Decode the next symbol from `reader`; `None` at end of data or on
@@ -276,6 +287,16 @@ impl HuffmanTable {
     }
 }
 
+/// The error of [`HuffmanTable::encode`] for a symbol the table lacks;
+/// out of line, so the per-symbol encode path stays one compare.
+#[cold]
+#[inline(never)]
+pub(crate) fn missing_symbol(symbol: u8) -> JpegError {
+    JpegError::unsupported(format!(
+        "symbol {symbol:#04x} has no code in the Huffman table"
+    ))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -312,7 +333,7 @@ mod tests {
             let symbols: Vec<u8> = t.vals().to_vec();
             let mut w = BitWriter::new();
             for &s in &symbols {
-                t.encode(&mut w, s);
+                t.encode(&mut w, s).unwrap();
             }
             let bytes = w.finish();
             let mut r = BitReader::new(&bytes);
@@ -370,7 +391,7 @@ mod tests {
             }
             let mut w = BitWriter::new();
             for &s in &symbols {
-                t.encode(&mut w, s);
+                t.encode(&mut w, s).unwrap();
             }
             let bytes = w.finish();
             let mut fast = BitReader::new(&bytes);
@@ -393,7 +414,7 @@ mod tests {
         for _ in 0..256 {
             state = state.wrapping_mul(1664525).wrapping_add(1013904223);
             let sym = t.vals()[(state >> 16) as usize % t.vals().len()];
-            t.encode(&mut w, sym);
+            t.encode(&mut w, sym).unwrap();
         }
         let bytes = w.finish();
         for cut in 0..bytes.len() {
@@ -445,10 +466,15 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "not present")]
-    fn encoding_unknown_symbol_panics() {
+    fn encoding_unknown_symbol_is_an_error() {
         let t = HuffmanTable::dc_luma();
         let mut w = BitWriter::new();
-        t.encode(&mut w, 0xEE);
+        let err = t.encode(&mut w, 0xEE).unwrap_err();
+        assert_eq!(err.kind(), crate::JpegErrorKind::Unsupported);
+        assert!(err.detail().contains("0xee"), "{err}");
+        assert!(
+            w.finish().is_empty(),
+            "nothing is written for a missing symbol"
+        );
     }
 }

@@ -4,8 +4,10 @@
 //! The crate implements the complete baseline sequential DCT pipeline of
 //! ITU-T T.81 (JPEG):
 //!
-//! * forward/inverse 8×8 DCT ([`dct`]) — both a reference `O(N^4)`
-//!   transform and the AAN scaled fast transform used by real encoders;
+//! * forward/inverse 8×8 DCT ([`dct`]) — a reference `O(N^4)` transform
+//!   and a separable row/column transform over a precomputed cosine
+//!   table, with AVX2 kernels for the decoder's iDCT and the encoder's
+//!   fused fDCT + quantise;
 //! * quality-scaled Annex-K quantisation tables ([`quant`]);
 //! * zig-zag coefficient ordering ([`zigzag`]);
 //! * DC differential + AC run-length entropy coding with the Annex-K

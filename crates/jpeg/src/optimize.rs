@@ -219,7 +219,7 @@ pub fn encode_coefficients_optimized(coeffs: &CoeffImage) -> Result<Vec<u8>, Jpe
     } else {
         (HuffmanTable::dc_chroma(), HuffmanTable::ac_chroma())
     };
-    let scan = encode_scan_with(coeffs, &dc_l, &ac_l, &dc_c, &ac_c);
+    let scan = encode_scan_with(coeffs, &dc_l, &ac_l, &dc_c, &ac_c)?;
     write_file_with_tables(coeffs, &dc_l, &ac_l, &dc_c, &ac_c, &scan)
 }
 

@@ -1,20 +1,22 @@
-//! Runtime ISA selection for the codec kernels (iDCT, colour conversion).
+//! Runtime ISA selection for the codec kernels: the decoder's iDCT and
+//! colour conversion, and the encoder's forward transform
+//! ([`crate::dct::fdct_quantize`]).
 //!
 //! Mirrors the GEMM dispatch pattern in `dcdiff-tensor`: features are
 //! probed once with `is_x86_feature_detected!` and cached, and every
 //! SIMD entry point keeps a portable scalar fallback that is also the
 //! correctness oracle for the parity tests. Benchmarks and tests can pin
 //! the scalar path with [`force_scalar`] to measure or cross-check the
-//! vector kernels in-process; forcing an *unsupported* tier is
-//! impossible by construction, so dispatch can never select an
-//! instruction set the CPU lacks.
+//! vector kernels in-process, on the decode and the encode side alike;
+//! forcing an *unsupported* tier is impossible by construction, so
+//! dispatch can never select an instruction set the CPU lacks.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 
 /// Instruction-set tier a codec kernel can run at.
 ///
-/// The decode hot path currently has two tiers; the GEMM side of the
+/// The codec hot paths currently have two tiers; the GEMM side of the
 /// workspace additionally has an AVX-512F tier (see
 /// `dcdiff-tensor::kernels`). Tier selection is monotone: a higher tier
 /// is only ever chosen when the CPU reports every feature it needs.
@@ -72,12 +74,14 @@ pub fn active() -> Tier {
 
 /// Pin (or unpin) the scalar fallback for the whole process.
 ///
-/// Used by `kernel_bench` to measure scalar-vs-SIMD decode throughput in
-/// one run, and by parity tests. Affects every thread; not intended for
-/// concurrent use with in-flight decodes whose tier matters. Also pins
-/// the colour-conversion tier in `dcdiff-image`
+/// Used by `kernel_bench` to measure scalar-vs-SIMD decode and encode
+/// throughput in one run, and by parity tests. Affects every thread; not
+/// intended for concurrent use with in-flight codec calls whose tier
+/// matters. Also pins the colour-conversion tier in `dcdiff-image`
 /// ([`dcdiff_image::simd_force_scalar`]) so one switch covers the whole
-/// decode path (entropy → iDCT → colour).
+/// decode path (entropy → iDCT → colour) and the encoder's transform
+/// (colour → fDCT + quantise, whose scalar tier is
+/// `QuantTable::quantize(&fdct(..))`).
 pub fn force_scalar(on: bool) {
     FORCE_SCALAR.store(on, Ordering::Relaxed);
     dcdiff_image::simd_force_scalar(on);

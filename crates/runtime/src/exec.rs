@@ -769,6 +769,42 @@ mod tests {
     }
 
     #[test]
+    fn transcode_of_a_level_outside_the_annex_k_tables_is_permanent() {
+        use dcdiff_jpeg::quant::QuantTable;
+        use dcdiff_jpeg::{encode_coefficients_optimized, ChromaSampling, CoeffPlane};
+        // A valid 16×16 gray stream whose one AC level (2000) is in
+        // magnitude category 11, which the Annex-K AC tables lack.
+        let mut plane = CoeffPlane::zeros(2, 2, 16, 16);
+        plane.block_mut(0, 0)[1] = 2000;
+        let coeffs = CoeffImage::from_parts(
+            vec![plane],
+            vec![QuantTable::luma(50)],
+            ChromaSampling::Cs444,
+            16,
+            16,
+        );
+        let dir = std::env::temp_dir();
+        let input = dir.join(format!("dcdiff-exec-cat11-{}.jpg", std::process::id()));
+        let output = dir.join(format!("dcdiff-exec-cat11-{}-out.jpg", std::process::id()));
+        std::fs::write(&input, encode_coefficients_optimized(&coeffs).unwrap()).unwrap();
+        let job = |opts| Job::Transcode {
+            input: input.to_string_lossy().into_owned(),
+            output: output.to_string_lossy().into_owned(),
+            opts,
+        };
+        let mut cache = EngineCache::new();
+        let tel = Telemetry::new();
+        let err = execute(&job(CodingOpts::default()), &mut cache, &tel).unwrap_err();
+        assert_eq!(err.class, crate::job::ErrorClass::Permanent);
+        assert!(err.message.contains("0x0b"), "{}", err.message);
+        // Optimised tables are built from the symbols present, so they code it.
+        let optimize = CodingOpts { optimize: true, ..CodingOpts::default() };
+        assert!(execute(&job(optimize), &mut cache, &tel).is_ok());
+        std::fs::remove_file(&input).ok();
+        std::fs::remove_file(&output).ok();
+    }
+
+    #[test]
     fn missing_input_is_permanent() {
         let mut cache = EngineCache::new();
         let job = Job::Metrics {

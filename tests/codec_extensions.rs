@@ -3,9 +3,10 @@
 
 use dcdiff::baselines::{DcRecovery, Icip2022};
 use dcdiff::data::{SceneGenerator, SceneKind};
+use dcdiff::jpeg::quant::QuantTable;
 use dcdiff::jpeg::{
     encode_coefficients, encode_coefficients_optimized, encode_coefficients_with_restarts,
-    ChromaSampling, CoeffImage, DcDropMode, JpegDecoder, JpegEncoder,
+    ChromaSampling, CoeffImage, CoeffPlane, DcDropMode, JpegDecoder, JpegEncoder, JpegErrorKind,
 };
 use dcdiff::metrics::psnr;
 
@@ -89,6 +90,38 @@ fn encoder_variants_agree_on_decoded_pixels() {
 
 /// One committed fixture per fault class (see `crates/faults`); regenerate
 /// with `cargo run -p dcdiff-faults --bin fault_fixtures -- tests/fixtures/faults`.
+#[test]
+fn annex_k_encoders_report_a_level_their_tables_cannot_code() {
+    // A 16×16 gray stream with one AC level of 2000 (magnitude category
+    // 11), written with optimised tables: valid, and it decodes. The
+    // Annex-K AC tables stop at category 10, so re-encoding it with them
+    // must be a typed error naming the symbol, not a panic.
+    let mut plane = CoeffPlane::zeros(2, 2, 16, 16);
+    plane.block_mut(0, 0)[1] = 2000;
+    let coeffs = CoeffImage::from_parts(
+        vec![plane],
+        vec![QuantTable::luma(50)],
+        ChromaSampling::Cs444,
+        16,
+        16,
+    );
+    let stream = encode_coefficients_optimized(&coeffs).unwrap();
+    let decoded = JpegDecoder::decode_coefficients(&stream).unwrap();
+    assert_eq!(decoded, coeffs);
+    for err in [
+        encode_coefficients(&decoded).unwrap_err(),
+        encode_coefficients_with_restarts(&decoded, 1).unwrap_err(),
+    ] {
+        assert_eq!(err.kind(), JpegErrorKind::Unsupported);
+        assert!(err.detail().contains("0x0b"), "{err}");
+    }
+    let reencoded = encode_coefficients_optimized(&decoded).unwrap();
+    assert_eq!(
+        JpegDecoder::decode_coefficients(&reencoded).unwrap(),
+        coeffs
+    );
+}
+
 fn fault_fixture(name: &str) -> Vec<u8> {
     let path = format!("{}/tests/fixtures/faults/{name}.jpg", env!("CARGO_MANIFEST_DIR"));
     std::fs::read(&path).unwrap_or_else(|e| panic!("{path}: {e}"))
