@@ -9,7 +9,7 @@
 //! recorded line window is informational only. A row counts as reviewed
 //! only once its generated [`PLACEHOLDER`] justification is replaced.
 
-use crate::diag::Diagnostic;
+use crate::Diagnostic;
 use crate::parse::UnsafeSite;
 
 /// Prefix of the justification [`generate`] writes for a site no one has
@@ -72,11 +72,13 @@ pub fn generate(sites: &[(String, UnsafeSite)], existing: &[Entry]) -> String {
     let mut out = String::from(
         "# Unsafe ledger\n\n\
          Every `unsafe` site in the workspace, reconciled by `dcdiff lint`\n\
-         (rule `unsafe-ledger`). The hash is FNV-1a over the site text with\n\
-         whitespace removed: editing the unsafe code invalidates the entry\n\
-         and fails the lint until the row is re-reviewed. Regenerate with\n\
-         `dcdiff lint --update-ledger` (existing justifications are kept\n\
-         for unchanged sites).\n\n\
+         and by `tests/lint_clean.rs` in tier-1. Clippy already requires a\n\
+         `// SAFETY:` comment on each site; the ledger adds a forced\n\
+         re-review. The hash is FNV-1a over the site text with whitespace\n\
+         removed: editing the unsafe code, comments included, invalidates\n\
+         the entry and fails the lint until the row is re-reviewed.\n\
+         Regenerate with `dcdiff lint --update-ledger` (existing\n\
+         justifications are kept for unchanged sites).\n\n\
          | file | lines | kind | hash | justification |\n\
          |------|-------|------|------|---------------|\n",
     );
@@ -117,7 +119,6 @@ pub fn reconcile(
         let ledgered = entries.iter().any(|e| e.file == *file && e.hash == site.hash);
         if !ledgered {
             out.push(Diagnostic {
-                rule: "unsafe-ledger",
                 file: file.clone(),
                 line: site.line,
                 message: format!(
@@ -130,7 +131,6 @@ pub fn reconcile(
                 hint: "run `dcdiff lint --update-ledger`, then replace the TODO justification \
                        with the reviewed soundness argument"
                     .to_string(),
-                chain: Vec::new(),
             });
         }
     }
@@ -138,7 +138,6 @@ pub fn reconcile(
         let live = sites.iter().any(|(f, s)| f == &e.file && s.hash == e.hash);
         if live && e.note.starts_with(PLACEHOLDER) {
             out.push(Diagnostic {
-                rule: "unsafe-ledger",
                 file: "UNSAFE_LEDGER.md".to_string(),
                 line: e.row_line,
                 message: format!(
@@ -149,12 +148,10 @@ pub fn reconcile(
                 snippet: format!("| `{}` | {} | {} | … | {} |", e.file, e.lines, e.kind, e.note),
                 hint: "replace the TODO justification with the reviewed soundness argument"
                     .to_string(),
-                chain: Vec::new(),
             });
         }
         if !live {
             out.push(Diagnostic {
-                rule: "unsafe-ledger",
                 file: "UNSAFE_LEDGER.md".to_string(),
                 line: e.row_line,
                 message: format!(
@@ -164,7 +161,6 @@ pub fn reconcile(
                 snippet: format!("| `{}` | {} | {} | … |", e.file, e.lines, e.kind),
                 hint: "run `dcdiff lint --update-ledger` to drop rows for removed unsafe code"
                     .to_string(),
-                chain: Vec::new(),
             });
         }
     }
@@ -243,7 +239,6 @@ mod tests {
         let mut diags = Vec::new();
         reconcile(&sites, &entries, &mut diags);
         assert_eq!(diags.len(), 1, "{diags:?}");
-        assert_eq!(diags[0].rule, "unsafe-ledger");
         assert_eq!(diags[0].file, "UNSAFE_LEDGER.md");
         assert_eq!(diags[0].line, entries[0].row_line);
         assert!(diags[0].message.contains("placeholder"), "{}", diags[0].message);

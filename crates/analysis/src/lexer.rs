@@ -1,9 +1,9 @@
-//! A std-only Rust lexer sufficient for lint-grade analysis.
+//! A std-only Rust lexer sufficient for finding unsafe sites.
 //!
-//! The rules in this crate must never fire inside comments or string
-//! literals (a doc example containing `unwrap()` is not a violation), and
-//! must never *miss* code because of surrounding syntax. That forces the
-//! lexer to get the genuinely tricky parts of Rust's lexical grammar right:
+//! The ledger must never see `unsafe` inside a comment or string literal
+//! (a doc example mentioning `unsafe fn` is not a site), and must never
+//! *miss* code because of surrounding syntax. That forces the lexer to
+//! get the genuinely tricky parts of Rust's lexical grammar right:
 //!
 //! * raw strings `r"…"` / `r#"…"#` with arbitrarily many `#`s (and their
 //!   byte-string variants `br#"…"#`) — a raw string may contain `"` and
@@ -15,8 +15,7 @@
 //! * raw identifiers `r#type` (not a raw string).
 //!
 //! Comments are not tokens: they are collected into a side list with line
-//! numbers, because two rules read them (`// analysis: allow(...)`
-//! annotations and `// SAFETY:` justifications).
+//! numbers.
 
 /// Classification of one lexed token.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

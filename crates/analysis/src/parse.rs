@@ -1,18 +1,17 @@
 //! Structural model of one source file, built on the token stream.
 //!
-//! The rules do not need a real AST — they need three structural facts the
-//! raw token stream cannot answer directly:
+//! The ledger does not need a real AST — it needs three structural facts
+//! the raw token stream cannot answer directly:
 //!
 //! 1. **Which lines are test code.** `#[cfg(test)]` modules and `#[test]`
-//!    functions are excluded from every contract rule: tests are allowed to
-//!    `unwrap()` and `panic!` freely.
+//!    functions are excluded: their unsafe code is not ledgered.
 //! 2. **Where the unsafe sites are.** Every `unsafe` block, `unsafe fn`
 //!    definition, and `unsafe impl`, with the exact source text captured so
 //!    it can be hashed into the ledger. The `unsafe fn(…)` *type* (a
 //!    function-pointer field) is not a site.
 //! 3. **The block structure.** Each `{…}` with its introducer keyword
-//!    (`fn`, `while`, `loop`, …) so the condvar rule can ask "is this
-//!    `.wait()` call inside a loop within its function?".
+//!    (`fn`, `while`, `loop`, …), which bounds test regions and each
+//!    site's extent.
 
 use crate::lexer::{lex, Lexed, Tok, TokKind};
 

@@ -6,8 +6,6 @@
 //! * [`Tip2006`] — Uehara et al., *IEEE TIP 2006* \[22\]: block-iterative
 //!   recovery minimising absolute boundary-pixel differences against
 //!   already-recovered neighbours (median estimator).
-//! * [`Ong2017`] — Ong et al., *SPIC 2017* \[17\]: the fast two-pass
-//!   variant (speed-oriented ancestor, used by the micro-benchmarks).
 //! * [`SmartCom2019`] — Qiu et al., *SmartCom 2019* \[18\]: linear
 //!   *trend* extrapolation of the last two boundary columns/rows instead
 //!   of plain differences (mean estimator).
@@ -38,13 +36,11 @@
 
 mod common;
 mod icip2022;
-mod ong2017;
 mod smartcom2019;
 mod tii2021;
 mod tip2006;
 
 pub use icip2022::Icip2022;
-pub use ong2017::Ong2017;
 pub use smartcom2019::SmartCom2019;
 pub use tii2021::Tii2021;
 pub use tip2006::Tip2006;

@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
 
-use dcdiff_baselines::{DcRecovery, Icip2022, Ong2017, SmartCom2019, Tip2006};
+use dcdiff_baselines::{DcRecovery, Icip2022, SmartCom2019, Tip2006};
 use dcdiff_data::{SceneGenerator, SceneKind};
 use dcdiff_diffusion::NoiseSchedule;
 use dcdiff_jpeg::dct::{fdct, fdct_ref, idct};
@@ -68,9 +68,6 @@ fn bench_recovery(c: &mut Criterion) {
     });
     group.bench_function("smartcom2019", |b| {
         b.iter(|| SmartCom2019::new().recover(black_box(&dropped)))
-    });
-    group.bench_function("ong2017_two_pass", |b| {
-        b.iter(|| Ong2017::new().recover(black_box(&dropped)))
     });
     group.bench_function("icip2022_120sweeps", |b| {
         b.iter(|| Icip2022::new().recover(black_box(&dropped)))

@@ -20,7 +20,7 @@
 //! directory, alongside `BENCH_runtime.json`/`BENCH_kernels.json`.
 
 use std::fmt::Write as _;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use dcdiff_data::{SceneGenerator, SceneKind};
@@ -57,7 +57,6 @@ fn percentile(sorted_ms: &[f64], p: f64) -> f64 {
 fn sweep(addr: &str, jpeg: Arc<Vec<u8>>, offered_rps: f64) -> SweepResult {
     let total = (offered_rps * SWEEP_SECS).round() as usize;
     let interval = Duration::from_secs_f64(1.0 / offered_rps);
-    let outcomes: Arc<Mutex<Vec<(u16, f64)>>> = Arc::new(Mutex::new(Vec::with_capacity(total)));
     let client = Client::new(addr).with_timeout(Duration::from_secs(30));
 
     let started = Instant::now();
@@ -71,23 +70,16 @@ fn sweep(addr: &str, jpeg: Arc<Vec<u8>>, offered_rps: f64) -> SweepResult {
         }
         let client = client.clone();
         let jpeg = Arc::clone(&jpeg);
-        let outcomes = Arc::clone(&outcomes);
         senders.push(std::thread::spawn(move || {
             let t0 = Instant::now();
             let status = client
                 .recover(&jpeg, Some("interactive"), false)
                 .map_or(0, |resp| resp.status);
-            let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-            if let Ok(mut o) = outcomes.lock() {
-                o.push((status, wall_ms));
-            }
+            (status, t0.elapsed().as_secs_f64() * 1e3)
         }));
     }
-    for s in senders {
-        let _ = s.join();
-    }
-
-    let outcomes = outcomes.lock().map(|o| o.clone()).unwrap_or_default();
+    // (status, wall ms) per request; a sender that panicked counts as lost.
+    let outcomes: Vec<(u16, f64)> = senders.into_iter().filter_map(|s| s.join().ok()).collect();
     let completed: Vec<f64> = outcomes
         .iter()
         .filter(|(status, _)| *status == 200)

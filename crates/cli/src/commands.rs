@@ -22,7 +22,36 @@ fn write_image(path: &str, image: &dcdiff_image::Image) -> Result<(), String> {
     }
 }
 
-/// Usage text shown on errors.
+/// Why a command failed. `main` prints [`USAGE`] after a
+/// [`CliError::Usage`] only.
+#[derive(Debug)]
+pub enum CliError {
+    /// An unknown command or flag, or a missing or malformed argument.
+    Usage(String),
+    /// The command ran and failed: an I/O, codec or job error.
+    Failed(String),
+}
+
+impl From<String> for CliError {
+    fn from(msg: String) -> Self {
+        CliError::Failed(msg)
+    }
+}
+
+impl std::fmt::Display for CliError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            CliError::Usage(msg) | CliError::Failed(msg) => f.write_str(msg),
+        }
+    }
+}
+
+/// Mark an argument-parsing error as a usage error.
+fn usage<T>(parsed: Result<T, String>) -> Result<T, CliError> {
+    parsed.map_err(CliError::Usage)
+}
+
+/// Usage text shown after a usage error.
 pub const USAGE: &str = "usage:
   dcdiff encode  <in.ppm> <out.jpg>  [--quality N | --budget BYTES]
                                      [--subsample 444|422|420] [--drop-dc]
@@ -55,25 +84,24 @@ pub const USAGE: &str = "usage:
                                      [--class interactive|standard|bulk]
                                      [--dc-plane]
   dcdiff top     <addr>              [--interval-ms MS] [--once]
-  dcdiff lint    [--rule <id>] [--json] [--root DIR] [--update-ledger]
-                 [--graph] [--entry SYM]... [--why SYM]
-                 [--max-unresolved RATE]";
+  dcdiff lint    [--root DIR] [--update-ledger]";
 
 /// Value flags `batch` and `serve` share: runtime sizing and telemetry.
 const RUNTIME_FLAGS: &[&str] =
     &["--workers", "--queue-cap", "--batch", "--trace", "--metrics", "--log-level"];
 
 /// A command body, run on its parsed line.
-type Command = fn(&Line<'_>) -> Result<(), String>;
+type Command = fn(&Line<'_>) -> Result<(), CliError>;
 
 /// Dispatch the command line.
 ///
 /// # Errors
 ///
-/// Returns a human-readable message for any parse, I/O or codec failure.
-pub fn dispatch(argv: &[String]) -> Result<(), String> {
+/// A [`CliError::Usage`] for a command line that does not parse, a
+/// [`CliError::Failed`] for an I/O, codec or job failure.
+pub fn dispatch(argv: &[String]) -> Result<(), CliError> {
     let Some(command) = argv.first() else {
-        return Err("no command given".to_string());
+        return Err(CliError::Usage("no command given".to_string()));
     };
     // Each command's body, value flags, boolean flags, and the most
     // positionals it takes (the command itself included).
@@ -90,22 +118,17 @@ pub fn dispatch(argv: &[String]) -> Result<(), String> {
             }
             "submit" => (submit, vec!["--class"], &["--dc-plane"], 4),
             "top" => (top, vec!["--interval-ms"], &["--once"], 2),
-            "lint" => (
-                lint,
-                vec!["--rule", "--root", "--entry", "--why", "--max-unresolved"],
-                &["--json", "--update-ledger", "--graph"],
-                1,
-            ),
+            "lint" => (lint, vec!["--root"], &["--update-ledger"], 1),
             // `encode`, `transcode`, `recover` and `metrics` are job lines;
             // the job grammar names any other command as unknown.
             _ => return one_shot(argv),
         };
-    let line = Line::parse(argv, &values, bools)?;
+    let line = usage(Line::parse(argv, &values, bools))?;
     let given = line.positionals().len();
     if given > max_positionals {
-        return Err(format!(
+        return Err(CliError::Usage(format!(
             "too many arguments ({given} given, at most {max_positionals} expected)"
-        ));
+        )));
     }
     run(&line)
 }
@@ -117,22 +140,22 @@ fn io_err(err: impl std::fmt::Display) -> String {
 /// Run one job command as a one-line manifest: the job grammar's
 /// [`parse_job`], then a one-job batch on a one-worker runtime — the
 /// `dcdiff batch` path, fallback ladder, deadline and retries included.
-fn one_shot(argv: &[String]) -> Result<(), String> {
-    let spec = parse_job(argv)?;
+fn one_shot(argv: &[String]) -> Result<(), CliError> {
+    let spec = usage(parse_job(argv))?;
     let runtime = Runtime::start(RuntimeConfig::with_workers(1));
     runtime.submit_blocking(spec).map_err(io_err)?;
     let result = runtime
         .shutdown(ShutdownMode::Drain)
         .results
         .pop()
-        .ok_or("the runtime returned no result")?;
+        .ok_or_else(|| "the runtime returned no result".to_string())?;
     match result.outcome {
         Ok(output) => {
             println!("{}", summary(&result.job, &output));
             Ok(())
         }
-        Err(JobFailure::Error(err)) => Err(err.message),
-        Err(failure) => Err(format!("{} job: {failure:?}", result.job.stage().name())),
+        Err(JobFailure::Error(err)) => Err(err.message.into()),
+        Err(failure) => Err(format!("{} job: {failure:?}", result.job.stage().name()).into()),
     }
 }
 
@@ -157,9 +180,9 @@ fn summary(job: &Job, output: &JobOutput) -> String {
     }
 }
 
-fn decode(line: &Line<'_>) -> Result<(), String> {
-    let input = line.positional(1, "input .jpg path")?;
-    let output = line.positional(2, "output .ppm path")?;
+fn decode(line: &Line<'_>) -> Result<(), CliError> {
+    let input = usage(line.positional(1, "input .jpg path"))?;
+    let output = usage(line.positional(2, "output .ppm path"))?;
     let bytes = std::fs::read(&input).map_err(io_err)?;
     let image = JpegDecoder::decode(&bytes).map_err(io_err)?;
     write_image(&output, &image)?;
@@ -167,8 +190,8 @@ fn decode(line: &Line<'_>) -> Result<(), String> {
     Ok(())
 }
 
-fn info(line: &Line<'_>) -> Result<(), String> {
-    let input = line.positional(1, "input .jpg path")?;
+fn info(line: &Line<'_>) -> Result<(), CliError> {
+    let input = usage(line.positional(1, "input .jpg path"))?;
     let bytes = std::fs::read(&input).map_err(io_err)?;
     let coeffs = JpegDecoder::decode_coefficients(&bytes).map_err(io_err)?;
     println!("{input}:");
@@ -201,21 +224,21 @@ fn info(line: &Line<'_>) -> Result<(), String> {
     Ok(())
 }
 
-fn demo(line: &Line<'_>) -> Result<(), String> {
-    let output = line.positional(1, "output .ppm path")?;
+fn demo(line: &Line<'_>) -> Result<(), CliError> {
+    let output = usage(line.positional(1, "output .ppm path"))?;
     let kind = match line.value("--scene").unwrap_or("natural") {
         "smooth" => SceneKind::Smooth,
         "natural" => SceneKind::Natural,
         "texture" => SceneKind::Texture,
         "urban" => SceneKind::Urban,
         "aerial" => SceneKind::Aerial,
-        other => return Err(format!("unknown scene '{other}'")),
+        other => return Err(CliError::Usage(format!("unknown scene '{other}'"))),
     };
-    let (w, h) = line.size("--size", (96, 96))?;
+    let (w, h) = usage(line.size("--size", (96, 96)))?;
     if w == 0 || h == 0 {
-        return Err("--size must be positive".to_string());
+        return Err(CliError::Usage("--size must be positive".to_string()));
     }
-    let seed = line.number("--seed", 0)?;
+    let seed = usage(line.number("--seed", 0))?;
     let image = SceneGenerator::new(kind, w, h).generate(seed);
     write_image(&output, &image)?;
     println!("{output}: {kind:?} scene {w}x{h} (seed {seed})");
@@ -224,10 +247,10 @@ fn demo(line: &Line<'_>) -> Result<(), String> {
 
 /// Build the [`dcdiff_telemetry::Telemetry`] handle described by `--trace`, `--metrics` and
 /// `--log-level`, shared by `batch` and any future instrumented command.
-fn telemetry_from_flags(line: &Line<'_>) -> Result<dcdiff_telemetry::Telemetry, String> {
+fn telemetry_from_flags(line: &Line<'_>) -> Result<dcdiff_telemetry::Telemetry, CliError> {
     let level = match line.value("--log-level") {
         None => dcdiff_telemetry::Level::Info,
-        Some(s) => s.parse()?,
+        Some(s) => usage(s.parse())?,
     };
     let mut builder = dcdiff_telemetry::Telemetry::builder().log_level(level);
     if let Some(path) = line.value("--trace") {
@@ -243,12 +266,12 @@ fn telemetry_from_flags(line: &Line<'_>) -> Result<dcdiff_telemetry::Telemetry, 
 fn runtime_config(
     line: &Line<'_>,
     tel: &dcdiff_telemetry::Telemetry,
-) -> Result<RuntimeConfig, String> {
+) -> Result<RuntimeConfig, CliError> {
     let defaults = RuntimeConfig::default();
     Ok(RuntimeConfig {
-        workers: line.number("--workers", defaults.workers)?.max(1),
-        queue_cap: line.number("--queue-cap", defaults.queue_cap)?.max(1),
-        batch_max: line.number("--batch", defaults.batch_max)?.max(1),
+        workers: usage(line.number("--workers", defaults.workers))?.max(1),
+        queue_cap: usage(line.number("--queue-cap", defaults.queue_cap))?.max(1),
+        batch_max: usage(line.number("--batch", defaults.batch_max))?.max(1),
         telemetry: tel.clone(),
         recovery: if line.has("--no-fallback") {
             RecoveryPolicy::no_fallback()
@@ -260,16 +283,16 @@ fn runtime_config(
 }
 
 /// Run a manifest of jobs through the batch-serving runtime.
-fn batch(line: &Line<'_>) -> Result<(), String> {
+fn batch(line: &Line<'_>) -> Result<(), CliError> {
     use dcdiff_runtime::SubmitError;
 
-    let manifest_path = line.positional(1, "manifest path")?;
+    let manifest_path = usage(line.positional(1, "manifest path"))?;
     let text = std::fs::read_to_string(&manifest_path)
         .map_err(|e| format!("{manifest_path}: {e}"))?;
     let specs =
         dcdiff_runtime::parse_manifest(&text).map_err(|e| format!("{manifest_path}: {e}"))?;
     if specs.is_empty() {
-        return Err(format!("{manifest_path}: no jobs in manifest"));
+        return Err(format!("{manifest_path}: no jobs in manifest").into());
     }
 
     let tel = telemetry_from_flags(line)?;
@@ -300,7 +323,7 @@ fn batch(line: &Line<'_>) -> Result<(), String> {
             Ok(_) => {}
             Err(SubmitError::QueueFull) => shed += 1,
             Err(SubmitError::ShuttingDown) => {
-                return Err("runtime shut down during submission".to_string())
+                return Err("runtime shut down during submission".to_string().into())
             }
         }
     }
@@ -341,7 +364,7 @@ fn batch(line: &Line<'_>) -> Result<(), String> {
     if let Some(path) = line.value("--trace") {
         println!("trace written to {path} (inspect with `dcdiff report {path}`)");
     }
-    batch_verdict(&report.stats, failed, total)
+    batch_verdict(&report.stats, failed, total).map_err(CliError::Failed)
 }
 
 /// `batch`'s exit status: an error when a job failed, or when a submitted
@@ -367,16 +390,16 @@ fn batch_verdict(
 }
 
 /// Run the long-lived network front door (`dcdiff serve`).
-fn serve(line: &Line<'_>) -> Result<(), String> {
+fn serve(line: &Line<'_>) -> Result<(), CliError> {
     use dcdiff_serve::{ServeConfig, Server};
 
     let tel = telemetry_from_flags(line)?;
     let cfg = ServeConfig {
         addr: line.value("--addr").unwrap_or("127.0.0.1:7878").to_string(),
-        max_connections: line.number("--max-conns", 64)?.max(1),
-        per_client_inflight: line.number("--client-inflight", 4)?.max(1),
-        max_body_bytes: line.number("--max-body", 16 << 20)?.max(1024),
-        method: parse_method(line)?,
+        max_connections: usage(line.number("--max-conns", 64))?.max(1),
+        per_client_inflight: usage(line.number("--client-inflight", 4))?.max(1),
+        max_body_bytes: usage(line.number("--max-body", 16 << 20))?.max(1024),
+        method: usage(parse_method(line))?,
         runtime: runtime_config(line, &tel)?,
         ..ServeConfig::default()
     };
@@ -417,10 +440,10 @@ fn serve(line: &Line<'_>) -> Result<(), String> {
 
 /// Send one JPEG to a running `dcdiff serve` and save the response
 /// (`dcdiff submit`).
-fn submit(line: &Line<'_>) -> Result<(), String> {
-    let addr = line.positional(1, "server address (host:port)")?;
-    let input = line.positional(2, "input .jpg path")?;
-    let output = line.positional(3, "output image path")?;
+fn submit(line: &Line<'_>) -> Result<(), CliError> {
+    let addr = usage(line.positional(1, "server address (host:port)"))?;
+    let input = usage(line.positional(2, "input .jpg path"))?;
+    let output = usage(line.positional(3, "output image path"))?;
     let jpeg = std::fs::read(&input).map_err(|e| format!("{input}: {e}"))?;
     let dc_plane = line.has("--dc-plane") || output.to_ascii_lowercase().ends_with(".pgm");
     let client = dcdiff_serve::Client::new(addr.as_str());
@@ -432,7 +455,8 @@ fn submit(line: &Line<'_>) -> Result<(), String> {
             "{addr}: server answered {}: {}",
             response.status,
             String::from_utf8_lossy(&response.body).trim()
-        ));
+        )
+        .into());
     }
     std::fs::write(&output, &response.body).map_err(|e| format!("{output}: {e}"))?;
     println!(
@@ -447,10 +471,10 @@ fn submit(line: &Line<'_>) -> Result<(), String> {
 /// `dcdiff batch --trace` / `dcdiff serve --trace`. Multiple files are
 /// merged end-to-end ([`dcdiff_telemetry::TraceReport::from_texts`]), so a
 /// fleet of per-run traces rolls up into one table.
-fn report(line: &Line<'_>) -> Result<(), String> {
+fn report(line: &Line<'_>) -> Result<(), CliError> {
     let paths = line.positionals().get(1..).unwrap_or_default();
     if paths.is_empty() {
-        return Err("missing trace .jsonl path".to_string());
+        return Err(CliError::Usage("missing trace .jsonl path".to_string()));
     }
     let mut texts = Vec::new();
     for path in paths {
@@ -471,10 +495,10 @@ fn report(line: &Line<'_>) -> Result<(), String> {
 /// [`dcdiff_telemetry::prometheus::parse`], and renders a refreshing
 /// terminal table. `--once` prints a single frame (CI smoke); `--interval-ms`
 /// sets the refresh cadence.
-fn top(line: &Line<'_>) -> Result<(), String> {
-    let addr = line.positional(1, "server address (host:port)")?;
+fn top(line: &Line<'_>) -> Result<(), CliError> {
+    let addr = usage(line.positional(1, "server address (host:port)"))?;
     let interval =
-        std::time::Duration::from_millis(line.number("--interval-ms", 1000)?.max(100));
+        std::time::Duration::from_millis(usage(line.number("--interval-ms", 1000))?.max(100));
     let once = line.has("--once");
     let client = dcdiff_serve::Client::new(addr.as_str());
     loop {
@@ -482,7 +506,7 @@ fn top(line: &Line<'_>) -> Result<(), String> {
             .get_with("/metrics", &[("accept", "text/plain")])
             .map_err(|e| format!("{addr}: {e}"))?;
         if !response.is_success() {
-            return Err(format!("{addr}: server answered {}", response.status));
+            return Err(format!("{addr}: server answered {}", response.status).into());
         }
         let text = String::from_utf8_lossy(&response.body);
         let samples = dcdiff_telemetry::prometheus::parse(&text)
@@ -667,122 +691,26 @@ fn render_top(addr: &str, samples: &[dcdiff_telemetry::prometheus::Sample]) -> S
     out
 }
 
-/// `dcdiff lint` — run the workspace static-analysis engine
-/// ([`dcdiff_analysis`]) and fail with a non-zero exit when any contract
-/// rule fires. `--rule <id>` restricts the run to one rule, `--json`
-/// emits the machine-readable report (for the CI artifact), `--root DIR`
-/// lints a different tree, and `--update-ledger` regenerates
-/// `UNSAFE_LEDGER.md` from the workspace's unsafe sites instead of
-/// linting. The interprocedural engine adds `--entry SYM` (override the
-/// request-path entry points, repeatable), `--graph` (print call-graph
-/// resolution stats), `--why SYM` (print every call chain from an entry
-/// point or hot function to SYM, instead of linting), and
-/// `--max-unresolved RATE` (fail when the call-graph unresolved rate
-/// exceeds RATE, e.g. `0.10`).
-fn lint(line: &Line<'_>) -> Result<(), String> {
+/// `dcdiff lint` — reconcile the workspace's unsafe sites against
+/// `UNSAFE_LEDGER.md` ([`dcdiff_analysis`]) and fail with a non-zero exit
+/// on any mismatch. `--root DIR` checks a different tree, and
+/// `--update-ledger` regenerates the ledger instead of checking it.
+fn lint(line: &Line<'_>) -> Result<(), CliError> {
     let root = std::path::PathBuf::from(line.value("--root").unwrap_or("."));
-    let mut cfg = dcdiff_analysis::Config::default_workspace();
-    if let Some(rule) = line.value("--rule") {
-        if !dcdiff_analysis::config::is_rule(rule) {
-            return Err(format!(
-                "unknown rule '{rule}' (known: {})",
-                dcdiff_analysis::RULES.join(", ")
-            ));
-        }
-        cfg.only = Some(rule.to_string());
-    }
-    let entries: Vec<String> = line.values("--entry").map(str::to_string).collect();
-    if !entries.is_empty() {
-        cfg.entries = entries;
-    }
     if line.has("--update-ledger") {
-        let ledger = dcdiff_analysis::generate_ledger(&root, &cfg)?;
+        let ledger = dcdiff_analysis::generate_ledger(&root)?;
         let path = root.join(dcdiff_analysis::LEDGER_FILE);
         std::fs::write(&path, ledger).map_err(io_err)?;
         println!("wrote {}", path.display());
         return Ok(());
     }
-    let analyzed = dcdiff_analysis::analyze_workspace_graph(&root, &cfg)?;
-    if let Some(symbol) = line.value("--why") {
-        let Some(graph) = &analyzed.graph else {
-            return Err("--why needs the interprocedural rules enabled \
-                        (drop --rule, or name an interprocedural rule)"
-                .to_string());
-        };
-        let chains = dcdiff_analysis::interproc::why(&analyzed.facts, graph, &cfg, symbol);
-        if chains.is_empty() {
-            println!("`{symbol}` is not reachable from any entry point or hot function");
-            return Ok(());
-        }
-        for chain in &chains {
-            for (i, step) in chain.iter().enumerate() {
-                let arrow = if i == 0 { "  " } else { "-> " };
-                println!("{arrow}{} ({}:{})", step.symbol, step.file, step.line);
-            }
-            println!();
-        }
-        return Ok(());
-    }
-    let report = &analyzed.report;
-    if line.has("--json") {
-        println!("{}", report.to_json());
-    } else {
-        print!("{}", report.render());
-        if line.has("--graph") {
-            if let Some(g) = &report.graph {
-                print!("{}", render_graph_stats(g));
-            }
-        }
-    }
-    if let Some(max) = line.value("--max-unresolved") {
-        let max: f64 = max
-            .parse()
-            .map_err(|_| format!("flag --max-unresolved: '{max}' is not a number"))?;
-        let Some(g) = &report.graph else {
-            return Err("--max-unresolved needs the call graph \
-                        (drop --rule, or name an interprocedural rule)"
-                .to_string());
-        };
-        if g.unresolved_rate() > max {
-            return Err(format!(
-                "call-graph unresolved rate {:.4} exceeds --max-unresolved {max} \
-                 ({} of {} calls; run with --graph to list them)",
-                g.unresolved_rate(),
-                g.unresolved,
-                g.calls
-            ));
-        }
-    }
+    let report = dcdiff_analysis::analyze_workspace(&root)?;
+    print!("{}", report.render());
     if report.is_clean() {
         Ok(())
     } else {
-        Err(format!(
-            "lint failed: {} violation(s)",
-            report.diagnostics.len()
-        ))
+        Err(format!("lint failed: {} violation(s)", report.diagnostics.len()).into())
     }
-}
-
-/// Human-readable call-graph resolution summary for `lint --graph`.
-fn render_graph_stats(g: &dcdiff_analysis::graph::GraphStats) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "call graph: {} function(s) ({} hot), {} call(s): {} resolved, \
-         {} external, {} unresolved ({:.2}%)",
-        g.functions,
-        g.hot_functions,
-        g.calls,
-        g.resolved,
-        g.external,
-        g.unresolved,
-        g.unresolved_rate() * 100.0
-    );
-    for (name, count) in g.unresolved_names.iter().take(20) {
-        let _ = writeln!(out, "  unresolved: {name} ({count} site(s))");
-    }
-    out
 }
 
 #[cfg(test)]
@@ -790,13 +718,35 @@ mod tests {
     use super::*;
 
     fn run(args: &[&str]) -> Result<(), String> {
-        dispatch(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>())
+        dispatch(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>()).map_err(|e| e.to_string())
     }
 
     fn tmp(name: &str) -> String {
         let mut p = std::env::temp_dir();
         p.push(format!("dcdiff-cli-test-{}-{name}", std::process::id()));
         p.to_string_lossy().into_owned()
+    }
+
+    #[test]
+    fn only_command_line_mistakes_are_usage_errors() {
+        let classify = |args: &[&str]| {
+            dispatch(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>()).unwrap_err()
+        };
+        for args in [
+            &["frobnicate"][..],
+            &[],
+            &["info", "a.jpg", "--drop-dc"],
+            &["decode", "a.jpg"],
+            &["demo", "x.ppm", "--seed", "many"],
+            &["encode", "a.ppm", "b.jpg", "--quality", "0"],
+            &["lint", "--json"],
+        ] {
+            assert!(matches!(classify(args), CliError::Usage(_)), "{args:?}");
+        }
+        let missing = tmp("usage-missing");
+        for args in [&["info", missing.as_str()][..], &["metrics", &missing, &missing]] {
+            assert!(matches!(classify(args), CliError::Failed(_)), "{args:?}");
+        }
     }
 
     #[test]

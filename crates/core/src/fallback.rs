@@ -48,13 +48,19 @@ pub enum EstimateError {
 impl EstimateError {
     /// Build [`EstimateError::Panicked`] from a caught panic payload.
     pub fn panicked(payload: Box<dyn std::any::Any + Send>) -> Self {
-        let msg = payload
-            .downcast_ref::<&str>()
-            .map(|s| s.to_string())
-            .or_else(|| payload.downcast_ref::<String>().cloned())
-            .unwrap_or_else(|| "estimator panicked".to_string());
-        EstimateError::Panicked(msg)
+        EstimateError::Panicked(
+            panic_message(&*payload).unwrap_or_else(|| "estimator panicked".to_string()),
+        )
     }
+}
+
+/// The message a caught panic carried: its `&str` or `String` payload, or
+/// `None` for any other payload type.
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> Option<String> {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| s.to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
 }
 
 impl std::fmt::Display for EstimateError {

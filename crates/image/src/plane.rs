@@ -75,7 +75,7 @@ impl Plane {
                 data.push(f(x, y));
             }
         }
-        // analysis: allow(panic-reachability) — the vec is filled to exactly width*height by the loops above
+        // The loops above fill the vec to exactly width*height.
         Self::from_vec(width, height, data).expect("from_fn dimensions are consistent")
     }
 

@@ -28,7 +28,7 @@ impl BitWriter {
     /// Panics if `count > 24`.
     #[expect(
         clippy::disallowed_macros,
-        reason = "encoder-side documented `# Panics` contract; counts come from our own Huffman tables, never from input bytes"
+        reason = "documented `# Panics` contract, but not unreachable from input: a transcode re-codes levels read from input bytes, and a valid stream whose DC predictor passes 2^24 asks for 25 bits here; the runtime's job boundary fails that job and keeps its worker"
     )]
     // The scan encoder calls this twice per symbol; an outlined `put`
     // measured up to 25 % slower there.

@@ -448,7 +448,6 @@ impl CoeffImage {
             reason = "structural invariant: the chroma planes were just upsampled to the luma grid above"
         )]
         let ycbcr = Image::from_planes(vec![y, cb, cr], ColorSpace::YCbCr)
-            // analysis: allow(panic-reachability) — structural invariant: the chroma planes were just upsampled to the luma grid above
             .expect("component planes share dimensions");
         let out = ycbcr.into_rgb();
         crate::metrics::record_pixels(t0, blocks);

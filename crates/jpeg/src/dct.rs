@@ -97,7 +97,6 @@ pub fn idct_ref(coeffs: &[f32; BLOCK_AREA]) -> [f32; BLOCK_AREA] {
 
 /// 1-D 8-point forward DCT on a strided slice.
 #[inline]
-// analysis: hot
 fn fdct_1d(data: &mut [f32; BLOCK_AREA], offset: usize, stride: usize) {
     let mut tmp = [0.0f32; BLOCK];
     let t = cos_table();
@@ -115,7 +114,6 @@ fn fdct_1d(data: &mut [f32; BLOCK_AREA], offset: usize, stride: usize) {
 
 /// 1-D 8-point inverse DCT on a strided slice.
 #[inline]
-// analysis: hot
 fn idct_1d(data: &mut [f32; BLOCK_AREA], offset: usize, stride: usize) {
     let mut tmp = [0.0f32; BLOCK];
     let t = cos_table();
@@ -283,7 +281,7 @@ fn cos_table_t() -> &'static [[f32; BLOCK]; BLOCK] {
 #[target_feature(enable = "avx2")]
 // SAFETY: unsafe fn — requires avx2; the dispatcher only calls this after
 // `simd::active()` reports the Avx2Fma tier.
-unsafe fn fdct_quantize_avx2( // analysis: hot
+unsafe fn fdct_quantize_avx2(
     samples: &[f32; BLOCK_AREA],
     qtable: &[u16; BLOCK_AREA],
     out: &mut [i32; BLOCK_AREA],

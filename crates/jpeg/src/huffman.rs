@@ -104,7 +104,6 @@ impl HuffmanTable {
         reason = "documented `# Panics` contract; used only with the compile-time Annex-K tables, untrusted DHT segments go through `try_new`"
     )]
     pub fn new(bits: [u8; 16], vals: &[u8]) -> Self {
-        // analysis: allow(panic-reachability) — documented `# Panics` contract; used only with the compile-time Annex-K tables, untrusted DHT segments go through `try_new`
         Self::try_new(bits, vals).expect("BITS total must equal HUFFVAL length")
     }
 
@@ -250,7 +249,6 @@ impl HuffmanTable {
     /// end-of-data or a marker take [`Self::decode_bitwise`], which is
     /// bit-for-bit the pre-LUT decoder. While [`crate::simd::force_scalar`]
     /// pins the reference pipeline, every symbol takes the bitwise tier.
-    // analysis: hot
     pub fn decode(&self, reader: &mut BitReader<'_>) -> Option<u8> {
         if crate::simd::scalar_forced() {
             // `force_scalar` pins the whole reference pipeline, entropy
@@ -273,7 +271,6 @@ impl HuffmanTable {
     /// Bit-by-bit canonical decode (T.81 F.2.2.3), the slow tier behind
     /// [`Self::decode`] and the oracle the LUT path is tested against.
     #[expect(clippy::indexing_slicing, reason = "l is 1..=16 into [_; 17] tables")]
-    // analysis: hot
     pub fn decode_bitwise(&self, reader: &mut BitReader<'_>) -> Option<u8> {
         let mut code: i32 = 0;
         for l in 1..=16usize {

@@ -57,7 +57,6 @@ fn with_handles(f: impl FnOnce(&Handles)) {
         if stale {
             *slot = Some(Handles::resolve(current));
         }
-        // analysis: allow(panic-reachability) — the slot was filled on the line above when stale
         f(slot.as_ref().expect("handles just resolved"));
     });
 }

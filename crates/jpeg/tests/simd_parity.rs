@@ -8,6 +8,11 @@
 //! scalar-only host dispatch returns the oracle itself and the
 //! properties hold trivially.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "TIER serialises this test binary's properties; it is no product lock and has no rank"
+)]
+
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use dcdiff_image::{ColorSpace, Image, Plane};

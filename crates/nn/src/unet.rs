@@ -107,7 +107,7 @@ impl UNet {
             }
         }
 
-        // analysis: allow(panic-reachability) — `chans` has one entry per level and levels ≥ 1
+        // `chans` has one entry per level, and levels ≥ 1.
         let c_last = *chans.last().expect("nonempty");
         let mid1 = ResBlock::new(c_last, c_last, td, rng);
         let mid_attention = config.attention.then(|| AttentionBlock::new(c_last, rng));
@@ -222,7 +222,7 @@ impl UNet {
             }
         };
         for (k, block) in self.up_blocks.iter().enumerate() {
-            // analysis: allow(panic-reachability) — the encoder pushes one skip per up block by construction
+            // The encoder pushes one skip per up block.
             let skip = skips.pop().expect("skip available for each up block");
             let (hb, sk) = modulate(h, skip);
             h = block.forward(&hb.concat_channels(&sk), Some(&temb));
@@ -230,7 +230,7 @@ impl UNet {
                 h = self.upsamples[k].forward(&h);
             }
         }
-        // analysis: allow(panic-reachability) — conv_in pushed the first skip; the loop pops one per up block
+        // conv_in pushed the first skip; the loop pops one per up block.
         let skip = skips.pop().expect("conv_in skip remains");
         let (hb, sk) = modulate(h, skip);
         h = self.final_block.forward(&hb.concat_channels(&sk), Some(&temb));
@@ -357,7 +357,7 @@ impl ControlModule {
                 downsamples.push(Downsample::new(c, rng));
             }
         }
-        // analysis: allow(panic-reachability) — `chans` has one entry per level and levels ≥ 1
+        // `chans` has one entry per level, and levels ≥ 1.
         let c_last = *chans.last().expect("nonempty");
         zero_convs.push(Conv2d::zeroed(c_last, c_last, 1, 1, 0));
         Self {

@@ -3,8 +3,9 @@
 //! The DCDiff system splits work asymmetrically: a low-cost IoT sender
 //! encodes and drops DC coefficients, and a powerful receiver recovers them —
 //! so receiver-side throughput is the system bottleneck. This crate is the
-//! substrate for serving that work at scale, std-only (threads, channels via
-//! `Mutex`/`Condvar`, atomics — no external dependencies):
+//! substrate for serving that work at scale, std-only (threads, ranked
+//! `dcdiff_telemetry::sync` locks with `Condvar`s, atomics — no external
+//! dependencies):
 //!
 //! * [`Job`] / [`JobSpec`] — the job model covering the existing pipelines
 //!   (encode, DC-drop transcode, recovery, metrics) with per-job deadline,
@@ -13,8 +14,10 @@
 //!   fail-fast submission, drain vs. abort close);
 //! * [`Runtime`] — a fixed worker pool with micro-batching of Recover jobs
 //!   sharing a config (one engine per batch instead of one per image; one
-//!   fused DDIM cohort per diffusion batch), deadline enforcement, and
-//!   bounded retry with exponential backoff;
+//!   fused DDIM cohort per diffusion batch), deadline enforcement,
+//!   bounded retry with exponential backoff, and one panic boundary per
+//!   job: a panic in job code fails that job (`runtime.job_panics`), not
+//!   its worker;
 //! * [`RuntimeStats`] — an atomic counter block whose [`RuntimeStats::snapshot`]
 //!   the CLI prints after `dcdiff batch`;
 //! * [`manifest`] — the job grammar: the one-job-per-line manifest format

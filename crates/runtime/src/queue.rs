@@ -1,4 +1,4 @@
-//! A bounded MPMC queue built on `Mutex` + `Condvar`.
+//! A bounded MPMC queue built on a ranked `Mutex` + `Condvar`.
 //!
 //! This is the runtime's backpressure point: producers choose between
 //! blocking ([`BoundedQueue::push_blocking`]) and fail-fast
@@ -9,7 +9,9 @@
 //! the caller for rejection).
 
 use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex};
+use std::sync::Condvar;
+
+use dcdiff_telemetry::sync::{Mutex, Rank};
 
 /// Why a push did not enqueue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,7 +50,7 @@ impl<T> BoundedQueue<T> {
     /// Queue holding at most `capacity` items (at least 1).
     pub fn new(capacity: usize) -> Self {
         BoundedQueue {
-            inner: Mutex::new(Inner {
+            inner: Mutex::new(Rank::RuntimeQueue, Inner {
                 items: VecDeque::new(),
                 closed: false,
                 high_water: 0,
@@ -66,23 +68,17 @@ impl<T> BoundedQueue<T> {
 
     /// Current depth.
     pub fn len(&self) -> usize {
-        self.lock().items.len()
+        self.inner.lock().items.len()
     }
 
     /// Whether the queue is currently empty.
     pub fn is_empty(&self) -> bool {
-        self.lock().items.is_empty()
+        self.inner.lock().items.is_empty()
     }
 
     /// Highest depth observed since construction.
     pub fn high_water(&self) -> usize {
-        self.lock().high_water
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, Inner<T>> {
-        // Worker panics while holding the lock are bugs; poisoning would only
-        // cascade them, so recover the guard.
-        self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+        self.inner.lock().high_water
     }
 
     /// Fail-fast push: enqueue or return [`PushError::Full`] immediately.
@@ -92,7 +88,7 @@ impl<T> BoundedQueue<T> {
     /// [`PushError::Closed`] after [`BoundedQueue::close`]; [`PushError::Full`]
     /// at capacity.
     pub fn try_push(&self, item: T) -> Result<(), PushError> {
-        let mut inner = self.lock();
+        let mut inner = self.inner.lock();
         if inner.closed {
             return Err(PushError::Closed);
         }
@@ -113,51 +109,40 @@ impl<T> BoundedQueue<T> {
     /// [`PushError::Closed`] if the queue is (or becomes, while waiting)
     /// closed.
     pub fn push_blocking(&self, item: T) -> Result<(), PushError> {
-        let mut inner = self.lock();
-        loop {
-            if inner.closed {
-                return Err(PushError::Closed);
-            }
-            if inner.items.len() < self.capacity {
-                inner.items.push_back(item);
-                inner.high_water = inner.high_water.max(inner.items.len());
-                drop(inner);
-                self.not_empty.notify_one();
-                return Ok(());
-            }
-            inner = self
-                .not_full
-                .wait(inner)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut inner = self
+            .inner
+            .lock()
+            .wait_while(&self.not_full, |q| !q.closed && q.items.len() >= self.capacity);
+        if inner.closed {
+            return Err(PushError::Closed);
         }
+        inner.items.push_back(item);
+        inner.high_water = inner.high_water.max(inner.items.len());
+        drop(inner);
+        self.not_empty.notify_one();
+        Ok(())
     }
 
     /// Blocking pop: the next item, or `None` once the queue is closed *and*
     /// empty (drain semantics — queued items are still delivered after
     /// close).
     pub fn pop(&self) -> Option<T> {
-        let mut inner = self.lock();
-        loop {
-            if let Some(item) = inner.items.pop_front() {
-                drop(inner);
-                self.not_full.notify_one();
-                return Some(item);
-            }
-            if inner.closed {
-                return None;
-            }
-            inner = self
-                .not_empty
-                .wait(inner)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-        }
+        let mut inner = self
+            .inner
+            .lock()
+            .wait_while(&self.not_empty, |q| q.items.is_empty() && !q.closed);
+        // Empty here means closed and drained.
+        let item = inner.items.pop_front()?;
+        drop(inner);
+        self.not_full.notify_one();
+        Some(item)
     }
 
     /// Non-blocking: remove and return up to `max` queued items for which
     /// `matches` is true, preserving FIFO order among them. Used by workers
     /// to gather a micro-batch behind an item they already popped.
     pub fn take_matching<F: FnMut(&T) -> bool>(&self, max: usize, mut matches: F) -> Vec<T> {
-        let mut inner = self.lock();
+        let mut inner = self.inner.lock();
         let mut taken = Vec::new();
         let mut i = 0;
         while i < inner.items.len() && taken.len() < max {
@@ -180,7 +165,7 @@ impl<T> BoundedQueue<T> {
 
     /// Close for new pushes; queued items remain poppable (drain mode).
     pub fn close(&self) {
-        self.lock().closed = true;
+        self.inner.lock().closed = true;
         self.not_empty.notify_all();
         self.not_full.notify_all();
     }
@@ -188,7 +173,7 @@ impl<T> BoundedQueue<T> {
     /// Close for new pushes and hand back everything still queued (abort
     /// mode). Consumers observe an empty, closed queue and exit.
     pub fn close_and_take(&self) -> Vec<T> {
-        let mut inner = self.lock();
+        let mut inner = self.inner.lock();
         inner.closed = true;
         let remainder = inner.items.drain(..).collect();
         drop(inner);

@@ -2,13 +2,17 @@
 //! bounded queue, with micro-batching of Recover jobs, deadline enforcement,
 //! bounded retry with exponential backoff, and drain/abort shutdown.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use dcdiff_telemetry::sync::{Mutex, Rank};
 use dcdiff_telemetry::{Counter, Gauge, Histogram, Telemetry};
 use dcdiff_telemetry::names;
+
+use dcdiff_core::panic_message;
 
 use dcdiff_jpeg::CoeffImage;
 
@@ -87,6 +91,7 @@ struct RtMetrics {
     batch_size: Histogram,
     job_wall: Histogram,
     retries: Counter,
+    job_panics: Counter,
     /// Per-stage execute latency, indexed by [`Stage::index`].
     stage: [Histogram; 4],
 }
@@ -99,6 +104,7 @@ impl RtMetrics {
             batch_size: tel.histogram(names::HIST_BATCH_SIZE),
             job_wall: tel.histogram(names::HIST_JOB_WALL_US),
             retries: tel.counter(names::CTR_RETRIES),
+            job_panics: tel.counter(names::CTR_JOB_PANICS),
             stage: [
                 tel.histogram(names::HIST_STAGE_ENCODE_US),
                 tel.histogram(names::HIST_STAGE_TRANSCODE_US),
@@ -152,10 +158,16 @@ struct Queued {
     notify: Option<ResultHandle>,
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct SlotInner {
     result: Mutex<Option<JobResult>>,
     ready: Condvar,
+}
+
+impl Default for SlotInner {
+    fn default() -> Self {
+        SlotInner { result: Mutex::new(Rank::ResultSlot, None), ready: Condvar::new() }
+    }
 }
 
 /// Waitable handle to one watched job's eventual [`JobResult`].
@@ -173,47 +185,24 @@ pub struct ResultHandle {
 
 impl ResultHandle {
     fn fulfill(&self, result: JobResult) {
-        let mut slot = self
-            .slot
-            .result
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        *slot = Some(result);
-        drop(slot);
+        *self.slot.result.lock() = Some(result);
         self.slot.ready.notify_all();
     }
 
     /// Take the result if it has already been delivered.
     pub fn try_take(&self) -> Option<JobResult> {
-        self.slot
-            .result
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .take()
+        self.slot.result.lock().take()
     }
 
     /// Block until the result arrives or `timeout` elapses; `None` on
     /// timeout (the job is still owned by the runtime and will deliver
     /// later — a subsequent wait can still take it).
     pub fn wait_timeout(&self, timeout: Duration) -> Option<JobResult> {
-        let deadline = Instant::now() + timeout;
-        let mut slot = self
-            .slot
-            .result
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        while slot.is_none() {
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                return None;
-            }
-            slot = self
-                .slot
-                .ready
-                .wait_timeout(slot, left)
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .0;
-        }
+        let (mut slot, _) = self.slot.result.lock().wait_timeout_while(
+            &self.slot.ready,
+            timeout,
+            |slot| slot.is_none(),
+        );
         slot.take()
     }
 }
@@ -263,7 +252,7 @@ impl Runtime {
     pub fn start(config: RuntimeConfig) -> Self {
         let queue = Arc::new(BoundedQueue::new(config.queue_cap));
         let stats = Arc::new(RuntimeStats::new());
-        let results = Arc::new(Mutex::new(Vec::new()));
+        let results = Arc::new(Mutex::new(Rank::RuntimeResults, Vec::new()));
         let rt = RtMetrics::new(&config.telemetry);
         #[expect(
             clippy::expect_used,
@@ -412,7 +401,7 @@ impl Runtime {
                     };
                     match entry.notify {
                         Some(handle) => handle.fulfill(result),
-                        None => lock_results(&self.results).push(result),
+                        None => self.results.lock().push(result),
                     }
                 }
                 self.rt.queue_depth.set(0);
@@ -428,15 +417,9 @@ impl Runtime {
                     .error("worker thread panicked; returning completed results");
             }
         }
-        let results = std::mem::take(&mut *lock_results(&self.results));
+        let results = std::mem::take(&mut *self.results.lock());
         RuntimeReport { results, stats: self.stats.snapshot() }
     }
-}
-
-fn lock_results<'a>(
-    results: &'a Mutex<Vec<JobResult>>,
-) -> std::sync::MutexGuard<'a, Vec<JobResult>> {
-    results.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 /// Body of one worker thread.
@@ -530,7 +513,7 @@ fn finish(
     }
     match notify {
         Some(handle) => handle.fulfill(result),
-        None => lock_results(results).push(result),
+        None => results.lock().push(result),
     }
 }
 
@@ -587,8 +570,9 @@ fn run_lanes(
         }
         if let Job::Recover { input, output, method } = &entry.job {
             let (output, method) = (output.clone(), *method);
-            let (decoded, attempts, start) =
-                with_retries(&entry, config, stats, rt, || decode_recover_input(input, tel));
+            let (decoded, attempts, start) = with_retries(&entry, config, stats, rt, || {
+                contain(rt, || decode_recover_input(input, tel))
+            });
             match decoded {
                 Ok(dropped) => lanes.push(Lane { entry, output, method, dropped, start, attempts }),
                 Err(err) => {
@@ -597,8 +581,9 @@ fn run_lanes(
                 }
             }
         } else {
-            let (outcome, attempts, start) =
-                with_retries(&entry, config, stats, rt, || execute(&entry.job, engines, tel));
+            let (outcome, attempts, start) = with_retries(&entry, config, stats, rt, || {
+                contain(rt, || execute(&entry.job, engines, tel))
+            });
             let outcome = outcome.map_err(JobFailure::Error);
             complete(entry, outcome, (start, attempts), stats, results, tel, rt);
         }
@@ -626,7 +611,7 @@ fn run_lanes(
         // causal chain still shows the phase.
         tel.record_span(names::SPAN_RECOVER_ESTIMATE, estimate_start, estimate_end);
         let outcome = match outcome {
-            Ok(image) => write_recover_output(&lane.output, &image, tel)
+            Ok(image) => contain(rt, || write_recover_output(&lane.output, &image, tel))
                 .map(|()| JobOutput::Recovered { output: lane.output })
                 .map_err(JobFailure::Error),
             Err(JobFailure::DeadlineExceeded) => {
@@ -641,6 +626,23 @@ fn run_lanes(
         };
         complete(lane.entry, outcome, (lane.start, lane.attempts), stats, results, tel, rt);
     }
+}
+
+/// The job boundary: run one step of job code so that a panic in it fails
+/// the job, not the worker. The panic becomes a permanent (never retried)
+/// [`JobError`] naming it and bumps `runtime.job_panics`; the worker then
+/// takes its next job. The recovery ladder's own guards sit inside this
+/// one and degrade a lane instead; this boundary only keeps the worker
+/// alive.
+fn contain<T>(
+    rt: &RtMetrics,
+    step: impl FnOnce() -> Result<T, JobError>,
+) -> Result<T, JobError> {
+    catch_unwind(AssertUnwindSafe(step)).unwrap_or_else(|payload| {
+        rt.job_panics.inc();
+        let msg = panic_message(&*payload).unwrap_or_else(|| "non-string payload".to_string());
+        Err(JobError::permanent(format!("job panicked: {msg}")))
+    })
 }
 
 /// Run `attempt` under the entry's transient-failure retry budget with

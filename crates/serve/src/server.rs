@@ -30,7 +30,7 @@ use std::collections::HashMap;
 use std::net::{IpAddr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -38,7 +38,8 @@ use dcdiff_image::{read_ppm, Image, Plane};
 use dcdiff_runtime::{
     Job, JobFailure, JobOutput, JobSpec, Runtime, ShutdownMode, StatsSnapshot, SubmitError,
 };
-use dcdiff_telemetry::{names, prometheus, Telemetry, TraceCtx, WindowedMetrics};
+use dcdiff_telemetry::sync::{Mutex, Rank};
+use dcdiff_telemetry::{names, prometheus, Gauge, Telemetry, TraceCtx, WindowedMetrics};
 
 use crate::config::{DeadlineClass, ServeConfig};
 use crate::http::{
@@ -49,10 +50,6 @@ use crate::signal;
 /// JPEG SOI marker — the only payload sniffing the front door does; real
 /// validation happens in the decoder behind the runtime.
 const SOI: [u8; 2] = [0xFF, 0xD8];
-
-fn lock<'a, T>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// State shared by the acceptor, every connection handler, and the drain.
 struct Shared {
@@ -131,12 +128,12 @@ impl Server {
         let shared = Arc::new(Shared {
             cfg,
             tel,
-            runtime: Mutex::new(Some(runtime)),
+            runtime: Mutex::new(Rank::ServeRuntime, Some(runtime)),
             queue_cap,
             draining: AtomicBool::new(false),
             conns: AtomicUsize::new(0),
             in_flight: AtomicUsize::new(0),
-            per_client: Mutex::new(HashMap::new()),
+            per_client: Mutex::new(Rank::ServeClients, HashMap::new()),
             next_req: AtomicU64::new(0),
             windows,
         });
@@ -208,7 +205,7 @@ impl Server {
             thread::sleep(Duration::from_millis(20));
         }
         let abandoned = self.shared.conns.load(Ordering::Relaxed);
-        let runtime = lock(&self.shared.runtime).take();
+        let runtime = self.shared.runtime.lock().take();
         let stats = runtime.map(|rt| rt.shutdown(ShutdownMode::Drain).stats);
         drop(span);
         tel.flush();
@@ -238,29 +235,45 @@ fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) {
                     );
                     continue;
                 }
-                shared.conns.fetch_add(1, Ordering::Relaxed);
-                conn_gauge.add(1);
-                let conn_shared = Arc::clone(shared);
-                let spawned = thread::Builder::new()
+                let slot = ConnSlot::take(shared, &conn_gauge);
+                // A thread that fails to start drops its closure, and the
+                // slot with it.
+                let _ = thread::Builder::new()
                     .name("serve-conn".to_string())
                     .spawn(move || {
-                        handle_connection(&conn_shared, stream, peer);
-                        conn_shared.conns.fetch_sub(1, Ordering::Relaxed);
-                        conn_shared
-                            .tel
-                            .gauge(names::GAUGE_SERVE_CONNECTIONS)
-                            .add(-1);
+                        let slot = slot;
+                        handle_connection(&slot.shared, stream, peer);
                     });
-                if spawned.is_err() {
-                    shared.conns.fetch_sub(1, Ordering::Relaxed);
-                    conn_gauge.add(-1);
-                }
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                 thread::sleep(Duration::from_millis(25));
             }
             Err(_) => thread::sleep(Duration::from_millis(25)),
         }
+    }
+}
+
+/// One `--max-conns` slot, owned by a connection thread. Dropping it
+/// releases the slot and the `serve.connections` gauge on every way out of
+/// the thread — a return, a panic, or a thread that never started — so the
+/// drain's connection count always falls back to zero.
+struct ConnSlot {
+    shared: Arc<Shared>,
+    gauge: Gauge,
+}
+
+impl ConnSlot {
+    fn take(shared: &Arc<Shared>, gauge: &Gauge) -> ConnSlot {
+        shared.conns.fetch_add(1, Ordering::Relaxed);
+        gauge.add(1);
+        ConnSlot { shared: Arc::clone(shared), gauge: gauge.clone() }
+    }
+}
+
+impl Drop for ConnSlot {
+    fn drop(&mut self) {
+        self.shared.conns.fetch_sub(1, Ordering::Relaxed);
+        self.gauge.add(-1);
     }
 }
 
@@ -451,7 +464,7 @@ struct AdmitGuard<'a> {
 
 impl Drop for AdmitGuard<'_> {
     fn drop(&mut self) {
-        let mut map = lock(&self.shared.per_client);
+        let mut map = self.shared.per_client.lock();
         if let Some(count) = map.get_mut(&self.peer) {
             *count = count.saturating_sub(1);
             if *count == 0 {
@@ -492,9 +505,7 @@ fn recover_request(shared: &Arc<Shared>, request: &Message, peer: IpAddr) -> Rep
         tel.counter(names::CTR_SERVE_SHED).inc();
         return Reply::text(503, "Service Unavailable", "draining\n").closing();
     }
-    let depth = lock(&shared.runtime)
-        .as_ref()
-        .map(Runtime::queue_depth);
+    let depth = shared.runtime.lock().as_ref().map(Runtime::queue_depth);
     let Some(depth) = depth else {
         tel.counter(names::CTR_SERVE_SHED).inc();
         return Reply::text(503, "Service Unavailable", "draining\n").closing();
@@ -511,7 +522,7 @@ fn recover_request(shared: &Arc<Shared>, request: &Message, peer: IpAddr) -> Rep
     }
     // -- fairness ---------------------------------------------------------
     {
-        let mut map = lock(&shared.per_client);
+        let mut map = shared.per_client.lock();
         let count = map.entry(peer).or_insert(0);
         if *count >= shared.cfg.per_client_inflight {
             drop(map);
@@ -555,9 +566,7 @@ fn admitted_request(shared: &Arc<Shared>, request: &Message, class: &DeadlineCla
     if let Some(deadline) = class.deadline {
         spec = spec.with_deadline(deadline);
     }
-    let submitted = lock(&shared.runtime)
-        .as_ref()
-        .map(|rt| rt.submit_watched(spec));
+    let submitted = shared.runtime.lock().as_ref().map(|rt| rt.submit_watched(spec));
     let handle = match submitted {
         Some(Ok((_, handle))) => {
             tel.counter(names::CTR_SERVE_ACCEPTED).inc();
@@ -580,7 +589,6 @@ fn admitted_request(shared: &Arc<Shared>, request: &Message, class: &DeadlineCla
         .deadline
         .map_or(shared.cfg.bulk_wait, |d| d + shared.cfg.wait_grace);
     let wait_span = tel.span(names::SPAN_SERVE_WAIT);
-    // analysis: allow(condvar-wait-loop) — ResultHandle::wait_timeout is the runtime's blocking API, not a raw condvar wait; it re-checks the fulfilled slot in a while loop internally
     let result = handle.wait_timeout(wait_budget);
     drop(wait_span);
     let reply = match result {
@@ -748,6 +756,29 @@ mod tests {
         assert_eq!(samples, &[64, 192, 64, 192]);
     }
 
+    #[test]
+    fn a_panicking_connection_thread_releases_its_slot() {
+        let server = Server::bind(ServeConfig {
+            addr: "127.0.0.1:0".to_string(),
+            spool_dir: std::env::temp_dir()
+                .join(format!("dcdiff-serve-unit-slot-{}", std::process::id())),
+            ..ServeConfig::default()
+        })
+        .expect("bind loopback server");
+        let gauge = server.shared.tel.gauge(names::GAUGE_SERVE_CONNECTIONS);
+        let slot = ConnSlot::take(&server.shared, &gauge);
+        let conn = thread::spawn(move || {
+            let slot = slot;
+            assert_eq!(slot.shared.conns.load(Ordering::Relaxed), 1);
+            panic!("connection handler bug");
+        });
+        assert!(conn.join().is_err(), "the connection thread panicked");
+        assert_eq!(server.shared.conns.load(Ordering::Relaxed), 0);
+        assert_eq!(gauge.get(), 0);
+        // Nothing is left for the drain to wait on.
+        assert_eq!(server.drain().abandoned_connections, 0);
+    }
+
     // The tests below need a busy worker. They hold the server's lone
     // worker on a `Gate`, submitted straight to the private runtime, and
     // wait on the queue depth for their requests to queue behind it.
@@ -777,14 +808,14 @@ mod tests {
 
     #[cfg(unix)]
     fn hold(server: &Server) -> Gate {
-        Gate::hold(lock(&server.shared.runtime).as_ref().expect("runtime running"))
+        Gate::hold(server.shared.runtime.lock().as_ref().expect("runtime running"))
     }
 
     /// Wait until `n` admitted requests are queued behind the gate.
     #[cfg(unix)]
     fn wait_for_queued(server: &Server, n: usize) {
         wait_until(&format!("{n} request(s) queue"), || {
-            lock(&server.shared.runtime).as_ref().map(Runtime::queue_depth) == Some(n)
+            server.shared.runtime.lock().as_ref().map(Runtime::queue_depth) == Some(n)
         });
     }
 
@@ -870,6 +901,38 @@ mod tests {
         let metrics = metrics_json(&client);
         assert!(metrics.contains("serve.class.bulk.shed"), "metrics: {metrics}");
         assert!(metrics.contains("serve.class.bulk.admitted"), "metrics: {metrics}");
+        server.drain();
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn a_queue_that_fills_after_admission_is_a_503() {
+        // Admission reads the queue depth before submitting, so a burst
+        // can fill the queue in between. Submitting past admission hits
+        // that branch: the runtime rejects and logs the job while serve
+        // still holds its runtime slot (`Rank::ServeRuntime` above
+        // `Rank::RuntimeQueue`, then `Rank::LogWindow`).
+        let mut cfg = test_config("full");
+        cfg.runtime.queue_cap = 1;
+        let (server, _client) = start_with(cfg);
+        let gate = hold(&server);
+        server
+            .shared
+            .runtime
+            .lock()
+            .as_ref()
+            .expect("runtime running")
+            .submit(Job::Metrics { reference: "/nonexistent/a".into(), test: "/nonexistent/b".into() })
+            .expect("the queue's one slot");
+        let request = Message {
+            start_line: "POST /recover HTTP/1.1".to_string(),
+            headers: Vec::new(),
+            body: dropped_jpeg(16, 16),
+        };
+        let class = server.shared.cfg.class("standard").expect("default ladder").clone();
+        let reply = admitted_request(&server.shared, &request, &class);
+        assert_eq!((reply.status, reply.body.as_slice()), (503, &b"queue full\n"[..]));
+        gate.release();
         server.drain();
     }
 

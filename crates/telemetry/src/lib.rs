@@ -30,6 +30,11 @@
 //! registry; only this crate can construct one, so an unregistered name
 //! is a compile error rather than a parallel series no dashboard reads.
 //!
+//! The crate also hosts [`sync`], the ranked locks every crate uses:
+//! telemetry is the one crate every locking crate already depends on, so
+//! its [`sync::Rank`] enum can list the whole workspace's lock hierarchy
+//! in one place, the way [`names`] lists every series.
+//!
 //! ## Example
 //!
 //! ```
@@ -53,12 +58,13 @@ pub mod metrics;
 pub mod names;
 pub mod prometheus;
 pub mod report;
+pub mod sync;
 pub mod trace;
 pub mod windows;
 
 use std::io::Write;
 use std::path::Path;
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 pub use crate::log::{Level, Logger};
@@ -72,6 +78,7 @@ pub use crate::trace::{
     current_trace, install_trace, EventKind, Span, TraceCtx, TraceEvent, TraceGuard,
 };
 
+use crate::sync::{Mutex, Rank, RwLock};
 use crate::trace::{SpanActive, TraceSink};
 
 /// Shared in-memory trace buffer used by [`TelemetryBuilder::trace_to_vec`].
@@ -81,10 +88,7 @@ struct SharedVecWriter(SharedVec);
 
 impl Write for SharedVecWriter {
     fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.0
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .extend_from_slice(buf);
+        self.0.lock().extend_from_slice(buf);
         Ok(buf.len())
     }
 
@@ -157,7 +161,7 @@ impl TelemetryBuilder {
     /// Write trace events to an in-memory buffer readable via
     /// [`Telemetry::take_trace_vec`] (tests).
     pub fn trace_to_vec(mut self) -> Self {
-        let buffer: SharedVec = Arc::default();
+        let buffer: SharedVec = Arc::new(Mutex::new(Rank::TraceBuffer, Vec::new()));
         self.trace = Some(Box::new(SharedVecWriter(Arc::clone(&buffer))));
         self.trace_buffer = Some(buffer);
         self
@@ -371,11 +375,7 @@ impl Telemetry {
     /// [`TelemetryBuilder::trace_to_vec`] only).
     pub fn take_trace_vec(&self) -> Option<String> {
         let buffer = self.inner.trace_buffer.as_ref()?;
-        let bytes = std::mem::take(
-            &mut *buffer
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner),
-        );
+        let bytes = std::mem::take(&mut *buffer.lock());
         Some(String::from_utf8_lossy(&bytes).into_owned())
     }
 }
@@ -389,25 +389,22 @@ impl Drop for Inner {
     }
 }
 
-static GLOBAL: RwLock<Option<Telemetry>> = RwLock::new(None);
+static GLOBAL: RwLock<Option<Telemetry>> = RwLock::new(Rank::TelemetryGlobal, None);
 
 /// Install `tel` as the process-wide default returned by [`global`].
 /// Replaces any previous default (later `dcdiff batch` invocations in one
 /// process re-install cleanly).
 pub fn install(tel: Telemetry) {
-    *GLOBAL
-        .write()
-        .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(tel);
+    let previous = GLOBAL.write().replace(tel);
+    // Dropping the last clone of the old handle flushes its trace writer:
+    // do it after the write guard is gone, not under it.
+    drop(previous);
 }
 
 /// The process-wide default handle: the last [`install`]ed one, or a shared
 /// metrics-only fallback (tracing off, info logging) before any install.
 pub fn global() -> Telemetry {
-    if let Some(tel) = GLOBAL
-        .read()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .as_ref()
-    {
+    if let Some(tel) = GLOBAL.read().as_ref() {
         return tel.clone();
     }
     static FALLBACK: OnceLock<Telemetry> = OnceLock::new();

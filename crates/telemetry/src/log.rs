@@ -9,10 +9,10 @@
 //! `Telemetry::flush` and drop), so suppression is never silent.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 use std::time::Instant;
 
 use crate::metrics::Counter;
+use crate::sync::{Mutex, Rank};
 
 /// Log severity, most severe first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -90,7 +90,7 @@ impl Logger {
         Logger {
             level,
             max_per_sec: max_per_sec.max(1),
-            window: Mutex::new(None),
+            window: Mutex::new(Rank::LogWindow, None),
             suppressed_total: AtomicU64::new(0),
             suppressed_counter: None,
         }
@@ -125,10 +125,7 @@ impl Logger {
         if !self.enabled(level) {
             return;
         }
-        let mut guard = self
-            .window
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut guard = self.window.lock();
         let now = Instant::now();
         let window = guard.get_or_insert_with(|| RateWindow {
             started: now,
@@ -164,10 +161,7 @@ impl Logger {
     /// simply stops, the tail of suppressed lines would stay invisible —
     /// this flushes it. Called by `Telemetry::flush` and on handle drop.
     pub fn flush_suppressed(&self) {
-        let mut guard = self
-            .window
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut guard = self.window.lock();
         if let Some(window) = guard.as_mut() {
             if window.suppressed > 0 {
                 let n = window.suppressed;

@@ -9,10 +9,11 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 use crate::json::escape_into;
+use crate::sync::{Mutex, Rank};
 
 /// Monotonically increasing counter.
 #[derive(Debug, Clone, Default)]
@@ -305,15 +306,21 @@ impl RegistrySnapshot {
 /// sharing the underlying atomics, so hot paths resolve their metrics once
 /// and never touch the registry lock again. Outside this crate the
 /// registry is read-only ([`Registry::snapshot`], [`Registry::to_json`]).
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Registry {
     counters: Mutex<BTreeMap<String, Counter>>,
     gauges: Mutex<BTreeMap<String, Gauge>>,
     histograms: Mutex<BTreeMap<String, Histogram>>,
 }
 
-fn lock<'a, T>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+impl Default for Registry {
+    fn default() -> Self {
+        Registry {
+            counters: Mutex::new(Rank::Registry, BTreeMap::new()),
+            gauges: Mutex::new(Rank::Registry, BTreeMap::new()),
+            histograms: Mutex::new(Rank::Registry, BTreeMap::new()),
+        }
+    }
 }
 
 impl Registry {
@@ -324,7 +331,7 @@ impl Registry {
 
     /// The counter registered under `name`, creating it on first use.
     pub(crate) fn counter(&self, name: &str) -> Counter {
-        lock(&self.counters)
+        self.counters.lock()
             .entry(name.to_string())
             .or_default()
             .clone()
@@ -332,7 +339,7 @@ impl Registry {
 
     /// The gauge registered under `name`, creating it on first use.
     pub(crate) fn gauge(&self, name: &str) -> Gauge {
-        lock(&self.gauges)
+        self.gauges.lock()
             .entry(name.to_string())
             .or_default()
             .clone()
@@ -340,7 +347,7 @@ impl Registry {
 
     /// The histogram registered under `name`, creating it on first use.
     pub(crate) fn histogram(&self, name: &str) -> Histogram {
-        lock(&self.histograms)
+        self.histograms.lock()
             .entry(name.to_string())
             .or_default()
             .clone()
@@ -350,20 +357,20 @@ impl Registry {
     /// under its own lock, so the snapshot is per-metric consistent (the
     /// same relaxed-atomics guarantee recording itself gives).
     pub fn snapshot(&self) -> RegistrySnapshot {
-        RegistrySnapshot {
-            counters: lock(&self.counters)
-                .iter()
-                .map(|(name, c)| (name.clone(), c.get()))
-                .collect(),
-            gauges: lock(&self.gauges)
-                .iter()
-                .map(|(name, g)| (name.clone(), g.get()))
-                .collect(),
-            histograms: lock(&self.histograms)
-                .iter()
-                .map(|(name, h)| (name.clone(), h.snapshot()))
-                .collect(),
-        }
+        let counters = self
+            .counters
+            .lock()
+            .iter()
+            .map(|(name, c)| (name.clone(), c.get()))
+            .collect();
+        let gauges = self.gauges.lock().iter().map(|(name, g)| (name.clone(), g.get())).collect();
+        let histograms = self
+            .histograms
+            .lock()
+            .iter()
+            .map(|(name, h)| (name.clone(), h.snapshot()))
+            .collect();
+        RegistrySnapshot { counters, gauges, histograms }
     }
 
     /// Export everything as one pretty-printed JSON object with `counters`,
@@ -371,7 +378,7 @@ impl Registry {
     /// min/max, p50/p90/p99 and their non-empty `[lo, hi, count]` buckets.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n  \"counters\": {");
-        let counters = lock(&self.counters);
+        let counters = self.counters.lock();
         for (i, (name, c)) in counters.iter().enumerate() {
             out.push_str(if i == 0 { "\n" } else { ",\n" });
             out.push_str("    ");
@@ -384,7 +391,7 @@ impl Registry {
         }
         drop(counters);
         out.push_str("},\n  \"gauges\": {");
-        let gauges = lock(&self.gauges);
+        let gauges = self.gauges.lock();
         for (i, (name, g)) in gauges.iter().enumerate() {
             out.push_str(if i == 0 { "\n" } else { ",\n" });
             out.push_str("    ");
@@ -397,7 +404,7 @@ impl Registry {
         }
         drop(gauges);
         out.push_str("},\n  \"histograms\": {");
-        let histograms = lock(&self.histograms);
+        let histograms = self.histograms.lock();
         for (i, (name, h)) in histograms.iter().enumerate() {
             let snap = h.snapshot();
             out.push_str(if i == 0 { "\n" } else { ",\n" });

@@ -204,6 +204,9 @@ pub const HIST_DIFFUSION_BATCH_COHORT_LANES: Name = Name::new("diffusion.batch.c
 
 /// Jobs re-enqueued after a transient failure.
 pub const CTR_RETRIES: Name = Name::new("runtime.retries");
+/// Jobs whose code panicked; the job boundary failed each one and kept its
+/// worker serving.
+pub const CTR_JOB_PANICS: Name = Name::new("runtime.job_panics");
 /// Recoveries where the primary (diffusion) estimator succeeded.
 pub const CTR_ESTIMATOR_PRIMARY_OK: Name = Name::new("estimator.primary_ok");
 /// Recoveries where the primary estimator failed.
@@ -345,6 +348,7 @@ pub const REGISTERED: &[Name] = &[
     HIST_DIFFUSION_BATCH_WIDTH,
     HIST_DIFFUSION_BATCH_COHORT_LANES,
     CTR_RETRIES,
+    CTR_JOB_PANICS,
     CTR_ESTIMATOR_PRIMARY_OK,
     CTR_ESTIMATOR_PRIMARY_FAIL,
     CTR_ESTIMATOR_BREAKER_SHORT_CIRCUIT,

@@ -20,10 +20,10 @@ use std::cell::Cell;
 use std::fmt::Write as _;
 use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 use std::time::Instant;
 
 use crate::json::{escape_into, parse_flat};
+use crate::sync::{Mutex, Rank};
 
 thread_local! {
     /// Innermost open span id on this thread (0 = none).
@@ -167,7 +167,7 @@ impl std::fmt::Debug for TraceSink {
 impl TraceSink {
     pub(crate) fn new(writer: Box<dyn Write + Send>) -> Self {
         TraceSink {
-            writer: Mutex::new(writer),
+            writer: Mutex::new(Rank::TraceWriter, writer),
             next_span: AtomicU64::new(1),
         }
     }
@@ -177,10 +177,7 @@ impl TraceSink {
     }
 
     pub(crate) fn write_line(&self, line: &str) {
-        let mut writer = self
-            .writer
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut writer = self.writer.lock();
         // Trace I/O must never take down the serving path; a full disk loses
         // trace lines, not jobs.
         let _ = writer.write_all(line.as_bytes());
@@ -188,11 +185,7 @@ impl TraceSink {
     }
 
     pub(crate) fn flush(&self) {
-        let _ = self
-            .writer
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .flush();
+        let _ = self.writer.lock().flush();
     }
 }
 

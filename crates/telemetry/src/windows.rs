@@ -20,10 +20,10 @@
 //! request path.
 
 use std::collections::VecDeque;
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use crate::metrics::{HistogramSnapshot, Registry, RegistrySnapshot};
+use crate::sync::{Mutex, Rank};
 
 /// One stored epoch: when it was taken and what the registry held.
 #[derive(Debug, Clone)]
@@ -58,7 +58,7 @@ impl WindowedMetrics {
         let capacity = (longest.as_secs_f64() / epoch.as_secs_f64()).ceil() as usize + 2;
         WindowedMetrics {
             windows: ws,
-            ring: Mutex::new(VecDeque::with_capacity(capacity)),
+            ring: Mutex::new(Rank::MetricsWindows, VecDeque::with_capacity(capacity)),
             capacity,
         }
     }
@@ -75,10 +75,7 @@ impl WindowedMetrics {
             at: Instant::now(),
             snapshot: registry.snapshot(),
         };
-        let mut ring = self
-            .ring
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut ring = self.ring.lock();
         if ring.len() >= self.capacity {
             ring.pop_front();
         }
@@ -88,10 +85,7 @@ impl WindowedMetrics {
     /// The rolling view over the newest snapshots spanning `window`, or
     /// `None` before two epochs exist (no interval to difference yet).
     pub fn view(&self, window: Duration) -> Option<WindowView> {
-        let ring = self
-            .ring
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let ring = self.ring.lock();
         let newest = ring.back()?;
         // Newest snapshot at least `window` old; else the oldest we have.
         let baseline = ring
@@ -204,11 +198,7 @@ mod tests {
             std::thread::sleep(Duration::from_millis(1));
             wm.tick(&reg);
         }
-        let ring_len = wm
-            .ring
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .len();
+        let ring_len = wm.ring.lock().len();
         assert!(ring_len <= wm.capacity, "{ring_len} > {}", wm.capacity);
         assert!(wm.view(Duration::from_millis(4)).is_some());
         assert_eq!(wm.views().len(), 1);

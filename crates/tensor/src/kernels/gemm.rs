@@ -96,7 +96,7 @@ struct Micro {
 ///
 /// Callers uphold the `Micro::kernel` contract (packed strip and
 /// accumulator sizes); no ISA requirement beyond the build target.
-unsafe fn micro_portable_4x8(kc: usize, astrip: *const f32, bstrip: *const f32, acc: *mut f32) { // analysis: hot
+unsafe fn micro_portable_4x8(kc: usize, astrip: *const f32, bstrip: *const f32, acc: *mut f32) {
     const MR: usize = 4;
     const NR: usize = 8;
     let mut tile = [[0.0f32; NR]; MR];
@@ -127,7 +127,7 @@ unsafe fn micro_portable_4x8(kc: usize, astrip: *const f32, bstrip: *const f32, 
 /// only selects this kernel after checking the feature bits.
 #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
 #[target_feature(enable = "avx2,fma")]
-unsafe fn micro_avx2_6x16(kc: usize, astrip: *const f32, bstrip: *const f32, acc: *mut f32) { // analysis: hot
+unsafe fn micro_avx2_6x16(kc: usize, astrip: *const f32, bstrip: *const f32, acc: *mut f32) {
     #[cfg(target_arch = "x86")]
     use std::arch::x86::*;
     #[cfg(target_arch = "x86_64")]
@@ -166,7 +166,7 @@ unsafe fn micro_avx2_6x16(kc: usize, astrip: *const f32, bstrip: *const f32, acc
 /// selects this kernel after checking the feature bit.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-unsafe fn micro_avx512_14x16(kc: usize, astrip: *const f32, bstrip: *const f32, acc: *mut f32) { // analysis: hot
+unsafe fn micro_avx512_14x16(kc: usize, astrip: *const f32, bstrip: *const f32, acc: *mut f32) {
     use std::arch::x86_64::*;
     const MR: usize = 14;
     // SAFETY: every load/store indexes below kc*16 (B), kc*MR (A) or MR*16

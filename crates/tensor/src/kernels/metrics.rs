@@ -51,7 +51,6 @@ fn with_handles(f: impl FnOnce(&Handles)) {
         if stale {
             *slot = Some(Handles::resolve(current));
         }
-        // analysis: allow(panic-reachability) — the stale branch above just filled the slot
         f(slot.as_ref().expect("handles just resolved"));
     });
 }

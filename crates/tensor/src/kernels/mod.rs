@@ -28,8 +28,9 @@
 //! `tensor.gemm_us` / `tensor.conv_us` histograms and
 //! `tensor.{gemm,conv}_flops` counters.
 
-// A panicking pool worker must not poison the pool: recover locks with
-// `PoisonError::into_inner` instead of unwrapping them (ANALYSIS.md).
+// A panicking pool worker must not poison the pool: the pool's locks are
+// the poison-recovering `dcdiff_telemetry::sync` wrappers, and nothing here
+// unwraps (ANALYSIS.md).
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod config;

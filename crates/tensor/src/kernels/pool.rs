@@ -14,7 +14,9 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Condvar, Mutex, OnceLock};
+use std::sync::{Condvar, OnceLock};
+
+use dcdiff_telemetry::sync::{Mutex, Rank};
 
 use super::config::configured_threads;
 
@@ -32,13 +34,13 @@ struct LatchState {
 impl Latch {
     fn new(count: usize) -> Self {
         Latch {
-            state: Mutex::new(LatchState { remaining: count, panicked: false }),
+            state: Mutex::new(Rank::PoolLatch, LatchState { remaining: count, panicked: false }),
             cond: Condvar::new(),
         }
     }
 
     fn check_in(&self, panicked: bool) {
-        let mut state = self.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut state = self.state.lock();
         state.remaining -= 1;
         state.panicked |= panicked;
         if state.remaining == 0 {
@@ -48,14 +50,7 @@ impl Latch {
 
     /// Block until all participants checked in; returns whether any panicked.
     fn wait(&self) -> bool {
-        let mut state = self.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        while state.remaining > 0 {
-            state = self
-                .cond
-                .wait(state)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-        }
-        state.panicked
+        self.state.lock().wait_while(&self.cond, |state| state.remaining > 0).panicked
     }
 }
 
@@ -102,7 +97,7 @@ struct Pool {
 fn worker_loop(jobs: &Mutex<Receiver<Kick>>) {
     loop {
         let kick = {
-            let guard = jobs.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+            let guard = jobs.lock();
             guard.recv()
         };
         let Ok(kick) = kick else { return };
@@ -129,15 +124,15 @@ fn pool() -> &'static Pool {
         let hw = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
         let workers = configured_threads().max(hw).saturating_sub(1);
         let (sender, receiver) = channel::<Kick>();
-        let jobs: &'static Mutex<Receiver<Kick>> = Box::leak(Box::new(Mutex::new(receiver)));
+        let jobs: &'static Mutex<Receiver<Kick>> =
+            Box::leak(Box::new(Mutex::new(Rank::PoolJobs, receiver)));
         for i in 0..workers {
             std::thread::Builder::new()
                 .name(format!("dcdiff-kernel-{i}"))
                 .spawn(move || worker_loop(jobs))
-                // analysis: allow(panic-reachability) — thread-spawn failure at pool init is an unrecoverable environment fault
                 .expect("spawn kernel pool worker");
         }
-        Pool { sender: Mutex::new(sender), workers }
+        Pool { sender: Mutex::new(Rank::PoolSender, sender), workers }
     })
 }
 
@@ -176,11 +171,10 @@ pub fn parallel_for(total: usize, f: &(dyn Fn(usize) + Sync)) {
         let region_ptr: *const Region<'static> = unsafe {
             std::mem::transmute::<*const Region<'_>, *const Region<'static>>(&region)
         };
-        let sender = pool.sender.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let sender = pool.sender.lock();
         for _ in 0..kicks {
             sender
                 .send(Kick { region: region_ptr, latch: &latch })
-                // analysis: allow(panic-reachability) — the receiver is leaked at pool init and never dropped
                 .expect("kernel pool workers alive");
         }
     }

@@ -1,0 +1,125 @@
+//! Steady-state hot paths allocate nothing.
+//!
+//! A counting global allocator sees every allocation the calling thread
+//! makes, inside std calls included. Each entry point runs once to warm
+//! what it caches (the GEMM scratch panels, kernel telemetry handles,
+//! cosine tables), then repeated calls must leave the thread's allocation
+//! count where it was. The codec kernels must not take a workspace lock
+//! either, checked with the ranked locks' per-thread acquisition count
+//! (counted in debug builds, so in tier-1).
+//!
+//! The hot entry points: the forward and inverse 8×8 DCT, the sender's
+//! fused fDCT → quantise pass (dispatched and pinned scalar), both Huffman
+//! decoders, and the single-threaded blocked GEMM.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use dcdiff_jpeg::bitstream::{BitReader, BitWriter};
+use dcdiff_jpeg::dct::{fdct, fdct_quantize, idct};
+use dcdiff_jpeg::huffman::{HuffmanTable, AC_LUMA_VALS};
+use dcdiff_jpeg::quant::QuantTable;
+use dcdiff_jpeg::simd::force_scalar;
+use dcdiff_jpeg::BLOCK_AREA;
+use dcdiff_telemetry::sync::acquisitions;
+use dcdiff_tensor::kernels::{sgemm_with_threads, Trans};
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// The system allocator, counting each thread's allocations.
+struct Counting;
+
+// SAFETY: both methods forward to `System` with the caller's arguments
+// unchanged; the only addition is a bump of a const-initialised
+// thread-local counter, which neither allocates nor unwinds.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        // Gone during thread teardown: nothing is measured then.
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout);
+    }
+}
+
+#[global_allocator]
+static COUNTING: Counting = Counting;
+
+/// Allocations and lock acquisitions the calling thread makes in `f`.
+fn cost(f: impl FnOnce()) -> (u64, u64) {
+    let (allocs, locks) = (ALLOCATIONS.with(Cell::get), acquisitions());
+    f();
+    (ALLOCATIONS.with(Cell::get) - allocs, acquisitions() - locks)
+}
+
+/// Warm `f` once, then require repeated calls to allocate nothing.
+fn steady(what: &str, mut f: impl FnMut()) -> u64 {
+    f();
+    let (allocs, locks) = cost(|| {
+        for _ in 0..8 {
+            f();
+        }
+    });
+    assert_eq!(allocs, 0, "{what}: {allocs} allocation(s) in 8 warm calls");
+    locks
+}
+
+#[test]
+fn codec_kernels_allocate_nothing_and_take_no_lock() {
+    let samples: [f32; BLOCK_AREA] = std::array::from_fn(|i| ((i * 37) % 255) as f32 - 128.0);
+    let qtable = QuantTable::luma(50);
+    let coeffs = fdct(&samples);
+    for scalar in [false, true] {
+        force_scalar(scalar);
+        let tier = if scalar { "scalar" } else { "dispatched" };
+        let locks = steady(&format!("fdct ({tier})"), || {
+            std::hint::black_box(fdct(std::hint::black_box(&samples)));
+        }) + steady(&format!("idct ({tier})"), || {
+            std::hint::black_box(idct(std::hint::black_box(&coeffs)));
+        }) + steady(&format!("fdct_quantize ({tier})"), || {
+            std::hint::black_box(fdct_quantize(std::hint::black_box(&samples), &qtable));
+        });
+        assert_eq!(locks, 0, "the {tier} DCT kernels took a workspace lock");
+    }
+    force_scalar(false);
+}
+
+#[test]
+fn huffman_decoders_allocate_nothing_and_take_no_lock() {
+    let table = HuffmanTable::ac_luma();
+    let mut writer = BitWriter::new();
+    for &symbol in AC_LUMA_VALS.iter().cycle().take(4 * AC_LUMA_VALS.len()) {
+        table.encode(&mut writer, symbol).expect("Annex-K symbol");
+    }
+    writer.align();
+    let scan = writer.finish();
+    let symbols = 4 * AC_LUMA_VALS.len();
+    let decode_all = |decode: fn(&HuffmanTable, &mut BitReader<'_>) -> Option<u8>| {
+        let mut reader = BitReader::new(&scan);
+        for (i, want) in AC_LUMA_VALS.iter().cycle().take(symbols).enumerate() {
+            assert_eq!(decode(&table, &mut reader), Some(*want), "symbol {i}");
+        }
+    };
+    let locks = steady("HuffmanTable::decode", || decode_all(HuffmanTable::decode))
+        + steady("HuffmanTable::decode_bitwise", || decode_all(HuffmanTable::decode_bitwise));
+    assert_eq!(locks, 0, "a Huffman decoder took a workspace lock");
+}
+
+#[test]
+fn single_threaded_gemm_allocates_nothing_at_steady_state() {
+    // Every blocking axis spans two panels (KC = MC = 256, NC = 512), so
+    // the driver packs several A and B panels through its scratch pool.
+    let (m, k, n) = (264, 264, 520);
+    let a: Vec<f32> = (0..m * k).map(|i| (i % 7) as f32 - 3.0).collect();
+    let b: Vec<f32> = (0..k * n).map(|i| (i % 5) as f32 - 2.0).collect();
+    let mut c = vec![0.0f32; m * n];
+    // The driver's lock use is exempt: it reads the process-wide telemetry
+    // handle once per call to record `tensor.gemm_*`.
+    steady("sgemm_with_threads(1, …)", || {
+        sgemm_with_threads(1, Trans::N, Trans::N, m, k, n, &a, &b, &mut c);
+    });
+}
