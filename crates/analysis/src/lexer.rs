@@ -14,8 +14,7 @@
 //!   `'\n'`, `b'x'`, `'\u{1F600}'` are chars again;
 //! * raw identifiers `r#type` (not a raw string).
 //!
-//! Comments are not tokens: they are collected into a side list with line
-//! numbers.
+//! Comments are not tokens: the lexer skips them.
 
 /// Classification of one lexed token.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,24 +46,11 @@ pub struct Tok {
     pub line: u32,
 }
 
-/// One comment (line or block), with the lines it spans.
-#[derive(Debug, Clone)]
-pub struct Comment {
-    /// 1-based line of `//` or `/*`.
-    pub line: u32,
-    /// 1-based line the comment ends on (same as `line` for `//`).
-    pub line_end: u32,
-    /// Full comment text including the delimiters.
-    pub text: String,
-}
-
-/// Token stream plus comment side-list for one source file.
+/// Token stream for one source file.
 #[derive(Debug, Default)]
 pub struct Lexed {
     /// Tokens in source order; comments and whitespace removed.
     pub tokens: Vec<Tok>,
-    /// Comments in source order.
-    pub comments: Vec<Comment>,
 }
 
 impl Lexed {
@@ -75,7 +61,7 @@ impl Lexed {
     }
 }
 
-/// Lex `src` into tokens and comments.
+/// Lex `src` into tokens, skipping comments.
 ///
 /// The lexer is total: any byte sequence produces *some* token stream (an
 /// unterminated string simply runs to end of file), so a syntactically
@@ -136,20 +122,12 @@ impl Lexer<'_> {
     }
 
     fn line_comment(&mut self) {
-        let start = self.pos;
         while self.pos < self.src.len() && self.src[self.pos] != b'\n' {
             self.pos += 1;
         }
-        self.out.comments.push(Comment {
-            line: self.line,
-            line_end: self.line,
-            text: String::from_utf8_lossy(&self.src[start..self.pos]).into_owned(),
-        });
     }
 
     fn block_comment(&mut self) {
-        let start = self.pos;
-        let line_start = self.line;
         self.pos += 2;
         let mut depth = 1u32;
         while self.pos < self.src.len() && depth > 0 {
@@ -169,11 +147,6 @@ impl Lexer<'_> {
                 _ => self.pos += 1,
             }
         }
-        self.out.comments.push(Comment {
-            line: line_start,
-            line_end: self.line,
-            text: String::from_utf8_lossy(&self.src[start..self.pos]).into_owned(),
-        });
     }
 
     /// Cooked string starting at `"`; `tok_start` may precede it (`b"…"`).
@@ -382,8 +355,6 @@ mod tests {
     fn nested_block_comments_close_correctly() {
         let src = "/* outer /* inner */ still comment */ fn f() {}";
         let lexed = lex(src);
-        assert_eq!(lexed.comments.len(), 1);
-        assert!(lexed.comments[0].text.contains("still comment"));
         let idents: Vec<_> = lexed
             .tokens
             .iter()
@@ -401,7 +372,8 @@ mod tests {
             .tokens
             .iter()
             .any(|t| src[t.start..t.end].contains("panic") || src[t.start..t.end] == *"unwrap"));
-        assert_eq!(lexed.comments.len(), 2);
+        let texts: Vec<_> = lexed.tokens.iter().map(|t| &src[t.start..t.end]).collect();
+        assert_eq!(texts, vec!["let", "x", "=", "1", ";"]);
     }
 
     #[test]
@@ -446,8 +418,7 @@ mod tests {
         let strs: Vec<_> = toks.iter().filter(|(k, _)| *k == TokKind::Str).collect();
         assert_eq!(strs.len(), 1);
         assert!(strs[0].1.contains("not a comment"));
-        let lexed = lex(r#"let s = "he said \"hi\" // not a comment";"#);
-        assert!(lexed.comments.is_empty());
+        assert_eq!(toks.last().map(|(_, t)| t.as_str()), Some(";"));
     }
 
     #[test]

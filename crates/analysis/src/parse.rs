@@ -10,8 +10,8 @@
 //!    it can be hashed into the ledger. The `unsafe fn(…)` *type* (a
 //!    function-pointer field) is not a site.
 //! 3. **The block structure.** Each `{…}` with its introducer keyword
-//!    (`fn`, `while`, `loop`, …), which bounds test regions and each
-//!    site's extent.
+//!    (`fn`, `unsafe`, or anything else), which bounds test regions and
+//!    each site's extent.
 
 use crate::lexer::{lex, Lexed, Tok, TokKind};
 
@@ -20,15 +20,10 @@ use crate::lexer::{lex, Lexed, Tok, TokKind};
 pub enum Introducer {
     /// `fn name(…) {`
     Fn,
-    /// `while cond {` (including `while let`)
-    While,
-    /// `loop {`
-    Loop,
-    /// `for pat in iter {`
-    For,
     /// `unsafe {`
     Unsafe,
-    /// Anything else: `if`, `match` arms, struct literals, plain blocks…
+    /// Anything else: loops, `if`, `match` arms, struct literals, plain
+    /// blocks…
     Other,
 }
 
@@ -84,7 +79,7 @@ pub struct UnsafeSite {
 
 /// Parsed structural model of a file.
 pub struct FileModel {
-    /// Token stream and comments.
+    /// Token stream.
     pub lexed: Lexed,
     /// Line ranges (inclusive, 1-based) belonging to `#[cfg(test)]` /
     /// `#[test]` items — exempt from contract rules.
@@ -113,17 +108,6 @@ impl FileModel {
     /// Is 1-based `line` inside test code?
     pub fn is_excluded(&self, line: u32) -> bool {
         self.excluded.iter().any(|&(a, b)| a <= line && line <= b)
-    }
-
-    /// Blocks containing token index `tok`, innermost last.
-    pub fn enclosing_blocks(&self, tok: usize) -> Vec<&Block> {
-        let mut found: Vec<&Block> = self
-            .blocks
-            .iter()
-            .filter(|b| b.open < tok && tok < b.close)
-            .collect();
-        found.sort_by_key(|b| b.open);
-        found
     }
 }
 
@@ -156,9 +140,6 @@ fn match_blocks(lexed: &Lexed, src: &str) -> Vec<Block> {
             (TokKind::Punct, "(") | (TokKind::Punct, "[") => paren_depth += 1,
             (TokKind::Punct, ")") | (TokKind::Punct, "]") => paren_depth -= 1,
             (TokKind::Ident, "fn") if paren_depth == 0 => pending = Introducer::Fn,
-            (TokKind::Ident, "while") if paren_depth == 0 => pending = Introducer::While,
-            (TokKind::Ident, "loop") if paren_depth == 0 => pending = Introducer::Loop,
-            (TokKind::Ident, "for") if paren_depth == 0 => pending = Introducer::For,
             (TokKind::Ident, "unsafe") if paren_depth == 0 => {
                 // `unsafe fn` resolves to Fn when `fn` follows; keep Unsafe
                 // only until overwritten.
@@ -379,45 +360,12 @@ mod tests {
     }
 
     #[test]
-    fn block_introducers_track_loops_and_fns() {
-        let src = "fn f() { while x { a(); } loop { b(); } for i in 0..3 { c(); } }";
-        let m = FileModel::build(src);
-        let intros: Vec<_> = m.blocks.iter().map(|b| b.introducer).collect();
-        assert_eq!(
-            intros,
-            vec![
-                Introducer::Fn,
-                Introducer::While,
-                Introducer::Loop,
-                Introducer::For
-            ]
-        );
-    }
-
-    #[test]
     fn fn_with_nested_generic_bounds_still_finds_its_body() {
         // `Into<Vec<Vec<u8>>>` closes three generics at once; the body
         // finder must not mistake any of it for the fn's block.
         let src = "fn f<T: Into<Vec<Vec<u8>>>, const N: usize>(x: [T; N]) -> Result<Vec<Vec<u8>>, ()> {\n    loop { g(); }\n}\n";
         let m = FileModel::build(src);
         let intros: Vec<_> = m.blocks.iter().map(|b| b.introducer).collect();
-        assert_eq!(intros, vec![Introducer::Fn, Introducer::Loop]);
-    }
-
-    #[test]
-    fn enclosing_blocks_are_innermost_last() {
-        let src = "fn f() { loop { g(); } }";
-        let m = FileModel::build(src);
-        // find token index of `g`
-        let gi = m
-            .lexed
-            .tokens
-            .iter()
-            .position(|t| &src[t.start..t.end] == "g")
-            .unwrap();
-        let blocks = m.enclosing_blocks(gi);
-        assert_eq!(blocks.len(), 2);
-        assert_eq!(blocks[0].introducer, Introducer::Fn);
-        assert_eq!(blocks[1].introducer, Introducer::Loop);
+        assert_eq!(intros, vec![Introducer::Fn, Introducer::Other]);
     }
 }

@@ -1,24 +1,66 @@
-//! Shared machinery for the statistical recovery methods.
+//! The level-shifted pixel field every statistical recovery method
+//! reasons over, and the one boundary energy that ICIP-2022 and DCDiff's
+//! refinement both minimise.
 //!
 //! Every method reasons in the *level-shifted pixel domain*: a block's
 //! pixels are `ac_pixels + offset`, where `ac_pixels` is the IDCT of the
 //! block with DC forced to zero (mean-free) and `offset` is the uniform
 //! contribution of the DC level, `offset = dc_level * q0 / 8`.
+//!
+//! [`AcField::solve`] minimises, over the per-block offsets `o`,
+//!
+//! `E(o) = Σ_edges Σ_pairs w · ((ac_a + o_a) − (ac_b + o_b) + trend)²
+//!        + λ Σ_b (o_b − prior_b)²`
+//!
+//! with the four corner anchors held fixed. The pair weights `w` and the
+//! trend come from [`RefineConfig`]'s three mechanisms. ICIP-2022 is this
+//! energy with trend and consensus off, λ = 0 and 120 sweeps; DCDiff's
+//! refinement turns all three on and ties the solve to the diffusion
+//! estimate.
 
-use dcdiff_jpeg::dct::idct;
-use dcdiff_jpeg::{CoeffPlane, BLOCK, BLOCK_AREA};
 use dcdiff_jpeg::quant::QuantTable;
+use dcdiff_jpeg::{CoeffImage, CoeffPlane, BLOCK, BLOCK_AREA};
+
+/// Default mask threshold — the paper's ablation (Table III) selects
+/// `T = 10`.
+pub const DEFAULT_THRESHOLD: f32 = 10.0;
+
+/// Which mechanisms of the boundary energy are active (see
+/// [`AcField::solve`]). The defaults enable everything; the
+/// `ablation_refine` experiment binary toggles them individually.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RefineConfig {
+    /// Slope-agreement-damped trend extrapolation across boundaries.
+    pub trend: bool,
+    /// Soft down-weighting of high-activity pixel pairs.
+    pub activity: bool,
+    /// Robust masking of pairs far from the edge's median residual.
+    pub consensus: bool,
+}
+
+impl Default for RefineConfig {
+    fn default() -> Self {
+        Self {
+            trend: true,
+            activity: true,
+            consensus: true,
+        }
+    }
+}
 
 /// AC-only spatial decomposition of one coefficient plane.
 #[derive(Debug, Clone)]
-pub(crate) struct AcField {
+pub struct AcField {
+    /// Blocks per row.
     pub blocks_x: usize,
+    /// Blocks per column.
     pub blocks_y: usize,
     /// Level-shifted, mean-free pixels per block (row-major blocks).
-    pub pixels: Vec<[f32; BLOCK_AREA]>,
+    pub(crate) pixels: Vec<[f32; BLOCK_AREA]>,
     /// Pixel offset contributed by one DC level unit (`q0 / 8`).
     pub dc_step: f32,
-    /// Known DC offsets (in pixels) at anchor blocks, `None` elsewhere.
+    /// Known DC offsets (in pixels) at anchor blocks, `None` elsewhere;
+    /// one entry per block (row-major).
     pub anchors: Vec<Option<f32>>,
 }
 
@@ -30,26 +72,14 @@ impl AcField {
     pub fn new(plane: &CoeffPlane, qtable: &QuantTable) -> Self {
         let (bx, by) = (plane.blocks_x(), plane.blocks_y());
         let dc_step = qtable.values()[0] as f32 / 8.0;
-        let mut pixels = Vec::with_capacity(bx * by);
         let mut anchors = vec![None; bx * by];
-        let corners = [(0, 0), (bx - 1, 0), (0, by - 1), (bx - 1, by - 1)];
-        for y in 0..by {
-            for x in 0..bx {
-                let mut levels = *plane.block(x, y);
-                let dc = levels[0];
-                levels[0] = 0;
-                let coeffs = qtable.dequantize(&levels);
-                pixels.push(idct(&coeffs));
-                if corners.contains(&(x, y)) {
-                    anchors[y * bx + x] = Some(dc as f32 * dc_step);
-                }
-                // (kept unconditional: zero is a valid transmitted DC)
-            }
+        for (x, y) in [(0, 0), (bx - 1, 0), (0, by - 1), (bx - 1, by - 1)] {
+            anchors[y * bx + x] = Some(plane.dc(x, y) as f32 * dc_step);
         }
         Self {
             blocks_x: bx,
             blocks_y: by,
-            pixels,
+            pixels: plane.ac_pixels(qtable),
             dc_step,
             anchors,
         }
@@ -62,18 +92,100 @@ impl AcField {
     }
 
     /// Column `x` of block `b` as 8 pixels.
-    pub fn column(&self, b: usize, x: usize) -> [f32; BLOCK] {
+    pub(crate) fn column(&self, b: usize, x: usize) -> [f32; BLOCK] {
         std::array::from_fn(|y| self.pixels[b][y * BLOCK + x])
     }
 
     /// Row `y` of block `b` as 8 pixels.
-    pub fn row(&self, b: usize, y: usize) -> [f32; BLOCK] {
+    pub(crate) fn row(&self, b: usize, y: usize) -> [f32; BLOCK] {
         std::array::from_fn(|x| self.pixels[b][y * BLOCK + x])
+    }
+
+    /// Minimise the boundary energy over the per-block pixel offsets and
+    /// return one offset per block (row-major), anchors included.
+    ///
+    /// * `prior` — one offset per block: the quadratic prior's target and
+    ///   the solve's starting point;
+    /// * `prior_weight` — λ tying the solution to `prior`;
+    /// * `threshold` — the Eq. 3 mask threshold `T` (read by consensus
+    ///   only);
+    /// * `config` — which mechanisms shape each edge's weight and bias;
+    /// * `sweeps` — Gauss–Seidel iterations.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sweeps` is zero or `prior` does not hold one offset per
+    /// block.
+    pub fn solve(
+        &self,
+        prior: &[f32],
+        prior_weight: f32,
+        threshold: f32,
+        config: RefineConfig,
+        sweeps: usize,
+    ) -> Vec<f32> {
+        assert!(sweeps > 0, "at least one sweep required");
+        let n = self.pixels.len();
+        assert_eq!(prior.len(), n, "one prior offset per block");
+        // Per block, (neighbour, weight, signed bias), pushed in edge order:
+        // row-major blocks, right neighbour before down neighbour. The
+        // order fixes each block's summation order in the sweep.
+        let mut adj: Vec<Vec<(usize, f32, f32)>> = vec![Vec::new(); n];
+        let mut couple = |a: usize, b: usize, (weight, bias): (f32, f32)| {
+            if weight > 0.0 {
+                adj[a].push((b, weight, -bias));
+                adj[b].push((a, weight, bias));
+            }
+        };
+        for by in 0..self.blocks_y {
+            for bx in 0..self.blocks_x {
+                let a = self.idx(bx, by);
+                if bx + 1 < self.blocks_x {
+                    let b = self.idx(bx + 1, by);
+                    let (ea, ea2) = (self.column(a, BLOCK - 1), self.column(a, BLOCK - 2));
+                    let (eb, eb2) = (self.column(b, 0), self.column(b, 1));
+                    let stats = edge_statistics(&ea, &ea2, &eb, &eb2, threshold, config);
+                    couple(a, b, stats);
+                }
+                if by + 1 < self.blocks_y {
+                    let b = self.idx(bx, by + 1);
+                    let (ea, ea2) = (self.row(a, BLOCK - 1), self.row(a, BLOCK - 2));
+                    let (eb, eb2) = (self.row(b, 0), self.row(b, 1));
+                    let stats = edge_statistics(&ea, &ea2, &eb, &eb2, threshold, config);
+                    couple(a, b, stats);
+                }
+            }
+        }
+
+        let mut offsets = prior.to_vec();
+        for (offset, anchor) in offsets.iter_mut().zip(&self.anchors) {
+            if let Some(known) = anchor {
+                *offset = *known;
+            }
+        }
+        // Gauss–Seidel on the normal equations
+        for _ in 0..sweeps {
+            for i in 0..n {
+                if self.anchors[i].is_some() {
+                    continue;
+                }
+                let mut num = prior_weight * prior[i];
+                let mut den = prior_weight;
+                for &(j, w, d) in &adj[i] {
+                    num += w * offsets[j] + d;
+                    den += w;
+                }
+                if den > 0.0 {
+                    offsets[i] = num / den;
+                }
+            }
+        }
+        offsets
     }
 
     /// Clamp a pixel offset to the representable range and convert to a DC
     /// level.
-    pub fn offset_to_level(&self, offset: f32) -> i32 {
+    pub(crate) fn offset_to_level(&self, offset: f32) -> i32 {
         let max_offset = 160.0; // generous headroom beyond ±128
         let clamped = offset.clamp(-max_offset, max_offset);
         (clamped / self.dc_step).round() as i32
@@ -81,7 +193,11 @@ impl AcField {
 
     /// Write estimated pixel offsets back into a coefficient plane as DC
     /// levels.
-    pub fn apply_offsets(&self, offsets: &[f32], plane: &mut CoeffPlane) {
+    ///
+    /// # Panics
+    ///
+    /// Panics if `offsets` does not hold one offset per block.
+    pub(crate) fn apply_offsets(&self, offsets: &[f32], plane: &mut CoeffPlane) {
         assert_eq!(offsets.len(), self.pixels.len(), "one offset per block");
         for by in 0..self.blocks_y {
             for bx in 0..self.blocks_x {
@@ -90,6 +206,101 @@ impl AcField {
             }
         }
     }
+}
+
+/// Recover every plane of `dropped`: decompose it, estimate its offsets
+/// with `offsets`, and write them back as clamped DC levels
+/// ([`AcField::apply_offsets`]).
+pub(crate) fn recover_planes(
+    dropped: &CoeffImage,
+    offsets: impl Fn(&AcField) -> Vec<f32>,
+) -> CoeffImage {
+    let mut out = dropped.clone();
+    for c in 0..dropped.channels() {
+        let field = AcField::new(dropped.plane(c), dropped.qtable(c));
+        field.apply_offsets(&offsets(&field), out.plane_mut(c));
+    }
+    out
+}
+
+/// Per-edge boundary statistics combining the three mechanisms the
+/// recovery literature identified, all tuned against the masked
+/// Laplacian model of Fig. 4:
+///
+/// 1. **adaptive trend** — when the one-sided slopes on both sides of
+///    the boundary agree, the expected pixel step is their mean
+///    (SmartCom's trend extrapolation); disagreement (an edge) damps the
+///    trend smoothly;
+/// 2. **activity weighting** — pairs in high-gradient regions violate
+///    the Laplacian prior and are soft-downweighted (ICIP-2022's
+///    direction selectivity);
+/// 3. **masked consensus** — the Eq. 3 idea as a robust vote: pairs
+///    whose detrended residual deviates more than the threshold `T`
+///    from the edge's median residual are the Fig. 4(a) "abrupt change"
+///    pixels and lose their weight.
+///
+/// Returns the edge's total weight (normalised to at most 1) and the
+/// weighted residual sum, such that `bias / weight` is the robust
+/// estimate of `o_b − o_a`.
+fn edge_statistics(
+    ea: &[f32; BLOCK],
+    ea2: &[f32; BLOCK],
+    eb: &[f32; BLOCK],
+    eb2: &[f32; BLOCK],
+    threshold: f32,
+    config: RefineConfig,
+) -> (f32, f32) {
+    const SLOPE_SIGMA2: f32 = 25.0;
+    let mut residuals = [0.0f32; BLOCK];
+    let mut activity = [0.0f32; BLOCK];
+    for k in 0..BLOCK {
+        let slope_a = ea[k] - ea2[k];
+        let slope_b = eb2[k] - eb[k];
+        let agreement = 1.0 / (1.0 + (slope_a - slope_b).powi(2) / SLOPE_SIGMA2);
+        let trend = if config.trend {
+            agreement * 0.5 * (slope_a + slope_b)
+        } else {
+            0.0
+        };
+        residuals[k] = ea[k] - eb[k] + trend;
+        let act = slope_a.abs() + slope_b.abs();
+        activity[k] = if config.activity {
+            1.0 / (1.0 + act * act / SLOPE_SIGMA2)
+        } else {
+            1.0
+        };
+    }
+    let mut sorted = residuals;
+    sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite residuals"));
+    let median = sorted[BLOCK / 2];
+    // noise-adaptive trim: on noisy (texture) edges the residual spread is
+    // wide and trimming at a fixed T would destroy the averaging the
+    // estimate needs, so the effective threshold grows with the median
+    // absolute deviation
+    let mut devs = [0.0f32; BLOCK];
+    for k in 0..BLOCK {
+        devs[k] = (residuals[k] - median).abs();
+    }
+    devs.sort_by(|a, b| a.partial_cmp(b).expect("finite residuals"));
+    let mad = devs[BLOCK / 2];
+    // `threshold` keeps the paper's T semantics (default 10) but acts as
+    // a scale on the noise-adaptive trim: T/10 × max(10, 1.5·MAD)
+    let t_eff = (threshold / DEFAULT_THRESHOLD * (1.5 * mad).max(10.0)).max(0.25);
+    let t2 = t_eff * t_eff;
+    let mut weight = 0.0f32;
+    let mut bias = 0.0f32;
+    for k in 0..BLOCK {
+        let d = residuals[k] - median;
+        let consensus = if config.consensus {
+            1.0 / (1.0 + d * d / t2)
+        } else {
+            1.0
+        };
+        let w = activity[k] * consensus;
+        weight += w;
+        bias += w * residuals[k];
+    }
+    (weight / BLOCK as f32, bias / BLOCK as f32)
 }
 
 /// Median of a non-empty slice (averaging the middle pair for even

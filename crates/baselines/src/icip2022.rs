@@ -1,10 +1,9 @@
 //! Zhang et al., *Improved DC estimation for JPEG compression via convex
 //! relaxation* (ICIP 2022).
 
-use dcdiff_image::Image;
-use dcdiff_jpeg::{CoeffImage, BLOCK};
+use dcdiff_jpeg::CoeffImage;
 
-use crate::common::AcField;
+use crate::common::{recover_planes, RefineConfig, DEFAULT_THRESHOLD};
 use crate::DcRecovery;
 
 /// ICIP-2022 recovery: a *global* convex quadratic over all per-block DC
@@ -13,25 +12,27 @@ use crate::DcRecovery;
 /// direction-selective weights that downweight pixel pairs in
 /// high-activity (Laplacian-violating) regions; corner anchors are hard
 /// constraints. The normal equations are solved by Gauss–Seidel sweeps.
+///
+/// This is the boundary energy of [`crate::AcField::solve`] with trend
+/// and consensus off and no prior (λ = 0). What sets it apart from
+/// DCDiff's refinement is that it writes the offsets back as DC levels
+/// clamped to ±160 px.
 #[derive(Debug, Clone, Copy)]
 pub struct Icip2022 {
     sweeps: usize,
 }
 
+/// ICIP-2022's pair weights: activity weighting only.
+const ENERGY: RefineConfig = RefineConfig {
+    trend: false,
+    activity: true,
+    consensus: false,
+};
+
 impl Default for Icip2022 {
     fn default() -> Self {
         Self::new()
     }
-}
-
-/// One precomputed coupling between two adjacent blocks.
-struct Edge {
-    a: usize,
-    b: usize,
-    /// Σ w over the 8 boundary pixel pairs.
-    weight: f32,
-    /// Σ w · (ac_a(edge) − ac_b(edge)).
-    bias: f32,
 }
 
 impl Icip2022 {
@@ -54,91 +55,6 @@ impl Icip2022 {
     pub fn sweeps(&self) -> usize {
         self.sweeps
     }
-
-    fn edges(&self, field: &AcField) -> Vec<Edge> {
-        let (bw, bh) = (field.blocks_x, field.blocks_y);
-        let mut edges = Vec::with_capacity(2 * bw * bh);
-        // direction-selective weight: pairs whose local activity (second
-        // difference across the boundary) is large violate the Laplacian
-        // assumption and get small weight
-        let pair_weight = |activity: f32| -> f32 { 1.0 / (1.0 + activity * activity / 25.0) };
-        for by in 0..bh {
-            for bx in 0..bw {
-                let a = field.idx(bx, by);
-                if bx + 1 < bw {
-                    let b = field.idx(bx + 1, by);
-                    let a7 = field.column(a, BLOCK - 1);
-                    let a6 = field.column(a, BLOCK - 2);
-                    let b0 = field.column(b, 0);
-                    let b1 = field.column(b, 1);
-                    let mut weight = 0.0;
-                    let mut bias = 0.0;
-                    for y in 0..BLOCK {
-                        let activity = (a7[y] - a6[y]).abs() + (b1[y] - b0[y]).abs();
-                        let w = pair_weight(activity);
-                        weight += w;
-                        bias += w * (a7[y] - b0[y]);
-                    }
-                    edges.push(Edge { a, b, weight, bias });
-                }
-                if by + 1 < bh {
-                    let b = field.idx(bx, by + 1);
-                    let a7 = field.row(a, BLOCK - 1);
-                    let a6 = field.row(a, BLOCK - 2);
-                    let b0 = field.row(b, 0);
-                    let b1 = field.row(b, 1);
-                    let mut weight = 0.0;
-                    let mut bias = 0.0;
-                    for x in 0..BLOCK {
-                        let activity = (a7[x] - a6[x]).abs() + (b1[x] - b0[x]).abs();
-                        let w = pair_weight(activity);
-                        weight += w;
-                        bias += w * (a7[x] - b0[x]);
-                    }
-                    edges.push(Edge { a, b, weight, bias });
-                }
-            }
-        }
-        edges
-    }
-
-    pub(crate) fn recover_plane(&self, field: &AcField) -> Vec<f32> {
-        let n = field.pixels.len();
-        let edges = self.edges(field);
-        // adjacency: per block, (other, weight, signed bias)
-        // energy term: w*((o_a + d) - o_b)^2 with d = bias/weight contribution;
-        // we store for each endpoint the linear form it sees.
-        let mut adj: Vec<Vec<(usize, f32, f32)>> = vec![Vec::new(); n];
-        for e in &edges {
-            // from a's perspective: minimise w (o_a - o_b + d)^2, d = bias_w
-            adj[e.a].push((e.b, e.weight, -e.bias));
-            adj[e.b].push((e.a, e.weight, e.bias));
-        }
-        let fixed: Vec<Option<f32>> = field.anchors.clone();
-        let mut offsets = vec![0.0f32; n];
-        for (i, f) in fixed.iter().enumerate() {
-            if let Some(v) = f {
-                offsets[i] = *v;
-            }
-        }
-        for _ in 0..self.sweeps {
-            for i in 0..n {
-                if fixed[i].is_some() {
-                    continue;
-                }
-                let mut num = 0.0f32;
-                let mut den = 0.0f32;
-                for &(j, w, d) in &adj[i] {
-                    num += w * offsets[j] + d;
-                    den += w;
-                }
-                if den > 0.0 {
-                    offsets[i] = num / den;
-                }
-            }
-        }
-        offsets
-    }
 }
 
 impl DcRecovery for Icip2022 {
@@ -146,25 +62,18 @@ impl DcRecovery for Icip2022 {
         "ICIP 2022"
     }
 
-    fn recover(&self, dropped: &CoeffImage) -> Image {
-        self.recover_coefficients(dropped).to_image()
-    }
-
     fn recover_coefficients(&self, dropped: &CoeffImage) -> CoeffImage {
-        let mut out = dropped.clone();
-        for c in 0..dropped.channels() {
-            let field = AcField::new(dropped.plane(c), dropped.qtable(c));
-            let offsets = self.recover_plane(&field);
-            field.apply_offsets(&offsets, out.plane_mut(c));
-        }
-        out
+        recover_planes(dropped, |field| {
+            let zero = vec![0.0; field.pixels.len()];
+            field.solve(&zero, 0.0, DEFAULT_THRESHOLD, ENERGY, self.sweeps)
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SmartCom2019;
+    use crate::{AcField, SmartCom2019};
     use dcdiff_data::{DatasetProfile, SceneGenerator, SceneKind};
     use dcdiff_jpeg::{ChromaSampling, DcDropMode};
     use dcdiff_metrics::psnr;
@@ -217,6 +126,34 @@ mod tests {
         let few = psnr(&reference, &Icip2022::with_sweeps(5).recover(&dropped));
         let many = psnr(&reference, &Icip2022::with_sweeps(200).recover(&dropped));
         assert!(many >= few - 0.5, "many-sweep {many} vs few-sweep {few}");
+    }
+
+    #[test]
+    fn write_back_clamps_offsets_past_160_px() {
+        // On this Urban scene the solve drives luma blocks past +160 px;
+        // ICIP writes the ±160 px level there, not the solve's own, and
+        // that clamp is all that separates it from the refinement.
+        let img = SceneGenerator::new(SceneKind::Urban, 256, 256).generate(10);
+        let coeffs = CoeffImage::from_image(&img, 95, ChromaSampling::Cs422);
+        let dropped = coeffs.drop_dc(DcDropMode::KeepCorners);
+        let field = AcField::new(dropped.plane(0), dropped.qtable(0));
+        let zero = vec![0.0; field.pixels.len()];
+        let offsets = field.solve(&zero, 0.0, DEFAULT_THRESHOLD, ENERGY, 120);
+        let rec = Icip2022::new().recover_coefficients(&dropped);
+        let cap = (160.0 / field.dc_step).round() as i32;
+        let mut clamped = 0;
+        for by in 0..field.blocks_y {
+            for bx in 0..field.blocks_x {
+                let offset = offsets[field.idx(bx, by)];
+                if offset.abs() > 160.0 {
+                    clamped += 1;
+                    let unclamped = (offset / field.dc_step).round() as i32;
+                    assert!(unclamped.abs() > cap, "block ({bx}, {by}): {unclamped}");
+                    assert_eq!(rec.plane(0).dc(bx, by), cap * offset.signum() as i32);
+                }
+            }
+        }
+        assert!(clamped > 0, "no block passed 160 px");
     }
 
     #[test]

@@ -20,6 +20,14 @@
 //! [`CoeffImage`] with dropped DC (four corner anchors retained) and
 //! returns the reconstructed image.
 //!
+//! The crate also holds the one DC-offset solver. [`AcField`] is the
+//! AC-only pixel field of one plane, and [`AcField::solve`] minimises the
+//! boundary energy whose mechanisms [`RefineConfig`] switches. ICIP-2022
+//! is that energy with trend and consensus off, λ = 0 and 120 sweeps;
+//! DCDiff's masked-Laplacian refinement (`dcdiff_core::refine_dc_offsets`)
+//! is the same energy with all three mechanisms on and the diffusion
+//! estimate as its prior.
+//!
 //! # Example
 //!
 //! ```
@@ -40,6 +48,7 @@ mod smartcom2019;
 mod tii2021;
 mod tip2006;
 
+pub use common::{AcField, RefineConfig, DEFAULT_THRESHOLD};
 pub use icip2022::Icip2022;
 pub use smartcom2019::SmartCom2019;
 pub use tii2021::Tii2021;
@@ -59,7 +68,9 @@ pub trait DcRecovery {
     /// `dropped` must retain the four corner-block DC anchors
     /// ([`dcdiff_jpeg::DcDropMode::KeepCorners`]); methods treat absent
     /// anchors as zero.
-    fn recover(&self, dropped: &CoeffImage) -> Image;
+    fn recover(&self, dropped: &CoeffImage) -> Image {
+        self.recover_coefficients(dropped).to_image()
+    }
 
     /// Recover and also return the coefficient image with estimated DC
     /// levels filled in (for coefficient-domain analysis).

@@ -1,10 +1,9 @@
 //! Qiu et al., *DC coefficients recovery from AC coefficients in the JPEG
 //! compression scenario* (SmartCom 2019) — trend-based recovery.
 
-use dcdiff_image::Image;
 use dcdiff_jpeg::{CoeffImage, BLOCK};
 
-use crate::common::AcField;
+use crate::common::{recover_planes, AcField};
 use crate::DcRecovery;
 
 /// SmartCom-2019 recovery: instead of matching raw boundary pixels, the
@@ -21,7 +20,7 @@ impl SmartCom2019 {
         Self
     }
 
-    pub(crate) fn recover_plane(&self, field: &AcField) -> Vec<f32> {
+    fn recover_plane(&self, field: &AcField) -> Vec<f32> {
         let (bw, bh) = (field.blocks_x, field.blocks_y);
         let mut offsets = vec![0.0f32; bw * bh];
         let mut known = vec![false; bw * bh];
@@ -75,18 +74,8 @@ impl DcRecovery for SmartCom2019 {
         "SmartCom 2019"
     }
 
-    fn recover(&self, dropped: &CoeffImage) -> Image {
-        self.recover_coefficients(dropped).to_image()
-    }
-
     fn recover_coefficients(&self, dropped: &CoeffImage) -> CoeffImage {
-        let mut out = dropped.clone();
-        for c in 0..dropped.channels() {
-            let field = AcField::new(dropped.plane(c), dropped.qtable(c));
-            let offsets = self.recover_plane(&field);
-            field.apply_offsets(&offsets, out.plane_mut(c));
-        }
-        out
+        recover_planes(dropped, |field| self.recover_plane(field))
     }
 }
 

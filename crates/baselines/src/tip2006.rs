@@ -1,10 +1,9 @@
 //! Uehara et al., *Recovering DC coefficients in block-based DCT*
 //! (IEEE TIP 2006) — the original block-iterative recovery.
 
-use dcdiff_image::Image;
 use dcdiff_jpeg::{CoeffImage, BLOCK};
 
-use crate::common::{median, AcField};
+use crate::common::{median, recover_planes, AcField};
 use crate::DcRecovery;
 
 /// TIP-2006 recovery: raster-scan the block grid from the top-left anchor
@@ -80,18 +79,8 @@ impl DcRecovery for Tip2006 {
         "TIP 2006"
     }
 
-    fn recover(&self, dropped: &CoeffImage) -> Image {
-        self.recover_coefficients(dropped).to_image()
-    }
-
     fn recover_coefficients(&self, dropped: &CoeffImage) -> CoeffImage {
-        let mut out = dropped.clone();
-        for c in 0..dropped.channels() {
-            let field = AcField::new(dropped.plane(c), dropped.qtable(c));
-            let offsets = self.recover_plane(&field);
-            field.apply_offsets(&offsets, out.plane_mut(c));
-        }
-        out
+        recover_planes(dropped, |field| self.recover_plane(field))
     }
 }
 

@@ -7,6 +7,13 @@
 //! classes and prints the PSNR each variant reaches with a neutral
 //! prior, alongside the ICIP reference.
 //!
+//! Every column is one energy through one solver
+//! (`dcdiff_baselines::AcField::solve`): ICIP-2022 is the energy with
+//! trend and consensus off, λ = 0 and 120 sweeps, written back with a
+//! ±160 px clamp, so its gap to the other columns measures what trend,
+//! consensus, the prior (λ = 5e-4 here) and the sweep budget (300 here)
+//! add.
+//!
 //! Usage: `cargo run --release -p dcdiff-bench --bin ablation_refine [-- --quick]`
 
 use dcdiff_baselines::{DcRecovery, Icip2022};

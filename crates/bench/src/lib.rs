@@ -27,7 +27,7 @@
 
 use std::path::PathBuf;
 
-use dcdiff_baselines::{DcRecovery, Icip2022, SmartCom2019, Tii2021, Tip2006};
+use dcdiff_baselines::{DcRecovery, Icip2022, SmartCom2019, Tii2021};
 use dcdiff_core::{DcDiff, DcDiffConfig, RecoverOptions, TrainBudget};
 use dcdiff_data::DatasetProfile;
 use dcdiff_image::Image;
@@ -57,16 +57,6 @@ pub fn artifact_dir() -> PathBuf {
 /// Whether the process was invoked with `--quick` (reduced counts).
 pub fn quick_mode() -> bool {
     std::env::args().any(|a| a == "--quick")
-}
-
-/// Parse `--flag value` style integer arguments.
-pub fn arg_usize(name: &str, default: usize) -> usize {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
 }
 
 /// The mixed-content training corpus standing in for the paper's 300 K
@@ -195,11 +185,6 @@ pub fn table1_roster(quick: bool) -> Vec<Method> {
         Method::Baseline(Box::new(Icip2022::new())),
         Method::DcDiff(Box::new(system), options),
     ]
-}
-
-/// The TIP-2006 ancestor method (used by extension experiments).
-pub fn ancestor_method() -> Method {
-    Method::Baseline(Box::new(Tip2006::new()))
 }
 
 /// Code an image at the paper's settings and return

@@ -63,6 +63,7 @@ mod refine;
 mod stage1;
 mod stage2;
 
+pub use dcdiff_baselines::RefineConfig;
 pub use discriminator::PatchDiscriminator;
 pub use estimator::{
     content_seed, BatchRecoverJob, DcDiff, DcDiffConfig, RecoverOptions, TrainBudget, TrainReport,
@@ -70,6 +71,6 @@ pub use estimator::{
 pub use fallback::{panic_message, BreakerState, CircuitBreaker, EstimateError};
 pub use perceptual::PerceptualLoss;
 pub use projection::{image_to_tensor, project_dc, tensor_to_image};
-pub use refine::{refine_dc_offsets, refine_dc_offsets_with, RefineConfig};
+pub use refine::{refine_dc_offsets, refine_dc_offsets_with};
 pub use stage1::Stage1;
 pub use stage2::Stage2;

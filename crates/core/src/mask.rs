@@ -14,9 +14,7 @@
 
 use dcdiff_image::{Image, Plane};
 
-/// Default mask threshold — the paper's ablation (Table III) selects
-/// `T = 10`.
-pub const DEFAULT_THRESHOLD: f32 = 10.0;
+pub use dcdiff_baselines::DEFAULT_THRESHOLD;
 
 /// Compute the Eq. 3 mask from the DC-less reconstruction `x_tilde`
 /// (luma-based): 1 for low-frequency pixels, 0 for high-frequency ones.

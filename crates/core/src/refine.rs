@@ -13,32 +13,12 @@
 //! (pairs in high-frequency regions contribute nothing — this is what
 //! kills error propagation), `o_gen` is the diffusion model's estimate
 //! acting as a prior, and the four corner anchors are hard constraints.
-//! The energy is a convex quadratic solved by Gauss–Seidel sweeps.
+//! The energy and its Gauss–Seidel solver are
+//! [`dcdiff_baselines::AcField::solve`], which ICIP-2022 calls too (with
+//! trend and consensus off and no prior).
 
-use dcdiff_jpeg::{CoeffImage, BLOCK};
-
-/// Which mechanisms of the refinement energy are active (see
-/// [`refine_dc_offsets_with`]). The defaults enable everything; the
-/// `ablation_refine` experiment binary toggles them individually.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RefineConfig {
-    /// Slope-agreement-damped trend extrapolation across boundaries.
-    pub trend: bool,
-    /// Soft down-weighting of high-activity pixel pairs.
-    pub activity: bool,
-    /// Robust masking of pairs far from the edge's median residual.
-    pub consensus: bool,
-}
-
-impl Default for RefineConfig {
-    fn default() -> Self {
-        Self {
-            trend: true,
-            activity: true,
-            consensus: true,
-        }
-    }
-}
+use dcdiff_baselines::{AcField, RefineConfig};
+use dcdiff_jpeg::CoeffImage;
 
 /// Refine the DC levels of `generated` (a [`crate::project_dc`] result)
 /// against the masked Laplacian energy.
@@ -85,199 +65,36 @@ pub fn refine_dc_offsets_with(
     sweeps: usize,
     config: RefineConfig,
 ) -> CoeffImage {
-    assert!(sweeps > 0, "at least one sweep required");
     assert_eq!(dropped.channels(), generated.channels(), "channel mismatch");
     let mut out = generated.clone();
     for c in 0..dropped.channels() {
-        let plane = dropped.plane(c);
+        let field = AcField::new(dropped.plane(c), dropped.qtable(c));
         let gen_plane = generated.plane(c);
+        let bw = field.blocks_x;
         assert_eq!(
-            (plane.blocks_x(), plane.blocks_y()),
+            (bw, field.blocks_y),
             (gen_plane.blocks_x(), gen_plane.blocks_y()),
             "block grid mismatch"
         );
-        let qtable = dropped.qtable(c);
-        let q0 = qtable.values()[0] as f32;
-        let dc_step = q0 / 8.0;
-        let (bw, bh) = (plane.blocks_x(), plane.blocks_y());
-        let n = bw * bh;
-        let ac = plane.ac_pixels(qtable);
-
         // prior (generated) offsets, clamped to the representable pixel
         // range so a degenerate generator cannot poison the solve
-        let mut offsets: Vec<f32> = (0..n)
-            .map(|i| (gen_plane.dc(i % bw, i / bw) as f32 * dc_step).clamp(-140.0, 140.0))
+        let prior: Vec<f32> = (0..field.anchors.len())
+            .map(|i| (gen_plane.dc(i % bw, i / bw) as f32 * field.dc_step).clamp(-140.0, 140.0))
             .collect();
-        let prior = offsets.clone();
-        let mut fixed = vec![false; n];
-        // the four corner DCs are always transmitted (KeepCorners), so
-        // they anchor the solve even when their value is zero — without
-        // this, a plane whose corners are zero (e.g. neutral chroma)
-        // would have an unconstrained global offset
-        for (bx, by) in [(0, 0), (bw - 1, 0), (0, bh - 1), (bw - 1, bh - 1)] {
-            let i = by * bw + bx;
-            offsets[i] = plane.dc(bx, by) as f32 * dc_step;
-            fixed[i] = true;
-        }
-
-        // masked edges
-        struct Edge {
-            a: usize,
-            b: usize,
-            weight: f32,
-            bias: f32, // Σ m (ac_a − ac_b) over active pairs
-        }
-        let column = |b: usize, x: usize| -> [f32; BLOCK] {
-            std::array::from_fn(|y| ac[b][y * BLOCK + x])
-        };
-        let row = |b: usize, y: usize| -> [f32; BLOCK] {
-            std::array::from_fn(|x| ac[b][y * BLOCK + x])
-        };
-        let mut edges = Vec::with_capacity(2 * n);
-        for by in 0..bh {
-            for bx in 0..bw {
-                let a = by * bw + bx;
-                if bx + 1 < bw {
-                    let b = by * bw + bx + 1;
-                    let ea = column(a, BLOCK - 1);
-                    let ea2 = column(a, BLOCK - 2);
-                    let eb = column(b, 0);
-                    let eb2 = column(b, 1);
-                    let (weight, bias) = edge_statistics(&ea, &ea2, &eb, &eb2, threshold, config);
-                    if weight > 0.0 {
-                        edges.push(Edge { a, b, weight, bias });
-                    }
-                }
-                if by + 1 < bh {
-                    let b = (by + 1) * bw + bx;
-                    let ea = row(a, BLOCK - 1);
-                    let ea2 = row(a, BLOCK - 2);
-                    let eb = row(b, 0);
-                    let eb2 = row(b, 1);
-                    let (weight, bias) = edge_statistics(&ea, &ea2, &eb, &eb2, threshold, config);
-                    if weight > 0.0 {
-                        edges.push(Edge { a, b, weight, bias });
-                    }
-                }
-            }
-        }
-        let mut adj: Vec<Vec<(usize, f32, f32)>> = vec![Vec::new(); n];
-        for e in &edges {
-            adj[e.a].push((e.b, e.weight, -e.bias));
-            adj[e.b].push((e.a, e.weight, e.bias));
-        }
-
-        // Gauss–Seidel on the normal equations
-        for _ in 0..sweeps {
-            for i in 0..n {
-                if fixed[i] {
-                    continue;
-                }
-                let mut num = prior_weight * prior[i];
-                let mut den = prior_weight;
-                for &(j, w, d) in &adj[i] {
-                    num += w * offsets[j] + d;
-                    den += w;
-                }
-                if den > 0.0 {
-                    offsets[i] = num / den;
-                }
-            }
-        }
-
+        let offsets = field.solve(&prior, prior_weight, threshold, config, sweeps);
+        // anchors keep their generated levels; every other block takes its
+        // refined offset, unclamped
         let coeff = out.plane_mut(c);
-        for by in 0..bh {
+        for by in 0..field.blocks_y {
             for bx in 0..bw {
-                let i = by * bw + bx;
-                if !fixed[i] {
-                    let level = (offsets[i] / dc_step).round() as i32;
-                    coeff.set_dc(bx, by, level);
+                let i = field.idx(bx, by);
+                if field.anchors[i].is_none() {
+                    coeff.set_dc(bx, by, (offsets[i] / field.dc_step).round() as i32);
                 }
             }
         }
     }
     out
-}
-
-
-/// Per-edge boundary statistics combining the three mechanisms the
-/// recovery literature identified, all tuned against the masked
-/// Laplacian model of Fig. 4:
-///
-/// 1. **adaptive trend** — when the one-sided slopes on both sides of
-///    the boundary agree, the expected pixel step is their mean
-///    (SmartCom's trend extrapolation); disagreement (an edge) damps the
-///    trend smoothly;
-/// 2. **activity weighting** — pairs in high-gradient regions violate
-///    the Laplacian prior and are soft-downweighted (ICIP-2022's
-///    direction selectivity);
-/// 3. **masked consensus** — the Eq. 3 idea as a robust vote: pairs
-///    whose detrended residual deviates more than the threshold `T`
-///    from the edge's median residual are the Fig. 4(a) "abrupt change"
-///    pixels and lose their weight.
-///
-/// Returns the edge's total weight (normalised to at most 1) and the
-/// weighted residual sum, such that `bias / weight` is the robust
-/// estimate of `o_b − o_a`.
-fn edge_statistics(
-    ea: &[f32; BLOCK],
-    ea2: &[f32; BLOCK],
-    eb: &[f32; BLOCK],
-    eb2: &[f32; BLOCK],
-    threshold: f32,
-    config: RefineConfig,
-) -> (f32, f32) {
-    const SLOPE_SIGMA2: f32 = 25.0;
-    let mut residuals = [0.0f32; BLOCK];
-    let mut activity = [0.0f32; BLOCK];
-    for k in 0..BLOCK {
-        let slope_a = ea[k] - ea2[k];
-        let slope_b = eb2[k] - eb[k];
-        let agreement = 1.0 / (1.0 + (slope_a - slope_b).powi(2) / SLOPE_SIGMA2);
-        let trend = if config.trend {
-            agreement * 0.5 * (slope_a + slope_b)
-        } else {
-            0.0
-        };
-        residuals[k] = ea[k] - eb[k] + trend;
-        let act = slope_a.abs() + slope_b.abs();
-        activity[k] = if config.activity {
-            1.0 / (1.0 + act * act / SLOPE_SIGMA2)
-        } else {
-            1.0
-        };
-    }
-    let mut sorted = residuals;
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite residuals"));
-    let median = sorted[BLOCK / 2];
-    // noise-adaptive trim: on noisy (texture) edges the residual spread is
-    // wide and trimming at a fixed T would destroy the averaging the
-    // estimate needs, so the effective threshold grows with the median
-    // absolute deviation
-    let mut devs = [0.0f32; BLOCK];
-    for k in 0..BLOCK {
-        devs[k] = (residuals[k] - median).abs();
-    }
-    devs.sort_by(|a, b| a.partial_cmp(b).expect("finite residuals"));
-    let mad = devs[BLOCK / 2];
-    // `threshold` keeps the paper's T semantics (default 10) but acts as
-    // a scale on the noise-adaptive trim: T/10 × max(10, 1.5·MAD)
-    let t_eff = (threshold / crate::mask::DEFAULT_THRESHOLD * (1.5 * mad).max(10.0)).max(0.25);
-    let t2 = t_eff * t_eff;
-    let mut weight = 0.0f32;
-    let mut bias = 0.0f32;
-    for k in 0..BLOCK {
-        let d = residuals[k] - median;
-        let consensus = if config.consensus {
-            1.0 / (1.0 + d * d / t2)
-        } else {
-            1.0
-        };
-        let w = activity[k] * consensus;
-        weight += w;
-        bias += w * residuals[k];
-    }
-    (weight / BLOCK as f32, bias / BLOCK as f32)
 }
 
 #[cfg(test)]

@@ -1,4 +1,4 @@
-use dcdiff_tensor::{Rng, Tensor};
+use dcdiff_tensor::Tensor;
 
 /// A variance schedule for the forward diffusion process (Eq. 1 of the
 /// paper): `q(z_t | z_{t-1}) = N(sqrt(1-β_t) z_{t-1}, β_t I)`.
@@ -124,11 +124,6 @@ impl NoiseSchedule {
         let ab = self.alpha_bar(t);
         zt.sub(&eps_hat.scale((1.0 - ab).sqrt()))
             .scale(1.0 / ab.sqrt())
-    }
-
-    /// Fresh Gaussian noise shaped like a `[n, c, h, w]` latent.
-    pub fn noise_like(&self, shape: &[usize], rng: &mut Rng) -> Tensor {
-        Tensor::randn(shape.to_vec(), 1.0, rng)
     }
 }
 

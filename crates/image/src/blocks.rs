@@ -34,11 +34,6 @@ impl Block8 {
         }
     }
 
-    /// Build a block from a row-major 64-element array.
-    pub fn from_array(data: [f32; BLOCK * BLOCK]) -> Self {
-        Self { data }
-    }
-
     /// Build a block by evaluating `f(x, y)` for `x, y in 0..8`.
     pub fn from_fn(mut f: impl FnMut(usize, usize) -> f32) -> Self {
         let mut data = [0.0; BLOCK * BLOCK];

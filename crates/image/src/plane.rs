@@ -114,11 +114,6 @@ impl Plane {
         &mut self.data
     }
 
-    /// Consume the plane and return its sample buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Sample at `(x, y)`.
     ///
     /// # Panics

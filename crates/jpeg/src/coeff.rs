@@ -494,13 +494,6 @@ impl CoeffImage {
             .collect();
         Image::from_planes(resized, ColorSpace::YCbCr).expect("planes share dimensions").to_rgb()
     }
-
-    /// The receiver's view before recovery: reconstruction using the
-    /// coefficients as-is (call on a [`CoeffImage::drop_dc`] result to get
-    /// the paper's `x̃`).
-    pub fn reconstruct_without_recovery(&self) -> Image {
-        self.to_image()
-    }
 }
 
 /// 2× box-filter downsample (chroma subsampling).

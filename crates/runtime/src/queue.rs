@@ -34,8 +34,6 @@ impl std::fmt::Display for PushError {
 struct Inner<T> {
     items: VecDeque<T>,
     closed: bool,
-    /// Highest queue depth ever observed (for the stats block).
-    high_water: usize,
 }
 
 /// Bounded multi-producer multi-consumer FIFO.
@@ -53,17 +51,11 @@ impl<T> BoundedQueue<T> {
             inner: Mutex::new(Rank::RuntimeQueue, Inner {
                 items: VecDeque::new(),
                 closed: false,
-                high_water: 0,
             }),
             capacity: capacity.max(1),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
         }
-    }
-
-    /// Maximum depth.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Current depth.
@@ -74,11 +66,6 @@ impl<T> BoundedQueue<T> {
     /// Whether the queue is currently empty.
     pub fn is_empty(&self) -> bool {
         self.inner.lock().items.is_empty()
-    }
-
-    /// Highest depth observed since construction.
-    pub fn high_water(&self) -> usize {
-        self.inner.lock().high_water
     }
 
     /// Fail-fast push: enqueue or return [`PushError::Full`] immediately.
@@ -96,7 +83,6 @@ impl<T> BoundedQueue<T> {
             return Err(PushError::Full);
         }
         inner.items.push_back(item);
-        inner.high_water = inner.high_water.max(inner.items.len());
         drop(inner);
         self.not_empty.notify_one();
         Ok(())
@@ -117,7 +103,6 @@ impl<T> BoundedQueue<T> {
             return Err(PushError::Closed);
         }
         inner.items.push_back(item);
-        inner.high_water = inner.high_water.max(inner.items.len());
         drop(inner);
         self.not_empty.notify_one();
         Ok(())
@@ -270,19 +255,6 @@ mod tests {
         assert_eq!(q.pop(), Some(3));
         assert_eq!(q.pop(), Some(4));
         assert_eq!(q.pop(), Some(5));
-    }
-
-    #[test]
-    fn high_water_tracks_peak_depth() {
-        let q = BoundedQueue::new(8);
-        for i in 0..5 {
-            q.try_push(i).unwrap();
-        }
-        for _ in 0..3 {
-            q.pop();
-        }
-        q.try_push(9).unwrap();
-        assert_eq!(q.high_water(), 5);
     }
 
     #[test]

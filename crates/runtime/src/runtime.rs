@@ -371,11 +371,6 @@ impl Runtime {
         self.queue.len()
     }
 
-    /// The bounded queue's capacity — the backpressure point.
-    pub fn queue_capacity(&self) -> usize {
-        self.queue.capacity()
-    }
-
     /// Stop the runtime and collect every result.
     ///
     /// [`ShutdownMode::Drain`] completes all accepted jobs;

@@ -151,13 +151,6 @@ impl TelemetryBuilder {
         Ok(self)
     }
 
-    /// Write trace events to an arbitrary sink (tests, pipes).
-    pub fn trace_to_writer(mut self, writer: Box<dyn Write + Send>) -> Self {
-        self.trace = Some(writer);
-        self.trace_buffer = None;
-        self
-    }
-
     /// Write trace events to an in-memory buffer readable via
     /// [`Telemetry::take_trace_vec`] (tests).
     pub fn trace_to_vec(mut self) -> Self {

@@ -309,17 +309,6 @@ impl TraceReport {
         }
         out
     }
-
-    /// Span names in this trace that are not in the telemetry name registry
-    /// ([`crate::names`]) — producers emitting these have drifted from the
-    /// registered namespaces dashboards key on.
-    pub fn unregistered_names(&self) -> Vec<&str> {
-        self.spans
-            .keys()
-            .map(String::as_str)
-            .filter(|n| !crate::names::is_registered(n))
-            .collect()
-    }
 }
 
 #[cfg(test)]

@@ -241,11 +241,6 @@ impl Tensor {
         d.copy_from_slice(data);
     }
 
-    /// Apply `f` to the data in place.
-    pub fn update_data(&self, f: impl FnMut(&mut f32)) {
-        self.0.data.borrow_mut().iter_mut().for_each(f);
-    }
-
     /// Clear the accumulated gradient.
     pub fn zero_grad(&self) {
         *self.0.grad.borrow_mut() = None;
