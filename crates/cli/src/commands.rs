@@ -958,6 +958,36 @@ mod tests {
     }
 
     #[test]
+    fn diffusion_trace_reports_control_apart_from_sampling() {
+        let scene = tmp("ctl-scene.ppm");
+        let jpg = tmp("ctl-scene.jpg");
+        let out = tmp("ctl-out.ppm");
+        let manifest = tmp("ctl-manifest.txt");
+        let trace = tmp("ctl-trace.jsonl");
+        run(&["demo", &scene, "--scene", "urban", "--size", "32x32", "--seed", "2"]).unwrap();
+        run(&["encode", &scene, &jpg, "--quality", "50", "--drop-dc"]).unwrap();
+        std::fs::write(&manifest, format!("recover {jpg} {out} --method diffusion --steps 2\n"))
+            .unwrap();
+        run(&["batch", &manifest, "--workers", "1", "--trace", &trace]).unwrap();
+
+        let text = std::fs::read_to_string(&trace).unwrap();
+        let report: dcdiff_telemetry::TraceReport = text.parse().unwrap();
+        for span in ["recover.control", "recover.sample"] {
+            assert_eq!(report.spans.get(span).map(|s| s.count), Some(1), "{span} in {text}");
+        }
+        // `dcdiff report` gives control its own registered row.
+        let rendered = report.render();
+        let row = |name: &str| rendered.lines().find(|l| l.split_whitespace().next() == Some(name));
+        for span in ["recover.control", "recover.sample"] {
+            let line = row(span).unwrap_or_else(|| panic!("no {span} row in\n{rendered}"));
+            assert!(!line.ends_with("(?)"), "{span} is not a registered name: {line}");
+        }
+        for f in [&scene, &jpg, &out, &manifest, &trace] {
+            std::fs::remove_file(f).ok();
+        }
+    }
+
+    #[test]
     fn render_top_formats_the_expected_rows() {
         let text = "runtime_queue_depth 3\n\
                     serve_accepted 12\n\

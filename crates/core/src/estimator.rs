@@ -638,7 +638,7 @@ impl DcDiff {
         }
 
         // Control features, batched over the group.
-        let sample_start = Instant::now();
+        let control_start = Instant::now();
         let cond = Stage2::condition_from(&x_stack).detach();
         let control_all: Vec<Tensor> = self
             .stage2
@@ -646,6 +646,10 @@ impl DcDiff {
             .iter()
             .map(Tensor::detach)
             .collect();
+        let sample_start = Instant::now();
+        for &i in &live {
+            lane_span(i, names::SPAN_RECOVER_CONTROL, control_start, sample_start);
+        }
 
         // Step-synchronized DDIM over the cohort. The conditioning rows are
         // re-selected only when the active set changes (lane eviction).

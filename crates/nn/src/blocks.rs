@@ -48,11 +48,11 @@ impl ResBlock {
             temb.is_some(),
             "time embedding presence must match block configuration"
         );
-        let mut h = self.conv1.forward(&self.norm1.forward(x).silu());
+        let mut h = self.conv1.forward(&self.norm1.forward_silu(x));
         if let (Some(proj), Some(t)) = (&self.time_proj, temb) {
             h = h.add_per_channel(&proj.forward(&t.silu()));
         }
-        let h = self.conv2.forward(&self.norm2.forward(&h).silu());
+        let h = self.conv2.forward(&self.norm2.forward_silu(&h));
         match &self.skip {
             Some(skip) => h.add(&skip.forward(x)),
             None => h.add(x),

@@ -163,6 +163,13 @@ impl GroupNorm {
         x.group_norm(self.groups, &self.gamma, &self.beta, 1e-5)
     }
 
+    /// The normalisation followed by SiLU as one fused op
+    /// ([`Tensor::group_norm_silu`]): the same values and gradients as
+    /// `forward(x).silu()`, bit for bit.
+    pub fn forward_silu(&self, x: &Tensor) -> Tensor {
+        x.group_norm_silu(self.groups, &self.gamma, &self.beta, 1e-5)
+    }
+
     /// Effective group count after divisor adjustment.
     pub fn groups(&self) -> usize {
         self.groups

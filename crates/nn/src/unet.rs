@@ -234,7 +234,7 @@ impl UNet {
         let skip = skips.pop().expect("conv_in skip remains");
         let (hb, sk) = modulate(h, skip);
         h = self.final_block.forward(&hb.concat_channels(&sk), Some(&temb));
-        self.conv_out.forward(&self.out_norm.forward(&h).silu())
+        self.conv_out.forward(&self.out_norm.forward_silu(&h))
     }
 }
 

@@ -128,6 +128,9 @@ pub const SPAN_RECOVER_ESTIMATE: Name = Name::new("recover.estimate");
 pub const SPAN_RECOVER_WRITE: Name = Name::new("recover.write");
 /// Estimator phase: FMPP feature extraction.
 pub const SPAN_RECOVER_FMPP: Name = Name::new("recover.fmpp");
+/// Estimator phase: ControlNet conditioning features from x̃, computed
+/// once per cohort before sampling.
+pub const SPAN_RECOVER_CONTROL: Name = Name::new("recover.control");
 /// Estimator phase: DDIM sampling loop.
 pub const SPAN_RECOVER_SAMPLE: Name = Name::new("recover.sample");
 /// One DDIM step inside the sampling loop.
@@ -315,6 +318,7 @@ pub const REGISTERED: &[Name] = &[
     SPAN_RECOVER_ESTIMATE,
     SPAN_RECOVER_WRITE,
     SPAN_RECOVER_FMPP,
+    SPAN_RECOVER_CONTROL,
     SPAN_RECOVER_SAMPLE,
     SPAN_RECOVER_DDIM_STEP,
     SPAN_RECOVER_DECODE,

@@ -152,5 +152,12 @@ mod tests {
                 .mean_all()
         });
         assert!(report.passes(5e-2), "{report:?}");
+        // The fused op is the same function with the same gradient.
+        let fused = check_gradient(&[1, 1, 4, 4], &x0, &[0, 5, 10, 15], 1e-2, |x| {
+            x.conv2d(&k, None, 1, 1)
+                .group_norm_silu(1, &gamma, &beta, 1e-5)
+                .mean_all()
+        });
+        assert!(fused.passes(5e-2), "{fused:?}");
     }
 }

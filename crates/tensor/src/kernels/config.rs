@@ -15,6 +15,17 @@ pub const NC: usize = 512;
 /// pool: below this the dispatch latency dominates the kernel time.
 pub const PAR_FLOP_THRESHOLD: usize = 1 << 21;
 
+/// Minimum element count before a per-element kernel (the fused group
+/// norm → SiLU, SiLU, tanh) is sharded across the pool. Sharding `n`
+/// elements over two threads saves about `n·c/2` at `c` ns per element and
+/// costs one pool dispatch `d`; the threshold asks the saving to cover the
+/// dispatch twice, `n ≥ 4·d/c`, for the cheapest such kernel (SiLU).
+/// `kernel_bench` measures both and records the `n` it derives next to
+/// this constant in `BENCH_kernels.json`. Seven runs on the 2-vCPU bench
+/// host read `d` 7–16 µs (median of 2000 round trips), `c` 3.2–5.1 ns and
+/// so `n` 8.5k–18.9k (median 13.8k); 2¹⁴ is the power of two in that range.
+pub const PAR_ELEMENT_THRESHOLD: usize = 1 << 14;
+
 /// 0 = uninitialised; resolved lazily by [`configured_threads`].
 static THREADS: AtomicUsize = AtomicUsize::new(0);
 
@@ -73,6 +84,8 @@ pub struct KernelConfig {
     pub nc: usize,
     /// FLOP threshold below which GEMMs stay single-threaded.
     pub par_flop_threshold: usize,
+    /// Element count below which per-element kernels stay single-threaded.
+    pub par_element_threshold: usize,
 }
 
 impl KernelConfig {
@@ -90,6 +103,7 @@ impl KernelConfig {
             mc: MC,
             nc: NC,
             par_flop_threshold: PAR_FLOP_THRESHOLD,
+            par_element_threshold: PAR_ELEMENT_THRESHOLD,
         }
     }
 
@@ -97,7 +111,8 @@ impl KernelConfig {
     pub fn to_json(&self) -> String {
         format!(
             "{{\"threads\": {}, \"cpu_cores\": {}, \"isa\": \"{}\", \"mr\": {}, \"nr\": {}, \
-             \"kc\": {}, \"mc\": {}, \"nc\": {}, \"par_flop_threshold\": {}}}",
+             \"kc\": {}, \"mc\": {}, \"nc\": {}, \"par_flop_threshold\": {}, \
+             \"par_element_threshold\": {}}}",
             self.threads,
             self.cpu_cores,
             self.isa,
@@ -106,7 +121,8 @@ impl KernelConfig {
             self.kc,
             self.mc,
             self.nc,
-            self.par_flop_threshold
+            self.par_flop_threshold,
+            self.par_element_threshold
         )
     }
 }
@@ -133,6 +149,7 @@ mod tests {
             "mc",
             "nc",
             "par_flop_threshold",
+            "par_element_threshold",
         ] {
             assert!(json.contains(key), "missing {key} in {json}");
         }

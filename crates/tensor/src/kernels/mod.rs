@@ -42,4 +42,5 @@ pub mod scratch;
 pub use config::{configured_threads, set_threads, KernelConfig};
 pub(crate) use gemm::{conv2d_nchw, ConvGeom};
 pub use gemm::{gemm_naive, microkernel_info, sgemm, sgemm_with_threads, Trans};
-pub use pool::{parallel_for, parallel_chunks_mut};
+pub(crate) use pool::parallel_chunks_mut_with_threads;
+pub use pool::{parallel_chunks_mut, parallel_for};

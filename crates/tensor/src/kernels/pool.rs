@@ -143,19 +143,26 @@ fn pool() -> &'static Pool {
 /// exceed the thread count. Runs inline when the pool is configured for a
 /// single thread or there is at most one task. Panics in `f` are joined and
 /// re-raised on the caller.
-#[expect(clippy::expect_used, reason = "the receiver is leaked at pool init and never dropped")]
 pub fn parallel_for(total: usize, f: &(dyn Fn(usize) + Sync)) {
+    parallel_for_with_threads(configured_threads(), total, f);
+}
+
+/// [`parallel_for`] on at most `threads` threads (the caller included)
+/// instead of the configured budget, so tests can compare thread counts
+/// without touching the process-wide [`super::set_threads`].
+#[expect(clippy::expect_used, reason = "the receiver is leaked at pool init and never dropped")]
+pub(crate) fn parallel_for_with_threads(threads: usize, total: usize, f: &(dyn Fn(usize) + Sync)) {
     if total == 0 {
         return;
     }
-    if configured_threads() <= 1 || total == 1 {
+    if threads <= 1 || total == 1 {
         for i in 0..total {
             f(i);
         }
         return;
     }
     let pool = pool();
-    let kicks = pool.workers.min(configured_threads() - 1).min(total - 1);
+    let kicks = pool.workers.min(threads - 1).min(total - 1);
     if kicks == 0 {
         for i in 0..total {
             f(i);
@@ -195,11 +202,22 @@ pub fn parallel_for(total: usize, f: &(dyn Fn(usize) + Sync)) {
 /// The chunks are disjoint, so handing each task its own `&mut` view is
 /// sound even though they all derive from one slice.
 pub fn parallel_chunks_mut(buf: &mut [f32], chunk: usize, f: &(dyn Fn(usize, &mut [f32]) + Sync)) {
+    parallel_chunks_mut_with_threads(configured_threads(), buf, chunk, f);
+}
+
+/// [`parallel_chunks_mut`] on at most `threads` threads; see
+/// [`parallel_for_with_threads`].
+pub(crate) fn parallel_chunks_mut_with_threads(
+    threads: usize,
+    buf: &mut [f32],
+    chunk: usize,
+    f: &(dyn Fn(usize, &mut [f32]) + Sync),
+) {
     assert!(chunk > 0, "chunk size must be positive");
     let len = buf.len();
     let tasks = len.div_ceil(chunk);
     let base = buf.as_mut_ptr() as usize;
-    parallel_for(tasks, &|i| {
+    parallel_for_with_threads(threads, tasks, &|i| {
         let start = i * chunk;
         let end = (start + chunk).min(len);
         // SAFETY: disjoint per-index ranges of a live &mut [f32] — no two

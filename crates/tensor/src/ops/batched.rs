@@ -24,10 +24,9 @@ impl Tensor {
         let (n2, k2, p) = (other.shape()[0], other.shape()[1], other.shape()[2]);
         assert_eq!(n, n2, "bmm batch mismatch");
         assert_eq!(k, k2, "bmm inner dimensions differ: {k} vs {k2}");
-        let a = self.to_vec();
-        let b = other.to_vec();
         let mut out = vec![0.0f32; n * m * p];
         let t0 = Instant::now();
+        let (av, bv) = (self.data(), other.data());
         for i in 0..n {
             sgemm(
                 Trans::N,
@@ -35,12 +34,15 @@ impl Tensor {
                 m,
                 k,
                 p,
-                &a[i * m * k..(i + 1) * m * k],
-                &b[i * k * p..(i + 1) * k * p],
+                &av[i * m * k..(i + 1) * m * k],
+                &bv[i * k * p..(i + 1) * k * p],
                 &mut out[i * m * p..(i + 1) * m * p],
             );
         }
         kernels::metrics::record_gemm(t0.elapsed(), 2 * (n * m * k * p) as u64);
+        // Each operand's gradient reads the other operand.
+        let b = other.saved_for(self);
+        let a = self.saved_for(other);
         Tensor::from_op(
             vec![n, m, p],
             out,
@@ -48,7 +50,7 @@ impl Tensor {
             Box::new(move |g, parents| {
                 let t0 = Instant::now();
                 let mut flops = 0u64;
-                if parents[0].tracks_grad() {
+                if let Some(b) = b.as_ref().filter(|_| parents[0].tracks_grad()) {
                     let mut ga = vec![0.0f32; n * m * k];
                     for i in 0..n {
                         sgemm(
@@ -65,7 +67,7 @@ impl Tensor {
                     flops += 2 * (n * m * p * k) as u64;
                     parents[0].accumulate_grad(&ga);
                 }
-                if parents[1].tracks_grad() {
+                if let Some(a) = a.as_ref().filter(|_| parents[1].tracks_grad()) {
                     let mut gb = vec![0.0f32; n * k * p];
                     for i in 0..n {
                         sgemm(
@@ -97,7 +99,7 @@ impl Tensor {
     pub fn transpose_last2(&self) -> Tensor {
         assert_eq!(self.shape().len(), 3, "transpose_last2 expects 3-D");
         let (n, m, k) = (self.shape()[0], self.shape()[1], self.shape()[2]);
-        let a = self.to_vec();
+        let a = self.data();
         let mut out = vec![0.0f32; n * m * k];
         for i in 0..n {
             let t = transpose(m, k, &a[i * m * k..(i + 1) * m * k]);
@@ -129,7 +131,7 @@ impl Tensor {
         assert_eq!(self.shape().len(), 3, "softmax_last expects 3-D");
         let shape = self.shape().to_vec();
         let k = shape[2];
-        let a = self.to_vec();
+        let a = self.data();
         let mut out = vec![0.0f32; a.len()];
         for (row_in, row_out) in a.chunks(k).zip(out.chunks_mut(k)) {
             let max = row_in.iter().copied().fold(f32::NEG_INFINITY, f32::max);
@@ -142,13 +144,13 @@ impl Tensor {
                 *o /= sum;
             }
         }
-        let saved = out.clone();
+        let saved = self.tracks_grad().then(|| out.clone());
         Tensor::from_op(
             shape,
             out,
             vec![self.clone()],
             Box::new(move |g, parents| {
-                if parents[0].tracks_grad() {
+                if let Some(saved) = saved.as_ref().filter(|_| parents[0].tracks_grad()) {
                     // dx = s * (g - sum(g * s)) per row
                     let mut ga = vec![0.0f32; g.len()];
                     for ((grow, srow), garow) in

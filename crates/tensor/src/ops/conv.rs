@@ -250,7 +250,7 @@ impl Tensor {
     pub fn upsample_nearest2(&self) -> Tensor {
         let (n, c, h, w) = shape4(self.shape());
         let (h2, w2) = (h * 2, w * 2);
-        let x = self.to_vec();
+        let x = self.data();
         let mut out = vec![0.0f32; n * c * h2 * w2];
         for nc in 0..n * c {
             let src = &x[nc * h * w..(nc + 1) * h * w];
@@ -292,7 +292,7 @@ impl Tensor {
         let (n, c, h, w) = shape4(self.shape());
         assert!(h % 2 == 0 && w % 2 == 0, "avg_pool2 needs even dims, got {h}x{w}");
         let (h2, w2) = (h / 2, w / 2);
-        let x = self.to_vec();
+        let x = self.data();
         let mut out = vec![0.0f32; n * c * h2 * w2];
         for nc in 0..n * c {
             let src = &x[nc * h * w..(nc + 1) * h * w];
@@ -340,7 +340,7 @@ impl Tensor {
     pub fn global_avg_pool(&self) -> Tensor {
         let (n, c, h, w) = shape4(self.shape());
         let hw = (h * w) as f32;
-        let x = self.to_vec();
+        let x = self.data();
         let mut out = vec![0.0f32; n * c];
         for (nc, o) in out.iter_mut().enumerate() {
             *o = x[nc * h * w..(nc + 1) * h * w].iter().sum::<f32>() / hw;

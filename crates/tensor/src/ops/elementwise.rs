@@ -1,4 +1,10 @@
+use crate::kernels::config::{configured_threads, PAR_ELEMENT_THRESHOLD};
+use crate::kernels::parallel_chunks_mut_with_threads;
 use crate::Tensor;
+
+/// Elements per pool task when a per-element kernel is sharded: 16 KiB of
+/// input and of output, well inside L1.
+const ELEMENT_CHUNK: usize = 4096;
 
 impl Tensor {
     fn assert_same_shape(&self, other: &Tensor, op: &str) {
@@ -75,20 +81,26 @@ impl Tensor {
     /// Panics on shape mismatch.
     pub fn mul(&self, other: &Tensor) -> Tensor {
         self.assert_same_shape(other, "mul");
-        let a = self.to_vec();
-        let b = other.to_vec();
-        let data: Vec<f32> = a.iter().zip(&b).map(|(&x, &y)| x * y).collect();
+        let data: Vec<f32> = self
+            .data()
+            .iter()
+            .zip(other.data().iter())
+            .map(|(&x, &y)| x * y)
+            .collect();
+        // Each operand's gradient reads the other operand.
+        let b = other.saved_for(self);
+        let a = self.saved_for(other);
         Tensor::from_op(
             self.shape().to_vec(),
             data,
             vec![self.clone(), other.clone()],
             Box::new(move |g, parents| {
-                if parents[0].tracks_grad() {
-                    let ga: Vec<f32> = g.iter().zip(&b).map(|(&gv, &y)| gv * y).collect();
+                if let Some(b) = b.as_ref().filter(|_| parents[0].tracks_grad()) {
+                    let ga: Vec<f32> = g.iter().zip(b).map(|(&gv, &y)| gv * y).collect();
                     parents[0].accumulate_grad(&ga);
                 }
-                if parents[1].tracks_grad() {
-                    let gb: Vec<f32> = g.iter().zip(&a).map(|(&gv, &x)| gv * x).collect();
+                if let Some(a) = a.as_ref().filter(|_| parents[1].tracks_grad()) {
+                    let gb: Vec<f32> = g.iter().zip(a).map(|(&gv, &x)| gv * x).collect();
                     parents[1].accumulate_grad(&gb);
                 }
             }),
@@ -133,17 +145,17 @@ impl Tensor {
 
     /// Rectified linear unit.
     pub fn relu(&self) -> Tensor {
-        let a = self.to_vec();
-        let data: Vec<f32> = a.iter().map(|&v| v.max(0.0)).collect();
+        let data: Vec<f32> = self.data().iter().map(|&v| v.max(0.0)).collect();
+        let a = self.saved_for(self);
         Tensor::from_op(
             self.shape().to_vec(),
             data,
             vec![self.clone()],
             Box::new(move |g, parents| {
-                if parents[0].tracks_grad() {
+                if let Some(a) = a.as_ref().filter(|_| parents[0].tracks_grad()) {
                     let ga: Vec<f32> = g
                         .iter()
-                        .zip(&a)
+                        .zip(a)
                         .map(|(&gv, &x)| if x > 0.0 { gv } else { 0.0 })
                         .collect();
                     parents[0].accumulate_grad(&ga);
@@ -155,17 +167,22 @@ impl Tensor {
     /// SiLU / swish activation `x * sigmoid(x)` (the diffusion U-Net's
     /// nonlinearity).
     pub fn silu(&self) -> Tensor {
-        let a = self.to_vec();
-        let data: Vec<f32> = a.iter().map(|&v| v * sigmoid_f(v)).collect();
+        self.silu_with_threads(configured_threads())
+    }
+
+    /// [`Tensor::silu`] on at most `threads` threads.
+    pub(crate) fn silu_with_threads(&self, threads: usize) -> Tensor {
+        let data = map_sharded(&self.data(), threads, |v| v * sigmoid_f(v));
+        let a = self.saved_for(self);
         Tensor::from_op(
             self.shape().to_vec(),
             data,
             vec![self.clone()],
             Box::new(move |g, parents| {
-                if parents[0].tracks_grad() {
+                if let Some(a) = a.as_ref().filter(|_| parents[0].tracks_grad()) {
                     let ga: Vec<f32> = g
                         .iter()
-                        .zip(&a)
+                        .zip(a)
                         .map(|(&gv, &x)| {
                             let s = sigmoid_f(x);
                             gv * (s + x * s * (1.0 - s))
@@ -180,16 +197,16 @@ impl Tensor {
     /// Logistic sigmoid.
     pub fn sigmoid(&self) -> Tensor {
         let data: Vec<f32> = self.data().iter().map(|&v| sigmoid_f(v)).collect();
-        let out = data.clone();
+        let out = self.tracks_grad().then(|| data.clone());
         Tensor::from_op(
             self.shape().to_vec(),
             data,
             vec![self.clone()],
             Box::new(move |g, parents| {
-                if parents[0].tracks_grad() {
+                if let Some(out) = out.as_ref().filter(|_| parents[0].tracks_grad()) {
                     let ga: Vec<f32> = g
                         .iter()
-                        .zip(&out)
+                        .zip(out)
                         .map(|(&gv, &s)| gv * s * (1.0 - s))
                         .collect();
                     parents[0].accumulate_grad(&ga);
@@ -200,17 +217,22 @@ impl Tensor {
 
     /// Hyperbolic tangent.
     pub fn tanh(&self) -> Tensor {
-        let data: Vec<f32> = self.data().iter().map(|&v| v.tanh()).collect();
-        let out = data.clone();
+        self.tanh_with_threads(configured_threads())
+    }
+
+    /// [`Tensor::tanh`] on at most `threads` threads.
+    pub(crate) fn tanh_with_threads(&self, threads: usize) -> Tensor {
+        let data = map_sharded(&self.data(), threads, f32::tanh);
+        let out = self.tracks_grad().then(|| data.clone());
         Tensor::from_op(
             self.shape().to_vec(),
             data,
             vec![self.clone()],
             Box::new(move |g, parents| {
-                if parents[0].tracks_grad() {
+                if let Some(out) = out.as_ref().filter(|_| parents[0].tracks_grad()) {
                     let ga: Vec<f32> = g
                         .iter()
-                        .zip(&out)
+                        .zip(out)
                         .map(|(&gv, &t)| gv * (1.0 - t * t))
                         .collect();
                     parents[0].accumulate_grad(&ga);
@@ -231,21 +253,20 @@ impl Tensor {
         let (n, c, h, w) = shape4(self.shape());
         assert_eq!(s.shape(), &[n], "scale must be [N]");
         let chw = c * h * w;
-        let sv = s.to_vec();
-        let a = self.to_vec();
-        let mut data = a.clone();
-        for ni in 0..n {
-            let f = sv[ni];
+        let mut data = self.to_vec();
+        for (ni, &f) in s.data().iter().enumerate() {
             for v in &mut data[ni * chw..(ni + 1) * chw] {
                 *v *= f;
             }
         }
+        let sv = s.saved_for(self);
+        let a = self.saved_for(s);
         Tensor::from_op(
             self.shape().to_vec(),
             data,
             vec![self.clone(), s.clone()],
             Box::new(move |g, parents| {
-                if parents[0].tracks_grad() {
+                if let Some(sv) = sv.as_ref().filter(|_| parents[0].tracks_grad()) {
                     let mut ga = g.to_vec();
                     for ni in 0..n {
                         let f = sv[ni];
@@ -255,7 +276,7 @@ impl Tensor {
                     }
                     parents[0].accumulate_grad(&ga);
                 }
-                if parents[1].tracks_grad() {
+                if let Some(a) = a.as_ref().filter(|_| parents[1].tracks_grad()) {
                     let mut gs = vec![0.0f32; n];
                     for (ni, acc) in gs.iter_mut().enumerate() {
                         *acc += g[ni * chw..(ni + 1) * chw]
@@ -281,10 +302,8 @@ impl Tensor {
         let (n, c, h, w) = shape4(self.shape());
         assert_eq!(v.shape(), &[n, c], "per-channel vector must be [N, C]");
         let hw = h * w;
-        let vv = v.to_vec();
         let mut data = self.to_vec();
-        for nc in 0..n * c {
-            let add = vv[nc];
+        for (nc, &add) in v.data().iter().enumerate() {
             for x in &mut data[nc * hw..(nc + 1) * hw] {
                 *x += add;
             }
@@ -332,17 +351,17 @@ impl Tensor {
 
     /// Element-wise absolute value (used by L1 losses).
     pub fn abs(&self) -> Tensor {
-        let a = self.to_vec();
-        let data: Vec<f32> = a.iter().map(|&v| v.abs()).collect();
+        let data: Vec<f32> = self.data().iter().map(|&v| v.abs()).collect();
+        let a = self.saved_for(self);
         Tensor::from_op(
             self.shape().to_vec(),
             data,
             vec![self.clone()],
             Box::new(move |g, parents| {
-                if parents[0].tracks_grad() {
+                if let Some(a) = a.as_ref().filter(|_| parents[0].tracks_grad()) {
                     let ga: Vec<f32> = g
                         .iter()
-                        .zip(&a)
+                        .zip(a)
                         .map(|(&gv, &x)| if x >= 0.0 { gv } else { -gv })
                         .collect();
                     parents[0].accumulate_grad(&ga);
@@ -355,6 +374,25 @@ impl Tensor {
     pub fn square(&self) -> Tensor {
         self.mul(self)
     }
+}
+
+/// `f` applied to every element of `x` into a fresh buffer. Above
+/// [`PAR_ELEMENT_THRESHOLD`] elements, fixed [`ELEMENT_CHUNK`]-sized chunks
+/// run as pool tasks on at most `threads` threads; each element is still
+/// computed once, by the same `f`, so the bits do not depend on `threads`.
+fn map_sharded(x: &[f32], threads: usize, f: impl Fn(f32) -> f32 + Sync) -> Vec<f32> {
+    let mut out = vec![0.0f32; x.len()];
+    let threads = if x.len() < PAR_ELEMENT_THRESHOLD {
+        1
+    } else {
+        threads
+    };
+    parallel_chunks_mut_with_threads(threads, &mut out, ELEMENT_CHUNK, &|i, dst| {
+        for (o, &v) in dst.iter_mut().zip(&x[i * ELEMENT_CHUNK..]) {
+            *o = f(v);
+        }
+    });
+    out
 }
 
 #[inline]
@@ -459,13 +497,27 @@ mod tests {
         let x = Tensor::param(vec![2, 2, 1, 2], vec![0.0; 8]);
         let v = Tensor::param(vec![2, 2], vec![1.0, 2.0, 3.0, 4.0]);
         let y = x.add_per_channel(&v);
-        assert_eq!(
-            y.to_vec(),
-            vec![1.0, 1.0, 2.0, 2.0, 3.0, 3.0, 4.0, 4.0]
-        );
+        assert_eq!(y.to_vec(), vec![1.0, 1.0, 2.0, 2.0, 3.0, 3.0, 4.0, 4.0]);
         y.sum_all().backward();
         assert_eq!(v.grad_vec(), vec![2.0; 4]);
         assert_eq!(x.grad_vec(), vec![1.0; 8]);
+    }
+
+    #[test]
+    fn sharded_silu_and_tanh_match_one_thread_bit_for_bit() {
+        // Past the sharding threshold and not a whole number of chunks.
+        let mut rng = crate::seeded_rng(12);
+        let x = Tensor::randn(vec![1, 5, 64, 65], 3.0, &mut rng);
+        assert!(x.len() >= crate::kernels::config::PAR_ELEMENT_THRESHOLD);
+        let bits = |t: Tensor| t.to_vec().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(x.silu_with_threads(2)), bits(x.silu_with_threads(1)));
+        assert_eq!(bits(x.tanh_with_threads(2)), bits(x.tanh_with_threads(1)));
+        let one: Vec<u32> = x
+            .to_vec()
+            .iter()
+            .map(|&v| (v * super::sigmoid_f(v)).to_bits())
+            .collect();
+        assert_eq!(bits(x.silu_with_threads(2)), one);
     }
 
     #[test]

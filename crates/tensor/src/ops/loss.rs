@@ -44,7 +44,7 @@ impl Tensor {
         let (n, k) = (self.shape()[0], self.shape()[1]);
         assert_eq!(labels.len(), n, "one label per sample");
         assert!(labels.iter().all(|&l| l < k), "label out of range");
-        let x = self.to_vec();
+        let x = self.data();
         let mut probs = vec![0.0f32; n * k];
         let mut loss = 0.0f32;
         for i in 0..n {
@@ -88,7 +88,7 @@ impl Tensor {
     pub fn softmax_rows(&self) -> Tensor {
         assert_eq!(self.shape().len(), 2, "softmax_rows expects [N, K]");
         let (n, k) = (self.shape()[0], self.shape()[1]);
-        let x = self.to_vec();
+        let x = self.data();
         let mut out = vec![0.0f32; n * k];
         for i in 0..n {
             let row = &x[i * k..(i + 1) * k];

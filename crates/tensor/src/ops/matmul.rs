@@ -30,12 +30,22 @@ impl Tensor {
         let (m, k) = (self.shape()[0], self.shape()[1]);
         let (k2, n) = (other.shape()[0], other.shape()[1]);
         assert_eq!(k, k2, "matmul inner dimensions differ: {k} vs {k2}");
-        let a = self.to_vec();
-        let b = other.to_vec();
         let mut out = vec![0.0f32; m * n];
         let t0 = Instant::now();
-        sgemm(Trans::N, Trans::N, m, k, n, &a, &b, &mut out);
+        sgemm(
+            Trans::N,
+            Trans::N,
+            m,
+            k,
+            n,
+            &self.data(),
+            &other.data(),
+            &mut out,
+        );
         kernels::metrics::record_gemm(t0.elapsed(), 2 * (m * k * n) as u64);
+        // Each operand's gradient reads the other operand.
+        let b = other.saved_for(self);
+        let a = self.saved_for(other);
         Tensor::from_op(
             vec![m, n],
             out,
@@ -43,15 +53,15 @@ impl Tensor {
             Box::new(move |g, parents| {
                 let t0 = Instant::now();
                 let mut flops = 0u64;
-                if parents[0].tracks_grad() {
+                if let Some(b) = b.as_ref().filter(|_| parents[0].tracks_grad()) {
                     let mut ga = vec![0.0f32; m * k];
-                    sgemm(Trans::N, Trans::T, m, n, k, g, &b, &mut ga);
+                    sgemm(Trans::N, Trans::T, m, n, k, g, b, &mut ga);
                     flops += 2 * (m * n * k) as u64;
                     parents[0].accumulate_grad(&ga);
                 }
-                if parents[1].tracks_grad() {
+                if let Some(a) = a.as_ref().filter(|_| parents[1].tracks_grad()) {
                     let mut gb = vec![0.0f32; k * n];
-                    sgemm(Trans::T, Trans::N, k, m, n, &a, g, &mut gb);
+                    sgemm(Trans::T, Trans::N, k, m, n, a, g, &mut gb);
                     flops += 2 * (k * m * n) as u64;
                     parents[1].accumulate_grad(&gb);
                 }
@@ -72,10 +82,10 @@ impl Tensor {
         assert_eq!(self.shape().len(), 2, "add_bias_row expects a matrix");
         let (m, n) = (self.shape()[0], self.shape()[1]);
         assert_eq!(bias.shape(), &[n], "bias must be [N]");
-        let b = bias.to_vec();
+        let b = bias.data();
         let mut data = self.to_vec();
         for row in data.chunks_mut(n) {
-            for (v, &bv) in row.iter_mut().zip(&b) {
+            for (v, &bv) in row.iter_mut().zip(b.iter()) {
                 *v += bv;
             }
         }

@@ -41,8 +41,7 @@ impl Tensor {
             "concat_channels: batch/spatial mismatch"
         );
         let hw = h * w;
-        let a = self.to_vec();
-        let b = other.to_vec();
+        let (a, b) = (self.data(), other.data());
         let mut out = vec![0.0f32; n * (c1 + c2) * hw];
         for ni in 0..n {
             let dst = &mut out[ni * (c1 + c2) * hw..];
@@ -85,7 +84,7 @@ impl Tensor {
         assert!(start < end && end <= c, "invalid channel range {start}..{end} of {c}");
         let cs = end - start;
         let hw = h * w;
-        let x = self.to_vec();
+        let x = self.data();
         let mut out = vec![0.0f32; n * cs * hw];
         for ni in 0..n {
             let src = &x[(ni * c + start) * hw..(ni * c + end) * hw];

@@ -114,6 +114,13 @@ impl Tensor {
         }
     }
 
+    /// A copy of this tensor's values for a backward closure that reads
+    /// them to form `reader`'s gradient, or `None` when `reader` tracks no
+    /// gradient: ops then copy nothing under [`no_grad`] or on constants.
+    pub(crate) fn saved_for(&self, reader: &Tensor) -> Option<Vec<f32>> {
+        reader.tracks_grad().then(|| self.to_vec())
+    }
+
     /// Whether this node propagates gradients (a parameter or derived from
     /// one). Always false inside a [`no_grad`] scope, which is what keeps
     /// ops from saving backward state during inference.
