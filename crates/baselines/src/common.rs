@@ -190,35 +190,41 @@ impl AcField {
         let clamped = offset.clamp(-max_offset, max_offset);
         (clamped / self.dc_step).round() as i32
     }
-
-    /// Write estimated pixel offsets back into a coefficient plane as DC
-    /// levels.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `offsets` does not hold one offset per block.
-    pub(crate) fn apply_offsets(&self, offsets: &[f32], plane: &mut CoeffPlane) {
-        assert_eq!(offsets.len(), self.pixels.len(), "one offset per block");
-        for by in 0..self.blocks_y {
-            for bx in 0..self.blocks_x {
-                let level = self.offset_to_level(offsets[self.idx(bx, by)]);
-                plane.set_dc(bx, by, level);
-            }
-        }
-    }
 }
 
-/// Recover every plane of `dropped`: decompose it, estimate its offsets
-/// with `offsets`, and write them back as clamped DC levels
-/// ([`AcField::apply_offsets`]).
-pub(crate) fn recover_planes(
+/// Estimate the DC levels of every plane of `dropped`: decompose the
+/// plane, estimate its offsets with `offsets`, and convert each to a
+/// clamped level ([`AcField::offset_to_level`]). One `Vec` per plane, one
+/// level per block (row-major): the form
+/// [`CoeffImage::to_image_with_dc`] decodes.
+///
+/// # Panics
+///
+/// Panics if `offsets` does not return one offset per block.
+pub(crate) fn estimate_levels(
     dropped: &CoeffImage,
     offsets: impl Fn(&AcField) -> Vec<f32>,
-) -> CoeffImage {
+) -> Vec<Vec<i32>> {
+    (0..dropped.channels())
+        .map(|c| {
+            let field = AcField::new(dropped.plane(c), dropped.qtable(c));
+            let offsets = offsets(&field);
+            assert_eq!(offsets.len(), field.pixels.len(), "one offset per block");
+            offsets.iter().map(|&o| field.offset_to_level(o)).collect()
+        })
+        .collect()
+}
+
+/// A copy of `dropped` with every plane's DC levels set to `levels` (as
+/// [`estimate_levels`] returns them).
+pub(crate) fn with_levels(dropped: &CoeffImage, levels: &[Vec<i32>]) -> CoeffImage {
     let mut out = dropped.clone();
-    for c in 0..dropped.channels() {
-        let field = AcField::new(dropped.plane(c), dropped.qtable(c));
-        field.apply_offsets(&offsets(&field), out.plane_mut(c));
+    for (c, levels) in levels.iter().enumerate() {
+        let plane = out.plane_mut(c);
+        let blocks_x = plane.blocks_x();
+        for (b, &level) in levels.iter().enumerate() {
+            plane.set_dc(b % blocks_x, b / blocks_x, level);
+        }
     }
     out
 }

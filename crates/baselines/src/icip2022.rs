@@ -1,9 +1,10 @@
 //! Zhang et al., *Improved DC estimation for JPEG compression via convex
 //! relaxation* (ICIP 2022).
 
+use dcdiff_image::Image;
 use dcdiff_jpeg::CoeffImage;
 
-use crate::common::{recover_planes, RefineConfig, DEFAULT_THRESHOLD};
+use crate::common::{estimate_levels, with_levels, AcField, RefineConfig, DEFAULT_THRESHOLD};
 use crate::DcRecovery;
 
 /// ICIP-2022 recovery: a *global* convex quadratic over all per-block DC
@@ -55,6 +56,13 @@ impl Icip2022 {
     pub fn sweeps(&self) -> usize {
         self.sweeps
     }
+
+    /// The convex relaxation's per-block offsets: the boundary energy
+    /// solved from zero with no prior.
+    fn offsets(&self, field: &AcField) -> Vec<f32> {
+        let zero = vec![0.0; field.pixels.len()];
+        field.solve(&zero, 0.0, DEFAULT_THRESHOLD, ENERGY, self.sweeps)
+    }
 }
 
 impl DcRecovery for Icip2022 {
@@ -62,11 +70,12 @@ impl DcRecovery for Icip2022 {
         "ICIP 2022"
     }
 
+    fn recover(&self, dropped: &CoeffImage) -> Image {
+        dropped.to_image_with_dc(&estimate_levels(dropped, |field| self.offsets(field)))
+    }
+
     fn recover_coefficients(&self, dropped: &CoeffImage) -> CoeffImage {
-        recover_planes(dropped, |field| {
-            let zero = vec![0.0; field.pixels.len()];
-            field.solve(&zero, 0.0, DEFAULT_THRESHOLD, ENERGY, self.sweeps)
-        })
+        with_levels(dropped, &estimate_levels(dropped, |field| self.offsets(field)))
     }
 }
 

@@ -63,7 +63,11 @@ pub trait DcRecovery {
     fn name(&self) -> &'static str;
 
     /// Estimate the dropped DC coefficients of `dropped` and return the
-    /// reconstructed pixel image.
+    /// reconstructed pixel image: the decode of
+    /// [`DcRecovery::recover_coefficients`]. TIP-2006, SmartCom-2019 and
+    /// ICIP-2022 skip the coefficient copy and decode `dropped` with
+    /// their estimated DC levels substituted
+    /// ([`CoeffImage::to_image_with_dc`]), which gives the same pixels.
     ///
     /// `dropped` must retain the four corner-block DC anchors
     /// ([`dcdiff_jpeg::DcDropMode::KeepCorners`]); methods treat absent

@@ -1,9 +1,10 @@
 //! Qiu et al., *DC coefficients recovery from AC coefficients in the JPEG
 //! compression scenario* (SmartCom 2019) — trend-based recovery.
 
+use dcdiff_image::Image;
 use dcdiff_jpeg::{CoeffImage, BLOCK};
 
-use crate::common::{recover_planes, AcField};
+use crate::common::{estimate_levels, with_levels, AcField};
 use crate::DcRecovery;
 
 /// SmartCom-2019 recovery: instead of matching raw boundary pixels, the
@@ -74,8 +75,12 @@ impl DcRecovery for SmartCom2019 {
         "SmartCom 2019"
     }
 
+    fn recover(&self, dropped: &CoeffImage) -> Image {
+        dropped.to_image_with_dc(&estimate_levels(dropped, |field| self.recover_plane(field)))
+    }
+
     fn recover_coefficients(&self, dropped: &CoeffImage) -> CoeffImage {
-        recover_planes(dropped, |field| self.recover_plane(field))
+        with_levels(dropped, &estimate_levels(dropped, |field| self.recover_plane(field)))
     }
 }
 

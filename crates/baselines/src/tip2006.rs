@@ -1,9 +1,10 @@
 //! Uehara et al., *Recovering DC coefficients in block-based DCT*
 //! (IEEE TIP 2006) — the original block-iterative recovery.
 
+use dcdiff_image::Image;
 use dcdiff_jpeg::{CoeffImage, BLOCK};
 
-use crate::common::{median, recover_planes, AcField};
+use crate::common::{estimate_levels, median, with_levels, AcField};
 use crate::DcRecovery;
 
 /// TIP-2006 recovery: raster-scan the block grid from the top-left anchor
@@ -37,22 +38,27 @@ impl Tip2006 {
                 if known[b] {
                     continue;
                 }
-                let mut votes: Vec<f32> = Vec::with_capacity(2 * BLOCK);
+                // at most one vote per pixel of the left and top edges,
+                // plus the diagonal's one
+                let mut votes = [0.0f32; 2 * BLOCK + 1];
+                let mut cast = 0;
                 if bx > 0 && known[field.idx(bx - 1, by)] {
                     let n = field.idx(bx - 1, by);
                     let n_edge = field.column(n, BLOCK - 1);
                     let s_edge = field.column(b, 0);
                     for y in 0..BLOCK {
-                        votes.push(n_edge[y] + offsets[n] - s_edge[y]);
+                        votes[cast + y] = n_edge[y] + offsets[n] - s_edge[y];
                     }
+                    cast += BLOCK;
                 }
                 if by > 0 && known[field.idx(bx, by - 1)] {
                     let n = field.idx(bx, by - 1);
                     let n_edge = field.row(n, BLOCK - 1);
                     let s_edge = field.row(b, 0);
                     for x in 0..BLOCK {
-                        votes.push(n_edge[x] + offsets[n] - s_edge[x]);
+                        votes[cast + x] = n_edge[x] + offsets[n] - s_edge[x];
                     }
+                    cast += BLOCK;
                 }
                 // third direction of [22]: the top-right diagonal
                 if by > 0 && bx + 1 < bw && known[field.idx(bx + 1, by - 1)] {
@@ -60,12 +66,13 @@ impl Tip2006 {
                     // corner pixel pair across the diagonal
                     let n_pix = field.pixels[n][(BLOCK - 1) * BLOCK]; // bottom-left
                     let s_pix = field.pixels[b][BLOCK - 1]; // top-right
-                    votes.push(n_pix + offsets[n] - s_pix);
+                    votes[cast] = n_pix + offsets[n] - s_pix;
+                    cast += 1;
                 }
-                offsets[b] = if votes.is_empty() {
+                offsets[b] = if cast == 0 {
                     0.0
                 } else {
-                    median(&mut votes)
+                    median(&mut votes[..cast])
                 };
                 known[b] = true;
             }
@@ -79,8 +86,12 @@ impl DcRecovery for Tip2006 {
         "TIP 2006"
     }
 
+    fn recover(&self, dropped: &CoeffImage) -> Image {
+        dropped.to_image_with_dc(&estimate_levels(dropped, |field| self.recover_plane(field)))
+    }
+
     fn recover_coefficients(&self, dropped: &CoeffImage) -> CoeffImage {
-        recover_planes(dropped, |field| self.recover_plane(field))
+        with_levels(dropped, &estimate_levels(dropped, |field| self.recover_plane(field)))
     }
 }
 

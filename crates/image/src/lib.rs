@@ -38,3 +38,15 @@ pub use plane::Plane;
 
 /// Size (in samples) of the JPEG minimum coded block along each axis.
 pub const BLOCK: usize = 8;
+
+/// Upper bound on the pixel count (`width × height`) of an image decoded
+/// from untrusted bytes: the PPM/PGM readers here and the JPEG decoder
+/// (`dcdiff_jpeg` re-exports it) reject larger headers with a parse error.
+///
+/// A header's dimensions size the sample buffers before a payload byte
+/// is read. A PNM header can declare any size (a product past `usize`
+/// included) and a JPEG frame up to 65535×65535 (≈ 4.3 G pixels), and a
+/// failed allocation aborts the process instead of unwinding, so no job
+/// boundary could contain it. 2²⁴ pixels (a 4096×4096 frame) covers
+/// every dataset in the paper while bounding decoder memory.
+pub const MAX_DECODE_PIXELS: usize = 1 << 24;

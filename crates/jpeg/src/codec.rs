@@ -8,15 +8,11 @@ use crate::zigzag::{from_zigzag, to_zigzag};
 use crate::{JpegError, BLOCK, BLOCK_AREA};
 
 /// Upper bound on the decoded frame area (`width × height`) accepted by
-/// [`JpegDecoder`].
-///
-/// The header of an adversarial stream can declare up to 65535×65535
-/// pixels (≈ 4.3 G), which would drive multi-gigabyte coefficient
-/// allocations before a single entropy-coded bit is read. 2²⁴ pixels
-/// (a 4096×4096 frame) comfortably covers every dataset in the paper
-/// while bounding decoder memory; larger frames are rejected with a
-/// [`JpegErrorKind::Unsupported`](crate::JpegErrorKind::Unsupported) error.
-pub const MAX_DECODE_PIXELS: usize = 1 << 24;
+/// [`JpegDecoder`]; larger frames are rejected with a
+/// [`JpegErrorKind::Unsupported`](crate::JpegErrorKind::Unsupported) error
+/// before any coefficient is allocated. The one definition lives in
+/// `dcdiff_image`, whose PPM/PGM readers apply the same cap.
+pub use dcdiff_image::MAX_DECODE_PIXELS;
 
 /// Chroma subsampling of the coded stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]

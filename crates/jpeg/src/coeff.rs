@@ -191,10 +191,22 @@ impl CoeffPlane {
     /// Inverse-transform back to a sample plane (dequantise, IDCT, +128,
     /// clamp to `[0, 255]`, crop padding).
     pub fn to_plane(&self, qtable: &QuantTable) -> Plane {
+        self.decode(qtable, None)
+    }
+
+    /// [`CoeffPlane::to_plane`], with block `b`'s DC level (row-major
+    /// block index) read from `dc[b]` when `dc` is given. Dequantisation
+    /// scales each level on its own, so substituting the level there is
+    /// the arithmetic of decoding a copy whose DC levels were set first.
+    fn decode(&self, qtable: &QuantTable, dc: Option<&[i32]>) -> Plane {
         let mut out = Plane::new(self.blocks_x * BLOCK, self.blocks_y * BLOCK);
         for by in 0..self.blocks_y {
             for bx in 0..self.blocks_x {
-                let coeffs = qtable.dequantize(self.block(bx, by));
+                let levels = self.block(bx, by);
+                let coeffs = match dc {
+                    Some(dc) => qtable.dequantize_with_dc(levels, dc[by * self.blocks_x + bx]),
+                    None => qtable.dequantize(levels),
+                };
                 let samples = idct(&coeffs);
                 // Write whole 8-sample rows: one bounds check per row
                 // instead of one `Plane::set` per pixel keeps the block
@@ -421,17 +433,50 @@ impl CoeffImage {
     /// conversion + chroma upsampling). Output colour space matches the
     /// component count: RGB for 3 components, grayscale for 1.
     pub fn to_image(&self) -> Image {
+        self.decode(None)
+    }
+
+    /// [`CoeffImage::to_image`] with every block's DC level taken from
+    /// `dc` instead of the coefficients: `dc[c]` holds component `c`'s
+    /// levels, one per block in row-major order. The pixels are bit for
+    /// bit those of a copy whose DC levels were set to `dc` and then
+    /// decoded, without the copy; the receiver-side recovery methods
+    /// decode their estimates this way.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dc` does not hold one level per block of every
+    /// component.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "documented `# Panics` contract; the recovery methods build one level per block of every plane"
+    )]
+    pub fn to_image_with_dc(&self, dc: &[Vec<i32>]) -> Image {
+        assert!(
+            dc.len() == self.planes.len()
+                && dc.iter().zip(&self.planes).all(|(d, p)| d.len() == p.blocks_x * p.blocks_y),
+            "one DC level per block of every component"
+        );
+        self.decode(Some(dc))
+    }
+
+    /// The one pixel decode behind [`CoeffImage::to_image`] (the stream's
+    /// own DC levels) and [`CoeffImage::to_image_with_dc`].
+    fn decode(&self, dc: Option<&[Vec<i32>]>) -> Image {
         let t0 = std::time::Instant::now();
         let blocks: u64 =
             self.planes.iter().map(|p| (p.blocks_x() * p.blocks_y()) as u64).sum();
+        let plane = |c: usize| {
+            self.planes[c].decode(&self.qtables[c], dc.map(|dc| dc[c].as_slice()))
+        };
         if self.planes.len() == 1 {
-            let out = Image::from_gray(self.planes[0].to_plane(&self.qtables[0]));
+            let out = Image::from_gray(plane(0));
             crate::metrics::record_pixels(t0, blocks);
             return out;
         }
-        let y = self.planes[0].to_plane(&self.qtables[0]);
-        let mut cb = self.planes[1].to_plane(&self.qtables[1]);
-        let mut cr = self.planes[2].to_plane(&self.qtables[2]);
+        let y = plane(0);
+        let mut cb = plane(1);
+        let mut cr = plane(2);
         match self.sampling {
             ChromaSampling::Cs420 => {
                 cb = upsample2(&cb, self.width, self.height);
@@ -685,6 +730,38 @@ mod tests {
         let thumb = coeffs.drop_dc(DcDropMode::All).dc_thumbnail();
         for c in 0..3 {
             assert!((thumb.plane(c).mean() - 128.0).abs() < 2.0, "channel {c}");
+        }
+    }
+
+    #[test]
+    fn substituted_dc_decodes_as_the_copy_with_those_levels() {
+        let bits = |image: &Image| -> Vec<u32> {
+            image.planes().iter().flat_map(|p| p.as_slice().iter().map(|v| v.to_bits())).collect()
+        };
+        for sampling in [ChromaSampling::Cs444, ChromaSampling::Cs422, ChromaSampling::Cs420] {
+            let coeffs = CoeffImage::from_image(&gradient_image(41, 27), 50, sampling);
+            let own: Vec<Vec<i32>> = (0..3)
+                .map(|c| {
+                    let p = coeffs.plane(c);
+                    (0..p.blocks_x() * p.blocks_y())
+                        .map(|b| p.dc(b % p.blocks_x(), b / p.blocks_x()))
+                        .collect()
+                })
+                .collect();
+            assert_eq!(bits(&coeffs.to_image_with_dc(&own)), bits(&coeffs.to_image()));
+            let shifted: Vec<Vec<i32>> = own
+                .iter()
+                .map(|levels| levels.iter().enumerate().map(|(b, l)| l + b as i32 % 7 - 3).collect())
+                .collect();
+            let mut copy = coeffs.clone();
+            for (c, levels) in shifted.iter().enumerate() {
+                let p = copy.plane_mut(c);
+                let bx = p.blocks_x();
+                for (b, &level) in levels.iter().enumerate() {
+                    p.set_dc(b % bx, b / bx, level);
+                }
+            }
+            assert_eq!(bits(&coeffs.to_image_with_dc(&shifted)), bits(&copy.to_image()));
         }
     }
 

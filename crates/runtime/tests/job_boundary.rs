@@ -1,11 +1,14 @@
 //! The job boundary: a panic in one job's code fails that job with a
 //! permanent error, counts in `runtime.job_panics`, and leaves the worker
-//! serving the next job.
+//! serving the next job. An allocation failure aborts the process instead
+//! of unwinding, so inputs that would ask for one are refused before it.
 
 use dcdiff_image::{write_ppm, Image, Plane};
 use dcdiff_jpeg::quant::QuantTable;
 use dcdiff_jpeg::{encode_coefficients_optimized, ChromaSampling, CoeffImage, CoeffPlane};
-use dcdiff_runtime::{parse_line, ErrorClass, JobFailure, Runtime, RuntimeConfig, ShutdownMode};
+use dcdiff_runtime::{
+    parse_line, parse_manifest, ErrorClass, JobFailure, Runtime, RuntimeConfig, ShutdownMode,
+};
 use dcdiff_telemetry::Telemetry;
 
 /// A valid 4800×8 gray stream whose DC levels climb by 32767 per block,
@@ -75,5 +78,53 @@ fn a_panicking_transcode_fails_its_job_and_the_worker_takes_the_next() {
         tel.registry().snapshot().counters.get("runtime.job_panics"),
         Some(&1)
     );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn an_oversized_pnm_header_fails_its_line_and_the_batch_runs_on() {
+    let dir = std::env::temp_dir().join(format!("dcdiff-pnm-bound-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    let path = |name: &str| dir.join(name).to_string_lossy().into_owned();
+    // 2^40 pixels: a 3 TB sample buffer, were the header believed.
+    std::fs::write(path("huge.ppm"), b"P6\n1048576 1048576\n255\n\0\0\0").expect("write header");
+    let scene = Image::from_gray(Plane::from_fn(16, 16, |x, y| (x * 16 + y) as f32));
+    write_ppm(path("scene.ppm"), &scene).expect("write scene");
+    let manifest = format!(
+        "encode {} {}\nencode {} {}\nencode {} {}\n",
+        path("scene.ppm"),
+        path("a.jpg"),
+        path("huge.ppm"),
+        path("huge.jpg"),
+        path("scene.ppm"),
+        path("b.jpg"),
+    );
+
+    let tel = Telemetry::new();
+    let runtime = Runtime::start(RuntimeConfig {
+        workers: 1,
+        telemetry: tel.clone(),
+        ..RuntimeConfig::default()
+    });
+    let ids: Vec<_> = parse_manifest(&manifest)
+        .expect("valid manifest")
+        .into_iter()
+        .map(|spec| runtime.submit_blocking(spec).expect("accepted"))
+        .collect();
+    let report = runtime.shutdown(ShutdownMode::Drain);
+
+    let outcome = |i: usize| &report.result(ids[i]).expect("the line finished").outcome;
+    assert!(outcome(0).is_ok(), "{:?}", outcome(0));
+    match outcome(1) {
+        Err(JobFailure::Error(err)) => {
+            assert_eq!(err.class, ErrorClass::Permanent);
+            assert!(err.message.contains("decode limit"), "{}", err.message);
+        }
+        other => panic!("expected a permanent job error, got {other:?}"),
+    }
+    assert!(outcome(2).is_ok(), "{:?}", outcome(2));
+    assert_eq!((report.stats.completed, report.stats.failed), (2, 1));
+    assert!(std::path::Path::new(&path("b.jpg")).exists());
+    assert_eq!(tel.registry().snapshot().counters.get("runtime.job_panics"), Some(&0));
     std::fs::remove_dir_all(&dir).ok();
 }

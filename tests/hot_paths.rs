@@ -10,17 +10,21 @@
 //!
 //! The hot entry points: the forward and inverse 8×8 DCT, the sender's
 //! fused fDCT → quantise pass (dispatched and pinned scalar), both Huffman
-//! decoders, and the single-threaded blocked GEMM.
+//! decoders, and the single-threaded blocked GEMM. TIP-2006's recovery,
+//! the runtime's fallback tier, allocates its planes and outputs, but no
+//! more of them for a larger image.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use dcdiff_baselines::{DcRecovery, Tip2006};
+use dcdiff_data::{SceneGenerator, SceneKind};
 use dcdiff_jpeg::bitstream::{BitReader, BitWriter};
 use dcdiff_jpeg::dct::{fdct, fdct_quantize, idct};
 use dcdiff_jpeg::huffman::{HuffmanTable, AC_LUMA_VALS};
 use dcdiff_jpeg::quant::QuantTable;
 use dcdiff_jpeg::simd::force_scalar;
-use dcdiff_jpeg::BLOCK_AREA;
+use dcdiff_jpeg::{ChromaSampling, CoeffImage, DcDropMode, BLOCK_AREA};
 use dcdiff_telemetry::sync::acquisitions;
 use dcdiff_tensor::kernels::{sgemm_with_threads, Trans};
 
@@ -122,4 +126,21 @@ fn single_threaded_gemm_allocates_nothing_at_steady_state() {
     steady("sgemm_with_threads(1, …)", || {
         sgemm_with_threads(1, Trans::N, Trans::N, m, k, n, &a, &b, &mut c);
     });
+}
+
+#[test]
+fn tip2006_recover_allocates_the_same_at_any_size() {
+    let allocations = |size: usize| {
+        let scene = SceneGenerator::new(SceneKind::Natural, size, size).generate(5);
+        let dropped = CoeffImage::from_image(&scene, 50, ChromaSampling::Cs444)
+            .drop_dc(DcDropMode::KeepCorners);
+        let tip = Tip2006::new();
+        std::hint::black_box(tip.recover(&dropped));
+        cost(|| {
+            std::hint::black_box(tip.recover(std::hint::black_box(&dropped)));
+        })
+        .0
+    };
+    let (small, large) = (allocations(64), allocations(256));
+    assert_eq!(small, large, "Tip2006::recover allocates {small} times at 64², {large} at 256²");
 }
