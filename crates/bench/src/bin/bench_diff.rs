@@ -6,12 +6,13 @@
 //!            [--out BENCH_verdict.json] [--tol 0.5] [--strict]
 //! ```
 //!
-//! Every numeric leaf in a bench report is flattened to a dotted path
-//! (`runs.0.wall_ms`, `gemm.square_256.blocked_gflops`); array elements
-//! that carry a `"name"` field are keyed by that name so reordering a
-//! sweep does not shuffle the comparison. Only metrics whose path implies
-//! a direction are compared — timings/quantiles (`*_ms`, `*_us`, `*p50*`,
-//! `*p99*`) must not grow, throughputs (`*gflops`, `*mbps`, `*rps`,
+//! Reports are read with the workspace's one JSON reader,
+//! [`dcdiff_telemetry::json`]. Every numeric leaf is flattened to a dotted
+//! path (`runs.0.wall_ms`, `gemm.square_256.blocked_gflops`); array
+//! elements that carry a `"name"` field are keyed by that name so
+//! reordering a sweep does not shuffle the comparison. Only metrics whose
+//! path implies a direction are compared — timings/quantiles (`*_ms`,
+//! `*_us`, `*p50*`, `*p99*`) must not grow, throughputs (`*gflops`, `*mbps`, `*rps`,
 //! `*jobs_per_sec`, `*speedup*`, `*goodput*`) must not shrink — and each side gets a
 //! symmetric tolerance band (default ±50%: CI machines are noisy and the
 //! sentinel is meant to catch collapses, not jitter). Config echoes
@@ -29,233 +30,14 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::process::ExitCode;
 
-// ------------------------------------------------------------ JSON value --
-
-/// Minimal JSON document model: just enough to flatten bench reports.
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Number(f64),
-    String(String),
-    Array(Vec<Json>),
-    Object(Vec<(String, Json)>),
-}
-
-/// Recursive-descent JSON parser over the full input text.
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(text: &'a str) -> Parser<'a> {
-        Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn err(&self, reason: &str) -> String {
-        format!("byte {}: {reason}", self.pos)
-    }
-
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_whitespace())
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected '{}'", b as char)))
-        }
-    }
-
-    fn parse_value(&mut self) -> Result<Json, String> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.parse_object(),
-            Some(b'[') => self.parse_array(),
-            Some(b'"') => Ok(Json::String(self.parse_string()?)),
-            Some(b't') => self.parse_literal("true", Json::Bool(true)),
-            Some(b'f') => self.parse_literal("false", Json::Bool(false)),
-            Some(b'n') => self.parse_literal("null", Json::Null),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.parse_number(),
-            _ => Err(self.err("expected a JSON value")),
-        }
-    }
-
-    fn parse_literal(&mut self, word: &str, value: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(self.err(&format!("expected '{word}'")))
-        }
-    }
-
-    fn parse_number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        while self.peek().is_some_and(|b| {
-            b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E')
-        }) {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("non-utf8 number"))?;
-        text.parse()
-            .map(Json::Number)
-            .map_err(|_| self.err(&format!("bad number {text:?}")))
-    }
-
-    fn parse_string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self.peek().ok_or_else(|| self.err("dangling escape"))?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or_else(|| self.err("short \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            self.pos += 4;
-                            // Surrogate pairs are absent from bench reports;
-                            // map them to the replacement character.
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        }
-                        other => {
-                            return Err(self.err(&format!("bad escape '\\{}'", other as char)))
-                        }
-                    }
-                }
-                Some(_) => {
-                    // Multi-byte UTF-8 sequences pass through untouched.
-                    let start = self.pos;
-                    self.pos += 1;
-                    while self.pos < self.bytes.len() && (self.bytes[self.pos] & 0xC0) == 0x80 {
-                        self.pos += 1;
-                    }
-                    out.push_str(
-                        std::str::from_utf8(&self.bytes[start..self.pos])
-                            .map_err(|_| self.err("non-utf8 string"))?,
-                    );
-                }
-            }
-        }
-    }
-
-    fn parse_array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Array(items));
-        }
-        loop {
-            items.push(self.parse_value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Array(items));
-                }
-                _ => return Err(self.err("expected ',' or ']'")),
-            }
-        }
-    }
-
-    fn parse_object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Object(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.parse_string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let value = self.parse_value()?;
-            fields.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Object(fields));
-                }
-                _ => return Err(self.err("expected ',' or '}'")),
-            }
-        }
-    }
-}
-
-/// Parse a complete JSON document (must consume all input).
-fn parse_json(text: &str) -> Result<Json, String> {
-    let mut parser = Parser::new(text);
-    let value = parser.parse_value()?;
-    parser.skip_ws();
-    if parser.pos != parser.bytes.len() {
-        return Err(parser.err("trailing garbage after document"));
-    }
-    Ok(value)
-}
+use dcdiff_telemetry::json::{self, escape_into, Value};
 
 // ------------------------------------------------------------- flatten ---
-
-/// The value of an object's `"name"` field, for keying array elements.
-fn name_of(value: &Json) -> Option<&str> {
-    if let Json::Object(fields) = value {
-        fields.iter().find_map(|(k, v)| match v {
-            Json::String(s) if k == "name" => Some(s.as_str()),
-            _ => None,
-        })
-    } else {
-        None
-    }
-}
 
 /// Flatten every numeric leaf into `path -> value`. Objects append the
 /// field name, arrays append the element's `"name"` field when it has one
 /// (reorder-robust) or the index otherwise.
-fn flatten(value: &Json, prefix: &str, out: &mut BTreeMap<String, f64>) {
+fn flatten(value: &Value, prefix: &str, out: &mut BTreeMap<String, f64>) {
     let join = |segment: &str| {
         if prefix.is_empty() {
             segment.to_string()
@@ -264,21 +46,26 @@ fn flatten(value: &Json, prefix: &str, out: &mut BTreeMap<String, f64>) {
         }
     };
     match value {
-        Json::Number(v) => {
-            out.insert(prefix.to_string(), *v);
+        Value::Number(_) => {
+            if let Some(v) = value.as_f64() {
+                out.insert(prefix.to_string(), v);
+            }
         }
-        Json::Object(fields) => {
+        Value::Object(fields) => {
             for (key, field) in fields {
                 flatten(field, &join(key), out);
             }
         }
-        Json::Array(items) => {
+        Value::Array(items) => {
             for (i, item) in items.iter().enumerate() {
-                let segment = name_of(item).map_or_else(|| i.to_string(), str::to_string);
+                let segment = item
+                    .get("name")
+                    .and_then(Value::as_str)
+                    .map_or_else(|| i.to_string(), str::to_string);
                 flatten(item, &join(&segment), out);
             }
         }
-        Json::Null | Json::Bool(_) | Json::String(_) => {}
+        Value::Null | Value::Bool(_) | Value::Str(_) => {}
     }
 }
 
@@ -391,10 +178,12 @@ fn json_deltas(out: &mut String, key: &str, deltas: &[Delta]) {
     let _ = write!(out, "  \"{key}\": [");
     for (i, d) in deltas.iter().enumerate() {
         let sep = if i == 0 { "" } else { "," };
+        let _ = write!(out, "{sep}\n    {{\"metric\": ");
+        escape_into(out, &d.path);
         let _ = write!(
             out,
-            "{sep}\n    {{\"metric\": \"{}\", \"baseline\": {}, \"current\": {}, \"ratio\": {:.4}}}",
-            d.path, d.baseline, d.current, d.ratio
+            ", \"baseline\": {}, \"current\": {}, \"ratio\": {:.4}}}",
+            d.baseline, d.current, d.ratio
         );
     }
     let _ = writeln!(out, "{}]", if deltas.is_empty() { "" } else { "\n  " });
@@ -476,12 +265,12 @@ fn run() -> Result<bool, String> {
         let mut base_flat = BTreeMap::new();
         let mut cur_flat = BTreeMap::new();
         flatten(
-            &parse_json(&base_text).map_err(|e| format!("{base_path}: {e}"))?,
+            &json::parse(&base_text).map_err(|e| format!("{base_path}: {e}"))?,
             "",
             &mut base_flat,
         );
         flatten(
-            &parse_json(&cur_text).map_err(|e| format!("{cur_path}: {e}"))?,
+            &json::parse(&cur_text).map_err(|e| format!("{cur_path}: {e}"))?,
             "",
             &mut cur_flat,
         );
@@ -522,7 +311,11 @@ fn run() -> Result<bool, String> {
         };
         all_regressions.extend(prefixed(&fv.regressions));
         all_improvements.extend(prefixed(&fv.improvements));
-        all_missing.extend(fv.missing.iter().map(|path| format!("\"{name}:{path}\"")));
+        all_missing.extend(fv.missing.iter().map(|path| {
+            let mut quoted = String::new();
+            escape_into(&mut quoted, &format!("{name}:{path}"));
+            quoted
+        }));
         files_json.push(format!(
             "    {{\"file\": \"{name}\", \"compared\": {}, \"skipped\": {}, \"missing\": {}, \"regressions\": {}, \"improvements\": {}}}",
             fv.compared,
@@ -578,7 +371,7 @@ mod tests {
 
     fn flat(text: &str) -> BTreeMap<String, f64> {
         let mut out = BTreeMap::new();
-        flatten(&parse_json(text).unwrap(), "", &mut out);
+        flatten(&json::parse(text).unwrap(), "", &mut out);
         out
     }
 
@@ -586,14 +379,46 @@ mod tests {
     fn parser_handles_bench_shapes() {
         let doc = r#"{"a": 1.5, "b": [1, 2], "c": {"d": "x", "e": true, "f": null},
                       "neg": -3e-2, "esc": "a\"b\\c\ndA"}"#;
-        let json = parse_json(doc).unwrap();
-        let Json::Object(fields) = &json else {
+        let value = json::parse(doc).unwrap();
+        let Value::Object(fields) = &value else {
             panic!("expected object")
         };
         assert_eq!(fields.len(), 5);
-        assert!(parse_json("{\"a\": }").is_err());
-        assert!(parse_json("[1, 2] trailing").is_err());
-        assert!(parse_json("{\"a\": 01x}").is_err());
+        assert_eq!(
+            value.get("esc").and_then(Value::as_str),
+            Some("a\"b\\c\ndA")
+        );
+        assert_eq!(
+            flat(doc).into_iter().collect::<Vec<_>>(),
+            [
+                ("a".to_string(), 1.5),
+                ("b.0".to_string(), 1.0),
+                ("b.1".to_string(), 2.0),
+                ("neg".to_string(), -0.03),
+            ]
+        );
+        assert!(json::parse("{\"a\": }").is_err());
+        assert!(json::parse("[1, 2] trailing").is_err());
+        assert!(json::parse("{\"a\": 01x}").is_err());
+    }
+
+    #[test]
+    fn committed_reports_parse_and_flatten() {
+        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+        let mut checked = 0;
+        for dir in [root.to_string(), format!("{root}/crates/bench/baselines")] {
+            for entry in std::fs::read_dir(&dir).unwrap() {
+                let name = entry.unwrap().file_name().into_string().unwrap();
+                if !(name.starts_with("BENCH_") && name.ends_with(".json")) {
+                    continue;
+                }
+                let text = std::fs::read_to_string(format!("{dir}/{name}")).unwrap();
+                let leaves = flat(&text);
+                assert!(!leaves.is_empty(), "{dir}/{name} has no numeric leaf");
+                checked += 1;
+            }
+        }
+        assert!(checked >= 6, "found only {checked} BENCH_*.json files");
     }
 
     #[test]

@@ -148,17 +148,19 @@ pub fn encode_coefficients(coeffs: &CoeffImage) -> Result<Vec<u8>, JpegError> {
     let dc_c = HuffmanTable::dc_chroma();
     let ac_c = HuffmanTable::ac_chroma();
     let scan = encode_scan_with(coeffs, &dc_l, &ac_l, &dc_c, &ac_c)?;
-    write_file_with_tables(coeffs, &dc_l, &ac_l, &dc_c, &ac_c, &scan)
+    write_file_with_tables(coeffs, &dc_l, &ac_l, &dc_c, &ac_c, 0, &scan)
 }
 
 /// Assemble a complete JFIF stream around a pre-coded scan using the
 /// given Huffman tables (shared by the standard and optimised encoders).
+/// A non-zero `restart_interval` writes its DRI segment just before SOS.
 pub(crate) fn write_file_with_tables(
     coeffs: &CoeffImage,
     dc_l: &HuffmanTable,
     ac_l: &HuffmanTable,
     dc_c: &HuffmanTable,
     ac_c: &HuffmanTable,
+    restart_interval: u16,
     scan: &[u8],
 ) -> Result<Vec<u8>, JpegError> {
     if coeffs.width() > 65_535 || coeffs.height() > 65_535 {
@@ -182,6 +184,9 @@ pub(crate) fn write_file_with_tables(
     if color {
         write_dht(&mut out, 0, 1, dc_c);
         write_dht(&mut out, 1, 1, ac_c);
+    }
+    if restart_interval > 0 {
+        write_segment(&mut out, 0xDD, &restart_interval.to_be_bytes()); // DRI
     }
     write_sos(&mut out, coeffs.channels());
     out.extend_from_slice(scan);
@@ -460,18 +465,7 @@ pub fn encode_coefficients_with_restarts(
     let dc_c = HuffmanTable::dc_chroma();
     let ac_c = HuffmanTable::ac_chroma();
     let scan = encode_scan_restarts(coeffs, &dc_l, &ac_l, &dc_c, &ac_c, interval)?;
-    let full = write_file_with_tables(coeffs, &dc_l, &ac_l, &dc_c, &ac_c, &scan)?;
-    // splice a DRI segment in front of the SOS marker
-    let sos = full
-        .windows(2)
-        .position(|w| w == [0xFF, 0xDA])
-        .ok_or_else(|| JpegError::internal("encoder emitted a stream without an SOS marker"))?;
-    let mut out = Vec::with_capacity(full.len() + 6);
-    out.extend_from_slice(&full[..sos]);
-    out.extend_from_slice(&[0xFF, 0xDD, 0x00, 0x04]);
-    out.extend_from_slice(&(interval as u16).to_be_bytes());
-    out.extend_from_slice(&full[sos..]);
-    Ok(out)
+    write_file_with_tables(coeffs, &dc_l, &ac_l, &dc_c, &ac_c, interval as u16, &scan)
 }
 
 struct ComponentInfo {
@@ -1082,6 +1076,27 @@ mod restart_tests {
         for c in 0..3 {
             assert_eq!(coeffs.plane(c), decoded.plane(c));
         }
+    }
+
+    #[test]
+    fn height_0xffda_round_trips_with_restarts() {
+        // SOF0 stores the height big-endian, so 65498 rows write the bytes
+        // FF DA inside the frame header, ahead of the real SOS marker.
+        let (w, h) = (8, 0xFFDA);
+        let image = Image::from_planes(
+            vec![Plane::from_fn(w, h, |x, y| ((x * 7 + y * 3) % 256) as f32)],
+            ColorSpace::Gray,
+        )
+        .unwrap();
+        let encoder = JpegEncoder::new(50).with_restart_interval(1);
+        let coeffs = encoder.to_coefficients(&image);
+        let bytes = encode_coefficients_with_restarts(&coeffs, 1).unwrap();
+        assert_eq!(
+            JpegDecoder::decode_coefficients(&bytes).unwrap().plane(0),
+            coeffs.plane(0)
+        );
+        assert_eq!(encoder.encode(&image).unwrap(), bytes);
+        assert_eq!(JpegDecoder::decode(&bytes).unwrap().dims(), (w, h));
     }
 
     #[test]

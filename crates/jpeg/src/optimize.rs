@@ -220,7 +220,7 @@ pub fn encode_coefficients_optimized(coeffs: &CoeffImage) -> Result<Vec<u8>, Jpe
         (HuffmanTable::dc_chroma(), HuffmanTable::ac_chroma())
     };
     let scan = encode_scan_with(coeffs, &dc_l, &ac_l, &dc_c, &ac_c)?;
-    write_file_with_tables(coeffs, &dc_l, &ac_l, &dc_c, &ac_c, &scan)
+    write_file_with_tables(coeffs, &dc_l, &ac_l, &dc_c, &ac_c, 0, &scan)
 }
 
 /// Coded sizes `(standard, optimized)` for quick comparisons.

@@ -1,8 +1,8 @@
 //! # dcdiff-telemetry — structured tracing, metrics and logging
 //!
 //! The observability layer of the DCDiff serving system, std-only like the
-//! rest of the workspace (the build container is offline; see
-//! `vendor/README.md` for the convention). One cloneable [`Telemetry`]
+//! rest of the workspace (the build environment is offline, which is also
+//! why the shims under `vendor/` exist). One cloneable [`Telemetry`]
 //! handle bundles three facilities:
 //!
 //! * **Span tracing** — [`Telemetry::span`] returns an RAII guard that

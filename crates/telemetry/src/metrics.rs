@@ -520,4 +520,36 @@ mod tests {
         assert!(json.contains("\"wait_us\""));
         assert!(json.contains("\"p50\": 100"));
     }
+
+    #[test]
+    fn json_export_parses_as_one_document() {
+        let reg = Registry::new();
+        reg.counter("jobs.completed").add(4);
+        reg.gauge("queue.depth").set(2);
+        reg.histogram("wait_us").record(100);
+        let doc = crate::json::parse(&reg.to_json()).unwrap();
+        let read = |section: &str, name: &str| doc.get(section).and_then(|s| s.get(name)).cloned();
+        assert_eq!(
+            read("counters", "jobs.completed").and_then(|v| v.as_u64()),
+            Some(4)
+        );
+        assert_eq!(
+            read("gauges", "queue.depth").and_then(|v| v.as_u64()),
+            Some(2)
+        );
+        let wait = read("histograms", "wait_us").unwrap();
+        for (field, want) in [
+            ("count", 1),
+            ("sum", 100),
+            ("min", 100),
+            ("max", 100),
+            ("p50", 100),
+        ] {
+            assert_eq!(
+                wait.get(field).and_then(|v| v.as_u64()),
+                Some(want),
+                "{field}"
+            );
+        }
+    }
 }

@@ -46,6 +46,10 @@ pub struct TraceReport {
 }
 
 /// Fold one completed span into the per-name stats and root intervals.
+///
+/// # Errors
+///
+/// A span that ends past `u64::MAX` µs is malformed: no clock gets there.
 fn record(
     spans: &mut BTreeMap<String, SpanStats>,
     root_intervals: &mut Vec<(u64, u64)>,
@@ -53,7 +57,10 @@ fn record(
     parent: u64,
     start: u64,
     dur: u64,
-) {
+) -> Result<(), String> {
+    let end = start
+        .checked_add(dur)
+        .ok_or_else(|| format!("span {name:?} ends past u64::MAX µs"))?;
     let stats = spans.entry(name.to_string()).or_insert_with(|| SpanStats {
         count: 0,
         total_us: 0,
@@ -61,12 +68,13 @@ fn record(
         roots: 0,
     });
     stats.count += 1;
-    stats.total_us += dur;
+    stats.total_us = stats.total_us.saturating_add(dur);
     stats.histogram.record(dur);
     if parent == 0 {
         stats.roots += 1;
-        root_intervals.push((start, start + dur));
+        root_intervals.push((start, end));
     }
+    Ok(())
 }
 
 impl std::str::FromStr for TraceReport {
@@ -77,7 +85,8 @@ impl std::str::FromStr for TraceReport {
     /// # Errors
     ///
     /// Returns `line N: <reason>` for a malformed line, an end event whose
-    /// id was never begun, or a duplicated span id.
+    /// id was never begun, a duplicated span id, or a span that ends past
+    /// `u64::MAX` µs.
     fn from_str(text: &str) -> Result<TraceReport, String> {
         TraceReport::from_texts(&[text])
     }
@@ -170,7 +179,8 @@ impl TraceReport {
                             begin.parent,
                             rebase(begin.t_us),
                             ev.dur_us,
-                        );
+                        )
+                        .map_err(|e| fail(i, e))?;
                     }
                     EventKind::Complete => {
                         threads.insert(ev.thread);
@@ -181,7 +191,8 @@ impl TraceReport {
                             ev.parent,
                             t_us,
                             ev.dur_us,
-                        );
+                        )
+                        .map_err(|e| fail(i, e))?;
                     }
                 }
             }
@@ -419,6 +430,39 @@ mod tests {
         // Single-file errors keep the unprefixed shape callers match on.
         let err = TraceReport::from_str("not json").unwrap_err();
         assert!(err.starts_with("line 1:"), "{err}");
+    }
+
+    #[test]
+    fn span_ending_past_u64_max_is_refused() {
+        let complete = r#"{"ev":"X","id":1,"parent":0,"name":"a","thread":1,"t_us":18446744073709551615,"dur_us":5}"#;
+        let err = TraceReport::from_str(complete).unwrap_err();
+        assert!(
+            err.starts_with("line 1:") && err.contains("past u64::MAX"),
+            "{err}"
+        );
+        let paired = [
+            r#"{"ev":"B","id":1,"parent":0,"name":"a","thread":1,"t_us":18446744073709551610}"#,
+            r#"{"ev":"E","id":1,"name":"a","t_us":18446744073709551615,"dur_us":6}"#,
+        ]
+        .join("\n");
+        let err = TraceReport::from_str(&paired).unwrap_err();
+        assert!(
+            err.starts_with("line 2:") && err.contains("past u64::MAX"),
+            "{err}"
+        );
+        // A span that ends exactly at u64::MAX is well-formed.
+        let edge = r#"{"ev":"X","id":1,"parent":0,"name":"a","thread":1,"t_us":18446744073709551610,"dur_us":5}"#;
+        let report = TraceReport::from_str(edge).unwrap();
+        assert_eq!((report.wall_us(), report.covered_us()), (5, 5));
+    }
+
+    #[test]
+    fn deep_nesting_is_a_line_error() {
+        let err = TraceReport::from_str(&"[".repeat(100_000)).unwrap_err();
+        assert!(
+            err.starts_with("line 1:") && err.contains("nesting deeper"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -22,7 +22,7 @@ use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use crate::json::{escape_into, parse_flat};
+use crate::json::{self, escape_into, Value};
 use crate::sync::{Mutex, Rank};
 
 thread_local! {
@@ -321,49 +321,53 @@ impl TraceEvent {
     ///
     /// # Errors
     ///
-    /// Returns a message naming the malformed or missing field.
+    /// Returns a message naming the malformed, missing or mistyped field:
+    /// a field the reader reads must hold its type when present.
     pub fn parse_line(line: &str) -> Result<TraceEvent, String> {
-        let fields = parse_flat(line)?;
-        let get_int = |key: &str| {
-            fields
-                .iter()
-                .find(|(k, _)| k == key)
-                .and_then(|(_, v)| v.as_int())
-        };
-        let kind = match fields
-            .iter()
-            .find(|(k, _)| k == "ev")
-            .and_then(|(_, v)| v.as_str())
-        {
+        let event = json::parse(line)?;
+        if !matches!(event, Value::Object(_)) {
+            return Err("expected a JSON object".to_string());
+        }
+        let kind = match str_field(&event, "ev")? {
             Some("B") => EventKind::Begin,
             Some("E") => EventKind::End,
             Some("X") => EventKind::Complete,
             other => return Err(format!("bad event kind {other:?}")),
         };
-        let name = fields
-            .iter()
-            .find(|(k, _)| k == "name")
-            .and_then(|(_, v)| v.as_str())
-            .unwrap_or_default()
-            .to_string();
+        let name = str_field(&event, "name")?.unwrap_or_default().to_string();
         if name.is_empty() && kind != EventKind::End {
             return Err("missing span name".to_string());
         }
         Ok(TraceEvent {
             kind,
-            id: get_int("id").ok_or("missing id")?,
-            parent: get_int("parent").unwrap_or(0),
+            id: int_field(&event, "id")?.ok_or("missing id")?,
+            parent: int_field(&event, "parent")?.unwrap_or(0),
             name,
-            thread: get_int("thread").unwrap_or(0),
-            t_us: get_int("t_us").ok_or("missing t_us")?,
-            dur_us: get_int("dur_us").unwrap_or(0),
-            trace: fields
-                .iter()
-                .find(|(k, _)| k == "trace")
-                .and_then(|(_, v)| v.as_str())
-                .map(str::to_string),
+            thread: int_field(&event, "thread")?.unwrap_or(0),
+            t_us: int_field(&event, "t_us")?.ok_or("missing t_us")?,
+            dur_us: int_field(&event, "dur_us")?.unwrap_or(0),
+            trace: str_field(&event, "trace")?.map(str::to_string),
         })
     }
+}
+
+/// Field `key` of a trace event as an unsigned integer (`None` if absent).
+fn int_field(event: &Value, key: &str) -> Result<Option<u64>, String> {
+    event
+        .get(key)
+        .map(|v| {
+            v.as_u64()
+                .ok_or_else(|| format!("{key} is not an unsigned integer"))
+        })
+        .transpose()
+}
+
+/// Field `key` of a trace event as a string (`None` if absent).
+fn str_field<'a>(event: &'a Value, key: &str) -> Result<Option<&'a str>, String> {
+    event
+        .get(key)
+        .map(|v| v.as_str().ok_or_else(|| format!("{key} is not a string")))
+        .transpose()
 }
 
 #[cfg(test)]
@@ -394,6 +398,29 @@ mod tests {
         assert!(TraceEvent::parse_line("not json").is_err());
         assert!(TraceEvent::parse_line(r#"{"ev":"Z","id":1,"t_us":0}"#).is_err());
         assert!(TraceEvent::parse_line(r#"{"ev":"B","t_us":0,"name":"x"}"#).is_err());
+        assert!(TraceEvent::parse_line(r#"{"id":1,"t_us":0,"name":"x"}"#).is_err());
+        assert!(TraceEvent::parse_line(r#"{"ev":"B","id":1,"name":"x"}"#).is_err());
+        assert!(TraceEvent::parse_line(r#"["ev","B","id",1,"t_us",0]"#).is_err());
+        assert!(TraceEvent::parse_line(r#"{"ev":"B","id":"1","name":"x","t_us":0}"#).is_err());
+        assert!(TraceEvent::parse_line(r#"{"ev":"B","id":1,"name":7,"t_us":0}"#).is_err());
+    }
+
+    #[test]
+    fn integer_fields_read_back_up_to_u64_max() {
+        let max = u64::MAX;
+        let line = format!(
+            r#"{{"ev":"X","id":{max},"parent":{max},"name":"a","thread":{max},"t_us":{max},"dur_us":{max}}}"#
+        );
+        let ev = TraceEvent::parse_line(&line).unwrap();
+        assert_eq!(
+            (ev.id, ev.parent, ev.thread, ev.t_us, ev.dur_us),
+            (max, max, max, max, max)
+        );
+        let over = line.replace(
+            "\"t_us\":18446744073709551615",
+            "\"t_us\":18446744073709551616",
+        );
+        assert!(TraceEvent::parse_line(&over).is_err());
     }
 
     #[test]
