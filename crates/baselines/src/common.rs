@@ -3,9 +3,12 @@
 //! refinement both minimise.
 //!
 //! Every method reasons in the *level-shifted pixel domain*: a block's
-//! pixels are `ac_pixels + offset`, where `ac_pixels` is the IDCT of the
-//! block with DC forced to zero (mean-free) and `offset` is the uniform
-//! contribution of the DC level, `offset = dc_level * q0 / 8`.
+//! pixels are `ac + offset`, where `ac` is the IDCT of the block with DC
+//! forced to zero (mean-free) and `offset` is the uniform contribution of
+//! the DC level, `offset = dc_level * q0 / 8`. [`AcField`] holds `ac` for
+//! every block. A block without AC levels has `ac = 0` in all 64 pixels,
+//! so the field transforms and stores only the blocks that carry AC, and
+//! the rest share one zero block.
 //!
 //! [`AcField::solve`] minimises, over the per-block offsets `o`,
 //!
@@ -18,6 +21,7 @@
 //! refinement turns all three on and ties the solve to the diffusion
 //! estimate.
 
+use dcdiff_jpeg::dct::idct;
 use dcdiff_jpeg::quant::QuantTable;
 use dcdiff_jpeg::{CoeffImage, CoeffPlane, BLOCK, BLOCK_AREA};
 
@@ -55,8 +59,12 @@ pub struct AcField {
     pub blocks_x: usize,
     /// Blocks per column.
     pub blocks_y: usize,
-    /// Level-shifted, mean-free pixels per block (row-major blocks).
-    pub(crate) pixels: Vec<[f32; BLOCK_AREA]>,
+    /// Level-shifted, mean-free pixels of the shared zero block (slot 0)
+    /// and of each block that carries AC, in row-major block order.
+    pixels: Vec<[f32; BLOCK_AREA]>,
+    /// Per block (row-major), its slot in `pixels`: 0 for a block
+    /// without AC levels.
+    slots: Vec<u32>,
     /// Pixel offset contributed by one DC level unit (`q0 / 8`).
     pub dc_step: f32,
     /// Known DC offsets (in pixels) at anchor blocks, `None` elsewhere;
@@ -69,6 +77,11 @@ impl AcField {
     /// known anchors: under [`dcdiff_jpeg::DcDropMode::KeepCorners`] their
     /// DC levels were transmitted, and a transmitted value of zero is
     /// just as binding as any other (neutral-chroma planes rely on it).
+    ///
+    /// Only blocks with an AC level are transformed. A block without one
+    /// reads the shared zero block, which is exactly what [`idct`] of its
+    /// all-zero input returns: every product is ±0, and a sum of zeros
+    /// that starts at +0 stays +0, in both tiers.
     pub fn new(plane: &CoeffPlane, qtable: &QuantTable) -> Self {
         let (bx, by) = (plane.blocks_x(), plane.blocks_y());
         let dc_step = qtable.values()[0] as f32 / 8.0;
@@ -76,13 +89,36 @@ impl AcField {
         for (x, y) in [(0, 0), (bx - 1, 0), (0, by - 1), (bx - 1, by - 1)] {
             anchors[y * bx + x] = Some(plane.dc(x, y) as f32 * dc_step);
         }
+        // Number the blocks that carry AC first, so `pixels` is allocated
+        // once at its final size.
+        let mut slots = vec![0u32; bx * by];
+        let mut carrying = 0u32;
+        for (b, slot) in slots.iter_mut().enumerate() {
+            if plane.has_ac(b % bx, b / bx) {
+                carrying += 1;
+                *slot = carrying;
+            }
+        }
+        let mut pixels = Vec::with_capacity(carrying as usize + 1);
+        pixels.push([0.0; BLOCK_AREA]);
+        for (b, &slot) in slots.iter().enumerate() {
+            if slot != 0 {
+                pixels.push(idct(&qtable.dequantize_with_dc(plane.block(b % bx, b / bx), 0)));
+            }
+        }
         Self {
             blocks_x: bx,
             blocks_y: by,
-            pixels: plane.ac_pixels(qtable),
+            pixels,
+            slots,
             dc_step,
             anchors,
         }
+    }
+
+    /// Number of blocks, `blocks_x · blocks_y`.
+    pub(crate) fn blocks(&self) -> usize {
+        self.slots.len()
     }
 
     /// Index of block `(bx, by)`.
@@ -91,14 +127,22 @@ impl AcField {
         by * self.blocks_x + bx
     }
 
+    /// The level-shifted, mean-free pixels of block `b` (row-major).
+    #[inline]
+    pub(crate) fn block(&self, b: usize) -> &[f32; BLOCK_AREA] {
+        &self.pixels[self.slots[b] as usize]
+    }
+
     /// Column `x` of block `b` as 8 pixels.
     pub(crate) fn column(&self, b: usize, x: usize) -> [f32; BLOCK] {
-        std::array::from_fn(|y| self.pixels[b][y * BLOCK + x])
+        let block = self.block(b);
+        std::array::from_fn(|y| block[y * BLOCK + x])
     }
 
     /// Row `y` of block `b` as 8 pixels.
     pub(crate) fn row(&self, b: usize, y: usize) -> [f32; BLOCK] {
-        std::array::from_fn(|x| self.pixels[b][y * BLOCK + x])
+        let block = self.block(b);
+        std::array::from_fn(|x| block[y * BLOCK + x])
     }
 
     /// Minimise the boundary energy over the per-block pixel offsets and
@@ -125,16 +169,20 @@ impl AcField {
         sweeps: usize,
     ) -> Vec<f32> {
         assert!(sweeps > 0, "at least one sweep required");
-        let n = self.pixels.len();
+        let n = self.blocks();
         assert_eq!(prior.len(), n, "one prior offset per block");
-        // Per block, (neighbour, weight, signed bias), pushed in edge order:
-        // row-major blocks, right neighbour before down neighbour. The
+        // Per block, up to four (neighbour, weight, signed bias), appended
+        // in edge order: row-major blocks, right neighbour before down
+        // neighbour, so each block's list reads up, left, right, down. The
         // order fixes each block's summation order in the sweep.
-        let mut adj: Vec<Vec<(usize, f32, f32)>> = vec![Vec::new(); n];
+        let mut adj = vec![[(0usize, 0.0f32, 0.0f32); 4]; n];
+        let mut degree = vec![0usize; n];
         let mut couple = |a: usize, b: usize, (weight, bias): (f32, f32)| {
             if weight > 0.0 {
-                adj[a].push((b, weight, -bias));
-                adj[b].push((a, weight, bias));
+                adj[a][degree[a]] = (b, weight, -bias);
+                degree[a] += 1;
+                adj[b][degree[b]] = (a, weight, bias);
+                degree[b] += 1;
             }
         };
         for by in 0..self.blocks_y {
@@ -171,7 +219,7 @@ impl AcField {
                 }
                 let mut num = prior_weight * prior[i];
                 let mut den = prior_weight;
-                for &(j, w, d) in &adj[i] {
+                for &(j, w, d) in &adj[i][..degree[i]] {
                     num += w * offsets[j] + d;
                     den += w;
                 }
@@ -209,7 +257,7 @@ pub(crate) fn estimate_levels(
         .map(|c| {
             let field = AcField::new(dropped.plane(c), dropped.qtable(c));
             let offsets = offsets(&field);
-            assert_eq!(offsets.len(), field.pixels.len(), "one offset per block");
+            assert_eq!(offsets.len(), field.blocks(), "one offset per block");
             offsets.iter().map(|&o| field.offset_to_level(o)).collect()
         })
         .collect()
@@ -339,9 +387,42 @@ mod tests {
     fn ac_pixels_are_mean_free() {
         let img = Image::from_gray(Plane::from_fn(32, 32, |x, y| ((x * 9 + y * 5) % 256) as f32));
         let (_, f) = field_for(&img);
-        for (i, block) in f.pixels.iter().enumerate() {
-            let mean: f32 = block.iter().sum::<f32>() / 64.0;
+        for i in 0..f.blocks() {
+            let mean: f32 = f.block(i).iter().sum::<f32>() / 64.0;
             assert!(mean.abs() < 1e-3, "block {i} mean {mean}");
+        }
+    }
+
+    #[test]
+    fn reads_equal_a_dense_ac_decomposition() {
+        use dcdiff_data::{SceneGenerator, SceneKind};
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let settings = [
+            (5, ChromaSampling::Cs420),
+            (50, ChromaSampling::Cs444),
+            (95, ChromaSampling::Cs422),
+        ];
+        for (quality, sampling) in settings {
+            let scene = SceneGenerator::new(SceneKind::Natural, 61, 45).generate(quality as u64);
+            let coeffs = CoeffImage::from_image(&scene, quality, sampling);
+            let dropped = coeffs.drop_dc(DcDropMode::KeepCorners);
+            for c in 0..dropped.channels() {
+                let (plane, qtable) = (dropped.plane(c), dropped.qtable(c));
+                let f = AcField::new(plane, qtable);
+                assert_eq!(f.blocks(), plane.blocks_x() * plane.blocks_y());
+                for b in 0..f.blocks() {
+                    let mut levels = *plane.block(b % f.blocks_x, b / f.blocks_x);
+                    levels[0] = 0;
+                    let dense = idct(&qtable.dequantize(&levels));
+                    // TIP-2006's corner reads index `block` itself.
+                    assert_eq!(bits(f.block(b)), bits(&dense), "Q{quality} plane {c} block {b}");
+                    for k in 0..BLOCK {
+                        let column: [f32; BLOCK] = std::array::from_fn(|y| dense[y * BLOCK + k]);
+                        assert_eq!(bits(&f.column(b, k)), bits(&column));
+                        assert_eq!(bits(&f.row(b, k)), bits(&dense[k * BLOCK..(k + 1) * BLOCK]));
+                    }
+                }
+            }
         }
     }
 

@@ -60,7 +60,7 @@ impl Icip2022 {
     /// The convex relaxation's per-block offsets: the boundary energy
     /// solved from zero with no prior.
     fn offsets(&self, field: &AcField) -> Vec<f32> {
-        let zero = vec![0.0; field.pixels.len()];
+        let zero = vec![0.0; field.blocks()];
         field.solve(&zero, 0.0, DEFAULT_THRESHOLD, ENERGY, self.sweeps)
     }
 }
@@ -146,7 +146,7 @@ mod tests {
         let coeffs = CoeffImage::from_image(&img, 95, ChromaSampling::Cs422);
         let dropped = coeffs.drop_dc(DcDropMode::KeepCorners);
         let field = AcField::new(dropped.plane(0), dropped.qtable(0));
-        let zero = vec![0.0; field.pixels.len()];
+        let zero = vec![0.0; field.blocks()];
         let offsets = field.solve(&zero, 0.0, DEFAULT_THRESHOLD, ENERGY, 120);
         let rec = Icip2022::new().recover_coefficients(&dropped);
         let cap = (160.0 / field.dc_step).round() as i32;

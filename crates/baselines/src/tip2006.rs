@@ -64,8 +64,8 @@ impl Tip2006 {
                 if by > 0 && bx + 1 < bw && known[field.idx(bx + 1, by - 1)] {
                     let n = field.idx(bx + 1, by - 1);
                     // corner pixel pair across the diagonal
-                    let n_pix = field.pixels[n][(BLOCK - 1) * BLOCK]; // bottom-left
-                    let s_pix = field.pixels[b][BLOCK - 1]; // top-right
+                    let n_pix = field.block(n)[(BLOCK - 1) * BLOCK]; // bottom-left
+                    let s_pix = field.block(b)[BLOCK - 1]; // top-right
                     votes[cast] = n_pix + offsets[n] - s_pix;
                     cast += 1;
                 }

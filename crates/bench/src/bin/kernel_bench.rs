@@ -5,7 +5,9 @@
 //! the per-element kernels around them (group norm → SiLU as two ops and
 //! fused, SiLU, tanh) at one and two threads with the pool's dispatch cost
 //! their sharding threshold derives from, and the JPEG codec's decode and
-//! encode stages at the forced-scalar and the dispatched tier.
+//! encode stages at the forced-scalar and the dispatched tier, with the
+//! statistical receiver's 512² response path (decode, TIP-2006, PPM write)
+//! among the decode rows.
 //!
 //! Usage: `cargo run --release -p dcdiff-bench --bin kernel_bench`
 //!
@@ -21,14 +23,17 @@ use std::fmt::Write as _;
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
-use dcdiff_data::DatasetProfile;
-use dcdiff_image::{ycbcr_to_rgb_rows, Image};
+use dcdiff_baselines::{DcRecovery, Tip2006};
+use dcdiff_data::{DatasetProfile, SceneGenerator, SceneKind};
+use dcdiff_image::{write_ppm, ycbcr_to_rgb_rows, Image};
 use dcdiff_jpeg::bitstream::{BitReader, BitWriter};
 use dcdiff_jpeg::dct::{fdct_quantize, idct};
 use dcdiff_jpeg::huffman::HuffmanTable;
 use dcdiff_jpeg::quant::QuantTable;
 use dcdiff_jpeg::simd::{self, Tier};
-use dcdiff_jpeg::{JpegDecoder, JpegEncoder, BLOCK_AREA};
+use dcdiff_jpeg::{
+    encode_coefficients, CoeffImage, DcDropMode, JpegDecoder, JpegEncoder, BLOCK_AREA,
+};
 use dcdiff_tensor::kernels::{
     gemm_naive, parallel_for, set_threads, sgemm_with_threads, KernelConfig, Trans,
 };
@@ -501,7 +506,59 @@ fn bench_decode(budget: Duration, image: &Image) -> Vec<TierResult> {
     results.push(bench_tiers("full_decode", coded_bytes, budget, || {
         black_box(JpegDecoder::decode(&coded).expect("decode bench image"));
     }));
+    results.extend(bench_receiver(budget));
     results
+}
+
+/// The statistical receiver's 512² response path on the streams dcbench's
+/// `serve_tip2006_512` sends (its seed 7: one scene of each kind,
+/// DC-dropped, Q50, 4:4:4), each row covering all five: entropy and pixel
+/// decode, TIP-2006's recovery, and the recovered image's PPM write. The
+/// first two are MB/s over coded bytes, the write over PPM bytes.
+fn bench_receiver(budget: Duration) -> Vec<TierResult> {
+    let kinds = [
+        SceneKind::Smooth,
+        SceneKind::Natural,
+        SceneKind::Texture,
+        SceneKind::Urban,
+        SceneKind::Aerial,
+    ];
+    let streams: Vec<Vec<u8>> = kinds
+        .iter()
+        .enumerate()
+        .map(|(i, &kind)| {
+            let scene = SceneGenerator::new(kind, 512, 512).generate(7 * 1_000_003 + i as u64);
+            let dropped =
+                JpegEncoder::new(50).to_coefficients(&scene).drop_dc(DcDropMode::KeepCorners);
+            encode_coefficients(&dropped).expect("encode receiver stream")
+        })
+        .collect();
+    let coded_bytes = streams.iter().map(Vec::len).sum();
+    let decode = |bytes: &[u8]| JpegDecoder::decode_coefficients(bytes).expect("own stream");
+    let dropped: Vec<CoeffImage> = streams.iter().map(|s| decode(s)).collect();
+    let tip = Tip2006::new();
+    let recovered: Vec<Image> = dropped.iter().map(|d| tip.recover(d)).collect();
+    let path = std::env::temp_dir().join(format!("kernel_bench-{}.ppm", std::process::id()));
+    let ppm_bytes = recovered.len() * (3 * 512 * 512 + "P6\n512 512\n255\n".len());
+    let rows = vec![
+        bench_tiers("dropped_decode_512", coded_bytes, budget, || {
+            for s in &streams {
+                black_box(decode(s).to_image());
+            }
+        }),
+        bench_tiers("tip2006_recover_512", coded_bytes, budget, || {
+            for d in &dropped {
+                black_box(tip.recover(d));
+            }
+        }),
+        bench_tiers("write_ppm_512", ppm_bytes, budget, || {
+            for image in &recovered {
+                write_ppm(&path, image).expect("write bench PPM");
+            }
+        }),
+    ];
+    std::fs::remove_file(&path).ok();
+    rows
 }
 
 /// The codec benches' end-to-end input: a large texture-heavy scene keeps
@@ -681,7 +738,9 @@ fn main() {
          attention products the recover path issues; conv2d rows time the implicit-GEMM \
          Tensor::conv2d forward on convs the benchmarked networks run; decode and encode rows \
          time the forced-scalar reference pipeline against the runtime-dispatched tier as \
-         MB/s over input bytes (see PERFORMANCE.md).\","
+         MB/s over input bytes; the *_512 decode rows run the five 512x512 DC-dropped Q50 \
+         4:4:4 streams of dcbench's serve_tip2006_512 at seed 7, write_ppm_512 as MB/s over \
+         PPM bytes (see PERFORMANCE.md).\","
     );
     json.push_str("  \"gemm\": [\n");
     for (i, r) in results.iter().enumerate() {

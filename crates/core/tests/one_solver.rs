@@ -89,7 +89,8 @@ fn walk_edges(
     edges
 }
 
-/// ICIP-2022's own AC decomposition: the IDCT of each block with DC zeroed.
+/// ICIP-2022's own AC decomposition, and the refinement's: the IDCT of
+/// each block with DC zeroed, every block transformed.
 fn icip_ac_pixels(plane: &CoeffPlane, qtable: &QuantTable) -> Vec<[f32; BLOCK_AREA]> {
     let mut pixels = Vec::new();
     for y in 0..plane.blocks_y() {
@@ -240,7 +241,7 @@ fn refine_offsets(
     let dc_step = qtable.values()[0] as f32 / 8.0;
     let (bw, bh) = (plane.blocks_x(), plane.blocks_y());
     let n = bw * bh;
-    let ac = plane.ac_pixels(qtable);
+    let ac = icip_ac_pixels(plane, qtable);
     let mut offsets: Vec<f32> = (0..n)
         .map(|i| (gen_plane.dc(i % bw, i / bw) as f32 * dc_step).clamp(-140.0, 140.0))
         .collect();

@@ -82,12 +82,14 @@ fn avx2_available() -> bool {
     })
 }
 
+/// Whether the row kernels here and in `io` take their AVX2 tier.
 #[inline]
-fn use_avx2() -> bool {
+pub(crate) fn use_avx2() -> bool {
     avx2_available() && !FORCE_SCALAR.load(Ordering::Relaxed)
 }
 
-/// Pin (or unpin) the scalar colour-conversion tier for the process.
+/// Pin (or unpin) the scalar tier of the colour conversion and of the
+/// PPM/PGM writers' quantiser for the process.
 ///
 /// Used by `kernel_bench` to measure scalar-vs-SIMD conversion in one
 /// run and by the parity tests; affects every thread.

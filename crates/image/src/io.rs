@@ -14,7 +14,9 @@ use crate::{ColorSpace, Image, ImageError, Plane, MAX_DECODE_PIXELS};
 ///
 /// RGB planes are read in place and a grayscale plane stands for all
 /// three channels; YCbCr images are converted to RGB first. Samples are
-/// rounded half away from zero and clamped to `[0, 255]`.
+/// rounded half away from zero and clamped to `[0, 255]`. Each plane row
+/// is quantised on its own, eight samples at a time on AVX2 hosts, then
+/// the three byte rows are interleaved.
 ///
 /// # Errors
 ///
@@ -29,10 +31,16 @@ pub fn write_ppm(path: impl AsRef<Path>, image: &Image) -> Result<(), ImageError
             [converted.plane(0), converted.plane(1), converted.plane(2)]
         }
     };
+    let width = image.width();
+    let mut planar = vec![0u8; 3 * width];
     write_rows(path.as_ref(), "P6", image.dims(), 3, |y, row| {
-        let samples = r.row(y).iter().zip(g.row(y)).zip(b.row(y));
-        for (px, ((&r, &g), &b)) in row.chunks_exact_mut(3).zip(samples) {
-            px.copy_from_slice(&[quantize(r), quantize(g), quantize(b)]);
+        let (qr, rest) = planar.split_at_mut(width);
+        let (qg, qb) = rest.split_at_mut(width);
+        quantize_row(r.row(y), qr);
+        quantize_row(g.row(y), qg);
+        quantize_row(b.row(y), qb);
+        for (px, ((&r, &g), &b)) in row.chunks_exact_mut(3).zip(qr.iter().zip(&*qg).zip(&*qb)) {
+            px.copy_from_slice(&[r, g, b]);
         }
     })
 }
@@ -53,11 +61,7 @@ pub fn write_pgm(path: impl AsRef<Path>, image: &Image) -> Result<(), ImageError
         converted = image.to_gray();
         converted.plane(0)
     };
-    write_rows(path.as_ref(), "P5", image.dims(), 1, |y, row| {
-        for (dst, &v) in row.iter_mut().zip(luma.row(y)) {
-            *dst = quantize(v);
-        }
-    })
+    write_rows(path.as_ref(), "P5", image.dims(), 1, |y, row| quantize_row(luma.row(y), row))
 }
 
 /// Bytes the writers buffer between `write` calls: a 512² PPM (786 KB)
@@ -96,6 +100,81 @@ fn write_rows(
 #[inline]
 fn quantize(v: f32) -> u8 {
     (f64::from(v.clamp(0.0, 255.0)) + 0.5) as u8
+}
+
+/// [`quantize`] of every sample of `src` into `out`, runtime-dispatched
+/// like the colour conversion: eight lanes at a time on AVX2, one sample
+/// at a time otherwise.
+///
+/// # Panics
+///
+/// Panics if the slices differ in length.
+fn quantize_row(src: &[f32], out: &mut [u8]) {
+    assert_eq!(src.len(), out.len(), "one byte per sample");
+    #[cfg(target_arch = "x86_64")]
+    if crate::color::use_avx2() {
+        // SAFETY: avx2 was confirmed by `is_x86_feature_detected!` (the
+        // only way `use_avx2` returns true) and the lengths are equal.
+        unsafe { quantize_row_avx2(src, out) };
+        return;
+    }
+    quantize_row_scalar(src, out);
+}
+
+/// Scalar tier of [`quantize_row`]; also its parity oracle.
+fn quantize_row_scalar(src: &[f32], out: &mut [u8]) {
+    for (dst, &v) in out.iter_mut().zip(src) {
+        *dst = quantize(v);
+    }
+}
+
+/// AVX2 tier of [`quantize_row`]: eight samples per iteration, the tail
+/// by [`quantize_row_scalar`].
+///
+/// Per lane: `c = min(max(v, 0), 255)`, where `maxps` returns its second
+/// operand, 0, for a NaN `v`; `t = trunc(c)`; the byte is
+/// `t + (c − t ≥ 0.5)`. The difference `c − t` is exact (Sterbenz for
+/// `c ≥ 1`, and `t = 0` below), so the byte is `floor(c + 0.5)`, which
+/// is what [`quantize`] computes.
+///
+/// # Safety
+///
+/// The CPU must support AVX2, and `out` must be as long as `src`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+// SAFETY: unsafe fn — requires avx2 and equal lengths; `quantize_row`
+// checks both before calling.
+unsafe fn quantize_row_avx2(src: &[f32], out: &mut [u8]) {
+    use std::arch::x86_64::{
+        __m128i, _mm256_castps_si256, _mm256_castsi256_si128, _mm256_cmp_ps, _mm256_cvtepi32_ps,
+        _mm256_cvttps_epi32, _mm256_extracti128_si256, _mm256_loadu_ps, _mm256_max_ps,
+        _mm256_min_ps, _mm256_set1_ps, _mm256_setzero_ps, _mm256_sub_epi32, _mm256_sub_ps,
+        _mm_packus_epi16, _mm_packus_epi32, _mm_storel_epi64, _CMP_GE_OQ,
+    };
+    let zero = _mm256_setzero_ps();
+    let max = _mm256_set1_ps(255.0);
+    let half = _mm256_set1_ps(0.5);
+    let chunks = src.len() / 8;
+    for i in 0..chunks {
+        let off = i * 8;
+        // SAFETY: `off + 8 <= chunks * 8 <= src.len() == out.len()`, so
+        // the 8-float load and the 8-byte store stay in bounds;
+        // intrinsics are guarded by this fn's ISA.
+        unsafe {
+            let v = _mm256_loadu_ps(src.as_ptr().add(off));
+            let c = _mm256_min_ps(_mm256_max_ps(v, zero), max);
+            let t = _mm256_cvttps_epi32(c);
+            let up = _mm256_cmp_ps::<_CMP_GE_OQ>(_mm256_sub_ps(c, _mm256_cvtepi32_ps(t)), half);
+            // A true lane is all ones, −1: subtracting it adds one.
+            let q = _mm256_sub_epi32(t, _mm256_castps_si256(up));
+            let words =
+                _mm_packus_epi32(_mm256_castsi256_si128(q), _mm256_extracti128_si256::<1>(q));
+            let bytes = _mm_packus_epi16(words, words);
+            _mm_storel_epi64(out.as_mut_ptr().add(off).cast::<__m128i>(), bytes);
+        }
+    }
+    let done = chunks * 8;
+    quantize_row_scalar(&src[done..], &mut out[done..]);
 }
 
 /// Read a binary PPM (`P6`) file into an RGB image.
@@ -246,17 +325,19 @@ mod tests {
         );
     }
 
-    #[test]
-    fn quantize_equals_round_then_clamp_at_the_edges() {
+    /// Every integer from −2 to 258, the halves between them, two ULPs
+    /// either side of each, and the special values.
+    fn edge_values() -> Vec<f32> {
+        let mut values = Vec::new();
         for k in -2..=258 {
             let k = k as f32;
             for v in [k, k - 0.5, k + 0.5] {
                 for bits in v.to_bits().saturating_sub(2)..=v.to_bits().saturating_add(2) {
-                    assert_quantize_matches(f32::from_bits(bits));
+                    values.push(f32::from_bits(bits));
                 }
             }
         }
-        for v in [
+        values.extend([
             0.499_999_97,
             0.5,
             254.5,
@@ -274,12 +355,67 @@ mod tests {
             f32::from_bits(0x007f_ffff),
             f32::MAX,
             f32::MIN,
-        ] {
+        ]);
+        values
+    }
+
+    #[test]
+    fn quantize_equals_round_then_clamp_at_the_edges() {
+        for v in edge_values() {
             assert_quantize_matches(v);
         }
         assert_eq!(quantize(0.499_999_97), 0);
         assert_eq!(quantize(254.5), 255);
         assert_eq!(quantize(f32::NAN), 0);
+    }
+
+    /// Each tier of [`quantize_row`] the host runs, on `src`, against
+    /// [`quantize`] of every sample.
+    fn assert_row_tiers_match(src: &[f32]) {
+        let want: Vec<u8> = src.iter().map(|&v| quantize(v)).collect();
+        let mut got = vec![0u8; src.len()];
+        quantize_row(src, &mut got);
+        assert_eq!(got, want, "dispatched, {} samples", src.len());
+        quantize_row_scalar(src, &mut got);
+        assert_eq!(got, want, "scalar, {} samples", src.len());
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            got.fill(0);
+            // SAFETY: AVX2 was detected above and the lengths are equal.
+            unsafe { quantize_row_avx2(src, &mut got) };
+            assert_eq!(got, want, "avx2, {} samples", src.len());
+        }
+    }
+
+    #[test]
+    fn quantize_row_equals_quantize_at_the_edges() {
+        let values = edge_values();
+        // Rows whose lengths are not a multiple of 8 put every value in
+        // a vector lane and in the scalar tail.
+        for len in [1, 7, 9, 15, 37, 1003] {
+            for start in (0..values.len()).step_by(len) {
+                assert_row_tiers_match(&values[start..(start + len).min(values.len())]);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        #[test]
+        fn quantize_row_equals_quantize_for_any_bits(
+            bits in proptest::collection::vec(any::<u32>(), 0..45)
+        ) {
+            let src: Vec<f32> = bits.into_iter().map(f32::from_bits).collect();
+            assert_row_tiers_match(&src);
+        }
+
+        #[test]
+        fn quantize_row_equals_quantize_in_range(
+            src in proptest::collection::vec(-2.0f32..258.0, 0..45)
+        ) {
+            assert_row_tiers_match(&src);
+        }
     }
 
     proptest! {

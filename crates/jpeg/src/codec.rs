@@ -4,7 +4,7 @@ use crate::bitstream::{magnitude_code, magnitude_decode, BitReader, BitWriter};
 use crate::coeff::{CoeffImage, CoeffPlane};
 use crate::huffman::HuffmanTable;
 use crate::quant::QuantTable;
-use crate::zigzag::{from_zigzag, to_zigzag};
+use crate::zigzag::{from_zigzag, to_zigzag, ZIGZAG};
 use crate::{JpegError, BLOCK, BLOCK_AREA};
 
 /// Upper bound on the decoded frame area (`width × height`) accepted by
@@ -786,11 +786,8 @@ impl<'a> Parser<'a> {
                         .ok_or_else(|| Self::err("missing AC table"))?;
                     for bv in 0..comp.v {
                         for bh in 0..comp.h {
-                            let block =
-                                decode_block(&mut reader, dc_t, ac_t, &mut preds[c])?;
-                            let bx = mx * comp.h + bh;
-                            let by = my * comp.v + bv;
-                            *planes[c].block_mut(bx, by) = block;
+                            let block = planes[c].block_mut(mx * comp.h + bh, my * comp.v + bv);
+                            decode_block(&mut reader, dc_t, ac_t, &mut preds[c], block)?;
                         }
                     }
                 }
@@ -829,14 +826,19 @@ impl<'a> Parser<'a> {
     }
 }
 
+/// Decode one block's DC difference and AC run-lengths into `block`, in
+/// natural order: each level lands at `ZIGZAG[k]` directly. `block` must
+/// be all zeros, as every block of [`CoeffPlane::zeros`] is when the scan
+/// reaches it; levels the stream skips stay zero. On an error the block
+/// is partly written, and the caller discards the whole image.
 fn decode_block(
     reader: &mut BitReader<'_>,
     dc_table: &HuffmanTable,
     ac_table: &HuffmanTable,
     pred: &mut i32,
-) -> Result<[i32; BLOCK_AREA], JpegError> {
+    block: &mut [i32; BLOCK_AREA],
+) -> Result<(), JpegError> {
     let truncated = || JpegError::truncated("entropy-coded scan ended mid-block");
-    let mut zz = [0i32; BLOCK_AREA];
     let size = dc_table.decode(reader).ok_or_else(truncated)? as u32;
     if size > 15 {
         return Err(JpegError::malformed(format!(
@@ -845,7 +847,7 @@ fn decode_block(
     }
     let bits = reader.bits(size).ok_or_else(truncated)?;
     *pred += magnitude_decode(size, bits);
-    zz[0] = *pred;
+    block[0] = *pred;
     let mut k = 1usize;
     while k < BLOCK_AREA {
         let sym = ac_table.decode(reader).ok_or_else(truncated)?;
@@ -863,10 +865,10 @@ fn decode_block(
             return Err(JpegError::malformed("AC run overflows block"));
         }
         let bits = reader.bits(size).ok_or_else(truncated)?;
-        zz[k] = magnitude_decode(size, bits);
+        block[ZIGZAG[k]] = magnitude_decode(size, bits);
         k += 1;
     }
-    Ok(from_zigzag(&zz))
+    Ok(())
 }
 
 #[cfg(test)]

@@ -226,19 +226,12 @@ impl CoeffPlane {
         out.crop_to(self.width, self.height)
     }
 
-    /// Level-shifted AC-only pixels of every block: the IDCT of each
-    /// block with its DC level forced to zero. This is the receiver's
-    /// `x̃` decomposition that all DC-recovery methods reason over —
-    /// block pixels are `ac_pixels + dc_level * q0 / 8`.
-    pub fn ac_pixels(&self, qtable: &QuantTable) -> Vec<[f32; BLOCK_AREA]> {
-        self.blocks
-            .iter()
-            .map(|levels| {
-                let mut levels = *levels;
-                levels[0] = 0;
-                crate::dct::idct(&qtable.dequantize(&levels))
-            })
-            .collect()
+    /// Whether block `(bx, by)` carries a nonzero AC level. A block that
+    /// does not is flat: its pixels are its DC term alone. The levels are
+    /// OR-ed rather than searched: most blocks of a low-rate stream have
+    /// none, and then every level is read either way.
+    pub fn has_ac(&self, bx: usize, by: usize) -> bool {
+        self.block(bx, by)[1..].iter().fold(0, |acc, &l| acc | l) != 0
     }
 
     /// The DC levels as a `blocks_x × blocks_y` plane (DC-map view used by

@@ -134,7 +134,7 @@ impl QuantTable {
 
     /// [`QuantTable::dequantize`] of `levels` with the DC level replaced
     /// by `dc`: each level is scaled on its own, so only entry 0 changes.
-    pub(crate) fn dequantize_with_dc(&self, levels: &[i32; BLOCK_AREA], dc: i32) -> [f32; BLOCK_AREA] {
+    pub fn dequantize_with_dc(&self, levels: &[i32; BLOCK_AREA], dc: i32) -> [f32; BLOCK_AREA] {
         let mut out = self.dequantize(levels);
         out[0] = (dc * self.values[0] as i32) as f32;
         out

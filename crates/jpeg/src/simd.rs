@@ -77,9 +77,10 @@ pub fn active() -> Tier {
 /// Used by `kernel_bench` to measure scalar-vs-SIMD decode and encode
 /// throughput in one run, and by parity tests. Affects every thread; not
 /// intended for concurrent use with in-flight codec calls whose tier
-/// matters. Also pins the colour-conversion tier in `dcdiff-image`
-/// ([`dcdiff_image::simd_force_scalar`]) so one switch covers the whole
-/// decode path (entropy → iDCT → colour) and the encoder's transform
+/// matters. Also pins the colour-conversion and PPM-quantiser tier in
+/// `dcdiff-image` ([`dcdiff_image::simd_force_scalar`]) so one switch
+/// covers the whole decode path (entropy → iDCT → colour → PPM bytes)
+/// and the encoder's transform
 /// (colour → fDCT + quantise, whose scalar tier is
 /// `QuantTable::quantize(&fdct(..))`).
 pub fn force_scalar(on: bool) {

@@ -11,13 +11,17 @@
 //! The hot entry points: the forward and inverse 8×8 DCT, the sender's
 //! fused fDCT → quantise pass (dispatched and pinned scalar), both Huffman
 //! decoders, and the single-threaded blocked GEMM. TIP-2006's recovery,
-//! the runtime's fallback tier, allocates its planes and outputs, but no
-//! more of them for a larger image.
+//! the runtime's fallback tier, and ICIP-2022's, whose solve DCDiff's
+//! refinement shares, allocate their planes and outputs, but no more of
+//! them for a larger image. The allocator also counts bytes: the AC field
+//! of a plane without AC levels stores one shared zero block, not one
+//! block per block.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use dcdiff_baselines::{DcRecovery, Tip2006};
+use dcdiff_baselines::{AcField, DcRecovery, Icip2022, Tip2006};
+use dcdiff_image::{Image, Plane};
 use dcdiff_data::{SceneGenerator, SceneKind};
 use dcdiff_jpeg::bitstream::{BitReader, BitWriter};
 use dcdiff_jpeg::dct::{fdct, fdct_quantize, idct};
@@ -30,18 +34,21 @@ use dcdiff_tensor::kernels::{sgemm_with_threads, Trans};
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-/// The system allocator, counting each thread's allocations.
+/// The system allocator, counting each thread's allocations and the bytes
+/// they ask for.
 struct Counting;
 
 // SAFETY: both methods forward to `System` with the caller's arguments
-// unchanged; the only addition is a bump of a const-initialised
-// thread-local counter, which neither allocates nor unwinds.
+// unchanged; the only addition is a bump of two const-initialised
+// thread-local counters, which neither allocates nor unwinds.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         // Gone during thread teardown: nothing is measured then.
         let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        let _ = BYTES.try_with(|n| n.set(n.get() + layout.size() as u64));
         System.alloc(layout)
     }
 
@@ -128,19 +135,42 @@ fn single_threaded_gemm_allocates_nothing_at_steady_state() {
     });
 }
 
+/// Allocations one warm `method.recover` makes on a DC-dropped `size`²
+/// Natural scene.
+fn recover_allocations(method: &dyn DcRecovery, size: usize) -> u64 {
+    let scene = SceneGenerator::new(SceneKind::Natural, size, size).generate(5);
+    let dropped = CoeffImage::from_image(&scene, 50, ChromaSampling::Cs444)
+        .drop_dc(DcDropMode::KeepCorners);
+    std::hint::black_box(method.recover(&dropped));
+    cost(|| {
+        std::hint::black_box(method.recover(std::hint::black_box(&dropped)));
+    })
+    .0
+}
+
 #[test]
 fn tip2006_recover_allocates_the_same_at_any_size() {
-    let allocations = |size: usize| {
-        let scene = SceneGenerator::new(SceneKind::Natural, size, size).generate(5);
-        let dropped = CoeffImage::from_image(&scene, 50, ChromaSampling::Cs444)
-            .drop_dc(DcDropMode::KeepCorners);
-        let tip = Tip2006::new();
-        std::hint::black_box(tip.recover(&dropped));
-        cost(|| {
-            std::hint::black_box(tip.recover(std::hint::black_box(&dropped)));
-        })
-        .0
-    };
-    let (small, large) = (allocations(64), allocations(256));
+    let tip = Tip2006::new();
+    let (small, large) = (recover_allocations(&tip, 64), recover_allocations(&tip, 256));
     assert_eq!(small, large, "Tip2006::recover allocates {small} times at 64², {large} at 256²");
+}
+
+#[test]
+fn icip2022_recover_allocates_the_same_at_any_size() {
+    let icip = Icip2022::new();
+    let (small, large) = (recover_allocations(&icip, 64), recover_allocations(&icip, 256));
+    assert_eq!(small, large, "Icip2022::recover allocates {small} times at 64², {large} at 256²");
+}
+
+#[test]
+fn ac_field_of_a_flat_plane_stores_one_block() {
+    let flat = Image::from_gray(Plane::filled(256, 256, 140.0));
+    let dropped = CoeffImage::from_image(&flat, 50, ChromaSampling::Cs444)
+        .drop_dc(DcDropMode::KeepCorners);
+    let (plane, qtable) = (dropped.plane(0), dropped.qtable(0));
+    let before = BYTES.with(Cell::get);
+    std::hint::black_box(AcField::new(plane, qtable));
+    let bytes = BYTES.with(Cell::get) - before;
+    // A dense field of the 1024 blocks would hold 256 KiB of pixels.
+    assert!(bytes < 32 << 10, "AcField::new of a flat 256² plane allocates {bytes} bytes");
 }
