@@ -243,8 +243,9 @@ impl AcField {
 /// Estimate the DC levels of every plane of `dropped`: decompose the
 /// plane, estimate its offsets with `offsets`, and convert each to a
 /// clamped level ([`AcField::offset_to_level`]). One `Vec` per plane, one
-/// level per block (row-major): the form
-/// [`CoeffImage::to_image_with_dc`] decodes.
+/// level per block (row-major): what [`crate::DcRecovery::estimate_dc`]
+/// returns, and the form [`CoeffImage::to_image_with_dc`] and
+/// [`CoeffImage::write_pnm_with_dc`] decode.
 ///
 /// # Panics
 ///
@@ -261,20 +262,6 @@ pub(crate) fn estimate_levels(
             offsets.iter().map(|&o| field.offset_to_level(o)).collect()
         })
         .collect()
-}
-
-/// A copy of `dropped` with every plane's DC levels set to `levels` (as
-/// [`estimate_levels`] returns them).
-pub(crate) fn with_levels(dropped: &CoeffImage, levels: &[Vec<i32>]) -> CoeffImage {
-    let mut out = dropped.clone();
-    for (c, levels) in levels.iter().enumerate() {
-        let plane = out.plane_mut(c);
-        let blocks_x = plane.blocks_x();
-        for (b, &level) in levels.iter().enumerate() {
-            plane.set_dc(b % blocks_x, b / blocks_x, level);
-        }
-    }
-    out
 }
 
 /// Per-edge boundary statistics combining the three mechanisms the

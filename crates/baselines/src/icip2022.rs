@@ -1,10 +1,9 @@
 //! Zhang et al., *Improved DC estimation for JPEG compression via convex
 //! relaxation* (ICIP 2022).
 
-use dcdiff_image::Image;
 use dcdiff_jpeg::CoeffImage;
 
-use crate::common::{estimate_levels, with_levels, AcField, RefineConfig, DEFAULT_THRESHOLD};
+use crate::common::{estimate_levels, AcField, RefineConfig, DEFAULT_THRESHOLD};
 use crate::DcRecovery;
 
 /// ICIP-2022 recovery: a *global* convex quadratic over all per-block DC
@@ -70,12 +69,8 @@ impl DcRecovery for Icip2022 {
         "ICIP 2022"
     }
 
-    fn recover(&self, dropped: &CoeffImage) -> Image {
-        dropped.to_image_with_dc(&estimate_levels(dropped, |field| self.offsets(field)))
-    }
-
-    fn recover_coefficients(&self, dropped: &CoeffImage) -> CoeffImage {
-        with_levels(dropped, &estimate_levels(dropped, |field| self.offsets(field)))
+    fn estimate_dc(&self, dropped: &CoeffImage) -> Vec<Vec<i32>> {
+        estimate_levels(dropped, |field| self.offsets(field))
     }
 }
 

@@ -18,7 +18,8 @@
 //!
 //! Every method implements [`DcRecovery`]: it receives the receiver-side
 //! [`CoeffImage`] with dropped DC (four corner anchors retained) and
-//! returns the reconstructed image.
+//! returns its estimate of every block's DC level, which the decoder turns
+//! into the reconstructed image.
 //!
 //! The crate also holds the one DC-offset solver. [`AcField`] is the
 //! AC-only pixel field of one plane, and [`AcField::solve`] minimises the
@@ -58,25 +59,35 @@ use dcdiff_image::Image;
 use dcdiff_jpeg::CoeffImage;
 
 /// A receiver-side DC recovery method.
+///
+/// A method estimates DC levels; the AC levels arrived intact. So
+/// [`DcRecovery::estimate_dc`] is the one method an estimator implements,
+/// and the pixel and coefficient outputs are provided over it.
 pub trait DcRecovery {
     /// Human-readable method name (used in experiment tables).
     fn name(&self) -> &'static str;
 
-    /// Estimate the dropped DC coefficients of `dropped` and return the
-    /// reconstructed pixel image: the decode of
-    /// [`DcRecovery::recover_coefficients`]. TIP-2006, SmartCom-2019 and
-    /// ICIP-2022 skip the coefficient copy and decode `dropped` with
-    /// their estimated DC levels substituted
-    /// ([`CoeffImage::to_image_with_dc`]), which gives the same pixels.
+    /// Estimate the dropped DC levels of `dropped`: one level per block of
+    /// every component, row-major, corner anchors included. This is the
+    /// form [`CoeffImage::to_image_with_dc`] and
+    /// [`CoeffImage::write_pnm_with_dc`] decode, so a served recovery
+    /// streams its pixels straight into the response file.
     ///
     /// `dropped` must retain the four corner-block DC anchors
     /// ([`dcdiff_jpeg::DcDropMode::KeepCorners`]); methods treat absent
     /// anchors as zero.
+    fn estimate_dc(&self, dropped: &CoeffImage) -> Vec<Vec<i32>>;
+
+    /// The reconstructed pixel image: `dropped` decoded with the
+    /// estimated DC levels substituted ([`CoeffImage::to_image_with_dc`]),
+    /// bit for bit the decode of [`DcRecovery::recover_coefficients`].
     fn recover(&self, dropped: &CoeffImage) -> Image {
-        self.recover_coefficients(dropped).to_image()
+        dropped.to_image_with_dc(&self.estimate_dc(dropped))
     }
 
-    /// Recover and also return the coefficient image with estimated DC
-    /// levels filled in (for coefficient-domain analysis).
-    fn recover_coefficients(&self, dropped: &CoeffImage) -> CoeffImage;
+    /// The coefficient image with the estimated DC levels filled in (for
+    /// coefficient-domain analysis).
+    fn recover_coefficients(&self, dropped: &CoeffImage) -> CoeffImage {
+        dropped.with_dc_levels(&self.estimate_dc(dropped))
+    }
 }

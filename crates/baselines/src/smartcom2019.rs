@@ -1,10 +1,9 @@
 //! Qiu et al., *DC coefficients recovery from AC coefficients in the JPEG
 //! compression scenario* (SmartCom 2019) — trend-based recovery.
 
-use dcdiff_image::Image;
 use dcdiff_jpeg::{CoeffImage, BLOCK};
 
-use crate::common::{estimate_levels, with_levels, AcField};
+use crate::common::{estimate_levels, AcField};
 use crate::DcRecovery;
 
 /// SmartCom-2019 recovery: instead of matching raw boundary pixels, the
@@ -75,12 +74,8 @@ impl DcRecovery for SmartCom2019 {
         "SmartCom 2019"
     }
 
-    fn recover(&self, dropped: &CoeffImage) -> Image {
-        dropped.to_image_with_dc(&estimate_levels(dropped, |field| self.recover_plane(field)))
-    }
-
-    fn recover_coefficients(&self, dropped: &CoeffImage) -> CoeffImage {
-        with_levels(dropped, &estimate_levels(dropped, |field| self.recover_plane(field)))
+    fn estimate_dc(&self, dropped: &CoeffImage) -> Vec<Vec<i32>> {
+        estimate_levels(dropped, |field| self.recover_plane(field))
     }
 }
 

@@ -175,18 +175,18 @@ impl DcRecovery for Tii2021 {
         self.correct(&self.base.recover(dropped))
     }
 
-    fn recover_coefficients(&self, dropped: &CoeffImage) -> CoeffImage {
-        // Coefficient-domain output: statistical DC estimate refined by
-        // re-projecting the CNN-corrected picture onto the block means.
-        let corrected = self.recover(dropped);
-        let mut out = self.base.recover_coefficients(dropped);
+    /// The statistical estimate, refined by re-projecting the
+    /// CNN-corrected picture onto the block means (4:4:4 colour streams
+    /// only; elsewhere the SmartCom-2019 levels as they are).
+    fn estimate_dc(&self, dropped: &CoeffImage) -> Vec<Vec<i32>> {
+        let mut levels = self.base.estimate_dc(dropped);
         if dropped.channels() == 3 && dropped.sampling() == ChromaSampling::Cs444 {
-            let ycbcr = corrected.to_ycbcr();
-            for c in 0..3 {
+            let ycbcr = self.recover(dropped).to_ycbcr();
+            for (c, levels) in levels.iter_mut().enumerate() {
                 let field = AcField::new(dropped.plane(c), dropped.qtable(c));
                 let plane = ycbcr.plane(c);
-                for by in 0..out.plane(c).blocks_y() {
-                    for bx in 0..out.plane(c).blocks_x() {
+                for by in 0..field.blocks_y {
+                    for bx in 0..field.blocks_x {
                         let mut mean = 0.0f32;
                         let mut count = 0usize;
                         for y in 0..8 {
@@ -199,14 +199,13 @@ impl DcRecovery for Tii2021 {
                             }
                         }
                         if count > 0 {
-                            let level = field.offset_to_level(mean / count as f32);
-                            out.plane_mut(c).set_dc(bx, by, level);
+                            levels[field.idx(bx, by)] = field.offset_to_level(mean / count as f32);
                         }
                     }
                 }
             }
         }
-        out
+        levels
     }
 }
 

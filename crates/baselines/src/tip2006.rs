@@ -1,10 +1,9 @@
 //! Uehara et al., *Recovering DC coefficients in block-based DCT*
 //! (IEEE TIP 2006) — the original block-iterative recovery.
 
-use dcdiff_image::Image;
 use dcdiff_jpeg::{CoeffImage, BLOCK};
 
-use crate::common::{estimate_levels, median, with_levels, AcField};
+use crate::common::{estimate_levels, median, AcField};
 use crate::DcRecovery;
 
 /// TIP-2006 recovery: raster-scan the block grid from the top-left anchor
@@ -86,12 +85,8 @@ impl DcRecovery for Tip2006 {
         "TIP 2006"
     }
 
-    fn recover(&self, dropped: &CoeffImage) -> Image {
-        dropped.to_image_with_dc(&estimate_levels(dropped, |field| self.recover_plane(field)))
-    }
-
-    fn recover_coefficients(&self, dropped: &CoeffImage) -> CoeffImage {
-        with_levels(dropped, &estimate_levels(dropped, |field| self.recover_plane(field)))
+    fn estimate_dc(&self, dropped: &CoeffImage) -> Vec<Vec<i32>> {
+        estimate_levels(dropped, |field| self.recover_plane(field))
     }
 }
 

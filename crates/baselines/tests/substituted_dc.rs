@@ -1,9 +1,10 @@
 //! The statistical baselines decode their estimate without copying the
 //! coefficients: `recover` substitutes the estimated DC levels at
 //! dequantisation (`CoeffImage::to_image_with_dc`). That must be bit for
-//! bit the decode of the copy `recover_coefficients` returns.
+//! bit the decode of the copy `recover_coefficients` returns, and of the
+//! levels `estimate_dc` returns.
 
-use dcdiff_baselines::{DcRecovery, Icip2022, SmartCom2019, Tip2006};
+use dcdiff_baselines::{DcRecovery, Icip2022, SmartCom2019, Tii2021, Tip2006};
 use dcdiff_data::{SceneGenerator, SceneKind};
 use dcdiff_image::Image;
 use dcdiff_jpeg::{ChromaSampling, CoeffImage, DcDropMode};
@@ -45,5 +46,31 @@ fn recover_is_the_decode_of_recover_coefficients_bit_for_bit() {
                 );
             }
         }
+    }
+}
+
+/// Every method's outputs are provided over `estimate_dc`: `recover` is
+/// the decode of its levels, and `recover_coefficients` the copy holding
+/// them. TII-2021 keeps its image-domain `recover` (the corrector's
+/// pixels), so only its coefficient output is pinned to its levels.
+#[test]
+fn outputs_are_the_estimated_levels() {
+    let statistical: [&dyn DcRecovery; 3] =
+        [&Tip2006::new(), &SmartCom2019::new(), &Icip2022::new()];
+    let tii = Tii2021::new(5);
+    let scene = SceneGenerator::new(SceneKind::Natural, 41, 27).generate(9);
+    for sampling in [ChromaSampling::Cs444, ChromaSampling::Cs422, ChromaSampling::Cs420] {
+        let dropped = CoeffImage::from_image(&scene, 50, sampling).drop_dc(DcDropMode::KeepCorners);
+        for method in statistical {
+            let levels = method.estimate_dc(&dropped);
+            assert!(
+                bits(&method.recover(&dropped)) == bits(&dropped.to_image_with_dc(&levels)),
+                "{} at {sampling}: recover is not the decode of estimate_dc",
+                method.name()
+            );
+            assert_eq!(method.recover_coefficients(&dropped), dropped.with_dc_levels(&levels));
+        }
+        let levels = tii.estimate_dc(&dropped);
+        assert_eq!(tii.recover_coefficients(&dropped), dropped.with_dc_levels(&levels));
     }
 }

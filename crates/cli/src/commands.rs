@@ -6,7 +6,7 @@
 //! [`dcdiff_runtime::parse_job`] and run as a one-job `dcdiff batch`.
 
 use dcdiff_data::{SceneGenerator, SceneKind};
-use dcdiff_image::{write_pgm, write_ppm};
+use dcdiff_image::{write_pgm, write_ppm, PnmFormat};
 use dcdiff_jpeg::JpegDecoder;
 use dcdiff_runtime::{
     parse_job, parse_method, Job, JobFailure, JobOutput, Line, RecoveryPolicy, Runtime,
@@ -15,7 +15,7 @@ use dcdiff_runtime::{
 
 /// Write a PPM or PGM image based on the file extension.
 fn write_image(path: &str, image: &dcdiff_image::Image) -> Result<(), String> {
-    if path.to_ascii_lowercase().ends_with(".pgm") {
+    if PnmFormat::for_path(path) == PnmFormat::Pgm {
         write_pgm(path, image).map_err(|e| e.to_string())
     } else {
         write_ppm(path, image).map_err(|e| e.to_string())
@@ -180,13 +180,19 @@ fn summary(job: &Job, output: &JobOutput) -> String {
     }
 }
 
+/// Entropy-decode `input` and stream its pixels into `output` band by
+/// band, with the stream's own DC levels: the bytes `write_ppm` (or
+/// `write_pgm`) writes for `JpegDecoder::decode`'s image, without that
+/// image.
 fn decode(line: &Line<'_>) -> Result<(), CliError> {
     let input = usage(line.positional(1, "input .jpg path"))?;
     let output = usage(line.positional(2, "output .ppm path"))?;
     let bytes = std::fs::read(&input).map_err(io_err)?;
-    let image = JpegDecoder::decode(&bytes).map_err(io_err)?;
-    write_image(&output, &image)?;
-    println!("{output}: {}x{}", image.width(), image.height());
+    let coeffs = JpegDecoder::decode_coefficients(&bytes).map_err(io_err)?;
+    let file = std::fs::File::create(&output).map_err(io_err)?;
+    let format = PnmFormat::for_path(&output);
+    coeffs.write_pnm_with_dc(&coeffs.dc_levels(), format, file).map_err(io_err)?;
+    println!("{output}: {}x{}", coeffs.width(), coeffs.height());
     Ok(())
 }
 
@@ -766,6 +772,38 @@ mod tests {
         run(&["metrics", &scene, &back]).unwrap();
         run(&["info", &jpg]).unwrap();
         for f in [&scene, &jpg, &back] {
+            std::fs::remove_file(f).ok();
+        }
+    }
+
+    /// `decode` streams the pixels into the file without building the
+    /// image, byte for byte what `write_ppm` / `write_pgm` write for
+    /// `JpegDecoder::decode`'s image: every subsampling, colour and gray,
+    /// at a width that is not a multiple of 8.
+    #[test]
+    fn decode_writes_the_bytes_of_the_decoded_image() {
+        use dcdiff_image::ColorSpace;
+        let scene = tmp("d-scene.ppm");
+        run(&["demo", &scene, "--scene", "natural", "--size", "37x29", "--seed", "4"]).unwrap();
+        let gray = tmp("d-scene.pgm");
+        let image = dcdiff_image::read_ppm(&scene).unwrap();
+        write_pgm(&gray, &image).unwrap();
+        let (jpg, out, want) = (tmp("d.jpg"), tmp("d-out"), tmp("d-want"));
+        for (input, subsample) in [(&scene, "444"), (&scene, "422"), (&scene, "420"), (&gray, "444")] {
+            run(&["encode", input, &jpg, "--quality", "60", "--subsample", subsample]).unwrap();
+            let decoded = JpegDecoder::decode(&std::fs::read(&jpg).unwrap()).unwrap();
+            assert_eq!(decoded.color_space() == ColorSpace::Gray, input == &gray);
+            for ext in ["ppm", "pgm"] {
+                let (out, want) = (format!("{out}.{ext}"), format!("{want}.{ext}"));
+                run(&["decode", &jpg, &out]).unwrap();
+                write_image(&want, &decoded).unwrap();
+                let streamed = std::fs::read(&out).unwrap();
+                assert!(streamed == std::fs::read(&want).unwrap(), "{subsample} {ext} of {input}");
+                std::fs::remove_file(&out).ok();
+                std::fs::remove_file(&want).ok();
+            }
+        }
+        for f in [&scene, &gray, &jpg] {
             std::fs::remove_file(f).ok();
         }
     }

@@ -11,10 +11,11 @@ use rand::Rng as _;
 use std::time::Instant;
 
 use crate::fallback::EstimateError;
+use crate::RefineConfig;
 use dcdiff_telemetry::names;
 use crate::mask::{high_frequency_mask, DEFAULT_THRESHOLD};
 use crate::projection::{image_to_tensor, project_dc, tensor_to_image};
-use crate::refine::refine_dc_offsets;
+use crate::refine::refine_dc_levels;
 use crate::stage1::Stage1;
 use crate::stage2::Stage2;
 use crate::{PatchDiscriminator, PerceptualLoss};
@@ -126,6 +127,27 @@ impl<'a> BatchRecoverJob<'a> {
             seed: content_seed(dropped),
             deadline: None,
             trace: None,
+        }
+    }
+}
+
+/// What one lane of the recovery pipeline resolves to.
+#[derive(Debug)]
+enum LaneEstimate {
+    /// The projected (and refined) DC levels, in
+    /// [`CoeffImage::dc_levels`]' form.
+    Levels(Vec<Vec<i32>>),
+    /// The generated image itself: the Table III `use_projection = false`
+    /// ablation, whose output is the network's pixels.
+    Pixels(Image),
+}
+
+impl LaneEstimate {
+    /// The lane's pixels: `dropped` decoded with the estimated levels.
+    fn into_image(self, dropped: &CoeffImage) -> Image {
+        match self {
+            LaneEstimate::Levels(levels) => dropped.to_image_with_dc(&levels),
+            LaneEstimate::Pixels(image) => image,
         }
     }
 }
@@ -475,7 +497,7 @@ impl DcDiff {
     pub fn recover_with(&self, dropped: &CoeffImage, options: &RecoverOptions) -> Image {
         let lane = BatchRecoverJob { dropped, seed: options.seed, deadline: None, trace: None };
         match self.recover_lanes(&[lane], options).pop() {
-            Some(Ok(image)) => image,
+            Some(Ok(estimate)) => estimate.into_image(dropped),
             other => unreachable!("recovery without a deadline cannot fail: {other:?}"),
         }
     }
@@ -527,6 +549,44 @@ impl DcDiff {
         jobs: &[BatchRecoverJob<'_>],
         options: &RecoverOptions,
     ) -> Vec<Result<Image, EstimateError>> {
+        let images = |(lane, job): (Result<LaneEstimate, EstimateError>, &BatchRecoverJob<'_>)| {
+            lane.map(|estimate| estimate.into_image(job.dropped))
+        };
+        self.try_lanes(jobs, options).into_iter().zip(jobs).map(images).collect()
+    }
+
+    /// [`DcDiff::try_recover_batch`]'s DC levels instead of its pixels: per
+    /// lane, the projected and refined levels in
+    /// [`CoeffImage::dc_levels`]' form, which
+    /// [`CoeffImage::write_pnm_with_dc`] streams to a file and
+    /// [`CoeffImage::to_image_with_dc`] decodes to the image
+    /// `try_recover_batch` returns, bit for bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `options.use_projection` is off: without the projection
+    /// the output is the network's pixels, which have no DC levels (the
+    /// image entries serve that ablation).
+    pub fn try_estimate_batch(
+        &self,
+        jobs: &[BatchRecoverJob<'_>],
+        options: &RecoverOptions,
+    ) -> Vec<Result<Vec<Vec<i32>>, EstimateError>> {
+        assert!(options.use_projection, "only the projected recovery has DC levels");
+        let levels = |lane: Result<LaneEstimate, EstimateError>| match lane? {
+            LaneEstimate::Levels(levels) => Ok(levels),
+            LaneEstimate::Pixels(_) => unreachable!("the projection is on"),
+        };
+        self.try_lanes(jobs, options).into_iter().map(levels).collect()
+    }
+
+    /// [`DcDiff::recover_lanes`] with a panic anywhere in the model stack
+    /// resolving every lane to [`EstimateError::Panicked`].
+    fn try_lanes(
+        &self,
+        jobs: &[BatchRecoverJob<'_>],
+        options: &RecoverOptions,
+    ) -> Vec<Result<LaneEstimate, EstimateError>> {
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             self.recover_lanes(jobs, options)
         }))
@@ -540,8 +600,8 @@ impl DcDiff {
         &self,
         jobs: &[BatchRecoverJob<'_>],
         options: &RecoverOptions,
-    ) -> Vec<Result<Image, EstimateError>> {
-        let mut out: Vec<Option<Result<Image, EstimateError>>> =
+    ) -> Vec<Result<LaneEstimate, EstimateError>> {
+        let mut out: Vec<Option<Result<LaneEstimate, EstimateError>>> =
             (0..jobs.len()).map(|_| None).collect();
         // Lanes can only share a forward when their padded canvases agree;
         // group by canvas and run each group as one cohort.
@@ -570,7 +630,7 @@ impl DcDiff {
         members: &[usize],
         (pw, ph): (usize, usize),
         options: &RecoverOptions,
-        out: &mut [Option<Result<Image, EstimateError>>],
+        out: &mut [Option<Result<LaneEstimate, EstimateError>>],
     ) {
         // Inference-only pass: suppress the autograd tape so conv/GEMM work
         // buffers recycle through the kernel scratch pool instead of being
@@ -750,28 +810,28 @@ impl DcDiff {
         generated: Image,
         options: &RecoverOptions,
         check: impl Fn(&'static str) -> Result<(), EstimateError>,
-    ) -> Result<Image, EstimateError> {
+    ) -> Result<LaneEstimate, EstimateError> {
         let tel = dcdiff_telemetry::global();
         if !options.use_projection {
-            return Ok(generated);
+            return Ok(LaneEstimate::Pixels(generated));
         }
         check("projection")?;
         let projection_span = tel.span(names::SPAN_RECOVER_PROJECTION);
         let projected = project_dc(dropped, &generated);
         drop(projection_span);
         if !options.use_mld {
-            return Ok(projected.to_image());
+            return Ok(LaneEstimate::Levels(projected.dc_levels()));
         }
         check("mld_refine")?;
         let _mld_span = tel.span(names::SPAN_RECOVER_MLD_REFINE);
-        let refined = refine_dc_offsets(
+        Ok(LaneEstimate::Levels(refine_dc_levels(
             dropped,
             &projected,
             options.mask_threshold,
             self.config.prior_weight,
             self.config.refine_sweeps,
-        );
-        Ok(refined.to_image())
+            RefineConfig::default(),
+        )))
     }
 
     /// Serialise every sub-network into a checkpoint.
@@ -806,6 +866,7 @@ impl DcDiff {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::refine_dc_offsets;
     use dcdiff_data::{DatasetProfile, SceneGenerator, SceneKind};
     use dcdiff_diffusion::DdimSampler;
     use dcdiff_metrics::psnr;
@@ -966,6 +1027,43 @@ mod tests {
             let lane = results.swap_remove(0).expect("no deadline, no panic");
             assert_eq!(lane, reference, "width {width} diverged from the composed reference");
         }
+    }
+
+    fn image_bits(image: &Image) -> Vec<Vec<u32>> {
+        image.planes().iter().map(|p| p.as_slice().iter().map(|v| v.to_bits()).collect()).collect()
+    }
+
+    // The image entries are the decode of the levels entry's levels, lane
+    // for lane, alone and in a width-8 cohort, with and without the
+    // refinement.
+    #[test]
+    fn image_entries_decode_the_estimated_levels() {
+        let system = DcDiff::new(tiny_config(), 0);
+        let mut opts = RecoverOptions::from_config(system.config());
+        opts.ddim_steps = 2;
+        let inputs: Vec<CoeffImage> = (0..8).map(|s| dropped_scene(200 + s, 32)).collect();
+        for use_mld in [true, false] {
+            let opts = RecoverOptions { use_mld, ..opts };
+            for width in [1, 8] {
+                let jobs: Vec<BatchRecoverJob<'_>> =
+                    inputs.iter().take(width).map(BatchRecoverJob::new).collect();
+                let images = system.try_recover_batch(&jobs, &opts);
+                let levels = system.try_estimate_batch(&jobs, &opts);
+                for ((job, image), levels) in jobs.iter().zip(images).zip(levels) {
+                    let decoded = job.dropped.to_image_with_dc(&levels.expect("healthy lane"));
+                    assert!(
+                        image_bits(&image.expect("healthy lane")) == image_bits(&decoded),
+                        "width {width}, mld {use_mld}"
+                    );
+                }
+            }
+        }
+        let probe = &inputs[0];
+        let opts = RecoverOptions { seed: content_seed(probe), ..opts };
+        let mut levels = system.try_estimate_batch(&[BatchRecoverJob::new(probe)], &opts);
+        let levels = levels.pop().expect("one lane").expect("healthy lane");
+        let image = system.recover_with(probe, &opts);
+        assert!(image_bits(&image) == image_bits(&probe.to_image_with_dc(&levels)));
     }
 
     #[test]

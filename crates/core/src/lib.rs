@@ -71,6 +71,6 @@ pub use estimator::{
 pub use fallback::{panic_message, BreakerState, CircuitBreaker, EstimateError};
 pub use perceptual::PerceptualLoss;
 pub use projection::{image_to_tensor, project_dc, tensor_to_image};
-pub use refine::{refine_dc_offsets, refine_dc_offsets_with};
+pub use refine::{refine_dc_levels, refine_dc_offsets, refine_dc_offsets_with};
 pub use stage1::Stage1;
 pub use stage2::Stage2;

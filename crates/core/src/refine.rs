@@ -65,36 +65,59 @@ pub fn refine_dc_offsets_with(
     sweeps: usize,
     config: RefineConfig,
 ) -> CoeffImage {
+    generated.with_dc_levels(&refine_dc_levels(
+        dropped,
+        generated,
+        threshold,
+        prior_weight,
+        sweeps,
+        config,
+    ))
+}
+
+/// The DC levels [`refine_dc_offsets_with`] writes, one per block of every
+/// component (row-major): the anchors keep their generated levels, and
+/// every other block takes its refined offset, unclamped. This is what
+/// the receiver decodes, so the served paths take the levels and leave
+/// the coefficient copy out.
+///
+/// # Panics
+///
+/// As for [`refine_dc_offsets`].
+pub fn refine_dc_levels(
+    dropped: &CoeffImage,
+    generated: &CoeffImage,
+    threshold: f32,
+    prior_weight: f32,
+    sweeps: usize,
+    config: RefineConfig,
+) -> Vec<Vec<i32>> {
     assert_eq!(dropped.channels(), generated.channels(), "channel mismatch");
-    let mut out = generated.clone();
-    for c in 0..dropped.channels() {
-        let field = AcField::new(dropped.plane(c), dropped.qtable(c));
-        let gen_plane = generated.plane(c);
-        let bw = field.blocks_x;
-        assert_eq!(
-            (bw, field.blocks_y),
-            (gen_plane.blocks_x(), gen_plane.blocks_y()),
-            "block grid mismatch"
-        );
-        // prior (generated) offsets, clamped to the representable pixel
-        // range so a degenerate generator cannot poison the solve
-        let prior: Vec<f32> = (0..field.anchors.len())
-            .map(|i| (gen_plane.dc(i % bw, i / bw) as f32 * field.dc_step).clamp(-140.0, 140.0))
-            .collect();
-        let offsets = field.solve(&prior, prior_weight, threshold, config, sweeps);
-        // anchors keep their generated levels; every other block takes its
-        // refined offset, unclamped
-        let coeff = out.plane_mut(c);
-        for by in 0..field.blocks_y {
-            for bx in 0..bw {
-                let i = field.idx(bx, by);
-                if field.anchors[i].is_none() {
-                    coeff.set_dc(bx, by, (offsets[i] / field.dc_step).round() as i32);
-                }
-            }
-        }
-    }
-    out
+    (0..dropped.channels())
+        .map(|c| {
+            let field = AcField::new(dropped.plane(c), dropped.qtable(c));
+            let gen_plane = generated.plane(c);
+            let bw = field.blocks_x;
+            assert_eq!(
+                (bw, field.blocks_y),
+                (gen_plane.blocks_x(), gen_plane.blocks_y()),
+                "block grid mismatch"
+            );
+            let generated = |i: usize| gen_plane.dc(i % bw, i / bw);
+            // prior (generated) offsets, clamped to the representable pixel
+            // range so a degenerate generator cannot poison the solve
+            let prior: Vec<f32> = (0..field.anchors.len())
+                .map(|i| (generated(i) as f32 * field.dc_step).clamp(-140.0, 140.0))
+                .collect();
+            let offsets = field.solve(&prior, prior_weight, threshold, config, sweeps);
+            (0..field.anchors.len())
+                .map(|i| match field.anchors[i] {
+                    Some(_) => generated(i),
+                    None => (offsets[i] / field.dc_step).round() as i32,
+                })
+                .collect()
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -112,6 +135,20 @@ mod tests {
         let dropped = coeffs.drop_dc(DcDropMode::KeepCorners);
         let reference = coeffs.to_image();
         (coeffs, dropped, reference)
+    }
+
+    // What the runtime's MLD engine decodes (the levels) is what
+    // `refine_dc_offsets` writes, and decodes to its pixels bit for bit.
+    #[test]
+    fn refined_levels_decode_to_the_refined_coefficients() {
+        let bits = |image: &Image| -> Vec<u32> {
+            image.planes().iter().flat_map(|p| p.as_slice().iter().map(|v| v.to_bits())).collect()
+        };
+        let (_, dropped, _) = setup(SceneKind::Natural, 3);
+        let refined = refine_dc_offsets(&dropped, &dropped, 10.0, 5e-4, 60);
+        let levels = refine_dc_levels(&dropped, &dropped, 10.0, 5e-4, 60, RefineConfig::default());
+        assert_eq!(refined.dc_levels(), levels);
+        assert_eq!(bits(&refined.to_image()), bits(&dropped.to_image_with_dc(&levels)));
     }
 
     #[test]

@@ -196,43 +196,6 @@ impl Image {
         }
     }
 
-    /// Convert to RGB in place, reusing this image's plane storage.
-    ///
-    /// The owned-image sibling of [`Image::to_rgb`] for the decode hot
-    /// path: instead of allocating three fresh output planes per call,
-    /// each YCbCr row is staged into a small row buffer and converted
-    /// back into the same storage. Matches [`Image::to_rgb`] up to SIMD
-    /// tail rounding: row-sliced traversal can hand different pixels to
-    /// the scalar (non-FMA) tail than whole-plane traversal does.
-    pub fn into_rgb(mut self) -> Image {
-        match self.color_space {
-            ColorSpace::Rgb => self,
-            ColorSpace::Gray => self.to_rgb(),
-            ColorSpace::YCbCr => {
-                let (w, h) = self.dims();
-                let (mut ybuf, mut cbbuf, mut crbuf) =
-                    (vec![0.0f32; w], vec![0.0f32; w], vec![0.0f32; w]);
-                for row in 0..h {
-                    ybuf.copy_from_slice(self.planes[0].row(row));
-                    cbbuf.copy_from_slice(self.planes[1].row(row));
-                    crbuf.copy_from_slice(self.planes[2].row(row));
-                    let (r, rest) = self.planes.split_at_mut(1);
-                    let (g, b) = rest.split_at_mut(1);
-                    crate::color::ycbcr_to_rgb_rows(
-                        &ybuf,
-                        &cbbuf,
-                        &crbuf,
-                        r[0].row_mut(row),
-                        g[0].row_mut(row),
-                        b[0].row_mut(row),
-                    );
-                }
-                self.color_space = ColorSpace::Rgb;
-                self
-            }
-        }
-    }
-
     /// Convert to JPEG full-range YCbCr.
     ///
     /// Grayscale maps to luma with neutral (128) chroma.
@@ -362,25 +325,6 @@ mod tests {
         .unwrap();
         let back = img.to_ycbcr().to_rgb();
         assert!(img.mean_abs_diff(&back) < 0.51, "round trip error too large");
-    }
-
-    #[test]
-    fn into_rgb_matches_to_rgb() {
-        let ycbcr = Image::from_planes(
-            vec![
-                Plane::from_fn(9, 7, |x, y| ((x * 37 + y * 11) % 256) as f32),
-                Plane::from_fn(9, 7, |x, y| ((x * 5 + y * 23) % 256) as f32),
-                Plane::from_fn(9, 7, |x, y| ((x * 19 + y * 41) % 256) as f32),
-            ],
-            ColorSpace::YCbCr,
-        )
-        .unwrap();
-        let copied = ycbcr.to_rgb();
-        let in_place = ycbcr.into_rgb();
-        assert_eq!(in_place.color_space(), ColorSpace::Rgb);
-        // Not bit-identical: the row-sliced traversal can hand different
-        // pixels to the scalar SIMD tail than the whole-plane pass.
-        assert!(in_place.mean_abs_diff(&copied) < 1e-5);
     }
 
     #[test]

@@ -1,48 +1,157 @@
 //! Binary NetPBM (PPM/PGM) readers and writers.
 //!
-//! Every image a job writes goes out through [`write_ppm`] or
-//! [`write_pgm`], served recoveries included, and the experiment binaries
-//! dump qualitative results (Figure 5) as PPM so they can be inspected
-//! with any viewer without extra dependencies.
+//! Every image a job writes goes out through one row writer,
+//! [`PnmWriter`]: [`write_ppm`] and [`write_pgm`] feed it an [`Image`]'s
+//! rows, and `dcdiff_jpeg`'s streamed decode
+//! (`CoeffImage::write_pnm_with_dc`) feeds it each band of rows as it
+//! decodes them, so a served recovery never holds its whole image. The
+//! experiment binaries dump qualitative results (Figure 5) as PPM so they
+//! can be inspected with any viewer without extra dependencies.
 
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
 use crate::{ColorSpace, Image, ImageError, Plane, MAX_DECODE_PIXELS};
 
+/// Which binary NetPBM file a [`PnmWriter`] writes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PnmFormat {
+    /// `P6`: three interleaved bytes (R, G, B) per pixel.
+    Ppm,
+    /// `P5`: one byte per pixel.
+    Pgm,
+}
+
+impl PnmFormat {
+    /// The format a path names: PGM for a `.pgm` extension (in any case),
+    /// PPM otherwise.
+    pub fn for_path(path: impl AsRef<Path>) -> Self {
+        let path = path.as_ref().as_os_str().to_string_lossy();
+        if path.to_ascii_lowercase().ends_with(".pgm") {
+            PnmFormat::Pgm
+        } else {
+            PnmFormat::Ppm
+        }
+    }
+}
+
+/// Bytes the writer buffers between `write` calls: a 512² PPM (786 KB)
+/// goes out in 13 calls instead of the 103 an 8 KiB buffer makes.
+const WRITE_BUFFER: usize = 1 << 16;
+
+/// The one binary NetPBM row writer, over any [`Write`]: the header, then
+/// one row at a time, each sample rounded half away from zero and clamped
+/// to `[0, 255]` (eight samples at a time on AVX2 hosts), through a
+/// 64 KiB buffer.
+///
+/// A row is given as its channels' samples: one channel, which a PPM
+/// repeats as R, G and B, or the three planar R, G and B rows, which a
+/// PPM interleaves. A PGM takes one channel only; its caller converts
+/// colour to luma first.
+pub struct PnmWriter<W: Write> {
+    out: BufWriter<W>,
+    format: PnmFormat,
+    width: usize,
+    /// One quantised channel row per channel, before the interleave.
+    planar: Vec<u8>,
+    /// The row's bytes as the file holds them.
+    row: Vec<u8>,
+}
+
+impl<W: Write> PnmWriter<W> {
+    /// Start a `width × height` file of `format` on `out` at maxval 255:
+    /// writes the header.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ImageError::Io`] when the header cannot be written.
+    pub fn new(
+        out: W,
+        format: PnmFormat,
+        (width, height): (usize, usize),
+    ) -> Result<Self, ImageError> {
+        let mut out = BufWriter::with_capacity(WRITE_BUFFER, out);
+        let (magic, channels) = match format {
+            PnmFormat::Ppm => ("P6", 3),
+            PnmFormat::Pgm => ("P5", 1),
+        };
+        write!(out, "{magic}\n{width} {height}\n255\n")?;
+        let (planar, row) = (vec![0; 3 * width], vec![0; channels * width]);
+        Ok(Self { out, format, width, planar, row })
+    }
+
+    /// Write the next row from its channels' samples, `width` each: one
+    /// channel, or R, G and B for a PPM.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ImageError::ChannelMismatch`] for any other channel
+    /// count, and [`ImageError::Io`] when the write fails.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a channel is not `width` samples long.
+    pub fn write_row(&mut self, channels: &[&[f32]]) -> Result<(), ImageError> {
+        let width = self.width;
+        match (self.format, channels) {
+            (PnmFormat::Pgm, [luma]) => quantize_row(luma, &mut self.row),
+            (PnmFormat::Ppm, [gray]) => {
+                let q = &mut self.planar[..width];
+                quantize_row(gray, q);
+                for (px, &v) in self.row.chunks_exact_mut(3).zip(&*q) {
+                    px.fill(v);
+                }
+            }
+            (PnmFormat::Ppm, [r, g, b]) => {
+                let (qr, rest) = self.planar.split_at_mut(width);
+                let (qg, qb) = rest.split_at_mut(width);
+                quantize_row(r, qr);
+                quantize_row(g, qg);
+                quantize_row(b, qb);
+                let bytes = qr.iter().zip(&*qg).zip(&*qb);
+                for (px, ((&r, &g), &b)) in self.row.chunks_exact_mut(3).zip(bytes) {
+                    px.copy_from_slice(&[r, g, b]);
+                }
+            }
+            (format, _) => {
+                return Err(ImageError::ChannelMismatch {
+                    expected: if format == PnmFormat::Pgm { 1 } else { 3 },
+                    actual: channels.len(),
+                })
+            }
+        }
+        self.out.write_all(&self.row)?;
+        Ok(())
+    }
+
+    /// Flush the buffer and hand back the inner writer.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ImageError::Io`] when the flush fails.
+    pub fn finish(self) -> Result<W, ImageError> {
+        self.out.into_inner().map_err(|e| ImageError::Io(e.into_error()))
+    }
+}
+
 /// Write an image as binary PPM (`P6`).
 ///
 /// RGB planes are read in place and a grayscale plane stands for all
-/// three channels; YCbCr images are converted to RGB first. Samples are
-/// rounded half away from zero and clamped to `[0, 255]`. Each plane row
-/// is quantised on its own, eight samples at a time on AVX2 hosts, then
-/// the three byte rows are interleaved.
+/// three channels; YCbCr images are converted to RGB first. Each row goes
+/// through [`PnmWriter`].
 ///
 /// # Errors
 ///
 /// Returns [`ImageError::Io`] on filesystem failure.
 pub fn write_ppm(path: impl AsRef<Path>, image: &Image) -> Result<(), ImageError> {
     let converted;
-    let [r, g, b] = match image.color_space() {
-        ColorSpace::Rgb => [image.plane(0), image.plane(1), image.plane(2)],
-        ColorSpace::Gray => [image.plane(0); 3],
-        ColorSpace::YCbCr => {
-            converted = image.to_rgb();
-            [converted.plane(0), converted.plane(1), converted.plane(2)]
-        }
+    let image = if image.color_space() == ColorSpace::YCbCr {
+        converted = image.to_rgb();
+        &converted
+    } else {
+        image
     };
-    let width = image.width();
-    let mut planar = vec![0u8; 3 * width];
-    write_rows(path.as_ref(), "P6", image.dims(), 3, |y, row| {
-        let (qr, rest) = planar.split_at_mut(width);
-        let (qg, qb) = rest.split_at_mut(width);
-        quantize_row(r.row(y), qr);
-        quantize_row(g.row(y), qg);
-        quantize_row(b.row(y), qb);
-        for (px, ((&r, &g), &b)) in row.chunks_exact_mut(3).zip(qr.iter().zip(&*qg).zip(&*qb)) {
-            px.copy_from_slice(&[r, g, b]);
-        }
-    })
+    write_planes(path.as_ref(), PnmFormat::Ppm, image.planes())
 }
 
 /// Write a grayscale image as binary PGM (`P5`).
@@ -61,31 +170,23 @@ pub fn write_pgm(path: impl AsRef<Path>, image: &Image) -> Result<(), ImageError
         converted = image.to_gray();
         converted.plane(0)
     };
-    write_rows(path.as_ref(), "P5", image.dims(), 1, |y, row| quantize_row(luma.row(y), row))
+    write_planes(path.as_ref(), PnmFormat::Pgm, std::slice::from_ref(luma))
 }
 
-/// Bytes the writers buffer between `write` calls: a 512² PPM (786 KB)
-/// goes out in 13 calls instead of the 103 an 8 KiB buffer makes.
-const WRITE_BUFFER: usize = 1 << 16;
-
-/// Create `path` and write a binary NetPBM file: the `magic` header for
-/// a `width × height` image at maxval 255, then each row of `channels`
-/// interleaved samples as `fill(y, row)` quantises it.
-fn write_rows(
-    path: &Path,
-    magic: &str,
-    (width, height): (usize, usize),
-    channels: usize,
-    mut fill: impl FnMut(usize, &mut [u8]),
-) -> Result<(), ImageError> {
-    let mut file = BufWriter::with_capacity(WRITE_BUFFER, std::fs::File::create(path)?);
-    write!(file, "{magic}\n{width} {height}\n255\n")?;
-    let mut row = vec![0u8; width * channels];
-    for y in 0..height {
-        fill(y, &mut row);
-        file.write_all(&row)?;
+/// Create `path` and write `planes` (one, or R, G and B) to it as a
+/// `format` file, row by row through [`PnmWriter`].
+fn write_planes(path: &Path, format: PnmFormat, planes: &[Plane]) -> Result<(), ImageError> {
+    let Some(first) = planes.first() else {
+        return Err(ImageError::ChannelMismatch { expected: 1, actual: 0 });
+    };
+    let mut writer = PnmWriter::new(std::fs::File::create(path)?, format, first.dims())?;
+    for y in 0..first.height() {
+        match planes {
+            [r, g, b] => writer.write_row(&[r.row(y), g.row(y), b.row(y)])?,
+            _ => writer.write_row(&[first.row(y)])?,
+        }
     }
-    file.flush()?;
+    writer.finish()?;
     Ok(())
 }
 

@@ -33,7 +33,7 @@ pub use color::{
 };
 pub use error::ImageError;
 pub use image::{ColorSpace, Image};
-pub use io::{read_pgm, read_ppm, write_pgm, write_ppm};
+pub use io::{read_pgm, read_ppm, write_pgm, write_ppm, PnmFormat, PnmWriter};
 pub use plane::Plane;
 
 /// Size (in samples) of the JPEG minimum coded block along each axis.

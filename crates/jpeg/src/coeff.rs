@@ -1,7 +1,13 @@
-use dcdiff_image::{ColorSpace, Image, Plane};
+use std::io::Write;
+use std::time::Instant;
+
+use dcdiff_image::{
+    rgb_to_ycbcr_rows, ycbcr_to_rgb_rows, ColorSpace, Image, ImageError, Plane, PnmFormat,
+    PnmWriter,
+};
 
 use crate::codec::ChromaSampling;
-use crate::dct::{fdct_quantize, idct};
+use crate::dct::{fdct_quantize, idct, idct_dc_only};
 use crate::quant::QuantTable;
 use crate::{BLOCK, BLOCK_AREA};
 
@@ -188,50 +194,45 @@ impl CoeffPlane {
         }
     }
 
-    /// Inverse-transform back to a sample plane (dequantise, IDCT, +128,
-    /// clamp to `[0, 255]`, crop padding).
-    pub fn to_plane(&self, qtable: &QuantTable) -> Plane {
-        self.decode(qtable, None)
-    }
-
-    /// [`CoeffPlane::to_plane`], with block `b`'s DC level (row-major
-    /// block index) read from `dc[b]` when `dc` is given. Dequantisation
-    /// scales each level on its own, so substituting the level there is
-    /// the arithmetic of decoding a copy whose DC levels were set first.
-    fn decode(&self, qtable: &QuantTable, dc: Option<&[i32]>) -> Plane {
-        let mut out = Plane::new(self.blocks_x * BLOCK, self.blocks_y * BLOCK);
-        for by in 0..self.blocks_y {
-            for bx in 0..self.blocks_x {
-                let levels = self.block(bx, by);
-                let coeffs = match dc {
-                    Some(dc) => qtable.dequantize_with_dc(levels, dc[by * self.blocks_x + bx]),
-                    None => qtable.dequantize(levels),
-                };
-                let samples = idct(&coeffs);
-                // Write whole 8-sample rows: one bounds check per row
-                // instead of one `Plane::set` per pixel keeps the block
-                // scatter out of the decode profile.
-                for y in 0..BLOCK {
-                    let dst = &mut out.row_mut(by * BLOCK + y)[bx * BLOCK..(bx + 1) * BLOCK];
-                    let src = &samples[y * BLOCK..(y + 1) * BLOCK];
-                    for (d, &s) in dst.iter_mut().zip(src) {
+    /// Decode block row `by` into `strip`, `8` rows of `8 · blocks_x`
+    /// samples (row-major): dequantise, inverse-transform, +128 and clamp
+    /// to `[0, 255]`, with block `b`'s DC level (row-major block index)
+    /// read from `dc[b]` when `dc` is given. Dequantisation scales each
+    /// level on its own, so substituting the level there is the arithmetic
+    /// of decoding a copy whose DC levels were set first.
+    ///
+    /// A block without AC levels is one value in all 64 samples:
+    /// [`idct_dc_only`] of its dequantised DC term, which is every sample
+    /// of [`idct`] of that block after the +128 shift, in each tier.
+    fn decode_row(&self, qtable: &QuantTable, by: usize, dc: Option<&[i32]>, strip: &mut [f32]) {
+        let stride = self.blocks_x * BLOCK;
+        let q0 = qtable.values()[0] as i32;
+        for bx in 0..self.blocks_x {
+            let b = by * self.blocks_x + bx;
+            let levels = &self.blocks[b];
+            let level = dc.map_or(levels[0], |dc| dc[b]);
+            // Row `y` of the block is the first 8 samples of chunk `y`.
+            let rows = strip[bx * BLOCK..].chunks_mut(stride);
+            if carries_ac(levels) {
+                let samples = idct(&qtable.dequantize_with_dc(levels, level));
+                for (dst, src) in rows.zip(samples.chunks_exact(BLOCK)) {
+                    for (d, &s) in dst[..BLOCK].iter_mut().zip(src) {
                         *d = (s + 128.0).clamp(0.0, 255.0);
                     }
                 }
+            } else {
+                let value = (idct_dc_only((level * q0) as f32) + 128.0).clamp(0.0, 255.0);
+                for dst in rows.take(BLOCK) {
+                    dst[..BLOCK].fill(value);
+                }
             }
         }
-        if out.dims() == (self.width, self.height) {
-            return out;
-        }
-        out.crop_to(self.width, self.height)
     }
 
     /// Whether block `(bx, by)` carries a nonzero AC level. A block that
-    /// does not is flat: its pixels are its DC term alone. The levels are
-    /// OR-ed rather than searched: most blocks of a low-rate stream have
-    /// none, and then every level is read either way.
+    /// does not is flat: its pixels are its DC term alone.
     pub fn has_ac(&self, bx: usize, by: usize) -> bool {
-        self.block(bx, by)[1..].iter().fold(0, |acc, &l| acc | l) != 0
+        carries_ac(self.block(bx, by))
     }
 
     /// The DC levels as a `blocks_x × blocks_y` plane (DC-map view used by
@@ -426,70 +427,214 @@ impl CoeffImage {
     /// conversion + chroma upsampling). Output colour space matches the
     /// component count: RGB for 3 components, grayscale for 1.
     pub fn to_image(&self) -> Image {
-        self.decode(None)
+        self.decode_image(None)
     }
 
     /// [`CoeffImage::to_image`] with every block's DC level taken from
     /// `dc` instead of the coefficients: `dc[c]` holds component `c`'s
-    /// levels, one per block in row-major order. The pixels are bit for
-    /// bit those of a copy whose DC levels were set to `dc` and then
-    /// decoded, without the copy; the receiver-side recovery methods
-    /// decode their estimates this way.
+    /// levels, one per block in row-major order (the form
+    /// [`CoeffImage::dc_levels`] returns). The pixels are bit for bit
+    /// those of a copy whose DC levels were set to `dc` and then decoded,
+    /// without the copy.
     ///
     /// # Panics
     ///
     /// Panics if `dc` does not hold one level per block of every
     /// component.
-    #[expect(
-        clippy::disallowed_macros,
-        reason = "documented `# Panics` contract; the recovery methods build one level per block of every plane"
-    )]
     pub fn to_image_with_dc(&self, dc: &[Vec<i32>]) -> Image {
-        assert!(
-            dc.len() == self.planes.len()
-                && dc.iter().zip(&self.planes).all(|(d, p)| d.len() == p.blocks_x * p.blocks_y),
-            "one DC level per block of every component"
-        );
-        self.decode(Some(dc))
+        self.assert_levels(dc);
+        self.decode_image(Some(dc))
     }
 
-    /// The one pixel decode behind [`CoeffImage::to_image`] (the stream's
-    /// own DC levels) and [`CoeffImage::to_image_with_dc`].
-    fn decode(&self, dc: Option<&[Vec<i32>]>) -> Image {
-        let t0 = std::time::Instant::now();
-        let blocks: u64 =
-            self.planes.iter().map(|p| (p.blocks_x() * p.blocks_y()) as u64).sum();
-        let plane = |c: usize| {
-            self.planes[c].decode(&self.qtables[c], dc.map(|dc| dc[c].as_slice()))
-        };
-        if self.planes.len() == 1 {
-            let out = Image::from_gray(plane(0));
-            crate::metrics::record_pixels(t0, blocks);
-            return out;
-        }
-        let y = plane(0);
-        let mut cb = plane(1);
-        let mut cr = plane(2);
-        match self.sampling {
-            ChromaSampling::Cs420 => {
-                cb = upsample2(&cb, self.width, self.height);
-                cr = upsample2(&cr, self.width, self.height);
+    /// Every component's DC levels, one per block in row-major order: the
+    /// form [`CoeffImage::to_image_with_dc`] and
+    /// [`CoeffImage::write_pnm_with_dc`] take, and the receiver-side
+    /// recovery methods return.
+    pub fn dc_levels(&self) -> Vec<Vec<i32>> {
+        self.planes.iter().map(|p| p.blocks.iter().map(|b| b[0]).collect()).collect()
+    }
+
+    /// A copy with every block's DC level set from `dc` (in
+    /// [`CoeffImage::dc_levels`]' form).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dc` does not hold one level per block of every
+    /// component.
+    pub fn with_dc_levels(&self, dc: &[Vec<i32>]) -> CoeffImage {
+        self.assert_levels(dc);
+        let mut out = self.clone();
+        for (plane, levels) in out.planes.iter_mut().zip(dc) {
+            for (block, &level) in plane.blocks.iter_mut().zip(levels) {
+                block[0] = level;
             }
-            ChromaSampling::Cs422 => {
-                cb = upsample_horizontal(&cb, self.width, self.height);
-                cr = upsample_horizontal(&cr, self.width, self.height);
-            }
-            ChromaSampling::Cs444 => {}
         }
-        #[expect(
-            clippy::expect_used,
-            reason = "structural invariant: the chroma planes were just upsampled to the luma grid above"
-        )]
-        let ycbcr = Image::from_planes(vec![y, cb, cr], ColorSpace::YCbCr)
-            .expect("component planes share dimensions");
-        let out = ycbcr.into_rgb();
-        crate::metrics::record_pixels(t0, blocks);
         out
+    }
+
+    /// Stream the decode of [`CoeffImage::to_image_with_dc`] to `out` as a
+    /// binary PNM file of `format`, one band of rows at a time, without
+    /// holding the image: the bytes are those [`dcdiff_image::write_ppm`]
+    /// or [`dcdiff_image::write_pgm`] writes for that image.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ImageError::Io`] when a write fails.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dc` does not hold one level per block of every
+    /// component.
+    pub fn write_pnm_with_dc(
+        &self,
+        dc: &[Vec<i32>],
+        format: PnmFormat,
+        out: impl Write,
+    ) -> Result<(), ImageError> {
+        self.assert_levels(dc);
+        let colour = self.planes.len() == 3;
+        let band = || vec![0.0; self.band_rows() * self.width];
+        let mut sink = PnmSink {
+            writer: PnmWriter::new(out, format, (self.width, self.height))?,
+            width: self.width,
+            channels: (0..if colour { 3 } else { 1 }).map(|_| band()).collect(),
+            ycbcr: (colour && format == PnmFormat::Pgm).then(|| [band(), band(), band()]),
+        };
+        self.decode_bands(Some(dc), &mut sink)?;
+        sink.writer.finish()?;
+        Ok(())
+    }
+
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "documented `# Panics` contract of the DC-substituting decodes; the recovery methods build one level per block of every plane"
+    )]
+    fn assert_levels(&self, dc: &[Vec<i32>]) {
+        assert!(
+            dc.len() == self.planes.len()
+                && dc.iter().zip(&self.planes).all(|(d, p)| d.len() == p.blocks.len()),
+            "one DC level per block of every component"
+        );
+    }
+
+    /// The chroma subsampling factors `(sx, sy)`: output pixel `(x, y)`
+    /// reads chroma sample `(x / sx, y / sy)`.
+    fn subsampling(&self) -> (usize, usize) {
+        match (self.planes.len(), self.sampling) {
+            (1, _) | (_, ChromaSampling::Cs444) => (1, 1),
+            (_, ChromaSampling::Cs422) => (2, 1),
+            (_, ChromaSampling::Cs420) => (2, 2),
+        }
+    }
+
+    /// Output rows per band: one MCU row, 8 luma rows or 16 at 4:2:0.
+    fn band_rows(&self) -> usize {
+        BLOCK * self.subsampling().1
+    }
+
+    /// [`CoeffImage::decode_bands`] into a whole [`Image`].
+    #[expect(
+        clippy::expect_used,
+        reason = "structural invariant: the sink holds one or three planes of the image's dimensions"
+    )]
+    fn decode_image(&self, dc: Option<&[Vec<i32>]>) -> Image {
+        let channels = if self.planes.len() == 3 { 3 } else { 1 };
+        let mut sink = ImageSink {
+            planes: (0..channels).map(|_| Plane::new(self.width, self.height)).collect(),
+            width: self.width,
+        };
+        let Ok(()) = self.decode_bands(dc, &mut sink);
+        match sink.planes.len() {
+            1 => Image::from_planes(sink.planes, ColorSpace::Gray),
+            _ => Image::from_planes(sink.planes, ColorSpace::Rgb),
+        }
+        .expect("one or three planes of the image's dimensions")
+    }
+
+    /// The one pixel decode, behind [`CoeffImage::to_image`],
+    /// [`CoeffImage::to_image_with_dc`] and
+    /// [`CoeffImage::write_pnm_with_dc`]: one MCU row (a band) at a time,
+    /// decode each component's block rows into a band buffer, then hand
+    /// `sink` each output row, cropped to the width. A colour row takes
+    /// chroma sample `(x / sx, k / sy)` of its band row `k` and converts
+    /// with [`ycbcr_to_rgb_rows`] over the whole row.
+    fn decode_bands<S: BandSink>(
+        &self,
+        dc: Option<&[Vec<i32>]>,
+        sink: &mut S,
+    ) -> Result<(), S::Error> {
+        let t0 = Instant::now();
+        let width = self.width;
+        let (sx, sy) = self.subsampling();
+        let band_rows = self.band_rows();
+        // Block rows per band: `sy` of luma, one of chroma.
+        let block_rows = |c: usize| if c == 0 { sy } else { 1 };
+        // One band of decoded samples per component, at its padded width.
+        let mut bands: Vec<Vec<f32>> = self
+            .planes
+            .iter()
+            .enumerate()
+            .map(|(c, p)| vec![0.0; block_rows(c) * p.blocks_x * BLOCK_AREA])
+            .collect();
+        // Upsampled Cb and Cr rows, when chroma is subsampled.
+        let upsampled = if sx > 1 { width } else { 0 };
+        let mut chroma = [vec![0.0; upsampled], vec![0.0; upsampled]];
+        // Padded widths of the luma and chroma bands.
+        let lw = self.planes[0].blocks_x * BLOCK;
+        let cw = self.planes.get(1).map_or(0, |p| p.blocks_x * BLOCK);
+        for (mcu_row, y0) in (0..self.height).step_by(band_rows).enumerate() {
+            let rows = band_rows.min(self.height - y0);
+            for (c, (plane, band)) in self.planes.iter().zip(&mut bands).enumerate() {
+                let dc = dc.map(|dc| dc[c].as_slice());
+                for (r, strip) in band.chunks_exact_mut(plane.blocks_x * BLOCK_AREA).enumerate() {
+                    let by = mcu_row * block_rows(c) + r;
+                    plane.decode_row(&self.qtables[c], by, dc, strip);
+                }
+            }
+            let out = sink.rows(y0, rows);
+            match bands.as_slice() {
+                [y, cb, cr] => {
+                    let [r, g, b] = out;
+                    for k in 0..rows {
+                        let c0 = (k / sy) * cw;
+                        let (cb, cr): (&[f32], &[f32]) = if sx == 1 {
+                            (&cb[c0..c0 + width], &cr[c0..c0 + width])
+                        } else {
+                            let [cb_row, cr_row] = &mut chroma;
+                            // Both rows of a 4:2:0 pair read one chroma row.
+                            if k % sy == 0 {
+                                for (dst, &v) in cb_row.chunks_mut(sx).zip(&cb[c0..]) {
+                                    dst.fill(v);
+                                }
+                                for (dst, &v) in cr_row.chunks_mut(sx).zip(&cr[c0..]) {
+                                    dst.fill(v);
+                                }
+                            }
+                            (cb_row, cr_row)
+                        };
+                        let span = k * width..(k + 1) * width;
+                        ycbcr_to_rgb_rows(
+                            &y[k * lw..k * lw + width],
+                            cb,
+                            cr,
+                            &mut r[span.clone()],
+                            &mut g[span.clone()],
+                            &mut b[span],
+                        );
+                    }
+                }
+                [gray, ..] => {
+                    for (dst, src) in out[0].chunks_exact_mut(width).zip(gray.chunks_exact(lw)) {
+                        dst.copy_from_slice(&src[..width]);
+                    }
+                }
+                [] => {}
+            }
+            sink.band_done(rows)?;
+        }
+        let blocks = self.planes.iter().map(|p| p.blocks.len() as u64).sum();
+        crate::metrics::record_pixels(t0, blocks);
+        Ok(())
     }
 
     /// Decode a DC-only thumbnail: one pixel per 8×8 block taken from the
@@ -549,13 +694,6 @@ fn downsample2(plane: &Plane) -> Plane {
     })
 }
 
-/// 2× nearest upsample back to `width × height` (chroma reconstruction).
-fn upsample2(plane: &Plane, width: usize, height: usize) -> Plane {
-    Plane::from_fn(width, height, |x, y| {
-        plane.get_clamped((x / 2) as isize, (y / 2) as isize)
-    })
-}
-
 /// Horizontal-only 2× box downsample (4:2:2 chroma).
 fn downsample_horizontal(plane: &Plane) -> Plane {
     let w2 = plane.width().div_ceil(2);
@@ -565,11 +703,98 @@ fn downsample_horizontal(plane: &Plane) -> Plane {
     })
 }
 
-/// Horizontal-only nearest upsample (4:2:2 chroma reconstruction).
-fn upsample_horizontal(plane: &Plane, width: usize, height: usize) -> Plane {
-    Plane::from_fn(width, height, |x, y| {
-        plane.get_clamped((x / 2) as isize, y as isize)
-    })
+/// Whether a block carries a nonzero AC level. The levels are OR-ed
+/// rather than searched: most blocks of a low-rate stream have none, and
+/// then every level is read either way.
+fn carries_ac(levels: &[i32; BLOCK_AREA]) -> bool {
+    levels[1..].iter().fold(0, |acc, &l| acc | l) != 0
+}
+
+/// Where [`CoeffImage::decode_bands`] puts each band of output rows.
+trait BandSink {
+    /// Why a band could not be taken.
+    type Error;
+
+    /// Channel `c`'s samples of output rows `y0 .. y0 + rows`, row-major
+    /// at the image width: channel 0 only for a gray stream, R, G and B
+    /// for colour (a gray sink's other two are empty).
+    fn rows(&mut self, y0: usize, rows: usize) -> [&mut [f32]; 3];
+
+    /// The `rows` rows last handed out are filled.
+    fn band_done(&mut self, rows: usize) -> Result<(), Self::Error>;
+}
+
+/// The band decoder's [`Image`] sink: the output planes themselves.
+struct ImageSink {
+    planes: Vec<Plane>,
+    width: usize,
+}
+
+impl BandSink for ImageSink {
+    type Error = std::convert::Infallible;
+
+    fn rows(&mut self, y0: usize, rows: usize) -> [&mut [f32]; 3] {
+        let span = y0 * self.width..(y0 + rows) * self.width;
+        let mut planes = self.planes.iter_mut().map(|p| &mut p.as_mut_slice()[span.clone()]);
+        std::array::from_fn(|_| planes.next().unwrap_or_default())
+    }
+
+    fn band_done(&mut self, _rows: usize) -> Result<(), Self::Error> {
+        Ok(())
+    }
+}
+
+/// The band decoder's PNM sink: each band's rows go out through a
+/// [`PnmWriter`] once decoded, so only one band is ever held.
+struct PnmSink<W: Write> {
+    writer: PnmWriter<W>,
+    width: usize,
+    /// One band of samples per output channel: gray, or R, G and B.
+    channels: Vec<Vec<f32>>,
+    /// A colour stream written as PGM: the band's luma, and the two
+    /// chroma runs [`rgb_to_ycbcr_rows`] writes beside it.
+    ycbcr: Option<[Vec<f32>; 3]>,
+}
+
+impl<W: Write> BandSink for PnmSink<W> {
+    type Error = ImageError;
+
+    fn rows(&mut self, _y0: usize, rows: usize) -> [&mut [f32]; 3] {
+        let n = rows * self.width;
+        let mut channels = self.channels.iter_mut().map(|c| &mut c[..n]);
+        std::array::from_fn(|_| channels.next().unwrap_or_default())
+    }
+
+    fn band_done(&mut self, rows: usize) -> Result<(), ImageError> {
+        let (width, n) = (self.width, rows * self.width);
+        match (self.channels.as_slice(), &mut self.ycbcr) {
+            ([r, g, b], Some([y, cb, cr])) => {
+                // `write_pgm` converts the whole RGB image with
+                // `Image::to_gray`, whose AVX2 chunks start at flat
+                // indices that are multiples of 8. A band starts at a row
+                // that is a multiple of 8, so converting its samples as
+                // one run gives the same chunks; converting row by row
+                // would not, at widths that are not multiples of 8.
+                let (y, cb, cr) = (&mut y[..n], &mut cb[..n], &mut cr[..n]);
+                rgb_to_ycbcr_rows(&r[..n], &g[..n], &b[..n], y, cb, cr);
+                for row in y.chunks_exact(width) {
+                    self.writer.write_row(&[row])?;
+                }
+            }
+            ([r, g, b], None) => {
+                for k in 0..rows {
+                    let span = k * width..(k + 1) * width;
+                    self.writer.write_row(&[&r[span.clone()], &g[span.clone()], &b[span]])?;
+                }
+            }
+            (channels, _) => {
+                for row in channels.iter().flat_map(|c| c[..n].chunks_exact(width)) {
+                    self.writer.write_row(&[row])?;
+                }
+            }
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]

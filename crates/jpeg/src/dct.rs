@@ -399,6 +399,29 @@ pub fn idct(coeffs: &[f32; BLOCK_AREA]) -> [f32; BLOCK_AREA] {
     idct_scalar(coeffs)
 }
 
+/// Every sample of [`idct`] of a block whose only nonzero coefficient is
+/// the DC term `d`, dispatched the same way and bit for bit after the
+/// decoder's +128 shift.
+///
+/// Each tier repeats its own operations on that input. The AVX2 kernel's
+/// first nonzero term is `fma(d, B[0][x], +0)`, which rounds as the plain
+/// product does, and every later term adds a ±0 product; `B[0]` is the
+/// constant `0.5 · C(0)` because cos 0 = 1, so every sample is
+/// `b₀₀ · (d · b₀₀)`. [`idct_scalar`] runs `idct_1d` down columns and
+/// then along rows, whose one nonzero term is `(C(0) · v) · cos 0` scaled
+/// by 0.5; multiplying by 1 is exact. At most the sign of a zero can
+/// differ from [`idct`], and adding 128 erases it.
+pub fn idct_dc_only(d: f32) -> f32 {
+    #[cfg(target_arch = "x86_64")]
+    {
+        if crate::simd::active() == crate::simd::Tier::Avx2Fma {
+            let b00 = basis_table()[0][0];
+            return b00 * (d * b00);
+        }
+    }
+    0.5 * (c(0) * (0.5 * (c(0) * d)))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

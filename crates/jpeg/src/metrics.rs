@@ -15,7 +15,8 @@
 //!   records coded bytes and MB/s so throughput regressions show up in
 //!   `dcdiff top` directly;
 //! * **pixels** — coefficients to pixels (dequantise + iDCT + colour
-//!   conversion), with the 8×8 block count.
+//!   conversion), with the 8×8 block count; a streamed decode into a PNM
+//!   file also covers quantising and writing its rows.
 
 use std::cell::RefCell;
 use std::time::{Duration, Instant};

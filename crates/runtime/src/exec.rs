@@ -10,10 +10,10 @@ use std::time::{Duration, Instant};
 
 use dcdiff_baselines::{DcRecovery, Icip2022, SmartCom2019, Tip2006};
 use dcdiff_core::{
-    content_seed, refine_dc_offsets, BatchRecoverJob, CircuitBreaker, DcDiff, DcDiffConfig,
-    EstimateError, RecoverOptions,
+    content_seed, refine_dc_levels, BatchRecoverJob, CircuitBreaker, DcDiff, DcDiffConfig,
+    EstimateError, RecoverOptions, RefineConfig,
 };
-use dcdiff_image::{read_pgm, read_ppm, write_pgm, write_ppm, Image};
+use dcdiff_image::{read_pgm, read_ppm, Image, ImageError, PnmFormat};
 use dcdiff_jpeg::{
     encode_coefficients, encode_coefficients_optimized, encode_coefficients_with_restarts,
     CoeffImage, DcDropMode, JpegDecoder, JpegEncoder,
@@ -33,16 +33,6 @@ fn read_image(path: &str) -> Result<Image, JobError> {
         read_ppm(path)
     };
     loaded.map_err(|e| classify_image_error(path, &e))
-}
-
-/// Write a PPM or PGM image based on the file extension.
-fn write_image(path: &str, image: &Image) -> Result<(), JobError> {
-    let written = if path.to_ascii_lowercase().ends_with(".pgm") {
-        write_pgm(path, image)
-    } else {
-        write_ppm(path, image)
-    };
-    written.map_err(|e| classify_image_error(path, &e))
 }
 
 /// Image-crate errors render as strings; keep the path and treat them as
@@ -160,18 +150,25 @@ enum Engine {
 }
 
 impl Engine {
-    /// Recover one image.
-    fn recover(&self, dropped: &CoeffImage) -> Image {
+    /// One image's DC levels, in [`CoeffImage::dc_levels`]' form.
+    fn estimate(&self, dropped: &CoeffImage) -> Result<Vec<Vec<i32>>, EstimateError> {
         match self {
-            Engine::Object(engine) => engine.recover(dropped),
+            Engine::Object(engine) => Ok(engine.estimate_dc(dropped)),
             Engine::Diffusion(engine) => {
-                let options = RecoverOptions { seed: content_seed(dropped), ..engine.options };
-                engine.model.recover_with(dropped, &options)
+                let lane = BatchRecoverJob::new(dropped);
+                let mut levels = engine.model.try_estimate_batch(&[lane], &engine.options);
+                let none = || Err(EstimateError::Panicked("one lane in, none out".into()));
+                levels.pop().unwrap_or_else(none)
             }
             // Neutral prior: the training-free core of DCDiff's receiver.
-            Engine::Mld { threshold, sweeps } => {
-                refine_dc_offsets(dropped, dropped, *threshold, 5e-4, (*sweeps).max(1)).to_image()
-            }
+            Engine::Mld { threshold, sweeps } => Ok(refine_dc_levels(
+                dropped,
+                dropped,
+                *threshold,
+                5e-4,
+                (*sweeps).max(1),
+                RefineConfig::default(),
+            )),
         }
     }
 }
@@ -325,8 +322,8 @@ pub fn execute(
             let outcome = recover_guarded(&[lane], method, engines, tel).pop();
             drop(estimate);
             match outcome {
-                Some(Ok(image)) => {
-                    write_recover_output(output, &image, tel)?;
+                Some(Ok(levels)) => {
+                    write_recover_output(output, &dropped, &levels, tel)?;
                     Ok(JobOutput::Recovered { output: output.clone() })
                 }
                 Some(Err(JobFailure::Error(err))) => Err(err),
@@ -380,18 +377,24 @@ pub(crate) fn decode_recover_input(input: &str, tel: &Telemetry) -> Result<Coeff
     })
 }
 
-/// Write one recovered image under the `recover.write` span.
+/// Write one recovered image under the `recover.write` span: `dropped`
+/// decoded with the recovered DC `levels`, streamed band by band into a
+/// PPM, or a PGM when `output` ends in `.pgm`.
 ///
 /// # Errors
 ///
 /// Classified [`JobError`] from the underlying image write.
 pub(crate) fn write_recover_output(
     output: &str,
-    image: &Image,
+    dropped: &CoeffImage,
+    levels: &[Vec<i32>],
     tel: &Telemetry,
 ) -> Result<(), JobError> {
     let _write = tel.span(names::SPAN_RECOVER_WRITE);
-    write_image(output, image)
+    std::fs::File::create(output)
+        .map_err(ImageError::from)
+        .and_then(|file| dropped.write_pnm_with_dc(levels, PnmFormat::for_path(output), file))
+        .map_err(|e| classify_image_error(output, &e))
 }
 
 /// One lane of a [`recover_guarded`] call: the already-decoded input plus
@@ -406,15 +409,15 @@ pub struct CohortLane<'a> {
     pub trace: Option<dcdiff_telemetry::TraceCtx>,
 }
 
-/// The selected method's own estimate per lane, before any degradation:
-/// one fused `DcDiff::try_recover_batch` for diffusion (per-lane content
+/// The selected method's own DC levels per lane, before any degradation:
+/// one fused `DcDiff::try_estimate_batch` for diffusion (per-lane content
 /// seeds keep each result bit-identical at any width), one panic-guarded
 /// call per lane for the baselines and the pure MLD function.
 fn primary(
     lanes: &[CohortLane<'_>],
     method: &RecoverMethod,
     engines: &mut EngineCache,
-) -> Vec<Result<Image, EstimateError>> {
+) -> Vec<Result<Vec<Vec<i32>>, EstimateError>> {
     match engines.engine(method) {
         Engine::Diffusion(engine) => {
             let jobs: Vec<BatchRecoverJob<'_>> = lanes
@@ -426,14 +429,14 @@ fn primary(
                     trace: lane.trace,
                 })
                 .collect();
-            engine.model.try_recover_batch(&jobs, &engine.options)
+            engine.model.try_estimate_batch(&jobs, &engine.options)
         }
         engine => lanes
             .iter()
             .map(|lane| {
                 let _trace = lane.trace.map(dcdiff_telemetry::install_trace);
-                catch_unwind(AssertUnwindSafe(|| engine.recover(lane.dropped)))
-                    .map_err(EstimateError::panicked)
+                catch_unwind(AssertUnwindSafe(|| engine.estimate(lane.dropped)))
+                    .unwrap_or_else(|payload| Err(EstimateError::panicked(payload)))
             })
             .collect(),
     }
@@ -441,10 +444,14 @@ fn primary(
 
 /// The degradation ladder, for every method and any number of lanes.
 ///
+/// Each lane resolves to DC levels in [`CoeffImage::dc_levels`]' form;
+/// the caller decodes them into the output file
+/// ([`CoeffImage::write_pnm_with_dc`]), so no tier holds an image.
 /// The primary tier (the selected method itself) runs fronted by the
 /// policy's per-runtime circuit breaker. A lane the primary does not
-/// resolve degrades alone — TIP-2006 baseline, then flat DC — so the
-/// ladder always produces an image, with the tier recorded in telemetry
+/// resolve degrades alone — TIP-2006 baseline, then flat DC, whose levels
+/// are the stream's own — so the ladder always produces levels, with the
+/// tier recorded in telemetry
 /// counters
 /// (`estimator.primary_ok` / `estimator.primary_fail` /
 /// `estimator.fallback_baseline` / `estimator.fallback_flat` /
@@ -461,10 +468,10 @@ pub fn recover_guarded(
     method: &RecoverMethod,
     engines: &mut EngineCache,
     tel: &Telemetry,
-) -> Vec<Result<Image, JobFailure>> {
+) -> Vec<Result<Vec<Vec<i32>>, JobFailure>> {
     let policy = engines.policy.clone();
     // `None` marks a lane the open breaker kept off the primary tier.
-    let attempts: Vec<Option<Result<Image, EstimateError>>> =
+    let attempts: Vec<Option<Result<Vec<Vec<i32>>, EstimateError>>> =
         if !policy.fallback || policy.breaker.allow() {
             primary(lanes, method, engines).into_iter().map(Some).collect()
         } else {
@@ -479,17 +486,17 @@ pub fn recover_guarded(
                 Some(Err(EstimateError::DeadlineExceeded { .. })) => {
                     return Err(JobFailure::DeadlineExceeded)
                 }
-                Some(Ok(image)) if !policy.fallback => return Ok(image),
+                Some(Ok(levels)) if !policy.fallback => return Ok(levels),
                 Some(Err(err)) if !policy.fallback => {
                     return Err(JobFailure::Error(JobError::permanent(format!(
                         "recovery ({}) failed with --no-fallback: {err}",
                         method.name()
                     ))))
                 }
-                Some(Ok(image)) => {
+                Some(Ok(levels)) => {
                     policy.breaker.record_success();
                     tel.counter(names::CTR_ESTIMATOR_PRIMARY_OK).inc();
-                    return Ok(image);
+                    return Ok(levels);
                 }
                 Some(Err(err)) => {
                     policy.breaker.record_failure();
@@ -503,19 +510,19 @@ pub fn recover_guarded(
             }
             // Baseline tier: TIP-2006 is training-free and has no failure
             // modes of its own, but a panic here must not kill the ladder
-            // either. Flat-DC tier: decode with the dropped DC left at zero;
-            // the picture is degraded but structurally valid.
+            // either. Flat-DC tier: the stream's own levels, the dropped DC
+            // left at zero; the picture is degraded but structurally valid.
             let baseline = catch_unwind(AssertUnwindSafe(|| {
-                engines.engine(&RecoverMethod::Tip2006).recover(lane.dropped)
+                engines.engine(&RecoverMethod::Tip2006).estimate(lane.dropped)
             }));
             Ok(match baseline {
-                Ok(image) => {
+                Ok(Ok(levels)) => {
                     tel.counter(names::CTR_ESTIMATOR_FALLBACK_BASELINE).inc();
-                    image
+                    levels
                 }
-                Err(_) => {
+                _ => {
                     tel.counter(names::CTR_ESTIMATOR_FALLBACK_FLAT).inc();
-                    lane.dropped.to_image()
+                    lane.dropped.dc_levels()
                 }
             })
         })
@@ -547,8 +554,8 @@ mod tests {
         let mut cache = EngineCache::new();
         let method = RecoverMethod::Diffusion { ddim_steps: 2 };
         let dropped = dropped_coeffs();
-        let image = cache.engine(&method).recover(&dropped);
-        assert_eq!(image.dims(), (32, 32));
+        let levels = cache.engine(&method).estimate(&dropped).expect("healthy engine");
+        assert_eq!(dropped.to_image_with_dc(&levels).dims(), (32, 32));
         // The cache keys on ddim_steps: same count hits, different misses.
         cache.engine(&method);
         cache.engine(&RecoverMethod::Diffusion { ddim_steps: 3 });
@@ -574,11 +581,7 @@ mod tests {
             "panicking-test-double"
         }
 
-        fn recover(&self, dropped: &CoeffImage) -> Image {
-            self.recover_coefficients(dropped).to_image()
-        }
-
-        fn recover_coefficients(&self, _dropped: &CoeffImage) -> CoeffImage {
+        fn estimate_dc(&self, _dropped: &CoeffImage) -> Vec<Vec<i32>> {
             self.0.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
             panic!("injected engine failure");
         }
@@ -593,7 +596,7 @@ mod tests {
         JpegEncoder::new(50).to_coefficients(&image).drop_dc(DcDropMode::KeepCorners)
     }
 
-    /// One lane through the ladder, no deadline.
+    /// One lane through the ladder, no deadline, its levels decoded.
     fn guarded(
         dropped: &CoeffImage,
         method: RecoverMethod,
@@ -601,7 +604,8 @@ mod tests {
         tel: &Telemetry,
     ) -> Result<Image, JobFailure> {
         let lane = CohortLane { dropped, deadline: None, trace: None };
-        recover_guarded(&[lane], &method, cache, tel).pop().expect("one lane in, one outcome out")
+        let outcome = recover_guarded(&[lane], &method, cache, tel).pop();
+        outcome.expect("one lane in, one outcome out").map(|dc| dropped.to_image_with_dc(&dc))
     }
 
     fn silence_panics<T>(f: impl FnOnce() -> T) -> T {
@@ -724,8 +728,8 @@ mod tests {
             .map(|dropped| CohortLane { dropped, deadline: None, trace: None })
             .collect();
         let fused = recover_guarded(&lanes, &method, &mut cache, &tel);
-        for (lane, reference) in fused.into_iter().zip(&solo) {
-            let image = lane.expect("healthy lane recovers");
+        for ((lane, dropped), reference) in fused.into_iter().zip(&inputs).zip(&solo) {
+            let image = dropped.to_image_with_dc(&lane.expect("healthy lane recovers"));
             assert_eq!(&image, reference, "cohort lane diverged from width-1 output");
         }
         let metrics = tel.registry().snapshot();
@@ -760,7 +764,8 @@ mod tests {
         let doomed = fused.pop().unwrap();
         let survivor = fused.pop().unwrap();
         assert_eq!(doomed, Err(JobFailure::DeadlineExceeded), "expired lane must report eviction");
-        assert_eq!(survivor.expect("survivor recovers"), reference);
+        let survivor = survivor_input.to_image_with_dc(&survivor.expect("survivor recovers"));
+        assert_eq!(survivor, reference);
         // Eviction is the lane's budget, not an engine fault: no breaker
         // failure, no fallback tier.
         let metrics = tel.registry().snapshot();

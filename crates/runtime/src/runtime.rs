@@ -606,9 +606,12 @@ fn run_lanes(
         // causal chain still shows the phase.
         tel.record_span(names::SPAN_RECOVER_ESTIMATE, estimate_start, estimate_end);
         let outcome = match outcome {
-            Ok(image) => contain(rt, || write_recover_output(&lane.output, &image, tel))
-                .map(|()| JobOutput::Recovered { output: lane.output })
-                .map_err(JobFailure::Error),
+            Ok(levels) => {
+                let write = || write_recover_output(&lane.output, &lane.dropped, &levels, tel);
+                contain(rt, write)
+                    .map(|()| JobOutput::Recovered { output: lane.output })
+                    .map_err(JobFailure::Error)
+            }
             Err(JobFailure::DeadlineExceeded) => {
                 stats.bump(&stats.deadline_missed);
                 tel.warn(format!(

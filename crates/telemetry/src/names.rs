@@ -122,9 +122,12 @@ pub const SPAN_TRANSCODE_WRITE: Name = Name::new("transcode.write");
 pub const SPAN_RECOVER_READ: Name = Name::new("recover.read");
 /// Recover stage: entropy decode to coefficients.
 pub const SPAN_RECOVER_ENTROPY_DECODE: Name = Name::new("recover.entropy_decode");
-/// Recover stage: DC estimation (the whole estimator).
+/// Recover stage: DC estimation (the whole estimator, up to its DC
+/// levels; no pixel is decoded here).
 pub const SPAN_RECOVER_ESTIMATE: Name = Name::new("recover.estimate");
-/// Recover stage: writing the recovered image.
+/// Recover stage: writing the recovered image, its pixels decoded from
+/// the estimated DC levels band by band as the file is written (so it
+/// holds the recovery's `jpeg.decode.pixels` span).
 pub const SPAN_RECOVER_WRITE: Name = Name::new("recover.write");
 /// Estimator phase: FMPP feature extraction.
 pub const SPAN_RECOVER_FMPP: Name = Name::new("recover.fmpp");
@@ -144,7 +147,9 @@ pub const SPAN_RECOVER_MLD_REFINE: Name = Name::new("recover.mld_refine");
 
 /// JPEG decode: entropy decode of one scan (Huffman + dequantisation).
 pub const SPAN_JPEG_DECODE_ENTROPY: Name = Name::new("jpeg.decode.entropy");
-/// JPEG decode: coefficients to pixels (iDCT + colour conversion).
+/// JPEG decode: coefficients to pixels (iDCT + colour conversion), one
+/// per decode; a streamed decode (`CoeffImage::write_pnm_with_dc`, inside
+/// `recover.write`) also covers quantising and writing its rows.
 pub const SPAN_JPEG_DECODE_PIXELS: Name = Name::new("jpeg.decode.pixels");
 
 /// Metrics stage: reading both images.
@@ -189,7 +194,8 @@ pub const HIST_CONV_US: Name = Name::new("tensor.conv_us");
 pub const HIST_CONV_MFLOPS: Name = Name::new("tensor.conv_mflops");
 /// One entropy-decode pass over a coded stream, microseconds.
 pub const HIST_JPEG_DECODE_ENTROPY_US: Name = Name::new("jpeg.decode.entropy_us");
-/// One coefficients-to-pixels pass (iDCT + colour), microseconds.
+/// One coefficients-to-pixels pass (iDCT + colour), microseconds; for a
+/// streamed decode, the row writes too.
 pub const HIST_JPEG_DECODE_PIXELS_US: Name = Name::new("jpeg.decode.pixels_us");
 /// Entropy-decode throughput over the coded bytes, MB/s.
 pub const HIST_JPEG_DECODE_MBPS: Name = Name::new("jpeg.decode.mbps");
@@ -222,7 +228,8 @@ pub const CTR_ESTIMATOR_FALLBACK_BASELINE: Name = Name::new("estimator.fallback_
 pub const CTR_ESTIMATOR_FALLBACK_FLAT: Name = Name::new("estimator.fallback_flat");
 /// Cumulative coded bytes consumed by JPEG entropy decode.
 pub const CTR_JPEG_DECODE_BYTES: Name = Name::new("jpeg.decode.bytes");
-/// Cumulative 8x8 blocks pushed through iDCT on the decode path.
+/// Cumulative 8x8 blocks decoded to pixels on the decode path (a block
+/// without AC levels as one value, every other through the iDCT).
 pub const CTR_JPEG_DECODE_BLOCKS: Name = Name::new("jpeg.decode.blocks");
 /// Cumulative multiply-adds issued by the GEMM kernels (x2).
 pub const CTR_GEMM_FLOPS: Name = Name::new("tensor.gemm_flops");

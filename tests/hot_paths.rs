@@ -13,15 +13,18 @@
 //! decoders, and the single-threaded blocked GEMM. TIP-2006's recovery,
 //! the runtime's fallback tier, and ICIP-2022's, whose solve DCDiff's
 //! refinement shares, allocate their planes and outputs, but no more of
-//! them for a larger image. The allocator also counts bytes: the AC field
-//! of a plane without AC levels stores one shared zero block, not one
-//! block per block.
+//! them for a larger image; so does the streamed response write. The
+//! allocator also counts bytes: the AC field of a plane without AC levels
+//! stores one shared zero block, not one block per block. And it keeps
+//! the bytes each thread holds, with their high-water mark, so a test can
+//! bound how much a call holds at once: the streamed response holds one
+//! band of rows, not the image.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use dcdiff_baselines::{AcField, DcRecovery, Icip2022, Tip2006};
-use dcdiff_image::{Image, Plane};
+use dcdiff_image::{write_ppm, Image, Plane, PnmFormat};
 use dcdiff_data::{SceneGenerator, SceneKind};
 use dcdiff_jpeg::bitstream::{BitReader, BitWriter};
 use dcdiff_jpeg::dct::{fdct, fdct_quantize, idct};
@@ -35,24 +38,35 @@ use dcdiff_tensor::kernels::{sgemm_with_threads, Trans};
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
     static BYTES: Cell<u64> = const { Cell::new(0) };
+    /// Bytes allocated less bytes freed on this thread (a block freed on
+    /// another thread than its own counts there).
+    static LIVE: Cell<i64> = const { Cell::new(0) };
+    /// The highest `LIVE` since [`peak_bytes`] last reset it.
+    static PEAK: Cell<i64> = const { Cell::new(0) };
 }
 
-/// The system allocator, counting each thread's allocations and the bytes
-/// they ask for.
+/// The system allocator, counting each thread's allocations, the bytes
+/// they ask for, and the bytes it holds with their high-water mark.
 struct Counting;
 
 // SAFETY: both methods forward to `System` with the caller's arguments
-// unchanged; the only addition is a bump of two const-initialised
+// unchanged; the only addition is arithmetic on four const-initialised
 // thread-local counters, which neither allocates nor unwinds.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         // Gone during thread teardown: nothing is measured then.
         let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
         let _ = BYTES.try_with(|n| n.set(n.get() + layout.size() as u64));
+        let _ = LIVE.try_with(|live| {
+            let now = live.get() + layout.size() as i64;
+            live.set(now);
+            let _ = PEAK.try_with(|peak| peak.set(peak.get().max(now)));
+        });
         System.alloc(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        let _ = LIVE.try_with(|live| live.set(live.get() - layout.size() as i64));
         System.dealloc(ptr, layout);
     }
 }
@@ -65,6 +79,15 @@ fn cost(f: impl FnOnce()) -> (u64, u64) {
     let (allocs, locks) = (ALLOCATIONS.with(Cell::get), acquisitions());
     f();
     (ALLOCATIONS.with(Cell::get) - allocs, acquisitions() - locks)
+}
+
+/// The most bytes the calling thread holds at once during `f`, above
+/// what it held before.
+fn peak_bytes(f: impl FnOnce()) -> i64 {
+    let before = LIVE.with(Cell::get);
+    PEAK.with(|peak| peak.set(before));
+    f();
+    PEAK.with(Cell::get) - before
 }
 
 /// Warm `f` once, then require repeated calls to allocate nothing.
@@ -173,4 +196,48 @@ fn ac_field_of_a_flat_plane_stores_one_block() {
     let bytes = BYTES.with(Cell::get) - before;
     // A dense field of the 1024 blocks would hold 256 KiB of pixels.
     assert!(bytes < 32 << 10, "AcField::new of a flat 256² plane allocates {bytes} bytes");
+}
+
+/// A DC-dropped `size`² Natural scene at Q50, 4:4:4 (the served shape),
+/// with its TIP-2006 levels.
+fn recovered(size: usize) -> (CoeffImage, Vec<Vec<i32>>) {
+    let scene = SceneGenerator::new(SceneKind::Natural, size, size).generate(5);
+    let dropped = CoeffImage::from_image(&scene, 50, ChromaSampling::Cs444)
+        .drop_dc(DcDropMode::KeepCorners);
+    let levels = Tip2006::new().estimate_dc(&dropped);
+    (dropped, levels)
+}
+
+/// One streamed PPM response of `dropped` with `levels`, to a sink.
+fn stream(dropped: &CoeffImage, levels: &[Vec<i32>]) {
+    dropped
+        .write_pnm_with_dc(levels, PnmFormat::Ppm, std::io::sink())
+        .expect("a sink takes every byte");
+}
+
+#[test]
+fn streamed_response_holds_one_band_not_the_image() {
+    let (dropped, levels) = recovered(512);
+    stream(&dropped, &levels);
+    let streamed = peak_bytes(|| stream(&dropped, &levels));
+    // The band buffers, the RGB rows and the 64 KiB write buffer.
+    assert!(streamed < 256 << 10, "the streamed 512² response held {streamed} bytes at once");
+    // The counter sees a whole image: three 1 MiB planes.
+    let path = std::env::temp_dir().join(format!("dcdiff-hot-paths-{}.ppm", std::process::id()));
+    let whole = peak_bytes(|| {
+        write_ppm(&path, &dropped.to_image_with_dc(&levels)).expect("write a temporary PPM");
+    });
+    std::fs::remove_file(&path).ok();
+    assert!(whole > 3 << 20, "the decoded 512² image held only {whole} bytes");
+}
+
+#[test]
+fn streamed_response_allocates_the_same_at_any_size() {
+    let allocations = |size: usize| {
+        let (dropped, levels) = recovered(size);
+        stream(&dropped, &levels);
+        cost(|| stream(std::hint::black_box(&dropped), &levels)).0
+    };
+    let (small, large) = (allocations(64), allocations(512));
+    assert_eq!(small, large, "the streamed response allocates {small} times at 64², {large} at 512²");
 }
