@@ -365,7 +365,7 @@ mod tests {
 
     fn field_for(img: &Image) -> (CoeffImage, AcField) {
         let coeffs = CoeffImage::from_image(img, 50, ChromaSampling::Cs444);
-        let dropped = coeffs.drop_dc(DcDropMode::KeepCorners);
+        let dropped = coeffs.clone().drop_dc(DcDropMode::KeepCorners);
         let f = AcField::new(dropped.plane(0), dropped.qtable(0));
         (coeffs, f)
     }

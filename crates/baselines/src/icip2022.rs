@@ -86,7 +86,7 @@ mod tests {
     fn beats_no_recovery() {
         let img = SceneGenerator::new(SceneKind::Natural, 64, 64).generate(4);
         let coeffs = CoeffImage::from_image(&img, 50, ChromaSampling::Cs444);
-        let dropped = coeffs.drop_dc(DcDropMode::KeepCorners);
+        let dropped = coeffs.clone().drop_dc(DcDropMode::KeepCorners);
         let reference = coeffs.to_image();
         let rec = psnr(&reference, &Icip2022::new().recover(&dropped));
         let none = psnr(&reference, &dropped.to_image());
@@ -107,7 +107,7 @@ mod tests {
             .enumerate()
         {
             let coeffs = CoeffImage::from_image(img, 50, ChromaSampling::Cs444);
-            let dropped = coeffs.drop_dc(DcDropMode::KeepCorners);
+            let dropped = coeffs.clone().drop_dc(DcDropMode::KeepCorners);
             let reference = coeffs.to_image();
             let icip = psnr(&reference, &Icip2022::new().recover(&dropped));
             let smart = psnr(&reference, &SmartCom2019::new().recover(&dropped));
@@ -125,7 +125,7 @@ mod tests {
     fn more_sweeps_do_not_hurt() {
         let img = SceneGenerator::new(SceneKind::Urban, 64, 64).generate(6);
         let coeffs = CoeffImage::from_image(&img, 50, ChromaSampling::Cs444);
-        let dropped = coeffs.drop_dc(DcDropMode::KeepCorners);
+        let dropped = coeffs.clone().drop_dc(DcDropMode::KeepCorners);
         let reference = coeffs.to_image();
         let few = psnr(&reference, &Icip2022::with_sweeps(5).recover(&dropped));
         let many = psnr(&reference, &Icip2022::with_sweeps(200).recover(&dropped));
@@ -164,7 +164,7 @@ mod tests {
     fn anchors_stay_fixed() {
         let img = SceneGenerator::new(SceneKind::Smooth, 48, 48).generate(8);
         let coeffs = CoeffImage::from_image(&img, 50, ChromaSampling::Cs444);
-        let dropped = coeffs.drop_dc(DcDropMode::KeepCorners);
+        let dropped = coeffs.clone().drop_dc(DcDropMode::KeepCorners);
         let rec = Icip2022::new().recover_coefficients(&dropped);
         let p = rec.plane(0);
         let o = coeffs.plane(0);

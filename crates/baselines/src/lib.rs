@@ -37,8 +37,9 @@
 //! use dcdiff_jpeg::{ChromaSampling, CoeffImage, DcDropMode};
 //!
 //! let image = Image::filled(32, 32, ColorSpace::Rgb, 200.0);
-//! let coeffs = CoeffImage::from_image(&image, 50, ChromaSampling::Cs444);
-//! let dropped = coeffs.drop_dc(DcDropMode::KeepCorners);
+//! // The sender's coefficients, their DC levels zeroed in place.
+//! let dropped = CoeffImage::from_image(&image, 50, ChromaSampling::Cs444)
+//!     .drop_dc(DcDropMode::KeepCorners);
 //! let recovered = SmartCom2019::new().recover(&dropped);
 //! assert_eq!(recovered.dims(), (32, 32));
 //! ```

@@ -243,7 +243,7 @@ mod tests {
             .generate(999)
         {
             let coeffs = CoeffImage::from_image(&img, 50, ChromaSampling::Cs444);
-            let dropped = coeffs.drop_dc(DcDropMode::KeepCorners);
+            let dropped = coeffs.clone().drop_dc(DcDropMode::KeepCorners);
             let reference = coeffs.to_image();
             tii_total += psnr(&reference, &method.recover(&dropped));
             smart_total += psnr(&reference, &SmartCom2019::new().recover(&dropped));

@@ -119,7 +119,7 @@ mod tests {
         use dcdiff_image::{Image, Plane};
         let img = Image::from_gray(Plane::filled(32, 32, 180.0));
         let coeffs = CoeffImage::from_image(&img, 50, ChromaSampling::Cs444);
-        let dropped = coeffs.drop_dc(DcDropMode::KeepCorners);
+        let dropped = coeffs.clone().drop_dc(DcDropMode::KeepCorners);
         let rec = Tip2006::new().recover_coefficients(&dropped);
         for by in 0..rec.plane(0).blocks_y() {
             for bx in 0..rec.plane(0).blocks_x() {
@@ -134,7 +134,7 @@ mod tests {
         let texture = SceneGenerator::new(SceneKind::Texture, 64, 64).generate(3);
         let run = |img: &Image| -> (f32, f32) {
             let coeffs = CoeffImage::from_image(img, 50, ChromaSampling::Cs444);
-            let dropped = coeffs.drop_dc(DcDropMode::KeepCorners);
+            let dropped = coeffs.clone().drop_dc(DcDropMode::KeepCorners);
             let reference = coeffs.to_image();
             (
                 psnr(&reference, &Tip2006::new().recover(&dropped)),

@@ -73,7 +73,7 @@ fn main() {
         for seed in 0..per_kind as u64 {
             let image = SceneGenerator::new(kind, 96, 96).generate(seed * 37 + 11);
             let coeffs = CoeffImage::from_image(&image, QUALITY, ChromaSampling::Cs444);
-            let dropped = coeffs.drop_dc(DcDropMode::KeepCorners);
+            let dropped = coeffs.clone().drop_dc(DcDropMode::KeepCorners);
             let reference = coeffs.to_image();
             for (vi, (_, config)) in variants.iter().enumerate() {
                 let refined =

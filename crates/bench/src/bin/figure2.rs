@@ -31,7 +31,7 @@ fn main() {
     for image in &images {
         let coeffs = CoeffImage::from_image(image, QUALITY, ChromaSampling::Cs444);
         full_bytes += encode_coefficients(&coeffs).expect("encodable").len();
-        dropped_bytes += encode_coefficients(&coeffs.drop_dc(DcDropMode::KeepCorners))
+        dropped_bytes += encode_coefficients(&coeffs.clone().drop_dc(DcDropMode::KeepCorners))
             .expect("encodable")
             .len();
         let plane = coeffs.plane(0);

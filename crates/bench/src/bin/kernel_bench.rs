@@ -446,8 +446,9 @@ fn push_tier_rows(json: &mut String, key: &str, rows: &[TierResult]) {
 
 /// The decode hot path, stage by stage plus end to end: entropy decode
 /// (bitwise vs table-accelerated), the 8x8 iDCT, planar colour
-/// conversion, and a full `JpegDecoder::decode` of a Kodak-profile image.
-fn bench_decode(budget: Duration, image: &Image) -> Vec<TierResult> {
+/// conversion, a full `JpegDecoder::decode` of a Kodak-profile image, and
+/// the receiver's rows on the served scenes.
+fn bench_decode(budget: Duration, image: &Image, served: &[Image]) -> Vec<TierResult> {
     let mut results = Vec::new();
 
     // Entropy: a long AC-luma symbol stream with Kraft-weighted symbol
@@ -515,18 +516,12 @@ fn bench_decode(budget: Duration, image: &Image) -> Vec<TierResult> {
     results.push(bench_tiers("full_decode", coded_bytes, budget, || {
         black_box(JpegDecoder::decode(&coded).expect("decode bench image"));
     }));
-    results.extend(bench_receiver(budget));
+    results.extend(bench_receiver(budget, served));
     results
 }
 
-/// The statistical receiver's 512² response path on the streams dcbench's
-/// `serve_tip2006_512` sends (its seed 7: one scene of each kind,
-/// DC-dropped, Q50, 4:4:4), each row covering all five: entropy and pixel
-/// decode, TIP-2006's recovery, the recovered image's PPM write, and the
-/// response as the runtime serves it (entropy decode, TIP-2006's levels,
-/// and the streamed PPM write to a temporary file). The write is MB/s
-/// over PPM bytes, the others over coded bytes.
-fn bench_receiver(budget: Duration) -> Vec<TierResult> {
+/// The five 512² scenes dcbench's seed 7 sends: one of each kind.
+fn served_scenes() -> Vec<Image> {
     let kinds = [
         SceneKind::Smooth,
         SceneKind::Natural,
@@ -534,16 +529,29 @@ fn bench_receiver(budget: Duration) -> Vec<TierResult> {
         SceneKind::Urban,
         SceneKind::Aerial,
     ];
-    let streams: Vec<Vec<u8>> = kinds
+    kinds
         .iter()
         .enumerate()
-        .map(|(i, &kind)| {
-            let scene = SceneGenerator::new(kind, 512, 512).generate(7 * 1_000_003 + i as u64);
-            let dropped =
-                JpegEncoder::new(50).to_coefficients(&scene).drop_dc(DcDropMode::KeepCorners);
-            encode_coefficients(&dropped).expect("encode receiver stream")
-        })
-        .collect();
+        .map(|(i, &kind)| SceneGenerator::new(kind, 512, 512).generate(7 * 1_000_003 + i as u64))
+        .collect()
+}
+
+/// The sender's whole operation on a served scene: transform, DC drop
+/// and entropy coding (Q50, 4:4:4).
+fn sender_encode(scene: &Image) -> Vec<u8> {
+    let dropped = JpegEncoder::new(50).to_coefficients(scene).drop_dc(DcDropMode::KeepCorners);
+    encode_coefficients(&dropped).expect("encode a served scene")
+}
+
+/// The statistical receiver's 512² response path on the streams dcbench's
+/// `serve_tip2006_512` sends (the [`served_scenes`], DC-dropped, Q50,
+/// 4:4:4), each row covering all five: entropy and pixel decode,
+/// TIP-2006's recovery, the recovered image's PPM write, and the response
+/// as the runtime serves it (entropy decode, TIP-2006's levels, and the
+/// streamed PPM write to a temporary file). The write is MB/s over PPM
+/// bytes, the others over coded bytes.
+fn bench_receiver(budget: Duration, scenes: &[Image]) -> Vec<TierResult> {
+    let streams: Vec<Vec<u8>> = scenes.iter().map(sender_encode).collect();
     let coded_bytes = streams.iter().map(Vec::len).sum();
     let decode = |bytes: &[u8]| JpegDecoder::decode_coefficients(bytes).expect("own stream");
     let dropped: Vec<CoeffImage> = streams.iter().map(|s| decode(s)).collect();
@@ -591,8 +599,12 @@ fn bench_scene() -> Image {
 /// The encode hot path: the fused fDCT + quantise kernel on a working set
 /// of level-shifted blocks, and a whole `JpegEncoder::to_coefficients`
 /// (colour conversion, block gather, transform) of the decode bench's
-/// scene, reported as MB/s over its 8-bit samples.
-fn bench_encode(budget: Duration, image: &Image) -> Vec<TierResult> {
+/// scene, reported as MB/s over its 8-bit samples. On the served scenes,
+/// the sender's split: `entropy_encode_512` codes their DC-dropped
+/// coefficients (MB/s over coded bytes), `sender_512` runs the whole
+/// sender, transform, DC drop and entropy coding (MB/s over 8-bit
+/// samples).
+fn bench_encode(budget: Duration, image: &Image, served: &[Image]) -> Vec<TierResult> {
     let qtable = QuantTable::luma(75);
     let blocks: Vec<[f32; BLOCK_AREA]> = (0..2048)
         .map(|i| {
@@ -607,6 +619,15 @@ fn bench_encode(budget: Duration, image: &Image) -> Vec<TierResult> {
     let encoder = JpegEncoder::new(75);
     let (w, h) = image.dims();
     let image_bytes = w * h * image.channels();
+    let served_bytes = served.iter().map(|s| s.width() * s.height() * s.channels()).sum();
+    let dropped: Vec<CoeffImage> = served
+        .iter()
+        .map(|s| JpegEncoder::new(50).to_coefficients(s).drop_dc(DcDropMode::KeepCorners))
+        .collect();
+    let coded_bytes = dropped
+        .iter()
+        .map(|d| encode_coefficients(d).expect("encode a served scene").len())
+        .sum();
     vec![
         bench_tiers("fdct_quant_8x8", block_bytes, budget, || {
             for block in &blocks {
@@ -615,6 +636,16 @@ fn bench_encode(budget: Duration, image: &Image) -> Vec<TierResult> {
         }),
         bench_tiers("full_transform", image_bytes, budget, || {
             black_box(encoder.to_coefficients(image));
+        }),
+        bench_tiers("entropy_encode_512", coded_bytes, budget, || {
+            for d in &dropped {
+                black_box(encode_coefficients(d).expect("encode a served scene"));
+            }
+        }),
+        bench_tiers("sender_512", served_bytes, budget, || {
+            for scene in served {
+                black_box(sender_encode(scene));
+            }
         }),
     ]
 }
@@ -704,8 +735,9 @@ fn main() {
     );
 
     let scene = bench_scene();
-    let decode = bench_decode(budget, &scene);
-    let encode = bench_encode(budget, &scene);
+    let served = served_scenes();
+    let decode = bench_decode(budget, &scene, &served);
+    let encode = bench_encode(budget, &scene, &served);
     let decode_tier = simd::active();
     for (tag, rows) in [("dec", &decode), ("enc", &encode)] {
         for r in rows {
@@ -760,8 +792,10 @@ fn main() {
          MB/s over input bytes; the *_512 decode rows run the five 512x512 DC-dropped Q50 \
          4:4:4 streams of dcbench's serve_tip2006_512 at seed 7, write_ppm_512 as MB/s over \
          PPM bytes, tip2006_response_512 the served response (entropy decode, TIP-2006 levels, \
-         streamed PPM write); idct_8x8 and huffman_ac_stream are asserted >= 2x on AVX2 hosts, \
-         the whole-decode rows reported (see PERFORMANCE.md).\","
+         streamed PPM write); the *_512 encode rows run the sender on the same five scenes, \
+         entropy_encode_512 as MB/s over coded bytes, sender_512 (transform, DC drop, entropy \
+         coding) as MB/s over 8-bit samples; idct_8x8 and huffman_ac_stream are asserted >= 2x \
+         on AVX2 hosts, the whole-decode and encode rows reported (see PERFORMANCE.md).\","
     );
     json.push_str("  \"gemm\": [\n");
     for (i, r) in results.iter().enumerate() {

@@ -60,7 +60,7 @@ fn main() {
         let mut matched: Vec<f64> = Vec::new();
         for image in &images {
             let coeffs = CoeffImage::from_image(image, QUALITY, ChromaSampling::Cs444);
-            let dropped = coeffs.drop_dc(DcDropMode::KeepCorners);
+            let dropped = coeffs.clone().drop_dc(DcDropMode::KeepCorners);
             let full_len = coded_len(&coeffs) as f64;
             let drop_len = coded_len(&dropped) as f64;
             same_q.push(drop_len / full_len * 100.0);

@@ -191,7 +191,7 @@ pub fn table1_roster(quick: bool) -> Vec<Method> {
 /// `(coeffs, dropped, jpeg_reference)`.
 pub fn code_image(image: &Image) -> (CoeffImage, CoeffImage, Image) {
     let coeffs = CoeffImage::from_image(image, QUALITY, ChromaSampling::Cs444);
-    let dropped = coeffs.drop_dc(DcDropMode::KeepCorners);
+    let dropped = coeffs.clone().drop_dc(DcDropMode::KeepCorners);
     let reference = coeffs.to_image();
     (coeffs, dropped, reference)
 }

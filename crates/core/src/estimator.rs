@@ -922,7 +922,7 @@ mod tests {
         system.train(&images, tiny_budget(), 9);
         let test = SceneGenerator::new(SceneKind::Smooth, 48, 48).generate(777);
         let coeffs = CoeffImage::from_image(&test, 50, ChromaSampling::Cs444);
-        let dropped = coeffs.drop_dc(DcDropMode::KeepCorners);
+        let dropped = coeffs.clone().drop_dc(DcDropMode::KeepCorners);
         let reference = coeffs.to_image();
         let p_rec = psnr(&reference, &system.recover(&dropped));
         let p_none = psnr(&reference, &dropped.to_image());

@@ -43,8 +43,9 @@
 //! use dcdiff_jpeg::{ChromaSampling, CoeffImage, DcDropMode};
 //!
 //! let image = Image::filled(48, 48, ColorSpace::Rgb, 150.0);
-//! let coeffs = CoeffImage::from_image(&image, 50, ChromaSampling::Cs444);
-//! let dropped = coeffs.drop_dc(DcDropMode::KeepCorners);
+//! // The sender's coefficients, their DC levels zeroed in place.
+//! let dropped = CoeffImage::from_image(&image, 50, ChromaSampling::Cs444)
+//!     .drop_dc(DcDropMode::KeepCorners);
 //! // neutral prior: pass the dropped coefficients themselves
 //! let recovered = refine_dc_offsets(&dropped, &dropped, 10.0, 5e-4, 100);
 //! let out = recovered.to_image();

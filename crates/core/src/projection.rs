@@ -145,7 +145,7 @@ mod tests {
         let img = test_image();
         let coeffs = CoeffImage::from_image(&img, 50, ChromaSampling::Cs444);
         let reference = coeffs.to_image();
-        let dropped = coeffs.drop_dc(DcDropMode::KeepCorners);
+        let dropped = coeffs.clone().drop_dc(DcDropMode::KeepCorners);
         let projected = project_dc(&dropped, &reference);
         for c in 0..3 {
             for by in 0..coeffs.plane(c).blocks_y() {
@@ -165,7 +165,7 @@ mod tests {
     fn projection_preserves_ac_exactly() {
         let img = test_image();
         let coeffs = CoeffImage::from_image(&img, 50, ChromaSampling::Cs444);
-        let dropped = coeffs.drop_dc(DcDropMode::KeepCorners);
+        let dropped = coeffs.clone().drop_dc(DcDropMode::KeepCorners);
         // project a completely wrong image: AC must still be untouched
         let wrong = Image::filled(32, 32, ColorSpace::Rgb, 0.0);
         let projected = project_dc(&dropped, &wrong);
@@ -185,7 +185,7 @@ mod tests {
     fn anchors_survive_projection() {
         let img = test_image();
         let coeffs = CoeffImage::from_image(&img, 50, ChromaSampling::Cs444);
-        let dropped = coeffs.drop_dc(DcDropMode::KeepCorners);
+        let dropped = coeffs.clone().drop_dc(DcDropMode::KeepCorners);
         let wrong = Image::filled(32, 32, ColorSpace::Rgb, 30.0);
         let projected = project_dc(&dropped, &wrong);
         assert_eq!(projected.plane(0).dc(0, 0), coeffs.plane(0).dc(0, 0));

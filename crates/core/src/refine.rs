@@ -132,7 +132,7 @@ mod tests {
     fn setup(kind: SceneKind, seed: u64) -> (CoeffImage, CoeffImage, Image) {
         let img = SceneGenerator::new(kind, 64, 64).generate(seed);
         let coeffs = CoeffImage::from_image(&img, 50, ChromaSampling::Cs444);
-        let dropped = coeffs.drop_dc(DcDropMode::KeepCorners);
+        let dropped = coeffs.clone().drop_dc(DcDropMode::KeepCorners);
         let reference = coeffs.to_image();
         (coeffs, dropped, reference)
     }

@@ -337,7 +337,7 @@ fn case(
         None => (scene.to_gray(), ChromaSampling::Cs444, "gray".to_string()),
     };
     let coeffs = CoeffImage::from_image(&image, quality, sampling);
-    let dropped = coeffs.drop_dc(DcDropMode::KeepCorners);
+    let dropped = coeffs.clone().drop_dc(DcDropMode::KeepCorners);
     Case {
         label: format!("{kind:?} {w}x{h} Q{quality} {tag} seed {seed}"),
         coeffs,

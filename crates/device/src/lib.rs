@@ -213,7 +213,7 @@ impl DeviceProfile {
     pub fn estimate_encode(&self, coeffs: &CoeffImage, kind: EncoderKind) -> EncodeEstimate {
         let effective = match kind {
             EncoderKind::StandardJpeg => coeffs.clone(),
-            EncoderKind::DcDrop => coeffs.drop_dc(DcDropMode::KeepCorners),
+            EncoderKind::DcDrop => coeffs.clone().drop_dc(DcDropMode::KeepCorners),
         };
         let pixels = (coeffs.width() * coeffs.height()) as f64;
         let mut blocks = 0f64;

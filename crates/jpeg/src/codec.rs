@@ -26,6 +26,19 @@ pub enum ChromaSampling {
     Cs420,
 }
 
+impl ChromaSampling {
+    /// The chroma subsampling factors `(sx, sy)` of a colour image: luma
+    /// sample `(x, y)` pairs with chroma sample `(x / sx, y / sy)`, and an
+    /// MCU holds `sx × sy` luma blocks.
+    pub(crate) fn factors(self) -> (usize, usize) {
+        match self {
+            ChromaSampling::Cs444 => (1, 1),
+            ChromaSampling::Cs422 => (2, 1),
+            ChromaSampling::Cs420 => (2, 2),
+        }
+    }
+}
+
 impl std::fmt::Display for ChromaSampling {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -342,42 +355,138 @@ fn write_sos(out: &mut Vec<u8>, channels: usize) {
     write_segment(out, 0xDA, &payload);
 }
 
-/// Entropy-code one block; the error is a symbol the tables have no code
-/// for.
-fn encode_block(
-    writer: &mut BitWriter,
-    block: &[i32; BLOCK_AREA],
-    pred: &mut i32,
-    dc_table: &HuffmanTable,
-    ac_table: &HuffmanTable,
-) -> Result<(), u8> {
-    let zz = to_zigzag(block);
-    // DC differential
-    let diff = zz[0] - *pred;
-    *pred = zz[0];
-    let (size, bits) = magnitude_code(diff);
-    dc_table.put(writer, size as u8)?;
-    writer.put(bits, size);
-    // AC run-length
-    let mut run = 0u32;
-    for &coef in &zz[1..] {
-        if coef == 0 {
-            run += 1;
-            continue;
+/// Where [`walk_scan`] sends a scan's symbols: the scan coder writes
+/// them, the optimised encoder's first pass counts them.
+pub(crate) trait SymbolSink {
+    /// Why a symbol could not be taken.
+    type Error;
+
+    /// Huffman symbol `symbol` of table `table`: 0 and 1 are the luma DC
+    /// and AC tables, 2 and 3 the chroma ones.
+    fn symbol(&mut self, table: usize, symbol: u8) -> Result<(), Self::Error>;
+
+    /// The low `size` bits of `bits`: the amplitude after a DC or
+    /// run/size symbol.
+    fn bits(&mut self, bits: u32, size: u32);
+
+    /// Restart marker `m` (0..8), between two MCUs.
+    fn restart(&mut self, m: u8);
+}
+
+/// The one walk over a scan's symbols, behind the scan coder and the
+/// optimised encoder's counting pass: MCUs in raster order, each
+/// component's blocks of an MCU in raster order (edge MCUs repeat the
+/// last block row or column), a restart marker before every
+/// `restart_interval`-th MCU (0: none) resetting the DC predictions.
+pub(crate) fn walk_scan<S: SymbolSink>(
+    coeffs: &CoeffImage,
+    restart_interval: usize,
+    sink: &mut S,
+) -> Result<(), S::Error> {
+    let factors = sampling_factors(coeffs);
+    let hmax = factors.iter().map(|&(h, _)| h).max().unwrap_or(1) as usize;
+    let vmax = factors.iter().map(|&(_, v)| v).max().unwrap_or(1) as usize;
+    let mcus_x = coeffs.width().div_ceil(BLOCK * hmax);
+    let mcus_y = coeffs.height().div_ceil(BLOCK * vmax);
+    let mut preds = vec![0i32; coeffs.channels()];
+    let mut mcu_index = 0usize;
+    let mut restart_count = 0u8;
+    for my in 0..mcus_y {
+        for mx in 0..mcus_x {
+            if restart_interval > 0 && mcu_index > 0 && mcu_index.is_multiple_of(restart_interval) {
+                sink.restart(restart_count % 8);
+                restart_count = restart_count.wrapping_add(1);
+                preds.iter_mut().for_each(|p| *p = 0);
+            }
+            mcu_index += 1;
+            for (c, &(h, v)) in factors.iter().enumerate() {
+                let plane = coeffs.plane(c);
+                for bv in 0..v as usize {
+                    for bh in 0..h as usize {
+                        let bx = (mx * h as usize + bh).min(plane.blocks_x() - 1);
+                        let by = (my * v as usize + bv).min(plane.blocks_y() - 1);
+                        let dc_table = if c == 0 { 0 } else { 2 };
+                        walk_block(plane.block(bx, by), &mut preds[c], dc_table, sink)?;
+                    }
+                }
+            }
         }
-        while run >= 16 {
-            ac_table.put(writer, 0xF0)?; // ZRL
-            run -= 16;
-        }
-        let (size, bits) = magnitude_code(coef);
-        ac_table.put(writer, ((run as u8) << 4) | size as u8)?;
-        writer.put(bits, size);
-        run = 0;
-    }
-    if run > 0 {
-        ac_table.put(writer, 0x00)?; // EOB
     }
     Ok(())
+}
+
+/// One block's symbols: the DC difference from `pred` through table
+/// `dc_table`, then the AC run-lengths through the next table.
+///
+/// A block without AC levels, most of a DC-dropped stream's, is found by
+/// OR-ing its levels and closes with EOB at once. Otherwise bit `k` of
+/// the block's mask is set when zig-zag coefficient `k` (1..=63) is
+/// nonzero, so each set bit is a run/size symbol whose run is the
+/// distance from the previous one, preceded by a ZRL per 16 zeros of it;
+/// EOB closes the block unless coefficient 63 is nonzero.
+#[inline]
+fn walk_block<S: SymbolSink>(
+    block: &[i32; BLOCK_AREA],
+    pred: &mut i32,
+    dc_table: usize,
+    sink: &mut S,
+) -> Result<(), S::Error> {
+    let diff = block[0] - *pred;
+    *pred = block[0];
+    let (size, bits) = magnitude_code(diff);
+    sink.symbol(dc_table, size as u8)?;
+    sink.bits(bits, size);
+    let ac_table = dc_table + 1;
+    if block[1..].iter().fold(0, |acc, &l| acc | l) == 0 {
+        return sink.symbol(ac_table, 0x00); // EOB
+    }
+    let mut mask = 0u64;
+    for (k, &natural) in ZIGZAG.iter().enumerate().skip(1) {
+        mask |= u64::from(block[natural] != 0) << k;
+    }
+    let mut last = 0;
+    while mask != 0 {
+        let k = mask.trailing_zeros();
+        mask &= mask - 1;
+        let mut run = k - last - 1;
+        while run >= 16 {
+            sink.symbol(ac_table, 0xF0)?; // ZRL
+            run -= 16;
+        }
+        let (size, bits) = magnitude_code(block[ZIGZAG[k as usize]]);
+        sink.symbol(ac_table, ((run as u8) << 4) | size as u8)?;
+        sink.bits(bits, size);
+        last = k;
+    }
+    if last < 63 {
+        sink.symbol(ac_table, 0x00)?; // EOB
+    }
+    Ok(())
+}
+
+/// The scan coder: [`walk_scan`]'s symbols through four Huffman tables
+/// into a [`BitWriter`]; the error is a symbol its table has no code for.
+struct ScanCoder<'a> {
+    writer: BitWriter,
+    tables: [&'a HuffmanTable; 4],
+}
+
+impl SymbolSink for ScanCoder<'_> {
+    type Error = u8;
+
+    #[inline]
+    fn symbol(&mut self, table: usize, symbol: u8) -> Result<(), u8> {
+        self.tables[table].put(&mut self.writer, symbol)
+    }
+
+    #[inline]
+    fn bits(&mut self, bits: u32, size: u32) {
+        self.writer.put(bits, size);
+    }
+
+    fn restart(&mut self, m: u8) {
+        self.writer.put_restart_marker(m);
+    }
 }
 
 /// Scan encoder without restart markers.
@@ -409,39 +518,12 @@ pub(crate) fn encode_scan_restarts(
     ac_c: &HuffmanTable,
     restart_interval: usize,
 ) -> Result<Vec<u8>, JpegError> {
-    let factors = sampling_factors(coeffs);
-    let hmax = factors.iter().map(|&(h, _)| h).max().unwrap_or(1) as usize;
-    let vmax = factors.iter().map(|&(_, v)| v).max().unwrap_or(1) as usize;
-    let mcus_x = coeffs.width().div_ceil(BLOCK * hmax);
-    let mcus_y = coeffs.height().div_ceil(BLOCK * vmax);
-
-    let mut writer = BitWriter::new();
-    let mut preds = vec![0i32; coeffs.channels()];
-    let mut mcu_index = 0usize;
-    let mut restart_count = 0u8;
-    for my in 0..mcus_y {
-        for mx in 0..mcus_x {
-            if restart_interval > 0 && mcu_index > 0 && mcu_index.is_multiple_of(restart_interval) {
-                writer.put_restart_marker(restart_count % 8);
-                restart_count = restart_count.wrapping_add(1);
-                preds.iter_mut().for_each(|p| *p = 0);
-            }
-            mcu_index += 1;
-            for (c, &(h, v)) in factors.iter().enumerate() {
-                let (dc_t, ac_t) = if c == 0 { (dc_l, ac_l) } else { (dc_c, ac_c) };
-                let plane = coeffs.plane(c);
-                for bv in 0..v as usize {
-                    for bh in 0..h as usize {
-                        let bx = (mx * h as usize + bh).min(plane.blocks_x() - 1);
-                        let by = (my * v as usize + bv).min(plane.blocks_y() - 1);
-                        encode_block(&mut writer, plane.block(bx, by), &mut preds[c], dc_t, ac_t)
-                            .map_err(crate::huffman::missing_symbol)?;
-                    }
-                }
-            }
-        }
-    }
-    Ok(writer.finish())
+    let mut coder = ScanCoder {
+        writer: BitWriter::new(),
+        tables: [dc_l, ac_l, dc_c, ac_c],
+    };
+    walk_scan(coeffs, restart_interval, &mut coder).map_err(crate::huffman::missing_symbol)?;
+    Ok(coder.writer.finish())
 }
 
 /// Entropy-code with restart markers every `interval` MCUs (DRI + RSTn).

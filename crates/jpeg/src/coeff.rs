@@ -40,59 +40,58 @@ impl CoeffPlane {
     /// Forward-transform a sample plane: pad to block multiples, level
     /// shift by −128, 8×8 FDCT and quantise with `qtable`.
     pub fn from_plane(plane: &Plane, qtable: &QuantTable) -> Self {
-        Self::from_plane_padded(plane, qtable, BLOCK)
+        let (width, height) = plane.dims();
+        let mut out = Self::with_capacity(width, height, BLOCK, BLOCK);
+        for by in 0..out.blocks_y {
+            // Padding replicates the last row: clamping the index reads
+            // exactly what an edge-extended copy would hold.
+            out.push_block_row(
+                std::array::from_fn(|y| plane.row((by * BLOCK + y).min(height - 1))),
+                qtable,
+            );
+        }
+        out
     }
 
-    /// Like [`CoeffPlane::from_plane`] but pads dimensions to a multiple
-    /// of `align` samples (16 for 4:2:0 luma).
-    pub(crate) fn from_plane_padded(plane: &Plane, qtable: &QuantTable, align: usize) -> Self {
-        Self::from_plane_padded_xy(plane, qtable, align, align)
-    }
-
-    /// Like [`CoeffPlane::from_plane`] with independent horizontal and
-    /// vertical padding alignment (4:2:2 luma pads 16×8).
-    pub(crate) fn from_plane_padded_xy(
-        plane: &Plane,
-        qtable: &QuantTable,
-        align_x: usize,
-        align_y: usize,
-    ) -> Self {
-        let width = plane.width();
-        let height = plane.height();
+    /// An empty plane of `width × height` samples, padded to multiples of
+    /// `align_x × align_y` (4:2:2 luma pads 16×8, 4:2:0 luma 16×16), with
+    /// room for all its blocks.
+    fn with_capacity(width: usize, height: usize, align_x: usize, align_y: usize) -> Self {
         let blocks_x = width.div_ceil(align_x) * align_x / BLOCK;
         let blocks_y = height.div_ceil(align_y) * align_y / BLOCK;
-        let mut blocks = Vec::with_capacity(blocks_x * blocks_y);
-        let mut samples = [0.0f32; BLOCK_AREA];
-        for by in 0..blocks_y {
-            // Padding replicates the last row and column: clamping the
-            // indices reads exactly what an edge-extended copy would hold.
-            let rows: [&[f32]; BLOCK] =
-                std::array::from_fn(|y| plane.row((by * BLOCK + y).min(height - 1)));
-            for bx in 0..blocks_x {
-                let x0 = bx * BLOCK;
-                for (dst, row) in samples.chunks_exact_mut(BLOCK).zip(rows) {
-                    match row.get(x0..x0 + BLOCK) {
-                        Some(src) => {
-                            for (d, &s) in dst.iter_mut().zip(src) {
-                                *d = s - 128.0;
-                            }
-                        }
-                        None => {
-                            for (x, d) in dst.iter_mut().enumerate() {
-                                *d = row[(x0 + x).min(width - 1)] - 128.0;
-                            }
-                        }
-                    }
-                }
-                blocks.push(fdct_quantize(&samples, qtable));
-            }
-        }
         Self {
             blocks_x,
             blocks_y,
             width,
             height,
-            blocks,
+            blocks: Vec::with_capacity(blocks_x * blocks_y),
+        }
+    }
+
+    /// Transform the next block row from its eight sample rows, each at
+    /// least `width` long (rows past the bottom edge repeat the last
+    /// one): gather each block, clamping columns past the right edge, then
+    /// level shift, fDCT and quantise.
+    fn push_block_row(&mut self, rows: [&[f32]; BLOCK], qtable: &QuantTable) {
+        let width = self.width;
+        let mut samples = [0.0f32; BLOCK_AREA];
+        for bx in 0..self.blocks_x {
+            let x0 = bx * BLOCK;
+            for (dst, row) in samples.chunks_exact_mut(BLOCK).zip(rows) {
+                match row.get(x0..x0 + BLOCK) {
+                    Some(src) => {
+                        for (d, &s) in dst.iter_mut().zip(src) {
+                            *d = s - 128.0;
+                        }
+                    }
+                    None => {
+                        for (x, d) in dst.iter_mut().enumerate() {
+                            *d = row[(x0 + x).min(width - 1)] - 128.0;
+                        }
+                    }
+                }
+            }
+            self.blocks.push(fdct_quantize(&samples, qtable));
         }
     }
 
@@ -175,21 +174,18 @@ impl CoeffPlane {
     }
 
     /// Zero DC levels according to `mode`; corner blocks are the four
-    /// extreme blocks of the grid.
+    /// extreme blocks of the grid. One pass zeroes every level, then the
+    /// corners' levels are put back under [`DcDropMode::KeepCorners`].
     pub fn drop_dc(&mut self, mode: DcDropMode) {
-        let corners = [
-            (0, 0),
-            (self.blocks_x - 1, 0),
-            (0, self.blocks_y - 1),
-            (self.blocks_x - 1, self.blocks_y - 1),
-        ];
-        for by in 0..self.blocks_y {
-            for bx in 0..self.blocks_x {
-                let keep =
-                    mode == DcDropMode::KeepCorners && corners.contains(&(bx, by));
-                if !keep {
-                    self.set_dc(bx, by, 0);
-                }
+        let (last_x, last_y) = (self.blocks_x - 1, self.blocks_y - 1);
+        let corners = [(0, 0), (last_x, 0), (0, last_y), (last_x, last_y)];
+        let kept = corners.map(|(bx, by)| self.dc(bx, by));
+        for block in &mut self.blocks {
+            block[0] = 0;
+        }
+        if mode == DcDropMode::KeepCorners {
+            for ((bx, by), level) in corners.into_iter().zip(kept) {
+                self.set_dc(bx, by, level);
             }
         }
     }
@@ -269,73 +265,90 @@ impl CoeffImage {
     /// (1..=100) with the given chroma sampling.
     ///
     /// RGB inputs are converted to YCbCr; grayscale stays single-plane.
+    ///
+    /// A colour image is transformed one MCU row (a band: 8 rows, 16 at
+    /// 4:2:0) at a time, so no whole YCbCr or downsampled plane is ever
+    /// held. An RGB band is converted by one [`rgb_to_ycbcr_rows`] run
+    /// into a band buffer; a YCbCr image's planes are read in place.
+    /// Subsampled chroma is box-filtered over clamped neighbours into a
+    /// chroma band, then every component's blocks are gathered from its
+    /// band. The levels are those of converting the whole image, then
+    /// downsampling and transforming each plane: each sample is computed
+    /// by the same expression, and a band starts on a row that is a
+    /// multiple of 8, so its flat sample indices start on a multiple of 8
+    /// and the conversion's AVX2 chunks and scalar tail fall on the same
+    /// samples as one whole-plane run's.
     pub fn from_image(image: &Image, quality: u8, sampling: ChromaSampling) -> Self {
         let (width, height) = image.dims();
-        match image.color_space() {
-            ColorSpace::Gray => {
-                let q = QuantTable::luma(quality);
-                let plane = CoeffPlane::from_plane(image.plane(0), &q);
-                Self {
-                    planes: vec![plane],
-                    qtables: vec![q],
-                    sampling: ChromaSampling::Cs444,
-                    width,
-                    height,
-                }
+        let ql = QuantTable::luma(quality);
+        if image.color_space() == ColorSpace::Gray {
+            return Self {
+                planes: vec![CoeffPlane::from_plane(image.plane(0), &ql)],
+                qtables: vec![ql],
+                sampling: ChromaSampling::Cs444,
+                width,
+                height,
+            };
+        }
+        let qc = QuantTable::chroma(quality);
+        let (sx, sy) = sampling.factors();
+        let (cw, ch) = (width.div_ceil(sx), height.div_ceil(sy));
+        let band_rows = sy * BLOCK;
+        let convert = image.color_space() == ColorSpace::Rgb;
+        // The converted band (RGB input) and two bands of subsampled
+        // chroma, allocated before the output: when a caller keeps the
+        // output, they are freed below it, where the next call's bands
+        // fit, rather than at the heap top, which glibc trims and the
+        // next call faults in again (PERFORMANCE.md).
+        let mut ycbcr = vec![0.0f32; if convert { 3 * band_rows * width } else { 0 }];
+        let mut subsampled = vec![0.0f32; if sx > 1 { 2 * BLOCK * cw } else { 0 }];
+        let mut luma = CoeffPlane::with_capacity(width, height, sx * BLOCK, sy * BLOCK);
+        let mut chroma: [CoeffPlane; 2] =
+            std::array::from_fn(|_| CoeffPlane::with_capacity(cw, ch, BLOCK, BLOCK));
+        for y0 in (0..height).step_by(band_rows) {
+            let rows = band_rows.min(height - y0);
+            let span = y0 * width..(y0 + rows) * width;
+            let [y, cb, cr]: [&[f32]; 3] = if convert {
+                let n = span.len();
+                let (y, rest) = ycbcr.split_at_mut(n);
+                let (cb, rest) = rest.split_at_mut(n);
+                let cr = &mut rest[..n];
+                let [r, g, b] = [0, 1, 2].map(|c| &image.plane(c).as_slice()[span.clone()]);
+                rgb_to_ycbcr_rows(r, g, b, y, cb, cr);
+                [y, cb, cr]
+            } else {
+                [0, 1, 2].map(|c| &image.plane(c).as_slice()[span.clone()])
+            };
+            for r in 0..sy {
+                luma.push_block_row(
+                    std::array::from_fn(|k| band_row(y, width, r * BLOCK + k)),
+                    &ql,
+                );
             }
-            _ => {
-                let ycbcr = image.to_ycbcr();
-                let ql = QuantTable::luma(quality);
-                let qc = QuantTable::chroma(quality);
-                match sampling {
-                    ChromaSampling::Cs444 => {
-                        let planes = vec![
-                            CoeffPlane::from_plane(ycbcr.plane(0), &ql),
-                            CoeffPlane::from_plane(ycbcr.plane(1), &qc),
-                            CoeffPlane::from_plane(ycbcr.plane(2), &qc),
-                        ];
-                        Self {
-                            planes,
-                            qtables: vec![ql, qc.clone(), qc],
-                            sampling,
-                            width,
-                            height,
-                        }
-                    }
-                    ChromaSampling::Cs422 => {
-                        let luma = CoeffPlane::from_plane_padded_xy(
-                            ycbcr.plane(0),
-                            &ql,
-                            2 * BLOCK,
-                            BLOCK,
-                        );
-                        let cb =
-                            CoeffPlane::from_plane(&downsample_horizontal(ycbcr.plane(1)), &qc);
-                        let cr =
-                            CoeffPlane::from_plane(&downsample_horizontal(ycbcr.plane(2)), &qc);
-                        Self {
-                            planes: vec![luma, cb, cr],
-                            qtables: vec![ql, qc.clone(), qc],
-                            sampling,
-                            width,
-                            height,
-                        }
-                    }
-                    ChromaSampling::Cs420 => {
-                        let luma =
-                            CoeffPlane::from_plane_padded(ycbcr.plane(0), &ql, 2 * BLOCK);
-                        let cb = CoeffPlane::from_plane(&downsample2(ycbcr.plane(1)), &qc);
-                        let cr = CoeffPlane::from_plane(&downsample2(ycbcr.plane(2)), &qc);
-                        Self {
-                            planes: vec![luma, cb, cr],
-                            qtables: vec![ql, qc.clone(), qc],
-                            sampling,
-                            width,
-                            height,
-                        }
-                    }
+            if sx == 1 {
+                for (plane, band) in chroma.iter_mut().zip([cb, cr]) {
+                    plane.push_block_row(std::array::from_fn(|k| band_row(band, cw, k)), &qc);
                 }
+                continue;
             }
+            // Chroma rows of this band: 8, or fewer at the bottom edge.
+            let crows = rows.div_ceil(sy);
+            let bands = [cb, cr].into_iter().zip(subsampled.chunks_exact_mut(BLOCK * cw));
+            for (plane, (band, out)) in chroma.iter_mut().zip(bands) {
+                let out = &mut out[..crows * cw];
+                for (j, dst) in out.chunks_exact_mut(cw).enumerate() {
+                    downsample_row(band, width, sy, j, dst);
+                }
+                plane.push_block_row(std::array::from_fn(|k| band_row(out, cw, k)), &qc);
+            }
+        }
+        let [cb, cr] = chroma;
+        Self {
+            planes: vec![luma, cb, cr],
+            qtables: vec![ql, qc.clone(), qc],
+            sampling,
+            width,
+            height,
         }
     }
 
@@ -413,14 +426,16 @@ impl CoeffImage {
         &self.qtables[c]
     }
 
-    /// Sender-side DC dropping: returns a copy with DC levels zeroed in
-    /// every component according to `mode`.
-    pub fn drop_dc(&self, mode: DcDropMode) -> CoeffImage {
-        let mut out = self.clone();
-        for p in &mut out.planes {
+    /// Sender-side DC dropping: zero the DC levels of every component
+    /// according to `mode`, in place, and return the image. It takes the
+    /// image by value so the sender's one copy of its coefficients is the
+    /// one that is coded; a caller that still needs the full coefficients
+    /// drops DC from a [`Clone::clone`] of them.
+    pub fn drop_dc(mut self, mode: DcDropMode) -> CoeffImage {
+        for p in &mut self.planes {
             p.drop_dc(mode);
         }
-        out
+        self
     }
 
     /// Reconstruct the pixel image (inverse quantise + IDCT + colour
@@ -520,10 +535,10 @@ impl CoeffImage {
     /// The chroma subsampling factors `(sx, sy)`: output pixel `(x, y)`
     /// reads chroma sample `(x / sx, y / sy)`.
     fn subsampling(&self) -> (usize, usize) {
-        match (self.planes.len(), self.sampling) {
-            (1, _) | (_, ChromaSampling::Cs444) => (1, 1),
-            (_, ChromaSampling::Cs422) => (2, 1),
-            (_, ChromaSampling::Cs420) => (2, 2),
+        if self.planes.len() == 1 {
+            (1, 1)
+        } else {
+            self.sampling.factors()
         }
     }
 
@@ -679,28 +694,32 @@ impl CoeffImage {
     }
 }
 
-/// 2× box-filter downsample (chroma subsampling).
-fn downsample2(plane: &Plane) -> Plane {
-    let w2 = plane.width().div_ceil(2);
-    let h2 = plane.height().div_ceil(2);
-    Plane::from_fn(w2, h2, |x, y| {
-        let x0 = (2 * x) as isize;
-        let y0 = (2 * y) as isize;
-        (plane.get_clamped(x0, y0)
-            + plane.get_clamped(x0 + 1, y0)
-            + plane.get_clamped(x0, y0 + 1)
-            + plane.get_clamped(x0 + 1, y0 + 1))
-            / 4.0
-    })
+/// Row `k` of a band of rows `width` samples wide; rows past the band's
+/// last (the image's bottom edge) repeat it.
+fn band_row(band: &[f32], width: usize, k: usize) -> &[f32] {
+    let k = k.min(band.len() / width - 1);
+    &band[k * width..(k + 1) * width]
 }
 
-/// Horizontal-only 2× box downsample (4:2:2 chroma).
-fn downsample_horizontal(plane: &Plane) -> Plane {
-    let w2 = plane.width().div_ceil(2);
-    Plane::from_fn(w2, plane.height(), |x, y| {
-        let x0 = (2 * x) as isize;
-        (plane.get_clamped(x0, y as isize) + plane.get_clamped(x0 + 1, y as isize)) / 2.0
-    })
+/// Chroma row `j` of a band of full-resolution chroma rows `width`
+/// samples wide, 2× box-filtered over clamped neighbours into `dst`:
+/// horizontally, `(a + b) / 2`, when `sy` is 1 (4:2:2), and both ways,
+/// `(a + b + c + d) / 4` over rows `2j` and `2j + 1`, when it is 2
+/// (4:2:0). A band holds whole rows from a multiple of `2 · sy`, so the
+/// neighbours past its last row or column are those past the image's.
+fn downsample_row(band: &[f32], width: usize, sy: usize, j: usize, dst: &mut [f32]) {
+    let top = band_row(band, width, sy * j);
+    let pairs = dst.iter_mut().enumerate().map(|(x, d)| (d, 2 * x, (2 * x + 1).min(width - 1)));
+    if sy == 1 {
+        for (d, x0, x1) in pairs {
+            *d = (top[x0] + top[x1]) / 2.0;
+        }
+    } else {
+        let bottom = band_row(band, width, sy * j + 1);
+        for (d, x0, x1) in pairs {
+            *d = (top[x0] + top[x1] + bottom[x0] + bottom[x1]) / 4.0;
+        }
+    }
 }
 
 /// Whether a block carries a nonzero AC level. The levels are OR-ed
@@ -861,7 +880,7 @@ mod tests {
     fn drop_dc_keep_corners_preserves_four_anchors() {
         let img = gradient_image(40, 32);
         let coeffs = CoeffImage::from_image(&img, 50, ChromaSampling::Cs444);
-        let dropped = coeffs.drop_dc(DcDropMode::KeepCorners);
+        let dropped = coeffs.clone().drop_dc(DcDropMode::KeepCorners);
         let p = dropped.plane(0);
         let orig = coeffs.plane(0);
         let (bx_max, by_max) = (p.blocks_x() - 1, p.blocks_y() - 1);
@@ -875,7 +894,7 @@ mod tests {
     fn ac_survives_dc_drop() {
         let img = gradient_image(24, 24);
         let coeffs = CoeffImage::from_image(&img, 50, ChromaSampling::Cs444);
-        let dropped = coeffs.drop_dc(DcDropMode::All);
+        let dropped = coeffs.clone().drop_dc(DcDropMode::All);
         for c in 0..3 {
             for by in 0..coeffs.plane(c).blocks_y() {
                 for bx in 0..coeffs.plane(c).blocks_x() {

@@ -14,8 +14,8 @@
 //!   Huffman tables, byte stuffing and real JFIF markers
 //!   ([`huffman`], [`bitstream`], [`JpegEncoder`], [`JpegDecoder`]);
 //! * 4:4:4 and 4:2:0 chroma subsampling;
-//! * the **DC-drop transform** ([`CoeffImage::drop_dc`]): zero every
-//!   quantised DC coefficient except the four corner blocks before entropy
+//! * the **DC-drop transform** ([`CoeffImage::drop_dc`]): zero, in place,
+//!   every quantised DC coefficient except the four corner blocks before entropy
 //!   coding — the sender-side operation that DCDiff and its baselines
 //!   build on (§II-B of the paper).
 //!

@@ -10,12 +10,10 @@
 //! Streams remain fully baseline-compatible; [`crate::JpegDecoder`]
 //! reads them like any other JPEG.
 
-use crate::bitstream::magnitude_code;
-use crate::codec::{encode_scan_with, sampling_factors, write_file_with_tables};
+use crate::codec::{encode_scan_with, walk_scan, write_file_with_tables, SymbolSink};
 use crate::coeff::CoeffImage;
 use crate::huffman::HuffmanTable;
-use crate::zigzag::to_zigzag;
-use crate::{JpegError, BLOCK};
+use crate::JpegError;
 
 /// Symbol frequency counts for one Huffman table.
 #[derive(Debug, Clone)]
@@ -132,58 +130,30 @@ impl FreqTable {
     }
 }
 
+/// [`walk_scan`]'s counting sink: one frequency table per Huffman table
+/// (DC luma, AC luma, DC chroma, AC chroma).
+struct SymbolCounter([FreqTable; 4]);
+
+impl SymbolSink for SymbolCounter {
+    type Error = std::convert::Infallible;
+
+    #[inline]
+    fn symbol(&mut self, table: usize, symbol: u8) -> Result<(), Self::Error> {
+        self.0[table].record(symbol);
+        Ok(())
+    }
+
+    #[inline]
+    fn bits(&mut self, _bits: u32, _size: u32) {}
+
+    fn restart(&mut self, _m: u8) {}
+}
+
 /// Count the DC and AC symbols a coefficient image will emit.
 fn gather_frequencies(coeffs: &CoeffImage) -> [FreqTable; 4] {
-    // [dc luma, ac luma, dc chroma, ac chroma]
-    let mut tables = [
-        FreqTable::new(),
-        FreqTable::new(),
-        FreqTable::new(),
-        FreqTable::new(),
-    ];
-    let factors = sampling_factors(coeffs);
-    let hmax = factors.iter().map(|&(h, _)| h).max().unwrap_or(1) as usize;
-    let vmax = factors.iter().map(|&(_, v)| v).max().unwrap_or(1) as usize;
-    let mcus_x = coeffs.width().div_ceil(BLOCK * hmax);
-    let mcus_y = coeffs.height().div_ceil(BLOCK * vmax);
-    let mut preds = vec![0i32; coeffs.channels()];
-    for my in 0..mcus_y {
-        for mx in 0..mcus_x {
-            for (c, &(h, v)) in factors.iter().enumerate() {
-                let (dc_i, ac_i) = if c == 0 { (0, 1) } else { (2, 3) };
-                let plane = coeffs.plane(c);
-                for bv in 0..v as usize {
-                    for bh in 0..h as usize {
-                        let bx = (mx * h as usize + bh).min(plane.blocks_x() - 1);
-                        let by = (my * v as usize + bv).min(plane.blocks_y() - 1);
-                        let zz = to_zigzag(plane.block(bx, by));
-                        let diff = zz[0] - preds[c];
-                        preds[c] = zz[0];
-                        let (size, _) = magnitude_code(diff);
-                        tables[dc_i].record(size as u8);
-                        let mut run = 0u32;
-                        for &coef in &zz[1..] {
-                            if coef == 0 {
-                                run += 1;
-                                continue;
-                            }
-                            while run >= 16 {
-                                tables[ac_i].record(0xF0);
-                                run -= 16;
-                            }
-                            let (size, _) = magnitude_code(coef);
-                            tables[ac_i].record(((run as u8) << 4) | size as u8);
-                            run = 0;
-                        }
-                        if run > 0 {
-                            tables[ac_i].record(0x00);
-                        }
-                    }
-                }
-            }
-        }
-    }
-    tables
+    let mut counter = SymbolCounter(std::array::from_fn(|_| FreqTable::new()));
+    let Ok(()) = walk_scan(coeffs, 0, &mut counter);
+    counter.0
 }
 
 /// Entropy-code a [`CoeffImage`] with image-optimised Huffman tables

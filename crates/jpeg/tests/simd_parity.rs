@@ -146,7 +146,7 @@ fn reference_coefficients(image: &Image, quality: u8, sampling: ChromaSampling) 
 /// sees: continuous noise, integer-valued noise (whose coefficients
 /// land on exact halves far more often) and noise over just four levels
 /// (0, 127, 128, 255), extremes included.
-fn test_image(gray: bool, w: usize, h: usize, mode: u8, seed: u64) -> Image {
+fn test_image(space: ColorSpace, w: usize, h: usize, mode: u8, seed: u64) -> Image {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut plane = || {
         Plane::from_fn(w, h, |_, _| match mode {
@@ -155,26 +155,24 @@ fn test_image(gray: bool, w: usize, h: usize, mode: u8, seed: u64) -> Image {
             _ => [0.0, 127.0, 128.0, 255.0][rng.gen_range(0usize..4)],
         })
     };
-    if gray {
-        Image::from_gray(plane())
-    } else {
-        let planes = vec![plane(), plane(), plane()];
-        Image::from_planes(planes, ColorSpace::Rgb).expect("three equal planes")
-    }
+    let planes = (0..space.channels()).map(|_| plane()).collect();
+    Image::from_planes(planes, space).expect("one plane per channel, of one size")
 }
 
-/// One transform-parity case: gray or RGB, chroma sampling, size (1–70
-/// a side, so non-multiples of 8 and 16), quality, content mode, seed.
-type TransformCase = (bool, ChromaSampling, (usize, usize), u8, u8, u64);
+/// One transform-parity case: gray, RGB or YCbCr input (whose planes the
+/// transform reads in place), chroma sampling, size (1–70 a side, so
+/// non-multiples of 8 and 16), quality, content mode, seed.
+type TransformCase = (ColorSpace, ChromaSampling, (usize, usize), u8, u8, u64);
 
 fn transform_case() -> impl Strategy<Value = TransformCase> {
+    let space = prop::sample::select(vec![ColorSpace::Gray, ColorSpace::Rgb, ColorSpace::YCbCr]);
     let sampling = prop::sample::select(vec![
         ChromaSampling::Cs444,
         ChromaSampling::Cs422,
         ChromaSampling::Cs420,
     ]);
     (
-        any::<bool>(),
+        space,
         sampling,
         (1usize..=70, 1usize..=70),
         1u8..=100,
@@ -187,13 +185,13 @@ fn transform_case() -> impl Strategy<Value = TransformCase> {
 /// whatever tier is in force. Colour conversion is tiered as well (its
 /// AVX2 kernel uses FMA), so both sides convert under the same tier.
 fn transform_matches(case: TransformCase) -> Result<(), TestCaseError> {
-    let (gray, sampling, (w, h), quality, mode, seed) = case;
-    let image = test_image(gray, w, h, mode, seed);
+    let (space, sampling, (w, h), quality, mode, seed) = case;
+    let image = test_image(space, w, h, mode, seed);
     let expected = reference_coefficients(&image, quality, sampling);
     let actual = CoeffImage::from_image(&image, quality, sampling);
     prop_assert!(
         actual == expected,
-        "{w}x{h} gray={gray} {sampling} Q{quality} mode {mode}"
+        "{w}x{h} {space:?} {sampling} Q{quality} mode {mode}"
     );
     Ok(())
 }

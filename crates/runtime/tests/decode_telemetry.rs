@@ -3,9 +3,11 @@
 //! file is written; that streamed decode still records
 //! `jpeg.decode.pixels_us` and `jpeg.decode.blocks`. The decoder records
 //! into the process-wide telemetry handle, so this binary holds one test
-//! and no other decode shares the handle it installs. The handle stays
-//! installed to the end: the decoder's per-thread cache of it must not
-//! hold its last reference when the thread's locals are destroyed.
+//! and no other decode shares the handle it installs. A fresh handle
+//! replaces it after the job, so the decoder's per-thread cache holds the
+//! last reference to the test's handle when the thread's locals are
+//! destroyed; dropping it then takes a ranked lock during thread teardown,
+//! which debug builds must survive.
 
 use dcdiff_data::{SceneGenerator, SceneKind};
 use dcdiff_jpeg::{encode_coefficients, DcDropMode, JpegDecoder, JpegEncoder};
@@ -41,6 +43,7 @@ fn a_recover_job_records_one_pixel_decode_of_every_block() {
     let done = execute(&job, &mut EngineCache::new(), &Telemetry::new()).expect("recover");
     assert!(matches!(done, JobOutput::Recovered { .. }));
     let (after, after_blocks) = read(&global);
+    dcdiff_telemetry::install(Telemetry::new());
     std::fs::remove_dir_all(&dir).ok();
     assert_eq!(after - decodes, 1, "one pixel decode per recovery");
     assert_eq!(after_blocks - decoded_blocks, blocks, "every block of the stream");

@@ -263,10 +263,14 @@ mod order {
     pub(super) struct Held(Rank);
 
     impl Held {
+        /// Check `rank` against the innermost lock this thread holds and
+        /// record it. A lock taken during thread teardown, after the
+        /// thread's record is destroyed (a thread-local's destructor that
+        /// locks), is neither checked nor recorded.
         #[track_caller]
         pub(super) fn acquire(rank: Rank) -> Held {
             let site = Location::caller();
-            let conflict = HELD.with(|held| {
+            let conflict = HELD.try_with(|held| {
                 let mut held = held.borrow_mut();
                 match held.last() {
                     Some(&(top, top_site)) if top >= rank => Some((top, top_site)),
@@ -276,13 +280,13 @@ mod order {
                     }
                 }
             });
-            if let Some((top, top_site)) = conflict {
+            if let Ok(Some((top, top_site))) = conflict {
                 panic!(
                     "lock order violation: {rank:?} acquired at {site} while holding \
                      {top:?} acquired at {top_site} (sync::Rank lists locks outermost first)"
                 );
             }
-            ACQUIRED.with(|n| n.set(n.get() + 1));
+            let _ = ACQUIRED.try_with(|n| n.set(n.get() + 1));
             Held(rank)
         }
     }

@@ -22,7 +22,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // --- the surgery: entropy-decode, drop DC, entropy-encode ---
     let coeffs = JpegDecoder::decode_coefficients(&original_file)?;
-    let dropped = coeffs.drop_dc(DcDropMode::KeepCorners);
+    let dropped = coeffs.clone().drop_dc(DcDropMode::KeepCorners);
     let surgered = encode_coefficients(&dropped)?;
     let surgered_opt = encode_coefficients_optimized(&dropped)?;
     println!(

@@ -18,7 +18,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- sender ---
     let image = SceneGenerator::new(SceneKind::Urban, 96, 96).generate(42);
     let coeffs = CoeffImage::from_image(&image, 50, ChromaSampling::Cs444);
-    let dropped = coeffs.drop_dc(DcDropMode::KeepCorners);
+    let dropped = coeffs.clone().drop_dc(DcDropMode::KeepCorners);
     let full_bytes = encode_coefficients(&coeffs)?.len();
     let sent_bytes = encode_coefficients(&dropped)?.len();
     println!("standard JPEG: {full_bytes} bytes");

@@ -66,7 +66,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let mut s = 0.0;
         for frame in &frames {
             let coeffs = CoeffImage::from_image(frame, 50, ChromaSampling::Cs444);
-            let dropped = coeffs.drop_dc(DcDropMode::KeepCorners);
+            let dropped = coeffs.clone().drop_dc(DcDropMode::KeepCorners);
             let reference = coeffs.to_image();
             let recovered = method.recover(&dropped);
             p += psnr(&reference, &recovered);

@@ -14,7 +14,7 @@ use dcdiff::metrics::psnr;
 fn optimized_tables_compound_with_dc_dropping() {
     let image = SceneGenerator::new(SceneKind::Natural, 96, 96).generate(5);
     let coeffs = CoeffImage::from_image(&image, 50, ChromaSampling::Cs444);
-    let dropped = coeffs.drop_dc(DcDropMode::KeepCorners);
+    let dropped = coeffs.clone().drop_dc(DcDropMode::KeepCorners);
 
     let standard_full = encode_coefficients(&coeffs).unwrap().len();
     let standard_dropped = encode_coefficients(&dropped).unwrap().len();
@@ -51,7 +51,7 @@ fn recovery_works_under_chroma_subsampling() {
     let image = SceneGenerator::new(SceneKind::Smooth, 96, 96).generate(7);
     let enc = JpegEncoder::new(50).with_sampling(ChromaSampling::Cs420);
     let coeffs = enc.to_coefficients(&image);
-    let dropped = coeffs.drop_dc(DcDropMode::KeepCorners);
+    let dropped = coeffs.clone().drop_dc(DcDropMode::KeepCorners);
     let reference = coeffs.to_image();
     let none = psnr(&reference, &dropped.to_image());
     let recovered = psnr(&reference, &Icip2022::new().recover(&dropped));
@@ -67,7 +67,7 @@ fn masked_refinement_works_on_optimized_subsampled_streams() {
     let image = SceneGenerator::new(SceneKind::Aerial, 96, 96).generate(8);
     let enc = JpegEncoder::new(50).with_sampling(ChromaSampling::Cs420);
     let coeffs = enc.to_coefficients(&image);
-    let dropped = coeffs.drop_dc(DcDropMode::KeepCorners);
+    let dropped = coeffs.clone().drop_dc(DcDropMode::KeepCorners);
     let bytes = encode_coefficients_optimized(&dropped).unwrap();
     let received = JpegDecoder::decode_coefficients(&bytes).unwrap();
     let refined = dcdiff::core::refine_dc_offsets(&received, &received, 10.0, 5e-4, 200);

@@ -18,7 +18,9 @@
 //! stores one shared zero block, not one block per block. And it keeps
 //! the bytes each thread holds, with their high-water mark, so a test can
 //! bound how much a call holds at once: the streamed response holds one
-//! band of rows, not the image.
+//! band of rows, not the image, and the sender's transform holds its
+//! output and one band, not whole YCbCr planes. Dropping DC levels is in
+//! place and allocates nothing.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -31,7 +33,7 @@ use dcdiff_jpeg::dct::{fdct, fdct_quantize, idct};
 use dcdiff_jpeg::huffman::{HuffmanTable, AC_LUMA_VALS};
 use dcdiff_jpeg::quant::QuantTable;
 use dcdiff_jpeg::simd::force_scalar;
-use dcdiff_jpeg::{ChromaSampling, CoeffImage, DcDropMode, BLOCK_AREA};
+use dcdiff_jpeg::{ChromaSampling, CoeffImage, DcDropMode, JpegEncoder, BLOCK_AREA};
 use dcdiff_telemetry::sync::acquisitions;
 use dcdiff_tensor::kernels::{sgemm_with_threads, Trans};
 
@@ -240,4 +242,34 @@ fn streamed_response_allocates_the_same_at_any_size() {
     };
     let (small, large) = (allocations(64), allocations(512));
     assert_eq!(small, large, "the streamed response allocates {small} times at 64², {large} at 512²");
+}
+
+#[test]
+fn sender_transform_holds_its_output_and_one_band() {
+    let scene = SceneGenerator::new(SceneKind::Natural, 512, 512).generate(5);
+    for sampling in [ChromaSampling::Cs444, ChromaSampling::Cs420] {
+        let encoder = JpegEncoder::new(50).with_sampling(sampling);
+        let mut coeffs = None;
+        let before = LIVE.with(Cell::get);
+        let peak = peak_bytes(|| coeffs = Some(encoder.to_coefficients(&scene)));
+        let output = LIVE.with(Cell::get) - before;
+        // Whole YCbCr planes would be three more MiB.
+        assert!(
+            peak - output <= 256 << 10,
+            "the {sampling} 512² transform held {peak} bytes at once for a {output}-byte output"
+        );
+    }
+}
+
+#[test]
+fn drop_dc_allocates_nothing() {
+    let scene = SceneGenerator::new(SceneKind::Natural, 256, 256).generate(5);
+    let coeffs = CoeffImage::from_image(&scene, 50, ChromaSampling::Cs444);
+    for mode in [DcDropMode::KeepCorners, DcDropMode::All] {
+        let full = coeffs.clone();
+        let mut dropped = None;
+        let (allocations, _) = cost(|| dropped = Some(full.drop_dc(mode)));
+        assert_eq!(allocations, 0, "drop_dc({mode:?}) allocated {allocations} time(s)");
+        assert!(dropped.is_some_and(|d| d.plane(0).dc(1, 1) == 0));
+    }
 }

@@ -39,7 +39,7 @@ fn all_methods_beat_no_recovery_on_all_scene_kinds() {
     for kind in [SceneKind::Smooth, SceneKind::Natural] {
         let image = SceneGenerator::new(kind, 64, 64).generate(11);
         let coeffs = CoeffImage::from_image(&image, 50, ChromaSampling::Cs444);
-        let dropped = coeffs.drop_dc(DcDropMode::KeepCorners);
+        let dropped = coeffs.clone().drop_dc(DcDropMode::KeepCorners);
         let reference = coeffs.to_image();
         let baseline = psnr(&reference, &dropped.to_image());
         for method in &methods {
@@ -54,7 +54,7 @@ fn all_methods_beat_no_recovery_on_all_scene_kinds() {
     // urban: the global method must still beat no-recovery
     let image = SceneGenerator::new(SceneKind::Urban, 64, 64).generate(11);
     let coeffs = CoeffImage::from_image(&image, 50, ChromaSampling::Cs444);
-    let dropped = coeffs.drop_dc(DcDropMode::KeepCorners);
+    let dropped = coeffs.clone().drop_dc(DcDropMode::KeepCorners);
     let reference = coeffs.to_image();
     let baseline = psnr(&reference, &dropped.to_image());
     let p = psnr(&reference, &Icip2022::new().recover(&dropped));
@@ -114,7 +114,7 @@ fn dcdiff_recovers_better_than_baselines_on_smooth_content() {
     for seed in 0..3u64 {
         let image = SceneGenerator::new(SceneKind::Smooth, 48, 48).generate(7_000 + seed);
         let coeffs = CoeffImage::from_image(&image, 50, ChromaSampling::Cs444);
-        let dropped = coeffs.drop_dc(DcDropMode::KeepCorners);
+        let dropped = coeffs.clone().drop_dc(DcDropMode::KeepCorners);
         let reference = coeffs.to_image();
         dcdiff_total += psnr(&reference, &system.recover_with(&dropped, &options));
         icip_total += psnr(&reference, &Icip2022::new().recover(&dropped));
@@ -131,7 +131,7 @@ fn dcdiff_recovers_better_than_baselines_on_smooth_content() {
 fn recovery_preserves_structure() {
     let image = SceneGenerator::new(SceneKind::Aerial, 64, 64).generate(21);
     let coeffs = CoeffImage::from_image(&image, 50, ChromaSampling::Cs444);
-    let dropped = coeffs.drop_dc(DcDropMode::KeepCorners);
+    let dropped = coeffs.clone().drop_dc(DcDropMode::KeepCorners);
     let reference = coeffs.to_image();
     let recovered = Icip2022::new().recover(&dropped);
     assert!(ssim(&reference, &recovered) > 0.8);
